@@ -11,7 +11,6 @@ gradients with an exact (quartic-polynomial) line search.  Independent
 numerical oracles for every analytic formula live in :mod:`psdfit.oracle`.
 """
 
-from ._kernels import BACKEND, warmup
 from .problem import (
     DegenerateInstanceError,
     ProblemInstance,
@@ -36,20 +35,20 @@ from .linesearch import (
 )
 from .solver import (
     IterationRecord,
+    MultistartResult,
     NumericalError,
     SolverConfig,
     SolverResult,
     TerminationReason,
     fr_beta,
+    multistart_solve,
     solve,
 )
 from .oracle import (
-    MultistartResult,
     OracleReport,
     compare,
     fd_gradient,
     interpolate_quartic,
-    multistart_solve,
     psd_truncation,
     reference_objective,
     reference_residual,
@@ -81,7 +80,6 @@ from .imagedemo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "DegenerateDirectionError",
     "DegenerateInstanceError",
     "DemoReport",
@@ -130,7 +128,6 @@ __all__ = [
     "residual_error",
     "solve",
     "validate",
-    "warmup",
     "write_matrix",
     "write_pgm",
     "write_problem",

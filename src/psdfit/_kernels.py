@@ -1,36 +1,31 @@
-"""Per-pair numeric kernels for the fitting objective.
+"""Per-pair numeric kernels for the fitting objective, in plain numpy.
 
-Every kernel exists twice: a pure-numpy version (``*_np``) and a
-numba-compiled version (``*_nb``).  The active backend is chosen once at
-import time: numba when it is importable, unless the environment variable
-``PSDFIT_NUMBA`` is set to ``0``.  Both versions agree to floating-point
-accumulation differences only; ``tests/test_kernels.py`` pins the agreement
-and ``benchmarks/bench_kernels.py`` compares their speed.
+These three functions are the only place the per-pair products are formed;
+`problem` and `linesearch` sum them over the pairs, looking each one up on
+this module at call time.
 
 All kernels take float64 C-contiguous arrays.  A is mi x mi, B is mi x n,
 Y and D are n x k.
 """
 
-import os
-
 import numpy as np
 
 
-def residual_sq_np(A, B, Y):
+def residual_sq(A, B, Y):
     """Squared Frobenius norm of the pair residual A - B Y Y^T B^T."""
     W = B @ Y
     R = A - W @ W.T
     return float(np.sum(R * R))
 
 
-def gradient_accum_np(A, B, Y, out):
+def gradient_accum(A, B, Y, out):
     """Add this pair's objective gradient, 2 B^T (2 B Y Y^T B^T - A - A^T) B Y, to out."""
     W = B @ Y
     C = 2.0 * (W @ W.T) - A - A.T
     out += 2.0 * (B.T @ (C @ W))
 
 
-def quartic_terms_np(A, B, Y, D):
+def quartic_terms(A, B, Y, D):
     """This pair's contribution (a0..a4) to the step polynomial along D.
 
     With M = A - B Y Y^T B^T, P = B (Y D^T + D Y^T) B^T and Q = B D D^T B^T,
@@ -48,103 +43,3 @@ def quartic_terms_np(A, B, Y, D):
     a3 = 2.0 * np.sum(P * Q)
     a4 = np.sum(Q * Q)
     return a0, a1, a2, a3, a4
-
-
-_ENV_FLAG = os.environ.get("PSDFIT_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _ENV_FLAG not in ("0", "false", "off", "no")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def residual_sq_nb(A, B, Y):
-        m = B.shape[0]
-        k = Y.shape[1]
-        W = np.dot(B, Y)
-        acc = 0.0
-        for a in range(m):
-            for b in range(m):
-                s = 0.0
-                for c in range(k):
-                    s += W[a, c] * W[b, c]
-                r = A[a, b] - s
-                acc += r * r
-        return acc
-
-    @njit(cache=True)
-    def gradient_accum_nb(A, B, Y, out):
-        m = B.shape[0]
-        W = np.dot(B, Y)
-        C = np.empty((m, m))
-        for a in range(m):
-            for b in range(m):
-                s = 0.0
-                for c in range(W.shape[1]):
-                    s += W[a, c] * W[b, c]
-                C[a, b] = 2.0 * s - A[a, b] - A[b, a]
-        T = np.dot(C, W)
-        G = np.dot(B.T, T)
-        for p in range(out.shape[0]):
-            for q in range(out.shape[1]):
-                out[p, q] += 2.0 * G[p, q]
-
-    @njit(cache=True)
-    def quartic_terms_nb(A, B, Y, D):
-        m = B.shape[0]
-        k = Y.shape[1]
-        W = np.dot(B, Y)
-        V = np.dot(B, D)
-        a0 = 0.0
-        a1 = 0.0
-        a2 = 0.0
-        a3 = 0.0
-        a4 = 0.0
-        for a in range(m):
-            for b in range(m):
-                sw = 0.0
-                sp = 0.0
-                sq = 0.0
-                for c in range(k):
-                    sw += W[a, c] * W[b, c]
-                    sp += W[a, c] * V[b, c] + V[a, c] * W[b, c]
-                    sq += V[a, c] * V[b, c]
-                mm = A[a, b] - sw
-                a0 += mm * mm
-                a1 += -2.0 * mm * sp
-                a2 += sp * sp - 2.0 * mm * sq
-                a3 += 2.0 * sp * sq
-                a4 += sq * sq
-        return a0, a1, a2, a3, a4
-
-else:  # pragma: no cover
-    residual_sq_nb = None
-    gradient_accum_nb = None
-    quartic_terms_nb = None
-
-if _HAVE_NUMBA and _WANT_NUMBA:
-    BACKEND = "numba"
-    residual_sq = residual_sq_nb
-    gradient_accum = gradient_accum_nb
-    quartic_terms = quartic_terms_nb
-else:
-    BACKEND = "numpy"
-    residual_sq = residual_sq_np
-    gradient_accum = gradient_accum_np
-    quartic_terms = quartic_terms_np
-
-
-def warmup():
-    """Trigger JIT compilation of the active kernels on a tiny pair."""
-    A = np.zeros((1, 1))
-    B = np.ones((1, 2))
-    Y = np.zeros((2, 1))
-    residual_sq(A, B, Y)
-    gradient_accum(A, B, Y, np.zeros((2, 1)))
-    quartic_terms(A, B, Y, Y)

@@ -81,25 +81,17 @@ def _with_rank(instance: ProblemInstance, rank):
     return ProblemInstance(pairs=instance.pairs, n=instance.n, k=rank)
 
 
-def _seeded_point(instance, seed):
-    rng = np.random.default_rng(seed)
-    return rng.random((instance.n, instance.k))
-
-
 def _cmd_solve(args):
     instance = _with_rank(pio.read_problem(args.problem), args.rank)
-    if args.init is not None:
-        Y0 = pio.read_matrix(args.init)
-    else:
-        Y0 = _seeded_point(instance, args.seed)
+    Y0 = pio.read_matrix(args.init) if args.init is not None else None
     config = SolverConfig(epsilon=args.tol, max_iterations=args.max_iter)
-    result = solve(instance, Y0=Y0, config=config)
+    result = solve(instance, Y0=Y0, config=config, seed=args.seed)
     last = result.trace[-1]
     print(f"termination {result.termination_reason.value}")
     print(f"iterations {result.iterations}")
-    print(f"f {pio._fmt(last.f_value)}")
-    print(f"grad_norm {pio._fmt(last.grad_norm)}")
-    print(f"residual {pio._fmt(last.residual)}")
+    print(f"f {pio.format_float(last.f_value)}")
+    print(f"grad_norm {pio.format_float(last.grad_norm)}")
+    print(f"residual {pio.format_float(last.residual)}")
     if args.trace:
         pio.write_trace(args.trace, result.trace)
     if args.out:
@@ -109,7 +101,7 @@ def _cmd_solve(args):
 
 def _cmd_gradcheck(args):
     instance = pio.read_problem(args.problem)
-    Y = _seeded_point(instance, args.seed)
+    Y = np.random.default_rng(args.seed).random((instance.n, instance.k))
     report = compare(
         "gradient",
         gradient(instance, Y),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .problem import ProblemInstance
 from .solver import SolverConfig, SolverResult, solve
-from .io import write_matrix, write_trace, _fmt
+from .io import format_float, write_matrix, write_trace
 
 MAX_SIDE = 512  # dense solves above this are rejected
 
@@ -162,11 +162,11 @@ class DemoReport:
             f"m {self.m}",
             f"iterations {self.iterations}",
             f"termination {self.termination}",
-            f"f {_fmt(self.f_value)}",
-            f"relative_error {_fmt(self.relative_error)}",
+            f"f {format_float(self.f_value)}",
+            f"relative_error {format_float(self.relative_error)}",
         ]
         for i, r in enumerate(self.pair_residuals):
-            out.append(f"residual_{i} {_fmt(r)}")
+            out.append(f"residual_{i} {format_float(r)}")
         return out
 
 

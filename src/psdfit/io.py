@@ -35,7 +35,8 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """A float as text with 16 significant digits, as every file format writes it."""
     return format(float(x), ".16g")
 
 
@@ -127,9 +128,9 @@ def write_problem(path, instance: ProblemInstance):
     for A, B in instance.pairs:
         lines.append(str(A.shape[0]))
         for row in A:
-            lines.append(" ".join(_fmt(x) for x in row))
+            lines.append(" ".join(format_float(x) for x in row))
         for row in B:
-            lines.append(" ".join(_fmt(x) for x in row))
+            lines.append(" ".join(format_float(x) for x in row))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -158,7 +159,7 @@ def read_matrix(path) -> np.ndarray:
 def write_matrix(path, M):
     with open(path, "w", encoding="ascii") as fh:
         for row in np.atleast_2d(np.asarray(M, dtype=np.float64)):
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+            fh.write(" ".join(format_float(x) for x in row) + "\n")
 
 
 TRACE_HEADER = "iteration,f,grad_norm,residual,step,beta"
@@ -169,8 +170,8 @@ def write_trace(path, trace):
     lines = [TRACE_HEADER]
     for r in trace:
         lines.append(
-            f"{r.index},{_fmt(r.f_value)},{_fmt(r.grad_norm)},"
-            f"{_fmt(r.residual)},{_fmt(r.step)},{_fmt(r.beta)}"
+            f"{r.index},{format_float(r.f_value)},{format_float(r.grad_norm)},"
+            f"{format_float(r.residual)},{format_float(r.step)},{format_float(r.beta)}"
         )
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -218,13 +219,13 @@ def write_solution(path, result: SolverResult):
         f"n {n}",
         f"termination {result.termination_reason.value}",
         f"iterations {result.iterations}",
-        f"f {_fmt(last.f_value)}",
-        f"grad_norm {_fmt(last.grad_norm)}",
-        f"residual {_fmt(last.residual)}",
+        f"f {format_float(last.f_value)}",
+        f"grad_norm {format_float(last.grad_norm)}",
+        f"residual {format_float(last.residual)}",
         "X",
     ]
     for row in result.X_final:
-        lines.append(" ".join(_fmt(x) for x in row))
+        lines.append(" ".join(format_float(x) for x in row))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -7,14 +7,12 @@ primary path cannot hide in its own verification.  Only primitive matrix
 products are shared with the rest of the package.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linesearch import QuarticPolynomial
-from .problem import FactorMatrix, GradientMatrix, ProblemInstance, validate
-from .solver import NumericalError, SolverConfig, SolverResult, solve
+from .problem import GradientMatrix, ProblemInstance
 
 
 def reference_objective(instance: ProblemInstance, Y) -> float:
@@ -145,54 +143,3 @@ def psd_truncation(A, k: int) -> np.ndarray:
     Vk = V[:, n - k :]
     X = (Vk * lam) @ Vk.T
     return (X + X.T) / 2.0
-
-
-@dataclass
-class MultistartResult:
-    best: SolverResult
-    best_start: int
-    final_objectives: list  # per start; math.nan where a start failed
-    failures: list  # (start index, error message)
-
-
-def multistart_solve(
-    instance: ProblemInstance,
-    config: SolverConfig | None = None,
-    num_starts: int = 5,
-    seed: int = 0,
-) -> MultistartResult:
-    """Run the solver from several seeded starts and keep the best result.
-
-    Start points are drawn up front from one seeded generator, so the whole
-    sweep is deterministic.  Ties in final objective resolve to the lowest
-    start index.  A start failing with a numerical error is recorded and
-    skipped; at least one start must succeed.
-    """
-    if num_starts < 1:
-        raise ValueError("num_starts must be at least 1")
-    validate(instance).raise_if_invalid()
-    rng = np.random.default_rng(seed)
-    starts = [rng.random((instance.n, instance.k)) for _ in range(num_starts)]
-    best = None
-    best_index = -1
-    best_f = math.inf
-    finals = []
-    failures = []
-    for i, Y0 in enumerate(starts):
-        try:
-            result = solve(instance, Y0, config)
-        except NumericalError as exc:
-            finals.append(math.nan)
-            failures.append((i, str(exc)))
-            continue
-        f_final = result.trace[-1].f_value
-        finals.append(f_final)
-        if f_final < best_f:
-            best = result
-            best_index = i
-            best_f = f_final
-    if best is None:
-        raise NumericalError("every start failed; see failures for details")
-    return MultistartResult(
-        best=best, best_start=best_index, final_objectives=finals, failures=failures
-    )

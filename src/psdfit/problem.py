@@ -12,7 +12,9 @@ All functions are pure and safe to call from multiple threads.  Sums over
 pairs accumulate left to right in pair order, so results are reproducible.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,7 +36,11 @@ class DegenerateInstanceError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """The pairs (A_i, B_i) plus the column dimension n and rank bound k."""
+    """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
+
+    The pair arrays are treated as read-only once built: Sum ||A_i||_F is
+    computed on first use and cached.
+    """
 
     pairs: tuple
     n: int
@@ -58,6 +64,14 @@ class ProblemInstance:
     def sizes(self):
         """The observation sides m_i."""
         return tuple(B.shape[0] for _, B in self.pairs)
+
+    @cached_property
+    def _target_norm(self):
+        """Sum of ||A_i||_F, the denominator of the relative residual."""
+        total = 0.0
+        for A, _ in self.pairs:
+            total += float(np.linalg.norm(A, "fro"))
+        return total
 
 
 @dataclass
@@ -154,24 +168,32 @@ def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
     return out
 
 
+def _fit_metrics(instance: ProblemInstance, Y: FactorMatrix):
+    """(objective, relative residual) at a factor Y, one residual pass per pair.
+
+    f accumulates exactly as in `objective`, so the two agree bit for bit.
+    """
+    denom = instance._target_norm
+    if denom == 0.0:
+        raise DegenerateInstanceError(
+            "all A_i are zero; relative residual is undefined"
+        )
+    f = 0.0
+    num = 0.0
+    for A, B in instance.pairs:
+        r2 = _kernels.residual_sq(A, B, Y)
+        f += r2
+        num += math.sqrt(r2)
+    return f, num / denom
+
+
 def residual_error(instance: ProblemInstance, Y: FactorMatrix) -> float:
     """Sum of residual Frobenius norms over the sum of ||A_i||_F.
 
     Note the numerator uses plain (not squared) norms, summed across pairs
     before dividing.
     """
-    Y = _as_factor(instance, Y)
-    denom = 0.0
-    for A, _ in instance.pairs:
-        denom += float(np.linalg.norm(A, "fro"))
-    if denom == 0.0:
-        raise DegenerateInstanceError(
-            "all A_i are zero; relative residual is undefined"
-        )
-    num = 0.0
-    for A, B in instance.pairs:
-        num += np.sqrt(_kernels.residual_sq(A, B, Y))
-    return num / denom
+    return _fit_metrics(instance, _as_factor(instance, Y))[1]
 
 
 def assemble_X(Y: FactorMatrix) -> NDArray[np.float64]:

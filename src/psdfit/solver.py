@@ -4,10 +4,12 @@ Directions mix the negative gradient with the previous direction through
 the Fletcher-Reeves ratio; steps come from the exact quartic line search.
 The direction resets to steepest descent on a fixed period and whenever
 the mixed direction fails the descent test, so every line search starts
-from a strict descent direction.
+from a strict descent direction.  `multistart_solve` runs the iteration
+from several seeded starts and keeps the best.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +20,9 @@ from .problem import (
     GradientMatrix,
     ProblemInstance,
     _as_factor,
+    _fit_metrics,
     assemble_X,
     gradient,
-    objective,
-    residual_error,
     validate,
 )
 
@@ -50,7 +51,6 @@ class SolverConfig:
     epsilon: float = 1e-4
     max_iterations: int = 10000
     restart_period: int | None = 200
-    enforce_descent: bool = True
 
     def check(self):
         if not self.epsilon > 0:
@@ -94,20 +94,28 @@ def step(
     Y: FactorMatrix,
     grad: GradientMatrix,
     D,
-    config: SolverConfig,
     *,
     index: int = 1,
     force_restart: bool = False,
 ):
     """One iteration: exact step along D, new gradient, next direction.
 
-    Requires D to be a descent direction (tr(grad^T D) < 0).  Returns
-    (Y_next, grad_next, D_next, record).  The next direction resets to the
-    negative gradient when force_restart is set or, with enforce_descent,
-    when the Fletcher-Reeves direction fails the descent test; beta is
-    recorded as 0 in both cases.
+    Returns (Y_next, grad_next, D_next, record).  Rounding can spoil a mixed
+    direction's descent property after it passed the test, so when the line
+    search finds no descent along D the step is retried once along -grad;
+    NonDescentDirectionError propagates only when D already was -grad.  The
+    next direction resets to -grad_next, with beta recorded as 0, when
+    force_restart is set or the Fletcher-Reeves direction fails the descent
+    test tr(grad_next^T D_next) < 0.  The record's f and residual come from
+    one residual pass at Y_next.
     """
-    found = linesearch.exact_step(instance, Y, D)
+    try:
+        found = linesearch.exact_step(instance, Y, D)
+    except linesearch.NonDescentDirectionError:
+        if np.array_equal(D, -grad):
+            raise
+        D = -grad
+        found = linesearch.exact_step(instance, Y, D)
     t = found.t_star
     Y_next = Y + t * D
     grad_next = gradient(instance, Y_next)
@@ -117,14 +125,15 @@ def step(
     else:
         beta = fr_beta(grad_next, grad)
         D_next = -grad_next + beta * D
-        if config.enforce_descent and float(np.sum(grad_next * D_next)) >= 0.0:
+        if float(np.sum(grad_next * D_next)) >= 0.0:
             beta = 0.0
             D_next = -grad_next
+    f_next, residual = _fit_metrics(instance, Y_next)
     record = IterationRecord(
         index=index,
-        f_value=objective(instance, Y_next),
+        f_value=f_next,
         grad_norm=float(np.linalg.norm(grad_next)),
-        residual=residual_error(instance, Y_next),
+        residual=residual,
         step=t,
         beta=beta,
     )
@@ -161,7 +170,7 @@ def solve(
     Y = _as_factor(instance, Y0, name="Y0")
 
     grad = gradient(instance, Y)
-    f = objective(instance, Y)
+    f, residual = _fit_metrics(instance, Y)
     grad_norm = float(np.linalg.norm(grad))
     if not (np.isfinite(f) and np.isfinite(grad_norm)):
         raise NumericalError("non-finite objective or gradient at iteration 0")
@@ -170,7 +179,7 @@ def solve(
             index=0,
             f_value=f,
             grad_norm=grad_norm,
-            residual=residual_error(instance, Y),
+            residual=residual,
             step=0.0,
             beta=0.0,
         )
@@ -190,29 +199,14 @@ def solve(
         force = restart_period is not None and (k + 1) % restart_period == 0
         try:
             Y, grad, D, record = step(
-                instance, Y, grad, D, config, index=k + 1, force_restart=force
+                instance, Y, grad, D, index=k + 1, force_restart=force
             )
-        except linesearch.DegenerateDirectionError:
+        except (
+            linesearch.DegenerateDirectionError,
+            linesearch.NonDescentDirectionError,
+        ):
             reason = TerminationReason.DEGENERATE_DIRECTION
             break
-        except linesearch.NonDescentDirectionError:
-            # Rounding can spoil the mixed direction's descent property even
-            # though the test passed at construction; one steepest-descent
-            # retry restores it unless the gradient direction itself fails.
-            if not config.enforce_descent or np.array_equal(D, -grad):
-                reason = TerminationReason.DEGENERATE_DIRECTION
-                break
-            D = -grad
-            try:
-                Y, grad, D, record = step(
-                    instance, Y, grad, D, config, index=k + 1, force_restart=force
-                )
-            except (
-                linesearch.DegenerateDirectionError,
-                linesearch.NonDescentDirectionError,
-            ):
-                reason = TerminationReason.DEGENERATE_DIRECTION
-                break
         if not (np.isfinite(record.f_value) and np.isfinite(record.grad_norm)):
             raise NumericalError(
                 f"non-finite objective or gradient at iteration {k + 1}"
@@ -229,4 +223,55 @@ def solve(
         converged=converged,
         trace=trace,
         termination_reason=reason,
+    )
+
+
+@dataclass
+class MultistartResult:
+    best: SolverResult
+    best_start: int
+    final_objectives: list  # per start; math.nan where a start failed
+    failures: list  # (start index, error message)
+
+
+def multistart_solve(
+    instance: ProblemInstance,
+    config: SolverConfig | None = None,
+    num_starts: int = 5,
+    seed: int = 0,
+) -> MultistartResult:
+    """Run the solver from several seeded starts and keep the best result.
+
+    Start points are drawn up front from one seeded generator, so the whole
+    sweep is deterministic.  Ties in final objective resolve to the lowest
+    start index.  A start failing with a numerical error is recorded and
+    skipped; at least one start must succeed.
+    """
+    if num_starts < 1:
+        raise ValueError("num_starts must be at least 1")
+    validate(instance).raise_if_invalid()
+    rng = np.random.default_rng(seed)
+    starts = [rng.random((instance.n, instance.k)) for _ in range(num_starts)]
+    best = None
+    best_index = -1
+    best_f = math.inf
+    finals = []
+    failures = []
+    for i, Y0 in enumerate(starts):
+        try:
+            result = solve(instance, Y0, config)
+        except NumericalError as exc:
+            finals.append(math.nan)
+            failures.append((i, str(exc)))
+            continue
+        f_final = result.trace[-1].f_value
+        finals.append(f_final)
+        if f_final < best_f:
+            best = result
+            best_index = i
+            best_f = f_final
+    if best is None:
+        raise NumericalError("every start failed; see failures for details")
+    return MultistartResult(
+        best=best, best_start=best_index, final_objectives=finals, failures=failures
     )

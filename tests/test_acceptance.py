@@ -20,7 +20,6 @@ from psdfit import (
     ProblemInstance,
     SolverConfig,
     SolverResult,
-    _kernels,
     fd_gradient,
     generate_instance,
     gradient,
@@ -45,11 +44,6 @@ def announce(capsys, num, label, ok, detail=""):
     with capsys.disabled():
         print(f"\ncriterion {num:2d} ({label}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} ({label}) failed: {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()
 
 
 @dataclass

@@ -1,8 +1,4 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from psdfit import _kernels
 
@@ -22,52 +18,6 @@ def pairs_for(seed, count=8):
     return out
 
 
-needs_numba = pytest.mark.skipif(
-    not _kernels._HAVE_NUMBA, reason="numba not importable"
-)
-
-
-def test_backend_is_declared():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    active = {
-        "numba": _kernels.residual_sq_nb,
-        "numpy": _kernels.residual_sq_np,
-    }[_kernels.BACKEND]
-    assert _kernels.residual_sq is active
-
-
-def test_warmup_runs():
-    _kernels.warmup()
-
-
-@needs_numba
-def test_residual_backends_agree():
-    for A, B, Y, _ in pairs_for(0):
-        a = _kernels.residual_sq_np(A, B, Y)
-        b = _kernels.residual_sq_nb(A, B, Y)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-
-@needs_numba
-def test_gradient_backends_agree():
-    for A, B, Y, _ in pairs_for(1):
-        g_np = np.zeros_like(Y)
-        g_nb = np.zeros_like(Y)
-        _kernels.gradient_accum_np(A, B, Y, g_np)
-        _kernels.gradient_accum_nb(A, B, Y, g_nb)
-        scale = max(1.0, float(np.abs(g_np).max()))
-        assert float(np.abs(g_np - g_nb).max()) <= 1e-12 * scale
-
-
-@needs_numba
-def test_quartic_backends_agree():
-    for A, B, Y, D in pairs_for(2):
-        t_np = _kernels.quartic_terms_np(A, B, Y, D)
-        t_nb = _kernels.quartic_terms_nb(A, B, Y, D)
-        for a, b in zip(t_np, t_nb):
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
-
-
 def test_gradient_accum_adds_in_place():
     A, B, Y, _ = pairs_for(3, count=1)[0]
     base = np.full_like(Y, 5.0)
@@ -76,61 +26,3 @@ def test_gradient_accum_adds_in_place():
     expected = np.zeros_like(Y)
     _kernels.gradient_accum(A, B, Y, expected)
     assert np.allclose(acc, base + expected, rtol=1e-13, atol=0)
-
-
-def test_env_flag_selects_numpy_backend():
-    # a fresh interpreter with PSDFIT_NUMBA=0 must bind the numpy kernels
-    code = (
-        "import os; os.environ['PSDFIT_NUMBA'] = '0'; "
-        "from psdfit import _kernels; "
-        "assert _kernels.BACKEND == 'numpy'; "
-        "assert _kernels.residual_sq is _kernels.residual_sq_np; "
-        "print(_kernels.BACKEND)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_env_flag_default_selects_numba_backend():
-    code = (
-        "import os; os.environ.pop('PSDFIT_NUMBA', None); "
-        "from psdfit import _kernels; print(_kernels.BACKEND)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numba"
-
-
-def test_full_solve_identical_across_backends():
-    # the solver must not merely approximate across backends: on a small
-    # instance the iterate-by-iterate trace stays bitwise reproducible
-    # within each backend, and the two backends land on the same optimum
-    code = (
-        "import os; os.environ['PSDFIT_NUMBA'] = '{flag}'; "
-        "import numpy as np; import psdfit; "
-        "inst = psdfit.generate_instance(4, 2, m=2, seed=11, mode='consistent'); "
-        "r = psdfit.solve(inst, config=psdfit.SolverConfig(epsilon=1e-7, "
-        "max_iterations=20000), seed=0); "
-        "print(r.iterations, repr(r.trace[-1].f_value))"
-    )
-    outs = []
-    for flag in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-c", code.format(flag=flag)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout.strip())
-    it_np, f_np = outs[0].split()
-    it_nb, f_nb = outs[1].split()
-    assert abs(eval(f_np) - eval(f_nb)) < 1e-8
-    # iteration counts may differ by rounding of the last few steps, but not
-    # by much on a consistent instance
-    assert abs(int(it_np) - int(it_nb)) <= 50

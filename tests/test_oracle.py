@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psdfit import (
+    MultistartResult,
     ProblemInstance,
     SolverConfig,
     compare,
@@ -15,7 +16,6 @@ from psdfit import (
     solve,
 )
 from psdfit.oracle import (
-    MultistartResult,
     interpolate_quartic,
     reference_objective,
     reference_residual,

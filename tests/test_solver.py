@@ -13,8 +13,10 @@ from psdfit import (
     generate_instance,
     gradient,
     objective,
+    residual_error,
     solve,
 )
+from psdfit.linesearch import NonDescentDirectionError, exact_step
 from psdfit.solver import step
 
 import golden
@@ -56,7 +58,7 @@ def test_step_decreases_objective_from_steepest_descent():
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
     f0 = objective(inst, Y)
-    Y1, g1, D1, record = step(inst, Y, g, -g, SolverConfig(), index=1)
+    Y1, g1, D1, record = step(inst, Y, g, -g, index=1)
     assert record.index == 1
     assert record.step > 0.0
     assert record.f_value < f0
@@ -70,9 +72,23 @@ def test_step_force_restart_resets_direction():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
-    Y1, g1, D1, record = step(inst, Y, g, -g, SolverConfig(), force_restart=True)
+    Y1, g1, D1, record = step(inst, Y, g, -g, force_restart=True)
     assert record.beta == 0.0
     assert np.array_equal(D1, -g1)
+
+
+def test_step_retries_a_non_descent_direction_along_the_negative_gradient():
+    inst = golden.instance(2)
+    Y = golden.Y0_RANK2
+    g = gradient(inst, Y)
+    with pytest.raises(NonDescentDirectionError):
+        exact_step(inst, Y, g)
+    Y1, g1, D1, record = step(inst, Y, g, g)
+    Y2, g2, D2, expected = step(inst, Y, g, -g)
+    assert np.array_equal(Y1, Y2)
+    assert np.array_equal(g1, g2)
+    assert np.array_equal(D1, D2)
+    assert record == expected
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +211,19 @@ def test_solve_callback_sees_every_iteration():
 
     result = solve(inst, golden.Y0_RANK2, SolverConfig(max_iterations=10), callback=cb)
     assert seen == result.trace[1:]
+
+
+def test_solve_trace_metrics_equal_the_public_functions():
+    inst = generate_instance(6, 2, m=10, seed=7)
+    seen = []
+
+    def cb(record, Y, grad, direction):
+        assert record.f_value == objective(inst, Y)
+        assert record.residual == residual_error(inst, Y)
+        seen.append(record.index)
+
+    solve(inst, config=SolverConfig(max_iterations=30), seed=1, callback=cb)
+    assert seen == list(range(1, 31))
 
 
 def test_solve_is_deterministic():
