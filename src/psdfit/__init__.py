@@ -12,7 +12,6 @@ numerical oracles for every analytic formula live in :mod:`psdfit.oracle`.
 """
 
 from .problem import (
-    DegenerateInstanceError,
     ProblemInstance,
     ValidationError,
     ValidationReport,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateDirectionError",
-    "DegenerateInstanceError",
     "DemoReport",
     "ImageFormatError",
     "IterationRecord",

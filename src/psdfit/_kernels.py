@@ -1,6 +1,6 @@
 """Per-pair numeric kernels for the fitting objective, in plain numpy.
 
-These three functions are the only place the per-pair products are formed;
+These two functions are the only place the per-pair products are formed;
 `problem` and `linesearch` sum them over the pairs, looking each one up on
 this module at call time.
 
@@ -11,18 +11,19 @@ Y and D are n x k.
 import numpy as np
 
 
-def residual_sq(A, B, Y):
-    """Squared Frobenius norm of the pair residual A - B Y Y^T B^T."""
-    W = B @ Y
-    R = A - W @ W.T
-    return float(np.sum(R * R))
+def residual_gradient(A, B, Y, out):
+    """Return ||A - B Y Y^T B^T||_F^2 and add this pair's objective gradient to out.
 
-
-def gradient_accum(A, B, Y, out):
-    """Add this pair's objective gradient, 2 B^T (2 B Y Y^T B^T - A - A^T) B Y, to out."""
+    The gradient term is 2 B^T (2 B Y Y^T B^T - A - A^T) B Y.  W = B Y and
+    W W^T are formed once and shared by both quantities.
+    """
     W = B @ Y
-    C = 2.0 * (W @ W.T) - A - A.T
-    out += 2.0 * (B.T @ (C @ W))
+    G = W @ W.T
+    R = A - G
+    r2 = float(np.sum(R * R))
+    del R  # free the mi x mi residual before the gradient term needs its own
+    out += 2.0 * (B.T @ ((2.0 * G - A - A.T) @ W))
+    return r2
 
 
 def quartic_terms(A, B, Y, D):

@@ -11,6 +11,8 @@ Problem files are whitespace-separated text with explicit dimension headers:
 
 Numbers are written with 16 significant digits, which reproduces values to
 better than 1e-12 relative and makes write -> read -> write byte-stable.
+A NaN or infinite entry in any matrix block is a parse error that names
+its line and column.
 Traces are six-column CSV; solutions carry the assembled X plus summary
 fields.  The same seed always regenerates the same instance.
 """
@@ -91,12 +93,29 @@ def _ints(lineno, toks, what):
     return out
 
 
+def _finite(data, reader, first, what):
+    """Return data if it is all finite, else raise at its first NaN or infinity.
+
+    data[r] was parsed from reader.rows[first + r].  One check per block keeps
+    the common case cheap (count_nonzero costs half of .all() on small
+    blocks); the token is found only on failure.
+    """
+    if np.count_nonzero(np.isfinite(data)) != data.size:
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        lineno, toks = reader.rows[first + r]
+        raise ParseError(
+            f"non-finite number {toks[c]!r} in {what}", line=lineno, column=int(c) + 1
+        )
+    return data
+
+
 def _read_block(reader, rows, cols, what):
+    first = reader.at
     data = np.empty((rows, cols))
     for r in range(rows):
         lineno, toks = reader.next_line(cols, f"{what} row {r}")
         data[r] = _floats(lineno, toks, f"{what} row {r}")
-    return data
+    return _finite(data, reader, first, what)
 
 
 def read_problem(path) -> ProblemInstance:
@@ -153,7 +172,7 @@ def read_matrix(path) -> np.ndarray:
         rows.append(_floats(lineno, toks, "matrix row"))
     if not rows:
         raise ParseError("empty matrix file")
-    return np.array(rows)
+    return _finite(np.array(rows), reader, 0, "matrix")
 
 
 def write_matrix(path, M):

@@ -31,7 +31,7 @@ def reference_objective(instance: ProblemInstance, Y) -> float:
 
 
 def reference_residual(instance: ProblemInstance, Y) -> float:
-    """Straight-line relative residual: sum of norms over sum of ||A_i||."""
+    """Straight-line relative residual: sum of norms over sum of ||A_i|| if nonzero."""
     Y = np.asarray(Y, dtype=np.float64)
     X = Y @ Y.T
     num = 0.0
@@ -39,7 +39,7 @@ def reference_residual(instance: ProblemInstance, Y) -> float:
     for A, B in instance.pairs:
         num += float(np.linalg.norm(A - B @ X @ B.T, "fro"))
         denom += float(np.linalg.norm(A, "fro"))
-    return num / denom
+    return num / denom if denom else num
 
 
 @dataclass

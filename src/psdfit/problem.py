@@ -30,10 +30,6 @@ class ValidationError(ValueError):
     """An operation was given a problem instance violating its invariants."""
 
 
-class DegenerateInstanceError(ValueError):
-    """All A_i are zero, so the relative residual is undefined."""
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
@@ -76,7 +72,7 @@ class ProblemInstance:
 
 @dataclass
 class Violation:
-    code: str  # "empty-instance" | "dimension-mismatch" | "rank-out-of-range"
+    code: str  # "empty-instance" | "non-finite" | "dimension-mismatch" | "rank-out-of-range"
     pair: int | None
     message: str
 
@@ -104,6 +100,9 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     if len(instance.pairs) == 0:
         bad("empty-instance", None, "instance has no (A, B) pairs")
     for i, (A, B) in enumerate(instance.pairs):
+        for name, M in (("A", A), ("B", B)):
+            if np.count_nonzero(np.isfinite(M)) != M.size:  # half the cost of .all()
+                bad("non-finite", i, f"pair {i}: {name} has non-finite entries")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             bad(
                 "dimension-mismatch",
@@ -143,13 +142,26 @@ def _as_factor(instance: ProblemInstance, Y, name="Y") -> FactorMatrix:
     return Y
 
 
+def _evaluate(instance: ProblemInstance, Y: FactorMatrix):
+    """(objective, relative residual, gradient) at Y, one kernel call per pair.
+
+    When every A_i is zero the residual has no denominator and the absolute
+    sum of residual norms is reported.
+    """
+    f = 0.0
+    num = 0.0
+    grad = np.zeros((instance.n, instance.k))
+    for A, B in instance.pairs:
+        r2 = _kernels.residual_gradient(A, B, Y, grad)
+        f += r2
+        num += math.sqrt(r2)
+    denom = instance._target_norm
+    return f, (num / denom if denom else num), grad
+
+
 def objective(instance: ProblemInstance, Y: FactorMatrix) -> float:
     """Sum over pairs of ||A_i - B_i Y Y^T B_i^T||_F^2 (nonnegative)."""
-    Y = _as_factor(instance, Y)
-    acc = 0.0
-    for A, B in instance.pairs:
-        acc += _kernels.residual_sq(A, B, Y)
-    return acc
+    return _evaluate(instance, _as_factor(instance, Y))[0]
 
 
 def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
@@ -161,39 +173,17 @@ def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
     2 B_i^T (2 B_i Y Y^T B_i^T - A_i - A_i^T) B_i Y, which the tests pin
     against the expanded form.
     """
-    Y = _as_factor(instance, Y)
-    out = np.zeros((instance.n, instance.k))
-    for A, B in instance.pairs:
-        _kernels.gradient_accum(A, B, Y, out)
-    return out
-
-
-def _fit_metrics(instance: ProblemInstance, Y: FactorMatrix):
-    """(objective, relative residual) at a factor Y, one residual pass per pair.
-
-    f accumulates exactly as in `objective`, so the two agree bit for bit.
-    """
-    denom = instance._target_norm
-    if denom == 0.0:
-        raise DegenerateInstanceError(
-            "all A_i are zero; relative residual is undefined"
-        )
-    f = 0.0
-    num = 0.0
-    for A, B in instance.pairs:
-        r2 = _kernels.residual_sq(A, B, Y)
-        f += r2
-        num += math.sqrt(r2)
-    return f, num / denom
+    return _evaluate(instance, _as_factor(instance, Y))[2]
 
 
 def residual_error(instance: ProblemInstance, Y: FactorMatrix) -> float:
     """Sum of residual Frobenius norms over the sum of ||A_i||_F.
 
     Note the numerator uses plain (not squared) norms, summed across pairs
-    before dividing.
+    before dividing.  When every A_i is zero the sum of residual norms is
+    returned undivided.
     """
-    return _fit_metrics(instance, _as_factor(instance, Y))[1]
+    return _evaluate(instance, _as_factor(instance, Y))[1]
 
 
 def assemble_X(Y: FactorMatrix) -> NDArray[np.float64]:

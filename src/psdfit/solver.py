@@ -20,9 +20,8 @@ from .problem import (
     GradientMatrix,
     ProblemInstance,
     _as_factor,
-    _fit_metrics,
+    _evaluate,
     assemble_X,
-    gradient,
     validate,
 )
 
@@ -106,8 +105,8 @@ def step(
     NonDescentDirectionError propagates only when D already was -grad.  The
     next direction resets to -grad_next, with beta recorded as 0, when
     force_restart is set or the Fletcher-Reeves direction fails the descent
-    test tr(grad_next^T D_next) < 0.  The record's f and residual come from
-    one residual pass at Y_next.
+    test tr(grad_next^T D_next) < 0.  The gradient and the record's f and
+    residual come from one evaluation at Y_next.
     """
     try:
         found = linesearch.exact_step(instance, Y, D)
@@ -118,7 +117,7 @@ def step(
         found = linesearch.exact_step(instance, Y, D)
     t = found.t_star
     Y_next = Y + t * D
-    grad_next = gradient(instance, Y_next)
+    f_next, residual, grad_next = _evaluate(instance, Y_next)
     if force_restart:
         beta = 0.0
         D_next = -grad_next
@@ -128,7 +127,6 @@ def step(
         if float(np.sum(grad_next * D_next)) >= 0.0:
             beta = 0.0
             D_next = -grad_next
-    f_next, residual = _fit_metrics(instance, Y_next)
     record = IterationRecord(
         index=index,
         f_value=f_next,
@@ -156,8 +154,10 @@ def solve(
     [0, 1) using the given seed.  The optional callback is invoked after
     each iteration as callback(record, Y, grad, direction).
 
-    The f values along the trace are nonincreasing; identical inputs
-    produce identical traces.
+    Each recorded f is a fresh evaluation, so the trace's f values are
+    nonincreasing only up to rounding: where the true decrease is below f's
+    resolution, f can rise by a few ulps.  Identical inputs produce
+    identical traces.
     """
     validate(instance).raise_if_invalid()
     if config is None:
@@ -169,29 +169,26 @@ def solve(
         Y0 = np.random.default_rng(seed).random((instance.n, instance.k))
     Y = _as_factor(instance, Y0, name="Y0")
 
-    grad = gradient(instance, Y)
-    f, residual = _fit_metrics(instance, Y)
-    grad_norm = float(np.linalg.norm(grad))
-    if not (np.isfinite(f) and np.isfinite(grad_norm)):
-        raise NumericalError("non-finite objective or gradient at iteration 0")
-    trace = [
-        IterationRecord(
-            index=0,
-            f_value=f,
-            grad_norm=grad_norm,
-            residual=residual,
-            step=0.0,
-            beta=0.0,
-        )
-    ]
-
+    f, residual, grad = _evaluate(instance, Y)
+    record = IterationRecord(
+        index=0,
+        f_value=f,
+        grad_norm=float(np.linalg.norm(grad)),
+        residual=residual,
+        step=0.0,
+        beta=0.0,
+    )
     D = -grad
-    k = 0
-    converged = False
+    trace = []
     while True:
-        if trace[-1].grad_norm < config.epsilon:
+        k = record.index
+        if not (np.isfinite(record.f_value) and np.isfinite(record.grad_norm)):
+            raise NumericalError(f"non-finite objective or gradient at iteration {k}")
+        trace.append(record)
+        if k > 0 and callback is not None:
+            callback(record, Y, grad, D)
+        if record.grad_norm < config.epsilon:
             reason = TerminationReason.GRADIENT_TOLERANCE
-            converged = True
             break
         if k >= config.max_iterations:
             reason = TerminationReason.MAX_ITERATIONS
@@ -207,20 +204,12 @@ def solve(
         ):
             reason = TerminationReason.DEGENERATE_DIRECTION
             break
-        if not (np.isfinite(record.f_value) and np.isfinite(record.grad_norm)):
-            raise NumericalError(
-                f"non-finite objective or gradient at iteration {k + 1}"
-            )
-        trace.append(record)
-        if callback is not None:
-            callback(record, Y, grad, D)
-        k += 1
 
     return SolverResult(
         Y_final=Y,
         X_final=assemble_X(Y),
         iterations=k,
-        converged=converged,
+        converged=reason is TerminationReason.GRADIENT_TOLERANCE,
         trace=trace,
         termination_reason=reason,
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psdfit import ProblemInstance
 from psdfit.cli import main
 from psdfit.imagedemo import make_test_image, write_pgm
 from psdfit.io import read_solution, read_trace, write_matrix, write_problem
@@ -63,6 +64,17 @@ def test_solve_rank_override(tmp_path, problem_file, capsys):
 def test_solve_non_convergence_exits_1(problem_file, capsys):
     assert run("solve", problem_file, "--max-iter", 1) == 1
     assert "termination max-iterations" in capsys.readouterr().out
+
+
+def test_solve_zero_targets_exits_0(tmp_path, capsys):
+    base = golden.instance(2)
+    zero = ProblemInstance(
+        pairs=tuple((np.zeros_like(A), B) for A, B in base.pairs), n=4, k=2
+    )
+    prob = tmp_path / "zero.prob"
+    write_problem(prob, zero)
+    assert run("solve", prob) == 0
+    assert "termination gradient-tolerance" in capsys.readouterr().out
 
 
 def test_solve_missing_file_exits_2(tmp_path, capsys):

@@ -74,6 +74,18 @@ def test_problem_parse_error_positions(tmp_path):
     assert "line 4" in str(err.value)
 
 
+def test_problem_non_finite_token_position(tmp_path):
+    path = tmp_path / "nan.prob"
+    path.write_text("1 2 1\n2\nnan 2\n3 4\n1 0\n0 1\n")
+    with pytest.raises(ParseError, match="non-finite") as err:
+        read_problem(path)
+    assert (err.value.line, err.value.column) == (3, 1)
+    path.write_text("1 2 1\n2\n1 2\n3 4\n1 0\n0 -inf\n")
+    with pytest.raises(ParseError, match="non-finite") as err:
+        read_problem(path)
+    assert (err.value.line, err.value.column) == (6, 2)
+
+
 def test_problem_truncated_file(tmp_path):
     path = tmp_path / "short.prob"
     path.write_text("1 2 1\n2\n1 2\n")
@@ -152,6 +164,14 @@ def test_matrix_ragged_raises(tmp_path):
     path.write_text("1 2\n3\n")
     with pytest.raises(ParseError, match="ragged"):
         read_matrix(path)
+
+
+def test_matrix_non_finite_raises(tmp_path):
+    path = tmp_path / "inf.txt"
+    path.write_text("1 2\n3 inf\n")
+    with pytest.raises(ParseError, match="non-finite") as err:
+        read_matrix(path)
+    assert (err.value.line, err.value.column) == (2, 2)
 
 
 def test_matrix_empty_raises(tmp_path):
@@ -236,6 +256,17 @@ def test_solution_missing_marker(tmp_path):
     )
     with pytest.raises(ParseError, match="X marker"):
         read_solution(path)
+
+
+def test_solution_non_finite_X_raises(tmp_path):
+    path = tmp_path / "sol.txt"
+    path.write_text(
+        "n 1\ntermination gradient-tolerance\niterations 0\n"
+        "f 0\ngrad_norm 0\nresidual 0\nX\nnan\n"
+    )
+    with pytest.raises(ParseError, match="non-finite") as err:
+        read_solution(path)
+    assert (err.value.line, err.value.column) == (8, 1)
 
 
 # ---------------------------------------------------------------------------

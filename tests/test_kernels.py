@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from psdfit import _kernels
 
@@ -22,7 +23,9 @@ def test_gradient_accum_adds_in_place():
     A, B, Y, _ = pairs_for(3, count=1)[0]
     base = np.full_like(Y, 5.0)
     acc = base.copy()
-    _kernels.gradient_accum(A, B, Y, acc)
+    r2 = _kernels.residual_gradient(A, B, Y, acc)
     expected = np.zeros_like(Y)
-    _kernels.gradient_accum(A, B, Y, expected)
+    _kernels.residual_gradient(A, B, Y, expected)
     assert np.allclose(acc, base + expected, rtol=1e-13, atol=0)
+    R = A - B @ Y @ Y.T @ B.T
+    assert r2 == pytest.approx(float(np.linalg.norm(R, "fro")) ** 2, rel=1e-12)

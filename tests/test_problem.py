@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from psdfit import (
-    DegenerateInstanceError,
     ProblemInstance,
     ValidationError,
     assemble_X,
@@ -12,7 +11,7 @@ from psdfit import (
     residual_error,
     validate,
 )
-from psdfit.oracle import reference_objective
+from psdfit.oracle import reference_objective, reference_residual
 
 import golden
 
@@ -64,6 +63,18 @@ def test_validate_rejects_row_mismatch():
     # B has 3 rows but A is 4x4
     inst = ProblemInstance(pairs=((np.eye(4), np.ones((3, 4))),), n=4, k=1)
     assert any(v.code == "dimension-mismatch" for v in validate(inst).violations)
+
+
+def test_validate_rejects_non_finite_entries():
+    B = np.eye(3)
+    B[1, 2] = np.inf
+    inst = ProblemInstance(pairs=((np.eye(3), np.eye(3)), (np.eye(3), B)), n=3, k=1)
+    report = validate(inst)
+    assert [(v.code, v.pair) for v in report.violations] == [("non-finite", 1)]
+    assert "B" in report.violations[0].message
+    nan_A = ProblemInstance(pairs=((np.full((3, 3), np.nan), np.eye(3)),), n=3, k=1)
+    assert [(v.code, v.pair) for v in validate(nan_A).violations] == [("non-finite", 0)]
+    assert "A" in validate(nan_A).violations[0].message
 
 
 def test_scalar_instance_is_valid():
@@ -189,10 +200,16 @@ def test_residual_error_single_pair_consistency_with_objective():
     assert eps**2 * np.linalg.norm(A, "fro") ** 2 == pytest.approx(f, rel=1e-12)
 
 
-def test_residual_error_degenerate_instance():
-    inst = ProblemInstance(pairs=((np.zeros((2, 2)), np.eye(2)),), n=2, k=1)
-    with pytest.raises(DegenerateInstanceError):
-        residual_error(inst, np.ones((2, 1)))
+def test_residual_error_zero_targets_is_the_absolute_residual():
+    # with every A_i zero there is no denominator; both the primary metric
+    # and the oracle report the plain sum of residual norms
+    rng = np.random.default_rng(4)
+    pairs = tuple((np.zeros((3, 3)), rng.standard_normal((3, 4))) for _ in range(2))
+    inst = ProblemInstance(pairs=pairs, n=4, k=2)
+    Y = rng.standard_normal((4, 2))
+    absolute = sum(float(np.linalg.norm(B @ Y @ Y.T @ B.T, "fro")) for _, B in pairs)
+    assert residual_error(inst, Y) == pytest.approx(reference_residual(inst, Y), rel=1e-12)
+    assert residual_error(inst, Y) == pytest.approx(absolute, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

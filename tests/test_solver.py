@@ -220,6 +220,7 @@ def test_solve_trace_metrics_equal_the_public_functions():
     def cb(record, Y, grad, direction):
         assert record.f_value == objective(inst, Y)
         assert record.residual == residual_error(inst, Y)
+        assert np.array_equal(grad, gradient(inst, Y))
         seen.append(record.index)
 
     solve(inst, config=SolverConfig(max_iterations=30), seed=1, callback=cb)
@@ -248,6 +249,25 @@ def test_solve_rejects_invalid_instance():
     bad = ProblemInstance(pairs=((np.ones((2, 2)), np.ones((2, 3))),), n=3, k=5)
     with pytest.raises(ValidationError):
         solve(bad)
+
+
+def test_solve_rejects_non_finite_data():
+    B = np.eye(2)
+    B[0, 0] = np.inf
+    with pytest.raises(ValidationError, match="B has non-finite"):
+        solve(ProblemInstance(pairs=((np.eye(2), B),), n=2, k=1))
+
+
+def test_solve_zero_targets_converges_to_zero():
+    # all A_i = 0 is a legitimate instance whose optimum is X = 0
+    base = generate_instance(4, 2, m=2, seed=0)
+    inst = ProblemInstance(
+        pairs=tuple((np.zeros_like(A), B) for A, B in base.pairs), n=4, k=2
+    )
+    result = solve(inst, config=SolverConfig(epsilon=1e-8))
+    assert result.termination_reason is TerminationReason.GRADIENT_TOLERANCE
+    assert np.max(np.abs(result.X_final)) < 1e-4
+    assert result.trace[-1].f_value < 1e-10
 
 
 def test_solve_restart_period_none_disables_restarts():
