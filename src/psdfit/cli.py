@@ -86,12 +86,8 @@ def _cmd_solve(args):
     Y0 = pio.read_matrix(args.init) if args.init is not None else None
     config = SolverConfig(epsilon=args.tol, max_iterations=args.max_iter)
     result = solve(instance, Y0=Y0, config=config, seed=args.seed)
-    last = result.trace[-1]
-    print(f"termination {result.termination_reason.value}")
-    print(f"iterations {result.iterations}")
-    print(f"f {pio.format_float(last.f_value)}")
-    print(f"grad_norm {pio.format_float(last.grad_norm)}")
-    print(f"residual {pio.format_float(last.residual)}")
+    for line in pio.summary_lines(result):
+        print(line)
     if args.trace:
         pio.write_trace(args.trace, result.trace)
     if args.out:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .problem import ProblemInstance
 from .solver import SolverConfig, SolverResult, solve
-from .io import format_float, write_matrix, write_trace
+from .io import format_float, write_lines, write_matrix, write_trace
 
 MAX_SIDE = 512  # dense solves above this are rejected
 
@@ -238,6 +238,5 @@ def summarize_restoration(
         f_value=result.trace[-1].f_value,
         files=files,
     )
-    with open(files["report"], "w", encoding="ascii") as fh:
-        fh.write("\n".join(report.lines()) + "\n")
+    write_lines(files["report"], report.lines())
     return report

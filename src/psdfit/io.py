@@ -11,18 +11,24 @@ Problem files are whitespace-separated text with explicit dimension headers:
 
 Numbers are written with 16 significant digits, which reproduces values to
 better than 1e-12 relative and makes write -> read -> write byte-stable.
-A NaN or infinite entry in any matrix block is a parse error that names
-its line and column.
-Traces are six-column CSV; solutions carry the assembled X plus summary
-fields.  The same seed always regenerates the same instance.
+Traces are six-column CSV; solutions carry summary fields and the assembled
+X.  Every format is read through one block reader and written through one
+row formatter and one line writer.
+
+Readers accept only what the writers produce.  A malformed or non-finite
+number, a non-integer count or trace index, n < 1, a negative iteration
+count or an unknown termination reason is a ParseError naming its line
+(and, for a bad token, its column).  The same seed always regenerates the
+same instance.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import ProblemInstance, validate
-from .solver import IterationRecord, SolverResult
+from .solver import IterationRecord, SolverResult, TerminationReason
 
 
 class ParseError(ValueError):
@@ -43,13 +49,18 @@ def format_float(x: float) -> str:
 
 
 class _TokenLines:
-    """Line-oriented token reader tracking positions for error reports."""
+    """A file's non-blank lines as (line number, tokens), consumed in order.
 
-    def __init__(self, text):
-        self.rows = []
-        for i, raw in enumerate(text.splitlines()):
-            if raw.strip():
-                self.rows.append((i + 1, raw.split()))
+    Tokens are split on whitespace, or on sep when one is given (CSV).
+    """
+
+    def __init__(self, path, sep=None):
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        self.rows = [
+            (i + 1, raw.split(sep)) for i, raw in enumerate(lines) if raw.strip()
+        ]
+        self.unit = "values" if sep is None else "columns"
         self.at = 0
 
     def next_line(self, expect: int, what: str):
@@ -59,7 +70,8 @@ class _TokenLines:
         self.at += 1
         if len(toks) != expect:
             raise ParseError(
-                f"expected {expect} values for {what}, found {len(toks)}", line=lineno
+                f"expected {expect} {self.unit} for {what}, found {len(toks)}",
+                line=lineno,
             )
         return lineno, toks
 
@@ -69,28 +81,34 @@ class _TokenLines:
             raise ParseError("unexpected trailing content", line=lineno)
 
 
-def _floats(lineno, toks, what):
+def _numbers(lineno, toks, what, kind, skip=0):
+    """toks[skip:] converted by kind; a token kind refuses raises at its column."""
     out = []
-    for j, tok in enumerate(toks):
+    for j, tok in enumerate(toks[skip:], start=skip):
         try:
-            out.append(float(tok))
+            out.append(kind(tok))
         except ValueError:
+            noun = "integer" if kind is int else "number"
             raise ParseError(
-                f"bad number {tok!r} in {what}", line=lineno, column=j + 1
+                f"bad {noun} {tok!r} in {what}", line=lineno, column=j + 1
             ) from None
     return out
 
 
-def _ints(lineno, toks, what):
-    out = []
-    for j, tok in enumerate(toks):
+def _read_block(reader, rows, cols, what):
+    """The next rows lines, cols numbers each, as a float array.
+
+    numpy converts each row's strings as Python's float does; the bad token
+    is looked for only when it refuses one.
+    """
+    data = np.empty((rows, cols))
+    for r in range(rows):
+        lineno, toks = reader.next_line(cols, f"{what} row {r}")
         try:
-            out.append(int(tok))
+            data[r] = toks
         except ValueError:
-            raise ParseError(
-                f"bad integer {tok!r} in {what}", line=lineno, column=j + 1
-            ) from None
-    return out
+            data[r] = _numbers(lineno, toks, f"{what} row {r}", float)
+    return data
 
 
 def _finite(data, reader, first, what):
@@ -109,35 +127,47 @@ def _finite(data, reader, first, what):
     return data
 
 
-def _read_block(reader, rows, cols, what):
-    first = reader.at
-    data = np.empty((rows, cols))
-    for r in range(rows):
-        lineno, toks = reader.next_line(cols, f"{what} row {r}")
-        data[r] = _floats(lineno, toks, f"{what} row {r}")
-    return _finite(data, reader, first, what)
+def _rows(M, sep=" "):
+    """Each row of M as one line of formatted numbers."""
+    return [sep.join(format_float(x) for x in row) for row in M]
+
+
+def write_lines(path, lines):
+    """Write ASCII lines, each ended by a newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def read_problem(path) -> ProblemInstance:
-    """Parse and validate a problem file."""
-    with open(path, "r", encoding="ascii") as fh:
-        reader = _TokenLines(fh.read())
+    """Parse and validate a problem file.
+
+    validate detects non-finite entries; only then are the bad pair's two
+    blocks searched for the token to report.
+    """
+    reader = _TokenLines(path)
     lineno, toks = reader.next_line(3, "header (m n k)")
-    m, n, k = _ints(lineno, toks, "header")
+    m, n, k = _numbers(lineno, toks, "header", int)
     if m < 1:
         raise ParseError("pair count m must be positive", line=lineno)
-    pairs = []
+    pairs, starts = [], []
     for i in range(m):
         lineno, toks = reader.next_line(1, f"size of pair {i}")
-        (mi,) = _ints(lineno, toks, f"size of pair {i}")
+        (mi,) = _numbers(lineno, toks, f"size of pair {i}", int)
         if mi < 1:
             raise ParseError(f"pair {i} size must be positive", line=lineno)
+        starts.append(reader.at)
         A = _read_block(reader, mi, mi, f"A_{i}")
         B = _read_block(reader, mi, n, f"B_{i}")
         pairs.append((A, B))
     reader.done()
     instance = ProblemInstance(pairs=tuple(pairs), n=n, k=k)
-    validate(instance).raise_if_invalid()
+    report = validate(instance)
+    for v in report.violations:
+        if v.code == "non-finite":
+            (A, B), first = pairs[v.pair], starts[v.pair]
+            _finite(A, reader, first, f"A_{v.pair}")
+            _finite(B, reader, first + len(A), f"B_{v.pair}")
+    report.raise_if_invalid()
     return instance
 
 
@@ -145,40 +175,25 @@ def write_problem(path, instance: ProblemInstance):
     """Write the canonical text form (16 significant digits)."""
     lines = [f"{instance.m} {instance.n} {instance.k}"]
     for A, B in instance.pairs:
-        lines.append(str(A.shape[0]))
-        for row in A:
-            lines.append(" ".join(format_float(x) for x in row))
-        for row in B:
-            lines.append(" ".join(format_float(x) for x in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines += [str(A.shape[0]), *_rows(A), *_rows(B)]
+    write_lines(path, lines)
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a rectangular whitespace-separated matrix (one row per line)."""
-    with open(path, "r", encoding="ascii") as fh:
-        reader = _TokenLines(fh.read())
-    rows = []
-    width = None
-    while reader.at < len(reader.rows):
-        lineno, toks = reader.rows[reader.at]
-        reader.at += 1
-        if width is None:
-            width = len(toks)
-        elif len(toks) != width:
-            raise ParseError(
-                f"ragged matrix: expected {width} values", line=lineno
-            )
-        rows.append(_floats(lineno, toks, "matrix row"))
-    if not rows:
+    reader = _TokenLines(path)
+    if not reader.rows:
         raise ParseError("empty matrix file")
-    return _finite(np.array(rows), reader, 0, "matrix")
+    width = len(reader.rows[0][1])
+    ragged = [lineno for lineno, toks in reader.rows if len(toks) != width]
+    if ragged:
+        raise ParseError(f"ragged matrix: expected {width} values", line=ragged[0])
+    data = _read_block(reader, len(reader.rows), width, "matrix")
+    return _finite(data, reader, 0, "matrix")
 
 
 def write_matrix(path, M):
-    with open(path, "w", encoding="ascii") as fh:
-        for row in np.atleast_2d(np.asarray(M, dtype=np.float64)):
-            fh.write(" ".join(format_float(x) for x in row) + "\n")
+    write_lines(path, _rows(np.atleast_2d(np.asarray(M, dtype=np.float64))))
 
 
 TRACE_HEADER = "iteration,f,grad_norm,residual,step,beta"
@@ -186,38 +201,38 @@ TRACE_HEADER = "iteration,f,grad_norm,residual,step,beta"
 
 def write_trace(path, trace):
     """Write iteration records as CSV, one row per record."""
-    lines = [TRACE_HEADER]
-    for r in trace:
-        lines.append(
-            f"{r.index},{format_float(r.f_value)},{format_float(r.grad_norm)},"
-            f"{format_float(r.residual)},{format_float(r.step)},{format_float(r.beta)}"
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    values = _rows(
+        [(r.f_value, r.grad_norm, r.residual, r.step, r.beta) for r in trace], ","
+    )
+    write_lines(
+        path, [TRACE_HEADER, *(f"{r.index},{v}" for r, v in zip(trace, values))]
+    )
 
 
 def read_trace(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
+    """Read a trace CSV: integer iteration indices, finite values."""
+    reader = _TokenLines(path, sep=",")
+    if not reader.rows or reader.rows[0][1] != TRACE_HEADER.split(","):
         raise ParseError("missing trace header", line=1)
-    records = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ParseError("expected 6 columns", line=i)
-        vals = _floats(i, parts, "trace row")
-        records.append(
-            IterationRecord(
-                index=int(vals[0]),
-                f_value=vals[1],
-                grad_norm=vals[2],
-                residual=vals[3],
-                step=vals[4],
-                beta=vals[5],
-            )
-        )
-    return records
+    reader.at = 1
+    data = _read_block(reader, len(reader.rows) - 1, 6, "trace")
+    _finite(data, reader, 1, "trace")
+    return [
+        IterationRecord(_numbers(lineno, toks[:1], "trace iteration", int)[0], *values)
+        for (lineno, toks), (_, *values) in zip(reader.rows[1:], data.tolist())
+    ]
+
+
+def summary_lines(result: SolverResult):
+    """The termination, iterations, f, grad_norm and residual lines of a result."""
+    last = result.trace[-1]
+    return [
+        f"termination {result.termination_reason.value}",
+        f"iterations {result.iterations}",
+        f"f {format_float(last.f_value)}",
+        f"grad_norm {format_float(last.grad_norm)}",
+        f"residual {format_float(last.residual)}",
+    ]
 
 
 @dataclass
@@ -231,57 +246,39 @@ class SolutionSummary:
 
 
 def write_solution(path, result: SolverResult):
-    """Write the assembled X plus the final summary fields."""
-    last = result.trace[-1]
+    """Write n, the summary lines, an X marker and the assembled X."""
     n = result.X_final.shape[0]
-    lines = [
-        f"n {n}",
-        f"termination {result.termination_reason.value}",
-        f"iterations {result.iterations}",
-        f"f {format_float(last.f_value)}",
-        f"grad_norm {format_float(last.grad_norm)}",
-        f"residual {format_float(last.residual)}",
-        "X",
-    ]
-    for row in result.X_final:
-        lines.append(" ".join(format_float(x) for x in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, [f"n {n}", *summary_lines(result), "X", *_rows(result.X_final)])
 
 
 def read_solution(path) -> SolutionSummary:
-    with open(path, "r", encoding="ascii") as fh:
-        reader = _TokenLines(fh.read())
+    reader = _TokenLines(path)
+    reasons = {reason.value for reason in TerminationReason}
 
-    def keyed(key, count=1):
-        lineno, toks = reader.next_line(1 + count, key)
+    def keyed(key, kind, ok, fault):
+        """The value of the `key value` line; fault names a value that is not ok."""
+        lineno, toks = reader.next_line(2, key)
         if toks[0] != key:
             raise ParseError(f"expected field {key!r}, found {toks[0]!r}", line=lineno)
-        return lineno, toks[1:]
+        (value,) = _numbers(lineno, toks, key, kind, skip=1)
+        if not ok(value):
+            raise ParseError(f"{fault} {key} {toks[1]!r}", line=lineno, column=2)
+        return value
 
-    lineno, toks = keyed("n")
-    (n,) = _ints(lineno, toks, "n")
-    lineno, toks = keyed("termination")
-    termination = toks[0]
-    lineno, toks = keyed("iterations")
-    (iterations,) = _ints(lineno, toks, "iterations")
-    values = {}
-    for key in ("f", "grad_norm", "residual"):
-        lineno, toks = keyed(key)
-        values[key] = _floats(lineno, toks, key)[0]
+    n = keyed("n", int, lambda v: v >= 1, "non-positive")
+    termination = keyed("termination", str, reasons.__contains__, "unknown")
+    iterations = keyed("iterations", int, lambda v: v >= 0, "negative")
+    f, grad_norm, residual = (
+        keyed(key, float, math.isfinite, "non-finite")
+        for key in ("f", "grad_norm", "residual")
+    )
     lineno, toks = reader.next_line(1, "X marker")
     if toks[0] != "X":
         raise ParseError("expected X marker", line=lineno)
-    X = _read_block(reader, n, n, "X")
+    first = reader.at
+    X = _finite(_read_block(reader, n, n, "X"), reader, first, "X")
     reader.done()
-    return SolutionSummary(
-        X=X,
-        termination=termination,
-        iterations=iterations,
-        f_value=values["f"],
-        grad_norm=values["grad_norm"],
-        residual=values["residual"],
-    )
+    return SolutionSummary(X, termination, iterations, f, grad_norm, residual)
 
 
 def generate_instance(

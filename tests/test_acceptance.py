@@ -20,20 +20,17 @@ from psdfit import (
     ProblemInstance,
     SolverConfig,
     SolverResult,
-    fd_gradient,
     generate_instance,
     gradient,
-    multistart_solve,
     objective,
-    psd_truncation,
     read_problem,
     solve,
     write_problem,
-    write_solution,
 )
-from psdfit.io import read_solution, write_trace
+from psdfit.io import read_solution, write_solution, write_trace
 from psdfit.linesearch import exact_step, quartic_coeffs
-from psdfit.oracle import interpolate_quartic
+from psdfit.oracle import fd_gradient, interpolate_quartic, psd_truncation
+from psdfit.solver import multistart_solve
 
 import golden
 

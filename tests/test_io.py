@@ -9,7 +9,6 @@ from psdfit import (
     read_problem,
     solve,
     write_problem,
-    write_solution,
 )
 from psdfit.io import (
     TRACE_HEADER,
@@ -17,6 +16,7 @@ from psdfit.io import (
     read_solution,
     read_trace,
     write_matrix,
+    write_solution,
     write_trace,
 )
 
@@ -224,8 +224,32 @@ def test_trace_wrong_column_count(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "row, match, column",
+    [("1.5,1,2,3,4,5", "integer", 1), ("1,1,2,3,4,nan", "non-finite", 6)],
+    ids=["fractional-index", "non-finite-value"],
+)
+def test_trace_reader_rules(tmp_path, row, match, column):
+    path = tmp_path / "bad.csv"
+    path.write_text(TRACE_HEADER + "\n0,1,2,3,0,0\n" + row + "\n")
+    with pytest.raises(ParseError, match=match) as err:
+        read_trace(path)
+    assert (err.value.line, err.value.column) == (3, column)
+
+
 # ---------------------------------------------------------------------------
 # solutions
+
+
+def solution_text(**fields):
+    """A valid 1x1 solution file with the given keyed fields replaced.
+
+    X gets n rows of one value, so n = 0 leaves it none.
+    """
+    values = dict(n="1", termination="gradient-tolerance", iterations="0")
+    values |= dict(f="0", grad_norm="0", residual="0") | fields
+    text = "".join(f"{key} {value}\n" for key, value in values.items())
+    return text + "X\n" + "1\n" * int(values["n"])
 
 
 def test_solution_round_trip(tmp_path, short_run):
@@ -267,6 +291,30 @@ def test_solution_non_finite_X_raises(tmp_path):
     with pytest.raises(ParseError, match="non-finite") as err:
         read_solution(path)
     assert (err.value.line, err.value.column) == (8, 1)
+
+
+@pytest.mark.parametrize(
+    "field, match, line",
+    [
+        ({"n": "0"}, "non-positive n", 1),
+        ({"termination": "bogus"}, "unknown termination", 2),
+        ({"iterations": "-3"}, "negative iterations", 3),
+        ({"iterations": "x"}, "bad integer", 3),
+        ({"f": "inf"}, "non-finite f", 4),
+        ({"grad_norm": "nan"}, "non-finite grad_norm", 5),
+        ({"residual": "-inf"}, "non-finite residual", 6),
+    ],
+    ids=[
+        "n", "termination", "iterations", "iterations-x", "f", "grad_norm", "residual"
+    ],
+)
+def test_solution_reader_rules(tmp_path, field, match, line):
+    # each error points at the value, the second token of its keyed line
+    path = tmp_path / "sol.txt"
+    path.write_text(solution_text(**field))
+    with pytest.raises(ParseError, match=match) as err:
+        read_solution(path)
+    assert (err.value.line, err.value.column) == (line, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from psdfit import (
+from psdfit import ProblemInstance, gradient, objective
+from psdfit.linesearch import (
     DegenerateDirectionError,
     NonDescentDirectionError,
-    ProblemInstance,
     QuarticPolynomial,
     cubic_real_roots,
     exact_step,
-    gradient,
     minimize_quartic,
-    objective,
     quartic_coeffs,
 )
 from psdfit.oracle import interpolate_quartic, reference_objective

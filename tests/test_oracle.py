@@ -2,24 +2,23 @@ import numpy as np
 import pytest
 
 from psdfit import (
-    MultistartResult,
     ProblemInstance,
     SolverConfig,
-    compare,
-    fd_gradient,
     generate_instance,
     gradient,
-    multistart_solve,
     objective,
-    psd_truncation,
     residual_error,
     solve,
 )
 from psdfit.oracle import (
+    compare,
+    fd_gradient,
     interpolate_quartic,
+    psd_truncation,
     reference_objective,
     reference_residual,
 )
+from psdfit.solver import MultistartResult, multistart_solve
 from psdfit.linesearch import quartic_coeffs
 
 import golden

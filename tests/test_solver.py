@@ -9,7 +9,6 @@ from psdfit import (
     SolverResult,
     TerminationReason,
     ValidationError,
-    fr_beta,
     generate_instance,
     gradient,
     objective,
@@ -17,7 +16,7 @@ from psdfit import (
     solve,
 )
 from psdfit.linesearch import NonDescentDirectionError, exact_step
-from psdfit.solver import step
+from psdfit.solver import fr_beta, step
 
 import golden
 
