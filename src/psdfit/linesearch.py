@@ -65,13 +65,13 @@ def quartic_coeffs(instance: ProblemInstance, Y: FactorMatrix, D) -> QuarticPoly
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
     a0 = a1 = a2 = a3 = a4 = 0.0
-    for A, B in instance.pairs:
-        t0, t1, t2, t3, t4 = _kernels.quartic_terms(A, B, Y, D)
-        a0 += t0
-        a1 += t1
-        a2 += t2
-        a3 += t3
-        a4 += t4
+    for A, B in instance._stacks:
+        for t0, t1, t2, t3, t4 in _kernels.quartic_terms(A, B, Y, D).tolist():
+            a0 += t0
+            a1 += t1
+            a2 += t2
+            a3 += t3
+            a4 += t4
     return QuarticPolynomial(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4)
 
 

@@ -8,8 +8,12 @@ of shape n x k turns this into an unconstrained problem in Y; this module
 provides the objective, its analytic gradient, the relative residual
 progress metric, and the PSD assembly X = Y Y^T.
 
+The pairs are held in stacks: runs of consecutive pairs of one shape, as
+g x m_i x m_i and g x m_i x n arrays, which the kernels take whole.
+
 All functions are pure and safe to call from multiple threads.  Sums over
-pairs accumulate left to right in pair order, so results are reproducible.
+pairs accumulate left to right in pair order, so results are reproducible
+and do not depend on how the pairs are stacked.
 """
 
 import math
@@ -20,6 +24,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _kernels
+
+# At most this many entries in each temporary of a stack (4 KiB).  A pair's
+# largest temporary is its m_i x m_i residual or its n x k gradient term, so
+# 64 pairs of 6 x 6 with n k = 36 make stacks of 14, while a pair with
+# max(m_i^2, n k) > 256 is alone in its stack.  Larger stacks make fewer
+# kernel calls but larger temporaries.
+STACK_ENTRIES = 512
 
 # An n x k factor matrix parametrizing X = Y Y^T, and its gradient (same shape).
 FactorMatrix = NDArray[np.float64]
@@ -34,23 +45,50 @@ class ValidationError(ValueError):
 class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
 
-    The pair arrays are treated as read-only once built: Sum ||A_i||_F is
-    computed on first use and cached.
+    Construction groups consecutive pairs of equal shapes into stacks whose
+    temporaries hold at most STACK_ENTRIES entries, counting per pair the
+    larger of the m_i x m_i residual and the n x k gradient term.  `pairs`
+    then holds views into the stacks: the caller's arrays are copied into
+    multi-pair stacks, while a pair alone in its stack keeps the caller's
+    (float64, C-contiguous) data.  The pair arrays are treated as read-only
+    once built: the kernels read the stacks behind them, and Sum ||A_i||_F
+    is computed on first use and cached.
     """
 
     pairs: tuple
     n: int
     k: int
+    # (A stack, B stack) per run of pairs, in pair order
+    _stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        norm = tuple(
+        pairs = [
             (
                 np.ascontiguousarray(A, dtype=np.float64),
                 np.ascontiguousarray(B, dtype=np.float64),
             )
             for A, B in self.pairs
-        )
-        object.__setattr__(self, "pairs", norm)
+        ]
+        stacks, views = [], []
+        i = 0
+        while i < len(pairs):
+            A, B = pairs[i]
+            per_pair = max(A.size, self.n * self.k, 1)
+            end = min(len(pairs), i + max(1, STACK_ENTRIES // per_pair))
+            j = i + 1
+            while j < end and pairs[j][0].shape == A.shape and pairs[j][1].shape == B.shape:
+                j += 1
+            if j == i + 1:
+                stacks.append((A[None], B[None]))
+                views.append((A, B))
+            else:
+                As = np.array([A for A, _ in pairs[i:j]])
+                Bs = np.array([B for _, B in pairs[i:j]])
+                stacks.append((As, Bs))
+                views.extend(zip(As, Bs))
+            i = j
+        object.__setattr__(self, "_stacks", tuple(stacks))
+        object.__setattr__(self, "pairs", tuple(views))
 
     @property
     def m(self):
@@ -90,6 +128,10 @@ class ValidationReport:
             raise ValidationError("; ".join(v.message for v in self.violations))
 
 
+def _non_finite(M):
+    return np.count_nonzero(np.isfinite(M)) != M.size  # half the cost of .all()
+
+
 def validate(instance: ProblemInstance) -> ValidationReport:
     """Check all instance invariants, reporting every violation found."""
     report = ValidationReport()
@@ -99,10 +141,15 @@ def validate(instance: ProblemInstance) -> ValidationReport:
 
     if len(instance.pairs) == 0:
         bad("empty-instance", None, "instance has no (A, B) pairs")
+    # One finiteness check per stack; only a failed stack's pairs are scanned.
+    suspect = []
+    for As, Bs in instance._stacks:
+        suspect += [_non_finite(As) or _non_finite(Bs)] * len(As)
     for i, (A, B) in enumerate(instance.pairs):
-        for name, M in (("A", A), ("B", B)):
-            if np.count_nonzero(np.isfinite(M)) != M.size:  # half the cost of .all()
-                bad("non-finite", i, f"pair {i}: {name} has non-finite entries")
+        if suspect[i]:
+            for name, M in (("A", A), ("B", B)):
+                if _non_finite(M):
+                    bad("non-finite", i, f"pair {i}: {name} has non-finite entries")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             bad(
                 "dimension-mismatch",
@@ -143,7 +190,7 @@ def _as_factor(instance: ProblemInstance, Y, name="Y") -> FactorMatrix:
 
 
 def _evaluate(instance: ProblemInstance, Y: FactorMatrix):
-    """(objective, relative residual, gradient) at Y, one kernel call per pair.
+    """(objective, relative residual, gradient) at Y, one kernel call per stack.
 
     When every A_i is zero the residual has no denominator and the absolute
     sum of residual norms is reported.
@@ -151,10 +198,10 @@ def _evaluate(instance: ProblemInstance, Y: FactorMatrix):
     f = 0.0
     num = 0.0
     grad = np.zeros((instance.n, instance.k))
-    for A, B in instance.pairs:
-        r2 = _kernels.residual_gradient(A, B, Y, grad)
-        f += r2
-        num += math.sqrt(r2)
+    for A, B in instance._stacks:
+        for r2 in _kernels.residual_gradient(A, B, Y, grad).tolist():
+            f += r2
+            num += math.sqrt(r2)
     denom = instance._target_norm
     return f, (num / denom if denom else num), grad
 

@@ -60,7 +60,7 @@ class SolverConfig:
             raise ValueError("restart_period must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     index: int
     f_value: float

@@ -1,31 +1,138 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
-from psdfit import _kernels
+from psdfit import ProblemInstance, _kernels, linesearch, solver
+from psdfit.io import generate_instance
+from psdfit.problem import STACK_ENTRIES, _evaluate
+from psdfit.solver import SolverConfig, solve
 
 
-def pairs_for(seed, count=8):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(1, 8))
-        k = int(rng.integers(1, 5))
-        mi = int(rng.integers(1, 8))
-        A = np.ascontiguousarray(rng.standard_normal((mi, mi)))
-        B = np.ascontiguousarray(rng.standard_normal((mi, n)))
-        Y = np.ascontiguousarray(rng.standard_normal((n, k)))
-        D = np.ascontiguousarray(rng.standard_normal((n, k)))
-        out.append((A, B, Y, D))
-    return out
+def reference_pair(A, B, Y):
+    """One pair's r^2 and gradient term, in the 2-D form of a per-pair loop."""
+    W = B @ Y
+    G = W @ W.T
+    R = A - G
+    return float(np.sum(R * R)), 2.0 * (B.T @ ((2.0 * G - A - A.T) @ W))
+
+
+def reference_quartic_terms(A, B, Y, D):
+    W = B @ Y
+    V = B @ D
+    M = A - W @ W.T
+    P = W @ V.T + V @ W.T
+    Q = V @ V.T
+    return (
+        np.sum(M * M),
+        -2.0 * np.sum(M * P),
+        np.sum(P * P) - 2.0 * np.sum(M * Q),
+        2.0 * np.sum(P * Q),
+        np.sum(Q * Q),
+    )
 
 
 def test_gradient_accum_adds_in_place():
-    A, B, Y, _ = pairs_for(3, count=1)[0]
+    rng = np.random.default_rng(3)
+    g, mi, n, k = 5, 4, 6, 3
+    A = rng.standard_normal((g, mi, mi))
+    B = rng.standard_normal((g, mi, n))
+    Y = rng.standard_normal((n, k))
     base = np.full_like(Y, 5.0)
     acc = base.copy()
     r2 = _kernels.residual_gradient(A, B, Y, acc)
-    expected = np.zeros_like(Y)
-    _kernels.residual_gradient(A, B, Y, expected)
-    assert np.allclose(acc, base + expected, rtol=1e-13, atol=0)
-    R = A - B @ Y @ Y.T @ B.T
-    assert r2 == pytest.approx(float(np.linalg.norm(R, "fro")) ** 2, rel=1e-12)
+    assert r2.shape == (g,)
+    expected = base.copy()
+    for i in range(g):
+        r2_i, term = reference_pair(A[i], B[i], Y)
+        assert r2[i] == r2_i
+        R = A[i] - B[i] @ Y @ Y.T @ B[i].T
+        assert math.isclose(r2_i, float(np.linalg.norm(R, "fro")) ** 2, rel_tol=1e-12)
+        expected += term
+    assert np.array_equal(acc, expected)
+
+
+def test_stacked_evaluation_matches_per_pair_reference():
+    # a run the stack budget splits (20 = 14 + 6), a side change, a short
+    # run, stacks whose per-pair sums have more than 128 entries, and two
+    # pairs too large to share a stack
+    sides = [6] * 20 + [7] + [6] * 3 + [16] * 2 + [12] * 3 + [30] * 2
+    n, k = 12, 3
+    rng = np.random.default_rng(5)
+    data = [(rng.random((mi, mi)), rng.random((mi, n))) for mi in sides]
+    inst = ProblemInstance(pairs=tuple(data), n=n, k=k)
+    assert [len(A) for A, _ in inst._stacks] == [14, 6, 1, 3, 2, 3, 1, 1]
+    assert all(
+        np.array_equal(A, A0) and np.array_equal(B, B0)
+        for (A, B), (A0, B0) in zip(inst.pairs, data, strict=True)
+    )
+    # a pair alone in its stack is not copied
+    assert np.shares_memory(inst._stacks[-1][0], data[-1][0])
+    Y = rng.standard_normal((n, k))
+    D = rng.standard_normal((n, k))
+
+    f = num = denom = 0.0
+    grad = np.zeros((n, k))
+    a = [0.0] * 5
+    for A, B in data:
+        r2, term = reference_pair(A, B, Y)
+        f += r2
+        num += math.sqrt(r2)
+        denom += float(np.linalg.norm(A, "fro"))
+        grad += term
+        a = [x + t for x, t in zip(a, reference_quartic_terms(A, B, Y, D))]
+
+    f_s, residual_s, grad_s = _evaluate(inst, Y)
+    assert f_s == f
+    assert residual_s == num / denom
+    assert np.array_equal(grad_s, grad)
+    p = linesearch.quartic_coeffs(inst, Y, D)
+    assert [p.a0, p.a1, p.a2, p.a3, p.a4] == a
+
+
+@pytest.mark.parametrize(
+    "side, n, k, stack_sizes",
+    [
+        (1, 100, 6, [1] * 8),  # each n x k gradient term alone exceeds the budget
+        (1, 64, 3, [2] * 4),
+        (4, 40, 2, [6, 2]),  # n k = 80 > m_i^2 = 16
+        (6, 12, 3, [8]),
+    ],
+)
+def test_stack_budget_counts_the_gradient_term(side, n, k, stack_sizes):
+    rng = np.random.default_rng(0)
+    pairs = tuple((rng.random((side, side)), rng.random((side, n))) for _ in range(8))
+    inst = ProblemInstance(pairs=pairs, n=n, k=k)
+    assert [len(A) for A, _ in inst._stacks] == stack_sizes
+    # no temporary of a stack (g x m_i x m_i or g x n x k) exceeds the budget
+    # unless one pair's own does
+    for A, _ in inst._stacks:
+        assert len(A) == 1 or len(A) * max(side * side, n * k) <= STACK_ENTRIES
+
+
+def test_one_kernel_call_per_stack(monkeypatch):
+    inst = generate_instance(12, 3, sizes=[6] * 64, seed=0)
+    stacks = len(inst._stacks)
+    assert stacks == 5
+    log = []
+
+    def record(module, attr, mark):
+        fn = getattr(module, attr)
+
+        def recorded(*args, **kwargs):
+            log.append(mark)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recorded)
+
+    record(solver, "_evaluate", "E")
+    record(linesearch, "quartic_coeffs", "Q")
+    record(_kernels, "residual_gradient", "r")
+    record(_kernels, "quartic_terms", "q")
+    result = solve(inst, config=SolverConfig(max_iterations=4))
+    assert result.iterations == 4
+    calls = "".join(log)
+    # every evaluation and every line search makes one kernel call per stack
+    assert re.fullmatch(f"(Er{{{stacks}}}|Qq{{{stacks}}})+", calls), calls
+    assert calls.count("E") == 5 and calls.count("Q") >= 4
