@@ -7,7 +7,8 @@ results in pair order, looking each one up on this module at call time.
 A stack is g pairs of one shape: A is g x mi x mi and B is g x mi x n, both
 float64 C-contiguous; Y and D are n x k.  Every product and per-pair sum is
 the same expression as on one mi x mi pair, applied to each of the g
-matrices, so the results are bitwise those of a per-pair loop.
+matrices, and every sum over pairs is a left-to-right scan
+(`np.add.accumulate`), so the results are bitwise those of a per-pair loop.
 """
 
 import numpy as np
@@ -18,8 +19,8 @@ def residual_gradient(A, B, Y, out):
 
     The result is a (g,) array.  The gradient term of a pair is
     2 B^T (2 B Y Y^T B^T - A - A^T) B Y; the terms are added to out one
-    pair at a time, in stack order.  W = B Y and W W^T are formed once and
-    shared by both quantities.
+    pair at a time, in stack order, by one `np.add.accumulate` scan.  W = B Y
+    and W W^T are formed once and shared by both quantities.
     """
     W = B @ Y
     G = W @ W.swapaxes(-1, -2)
@@ -31,8 +32,10 @@ def residual_gradient(A, B, Y, out):
     G *= 2.0
     G -= A
     G -= A.swapaxes(-1, -2)
-    for term in B.swapaxes(-1, -2) @ (G @ W):
-        out += 2.0 * term
+    terms = B.swapaxes(-1, -2) @ (G @ W)
+    terms *= 2.0
+    terms[0] += out
+    out[...] = np.add.accumulate(terms, out=terms)[-1]
     return r2
 
 

@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .imagedemo import ImageFormatError, image_demo
+from .imagedemo import image_demo
 from .linesearch import quartic_coeffs
 from .oracle import compare, fd_gradient, interpolate_quartic
-from .problem import ProblemInstance, ValidationError, gradient
+from .problem import ProblemInstance, gradient
 from .solver import NumericalError, SolverConfig, TerminationReason, solve
 
 
@@ -172,10 +172,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, pio.ParseError, ValidationError, ImageFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError, ValidationError, ImageFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

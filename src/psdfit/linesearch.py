@@ -64,14 +64,12 @@ def quartic_coeffs(instance: ProblemInstance, Y: FactorMatrix, D) -> QuarticPoly
     """
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
-    a0 = a1 = a2 = a3 = a4 = 0.0
+    a = np.zeros(5)
     for A, B in instance._stacks:
-        for t0, t1, t2, t3, t4 in _kernels.quartic_terms(A, B, Y, D).tolist():
-            a0 += t0
-            a1 += t1
-            a2 += t2
-            a3 += t3
-            a4 += t4
+        terms = _kernels.quartic_terms(A, B, Y, D)
+        terms[0] += a
+        a = np.add.accumulate(terms, out=terms)[-1]
+    a0, a1, a2, a3, a4 = a.tolist()
     return QuarticPolynomial(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4)
 
 
@@ -102,30 +100,19 @@ def _polish_root(c3, c2, c1, c0, x):
 def cubic_real_roots(c3, c2, c1, c0):
     """All real roots of c3 x^3 + c2 x^2 + c1 x + c0 = 0, sorted ascending.
 
-    Degenerate degrees fall back to the quadratic / linear formulas.  Roots
-    are computed by Cardano's method (trigonometric branch when all three
-    roots are real) and polished by Newton steps.  Raises ValueError for the
-    identically zero polynomial.
+    The polynomial must be a true cubic.  ValueError is raised when a
+    coefficient is not finite, when c3 is zero, and when the monic or
+    depressed form overflows: c2/c3, c1/c3, c0/c3 or the discriminant of
+    the depressed cubic built from them is not finite.  `minimize_quartic`
+    only passes c3 = 4 a4 with a4 above its degeneracy threshold.  Roots are
+    computed by Cardano's method (trigonometric branch when all three roots
+    are real) and polished by Newton steps.
     """
     for c in (c3, c2, c1, c0):
         if not math.isfinite(c):
             raise ValueError("cubic coefficients must be finite")
     if c3 == 0.0:
-        if c2 == 0.0:
-            if c1 == 0.0:
-                if c0 == 0.0:
-                    raise ValueError("identically zero polynomial has every x as a root")
-                return []  # nonzero constant: no roots
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        if disc == 0.0:
-            return [-c1 / (2.0 * c2)]
-        sq = math.sqrt(disc)
-        qq = -(c1 + math.copysign(sq, c1)) / 2.0
-        return sorted((qq / c2, c0 / qq))
-
+        raise ValueError("leading coefficient c3 is zero; not a cubic")
     b2 = c2 / c3
     b1 = c1 / c3
     b0 = c0 / c3
@@ -133,7 +120,13 @@ def cubic_real_roots(c3, c2, c1, c0):
     shift = -b2 / 3.0
     p = b1 - b2 * b2 / 3.0
     q = (2.0 * b2 * b2 * b2 - 9.0 * b2 * b1) / 27.0 + b0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    try:
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    except OverflowError:  # float ** raises where * returns inf
+        disc = math.inf
+    # a non-finite b2, b1, b0, p or q makes disc non-finite too
+    if not math.isfinite(disc):
+        raise ValueError("the cubic's monic or depressed form overflows")
     if p == 0.0 and q == 0.0:
         roots = [shift]
     elif disc > 0.0:

@@ -12,11 +12,11 @@ The pairs are held in stacks: runs of consecutive pairs of one shape, as
 g x m_i x m_i and g x m_i x n arrays, which the kernels take whole.
 
 All functions are pure and safe to call from multiple threads.  Sums over
-pairs accumulate left to right in pair order, so results are reproducible
-and do not depend on how the pairs are stacked.
+pairs accumulate left to right in pair order, as sequential numpy scans
+(`cumsum`, `np.add.accumulate`), so results are reproducible and do not
+depend on how the pairs are stacked.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,7 +41,7 @@ class ValidationError(ValueError):
     """An operation was given a problem instance violating its invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
 
@@ -59,7 +59,7 @@ class ProblemInstance:
     n: int
     k: int
     # (A stack, B stack) per run of pairs, in pair order
-    _stacks: tuple = field(init=False, repr=False, compare=False)
+    _stacks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         pairs = [
@@ -190,20 +190,20 @@ def _as_factor(instance: ProblemInstance, Y, name="Y") -> FactorMatrix:
 
 
 def _evaluate(instance: ProblemInstance, Y: FactorMatrix):
-    """(objective, relative residual, gradient) at Y, one kernel call per stack.
+    """(objective, relative residual, gradient, ||gradient||_F^2) at Y.
 
-    When every A_i is zero the residual has no denominator and the absolute
-    sum of residual norms is reported.
+    One kernel call per stack.  When every A_i is zero the residual has no
+    denominator and the absolute sum of residual norms is reported.
     """
-    f = 0.0
-    num = 0.0
     grad = np.zeros((instance.n, instance.k))
-    for A, B in instance._stacks:
-        for r2 in _kernels.residual_gradient(A, B, Y, grad).tolist():
-            f += r2
-            num += math.sqrt(r2)
+    r2 = np.concatenate(
+        [np.zeros(1)]
+        + [_kernels.residual_gradient(A, B, Y, grad) for A, B in instance._stacks]
+    )
+    f = float(r2.cumsum()[-1])
+    num = float(np.sqrt(r2).cumsum()[-1])
     denom = instance._target_norm
-    return f, (num / denom if denom else num), grad
+    return f, (num / denom if denom else num), grad, float((grad * grad).sum())
 
 
 def objective(instance: ProblemInstance, Y: FactorMatrix) -> float:

@@ -1,7 +1,9 @@
 """Nonlinear conjugate gradient iteration with exact line search.
 
 Directions mix the negative gradient with the previous direction through
-the Fletcher-Reeves ratio; steps come from the exact quartic line search.
+the Fletcher-Reeves ratio ||g_next||_F^2 / ||g||_F^2, with each squared
+gradient norm computed once, by the evaluation that forms the gradient;
+steps come from the exact quartic line search.
 The direction resets to steepest descent on a fixed period and whenever
 the mixed direction fails the descent test, so every line search starts
 from a strict descent direction.  `multistart_solve` runs the iteration
@@ -80,18 +82,11 @@ class SolverResult:
     termination_reason: TerminationReason
 
 
-def fr_beta(grad_next: GradientMatrix, grad_prev: GradientMatrix) -> float:
-    """Fletcher-Reeves mixing ratio ||grad_next||_F^2 / ||grad_prev||_F^2."""
-    denom = float(np.sum(grad_prev * grad_prev))
-    if denom == 0.0:
-        raise ValueError("previous gradient is zero; the iteration should have stopped")
-    return float(np.sum(grad_next * grad_next)) / denom
-
-
 def step(
     instance: ProblemInstance,
     Y: FactorMatrix,
     grad: GradientMatrix,
+    gg: float,
     D,
     *,
     index: int = 1,
@@ -99,14 +94,16 @@ def step(
 ):
     """One iteration: exact step along D, new gradient, next direction.
 
-    Returns (Y_next, grad_next, D_next, record).  Rounding can spoil a mixed
-    direction's descent property after it passed the test, so when the line
-    search finds no descent along D the step is retried once along -grad;
-    NonDescentDirectionError propagates only when D already was -grad.  The
-    next direction resets to -grad_next, with beta recorded as 0, when
+    gg is ||grad||_F^2.  Returns (Y_next, grad_next, gg_next, D_next,
+    record), with gg_next = ||grad_next||_F^2 to pass to the next step.
+    Rounding can spoil a mixed direction's descent property after it passed
+    the test, so when the line search finds no descent along D the step is
+    retried once along -grad; NonDescentDirectionError propagates only when
+    D already was -grad.  The Fletcher-Reeves ratio is beta = gg_next / gg.
+    The next direction resets to -grad_next, with beta recorded as 0, when
     force_restart is set or the Fletcher-Reeves direction fails the descent
-    test tr(grad_next^T D_next) < 0.  The gradient and the record's f and
-    residual come from one evaluation at Y_next.
+    test tr(grad_next^T D_next) < 0.  The gradient, its squared norm and the
+    record's f and residual come from one evaluation at Y_next.
     """
     try:
         found = linesearch.exact_step(instance, Y, D)
@@ -117,25 +114,25 @@ def step(
         found = linesearch.exact_step(instance, Y, D)
     t = found.t_star
     Y_next = Y + t * D
-    f_next, residual, grad_next = _evaluate(instance, Y_next)
+    f_next, residual, grad_next, gg_next = _evaluate(instance, Y_next)
     if force_restart:
         beta = 0.0
         D_next = -grad_next
     else:
-        beta = fr_beta(grad_next, grad)
+        beta = gg_next / gg
         D_next = -grad_next + beta * D
-        if float(np.sum(grad_next * D_next)) >= 0.0:
+        if (grad_next * D_next).sum() >= 0.0:
             beta = 0.0
             D_next = -grad_next
     record = IterationRecord(
         index=index,
         f_value=f_next,
-        grad_norm=float(np.linalg.norm(grad_next)),
+        grad_norm=math.sqrt(gg_next),
         residual=residual,
         step=t,
         beta=beta,
     )
-    return Y_next, grad_next, D_next, record
+    return Y_next, grad_next, gg_next, D_next, record
 
 
 def solve(
@@ -169,11 +166,11 @@ def solve(
         Y0 = np.random.default_rng(seed).random((instance.n, instance.k))
     Y = _as_factor(instance, Y0, name="Y0")
 
-    f, residual, grad = _evaluate(instance, Y)
+    f, residual, grad, gg = _evaluate(instance, Y)
     record = IterationRecord(
         index=0,
         f_value=f,
-        grad_norm=float(np.linalg.norm(grad)),
+        grad_norm=math.sqrt(gg),
         residual=residual,
         step=0.0,
         beta=0.0,
@@ -195,8 +192,8 @@ def solve(
             break
         force = restart_period is not None and (k + 1) % restart_period == 0
         try:
-            Y, grad, D, record = step(
-                instance, Y, grad, D, index=k + 1, force_restart=force
+            Y, grad, gg, D, record = step(
+                instance, Y, grad, gg, D, index=k + 1, force_restart=force
             )
         except (
             linesearch.DegenerateDirectionError,

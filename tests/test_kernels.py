@@ -83,10 +83,11 @@ def test_stacked_evaluation_matches_per_pair_reference():
         grad += term
         a = [x + t for x, t in zip(a, reference_quartic_terms(A, B, Y, D))]
 
-    f_s, residual_s, grad_s = _evaluate(inst, Y)
+    f_s, residual_s, grad_s, gg_s = _evaluate(inst, Y)
     assert f_s == f
     assert residual_s == num / denom
     assert np.array_equal(grad_s, grad)
+    assert gg_s == (grad * grad).sum()
     p = linesearch.quartic_coeffs(inst, Y, D)
     assert [p.a0, p.a1, p.a2, p.a3, p.a4] == a
 

@@ -114,14 +114,30 @@ def test_cubic_repeated_roots():
 
 
 def test_cubic_degenerate_degrees():
-    assert np.allclose(cubic_real_roots(0.0, 1.0, -3.0, 2.0), [1.0, 2.0])
-    assert np.allclose(cubic_real_roots(0.0, 0.0, 2.0, -4.0), [2.0])
-    assert cubic_real_roots(0.0, 1.0, 0.0, 1.0) == []  # x^2 + 1
-    assert cubic_real_roots(0.0, 0.0, 0.0, 3.0) == []  # nonzero constant
-    with pytest.raises(ValueError):
-        cubic_real_roots(0.0, 0.0, 0.0, 0.0)
+    for coeffs in [
+        (0.0, 1.0, -3.0, 2.0),
+        (0.0, 0.0, 2.0, -4.0),
+        (0.0, 1.0, 0.0, 1.0),  # x^2 + 1
+        (0.0, 0.0, 0.0, 3.0),  # nonzero constant
+        (0.0, 0.0, 0.0, 0.0),
+    ]:
+        with pytest.raises(ValueError):
+            cubic_real_roots(*coeffs)
     with pytest.raises(ValueError):
         cubic_real_roots(np.nan, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1e-300, 1.0, -3.0, 2.0),  # finite ratios, b2 * b2 overflows
+        (1e-300, 0.0, 0.0, 1.0),  # (q / 2) ** 2 overflows
+        (1e-300, 1e10, 0.0, 0.0),  # c2 / c3 overflows
+    ],
+)
+def test_cubic_overflowing_monic_form_raises(coeffs):
+    with pytest.raises(ValueError):
+        cubic_real_roots(*coeffs)
 
 
 def test_cubic_matches_companion_matrix_oracle():

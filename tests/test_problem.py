@@ -83,6 +83,15 @@ def test_scalar_instance_is_valid():
     assert objective(inst, np.array([[2.0]])) == pytest.approx(0.0)
 
 
+def test_instances_compare_and_hash_by_identity():
+    inst = golden.instance(2)
+    copy = ProblemInstance(pairs=inst.pairs, n=inst.n, k=inst.k)
+    assert inst == inst
+    assert inst != copy
+    assert hash(inst) == hash(inst)
+    assert len({inst, copy}) == 2
+
+
 # ---------------------------------------------------------------------------
 # objective
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,37 +17,14 @@ from psdfit import (
     residual_error,
     solve,
 )
-from psdfit.linesearch import NonDescentDirectionError, exact_step
-from psdfit.solver import fr_beta, step
+from psdfit.linesearch import (
+    DegenerateDirectionError,
+    NonDescentDirectionError,
+    exact_step,
+)
+from psdfit.solver import step
 
 import golden
-
-
-# ---------------------------------------------------------------------------
-# fr_beta
-
-
-def test_fr_beta_equal_gradients():
-    g = np.arange(6.0).reshape(3, 2)
-    assert fr_beta(g, g) == 1.0
-
-
-def test_fr_beta_zero_next():
-    g = np.ones((2, 2))
-    assert fr_beta(np.zeros((2, 2)), g) == 0.0
-
-
-def test_fr_beta_norm_ratio():
-    prev = np.zeros((2, 2))
-    prev[0, 0] = 2.0
-    nxt = np.zeros((2, 2))
-    nxt[1, 1] = 1.0
-    assert fr_beta(nxt, prev) == 0.25
-
-
-def test_fr_beta_zero_previous_raises():
-    with pytest.raises(ValueError):
-        fr_beta(np.ones((2, 2)), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +36,7 @@ def test_step_decreases_objective_from_steepest_descent():
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
     f0 = objective(inst, Y)
-    Y1, g1, D1, record = step(inst, Y, g, -g, index=1)
+    Y1, g1, gg1, D1, record = step(inst, Y, g, (g * g).sum(), -g, index=1)
     assert record.index == 1
     assert record.step > 0.0
     assert record.f_value < f0
@@ -67,11 +46,67 @@ def test_step_decreases_objective_from_steepest_descent():
     assert float(np.sum(g1 * D1)) < 0.0
 
 
+def test_step_mixes_by_the_ratio_of_squared_gradient_norms():
+    inst = golden.instance(2)
+    Y = golden.Y0_RANK2
+    g = gradient(inst, Y)
+    Y1, g1, gg1, D1, _ = step(inst, Y, g, (g * g).sum(), -g, index=1)
+    assert gg1 == (g1 * g1).sum()
+    Y2, g2, gg2, D2, record = step(inst, Y1, g1, gg1, D1, index=2)
+    assert record.beta != 0.0  # a mixed, not a restarted, direction
+    assert record.beta == (g2 * g2).sum() / (g1 * g1).sum()
+    assert record.grad_norm == math.sqrt((g2 * g2).sum())
+    assert gg2 == (g2 * g2).sum()
+    assert np.array_equal(D2, -g2 + record.beta * D1)
+
+
+def test_fr_beta_equal_gradients():
+    # equal squared gradient norms before and after the step give beta = 1
+    inst = golden.instance(2)
+    Y = golden.Y0_RANK2
+    g = gradient(inst, Y)
+    _, g1, gg1, _, _ = step(inst, Y, g, (g * g).sum(), -g)
+    _, _, _, D1, record = step(inst, Y, g, gg1, -g)
+    assert record.beta == 1.0
+    assert np.array_equal(D1, -g1 - g)
+
+
+def test_fr_beta_norm_ratio():
+    # a next squared norm a quarter of the current one gives beta = 0.25
+    inst = golden.instance(2)
+    Y = golden.Y0_RANK2
+    g = gradient(inst, Y)
+    _, _, gg1, _, _ = step(inst, Y, g, (g * g).sum(), -g)
+    _, _, _, _, record = step(inst, Y, g, 4.0 * gg1, -g)
+    assert record.beta == 0.25
+
+
+def test_fr_beta_zero_next():
+    # the exact step from y = 1 lands on the root y = 2 of y^2 = 4, where
+    # the next gradient vanishes exactly, so beta is 0
+    inst = ProblemInstance(pairs=((np.array([[4.0]]), np.eye(1)),), n=1, k=1)
+    Y = np.ones((1, 1))
+    g = gradient(inst, Y)
+    Y1, g1, gg1, D1, record = step(inst, Y, g, (g * g).sum(), -g)
+    assert np.array_equal(Y1, [[2.0]])
+    assert gg1 == 0.0
+    assert not g1.any()
+    assert record.beta == 0.0
+    assert not D1.any()
+
+
+def test_step_from_a_zero_gradient_raises_before_mixing():
+    inst = golden.instance(2)
+    zero = np.zeros((inst.n, inst.k))
+    with pytest.raises(DegenerateDirectionError):
+        step(inst, golden.Y0_RANK2, zero, 0.0, -zero)
+
+
 def test_step_force_restart_resets_direction():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
-    Y1, g1, D1, record = step(inst, Y, g, -g, force_restart=True)
+    Y1, g1, gg1, D1, record = step(inst, Y, g, (g * g).sum(), -g, force_restart=True)
     assert record.beta == 0.0
     assert np.array_equal(D1, -g1)
 
@@ -82,10 +117,12 @@ def test_step_retries_a_non_descent_direction_along_the_negative_gradient():
     g = gradient(inst, Y)
     with pytest.raises(NonDescentDirectionError):
         exact_step(inst, Y, g)
-    Y1, g1, D1, record = step(inst, Y, g, g)
-    Y2, g2, D2, expected = step(inst, Y, g, -g)
+    gg = (g * g).sum()
+    Y1, g1, gg1, D1, record = step(inst, Y, g, gg, g)
+    Y2, g2, gg2, D2, expected = step(inst, Y, g, gg, -g)
     assert np.array_equal(Y1, Y2)
     assert np.array_equal(g1, g2)
+    assert gg1 == gg2
     assert np.array_equal(D1, D2)
     assert record == expected
 
