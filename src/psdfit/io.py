@@ -16,10 +16,10 @@ X.  Every format is read through one block reader and written through one
 row formatter and one line writer.
 
 Readers accept only what the writers produce.  A malformed or non-finite
-number, a non-integer count or trace index, n < 1, a negative iteration
-count or an unknown termination reason is a ParseError naming its line
-(and, for a bad token, its column).  The same seed always regenerates the
-same instance.
+number, a non-integer count or trace index, m, m_i or n < 1, a count of
+rows the file does not hold, a negative iteration count or an unknown
+termination reason is a ParseError naming its line (and, for a bad token,
+its column).  The same seed always regenerates the same instance.
 """
 
 import math
@@ -98,12 +98,23 @@ def _numbers(lineno, toks, what, kind, skip=0):
 def _read_block(reader, rows, cols, what):
     """The next rows lines, cols numbers each, as a float array.
 
-    numpy converts each row's strings as Python's float does; the bad token
-    is looked for only when it refuses one.
+    The array is allocated only once the lines left and the first row's
+    width bear out rows and cols, so a count in a header cannot ask for
+    more memory than the file holds.  numpy converts each row's strings as
+    Python's float does; the bad token is looked for only when it refuses
+    one.
     """
-    data = np.empty((rows, cols))
+    left = len(reader.rows) - reader.at
+    if rows > left:
+        raise ParseError(
+            f"unexpected end of file: {what} needs {rows} rows, found {left}",
+            line=reader.rows[-1][0] if reader.rows else None,
+        )
+    data = np.empty((0, cols))
     for r in range(rows):
         lineno, toks = reader.next_line(cols, f"{what} row {r}")
+        if r == 0:
+            data = np.empty((rows, cols))
         try:
             data[r] = toks
         except ValueError:
@@ -149,6 +160,8 @@ def read_problem(path) -> ProblemInstance:
     m, n, k = _numbers(lineno, toks, "header", int)
     if m < 1:
         raise ParseError("pair count m must be positive", line=lineno)
+    if n < 1:
+        raise ParseError("column dimension n must be positive", line=lineno)
     pairs, starts = [], []
     for i in range(m):
         lineno, toks = reader.next_line(1, f"size of pair {i}")

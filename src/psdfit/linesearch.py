@@ -64,13 +64,7 @@ def quartic_coeffs(instance: ProblemInstance, Y: FactorMatrix, D) -> QuarticPoly
     """
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
-    a = np.zeros(5)
-    for A, B in instance._stacks:
-        terms = _kernels.quartic_terms(A, B, Y, D)
-        terms[0] += a
-        a = np.add.accumulate(terms, out=terms)[-1]
-    a0, a1, a2, a3, a4 = a.tolist()
-    return QuarticPolynomial(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4)
+    return QuarticPolynomial(*_kernels.quartic_sums(instance._stacks, Y, D))
 
 
 def _cbrt(x):

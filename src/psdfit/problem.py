@@ -8,15 +8,14 @@ of shape n x k turns this into an unconstrained problem in Y; this module
 provides the objective, its analytic gradient, the relative residual
 progress metric, and the PSD assembly X = Y Y^T.
 
-The pairs are held in stacks: runs of consecutive pairs of one shape, as
-g x m_i x m_i and g x m_i x n arrays, which the kernels take whole.
+The pairs are held in stacks, which `_kernels` builds and walks: it owns
+their grouping and every sum over pairs, which adds the pairs in pair order,
+so results are reproducible and do not depend on how the pairs are stacked.
 
-All functions are pure and safe to call from multiple threads.  Sums over
-pairs accumulate left to right in pair order, as sequential numpy scans
-(`cumsum`, `np.add.accumulate`), so results are reproducible and do not
-depend on how the pairs are stacked.
+All functions are pure and safe to call from multiple threads.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,13 +23,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _kernels
-
-# At most this many entries in each temporary of a stack (4 KiB).  A pair's
-# largest temporary is its m_i x m_i residual or its n x k gradient term, so
-# 64 pairs of 6 x 6 with n k = 36 make stacks of 14, while a pair with
-# max(m_i^2, n k) > 256 is alone in its stack.  Larger stacks make fewer
-# kernel calls but larger temporaries.
-STACK_ENTRIES = 512
 
 # An n x k factor matrix parametrizing X = Y Y^T, and its gradient (same shape).
 FactorMatrix = NDArray[np.float64]
@@ -45,14 +37,10 @@ class ValidationError(ValueError):
 class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
 
-    Construction groups consecutive pairs of equal shapes into stacks whose
-    temporaries hold at most STACK_ENTRIES entries, counting per pair the
-    larger of the m_i x m_i residual and the n x k gradient term.  `pairs`
-    then holds views into the stacks: the caller's arrays are copied into
-    multi-pair stacks, while a pair alone in its stack keeps the caller's
-    (float64, C-contiguous) data.  The pair arrays are treated as read-only
-    once built: the kernels read the stacks behind them, and Sum ||A_i||_F
-    is computed on first use and cached.
+    Construction groups the pairs into stacks (`_kernels.stack_pairs`), and
+    `pairs` then holds views into them.  The pair arrays are treated as
+    read-only once built: the kernels read the stacks behind them, and
+    Sum ||A_i||_F is computed on first use and cached.
     """
 
     pairs: tuple
@@ -62,33 +50,9 @@ class ProblemInstance:
     _stacks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        pairs = [
-            (
-                np.ascontiguousarray(A, dtype=np.float64),
-                np.ascontiguousarray(B, dtype=np.float64),
-            )
-            for A, B in self.pairs
-        ]
-        stacks, views = [], []
-        i = 0
-        while i < len(pairs):
-            A, B = pairs[i]
-            per_pair = max(A.size, self.n * self.k, 1)
-            end = min(len(pairs), i + max(1, STACK_ENTRIES // per_pair))
-            j = i + 1
-            while j < end and pairs[j][0].shape == A.shape and pairs[j][1].shape == B.shape:
-                j += 1
-            if j == i + 1:
-                stacks.append((A[None], B[None]))
-                views.append((A, B))
-            else:
-                As = np.array([A for A, _ in pairs[i:j]])
-                Bs = np.array([B for _, B in pairs[i:j]])
-                stacks.append((As, Bs))
-                views.extend(zip(As, Bs))
-            i = j
-        object.__setattr__(self, "_stacks", tuple(stacks))
-        object.__setattr__(self, "pairs", tuple(views))
+        stacks, views = _kernels.stack_pairs(self.pairs, self.n, self.k)
+        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "pairs", views)
 
     @property
     def m(self):
@@ -128,55 +92,39 @@ class ValidationReport:
             raise ValidationError("; ".join(v.message for v in self.violations))
 
 
-def _non_finite(M):
-    return np.count_nonzero(np.isfinite(M)) != M.size  # half the cost of .all()
-
-
 def validate(instance: ProblemInstance) -> ValidationReport:
     """Check all instance invariants, reporting every violation found."""
     report = ValidationReport()
+    n, k = instance.n, instance.k
 
     def bad(code, pair, message):
+        if pair is not None:
+            message = f"pair {pair}: {message}"
         report.violations.append(Violation(code, pair, message))
 
     if len(instance.pairs) == 0:
         bad("empty-instance", None, "instance has no (A, B) pairs")
-    # One finiteness check per stack; only a failed stack's pairs are scanned.
-    suspect = []
-    for As, Bs in instance._stacks:
-        suspect += [_non_finite(As) or _non_finite(Bs)] * len(As)
-    for i, (A, B) in enumerate(instance.pairs):
-        if suspect[i]:
-            for name, M in (("A", A), ("B", B)):
-                if _non_finite(M):
-                    bad("non-finite", i, f"pair {i}: {name} has non-finite entries")
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            bad(
-                "dimension-mismatch",
-                i,
-                f"pair {i}: A must be square, got shape {A.shape}",
-            )
+    if not isinstance(n, numbers.Integral):
+        bad("dimension-mismatch", None, f"column dimension n={n!r} is not an integer")
+    non_finite = _kernels.non_finite(instance._stacks)
+    for i, ((A, B), names) in enumerate(zip(instance.pairs, non_finite)):
+        for name in names:
+            bad("non-finite", i, f"{name} has non-finite entries")
+        square = A.ndim == 2 and A.shape[0] == A.shape[1]
+        if not square:
+            bad("dimension-mismatch", i, f"A must be square, got shape {A.shape}")
         if B.ndim != 2:
-            bad("dimension-mismatch", i, f"pair {i}: B must be a matrix, got ndim {B.ndim}")
+            bad("dimension-mismatch", i, f"B must be a matrix, got ndim {B.ndim}")
             continue
-        if A.ndim == 2 and A.shape[0] == A.shape[1] and B.shape[0] != A.shape[0]:
-            bad(
-                "dimension-mismatch",
-                i,
-                f"pair {i}: B has {B.shape[0]} rows, expected {A.shape[0]} to match A",
-            )
-        if B.shape[1] != instance.n:
-            bad(
-                "dimension-mismatch",
-                i,
-                f"pair {i}: B has {B.shape[1]} columns, expected n={instance.n}",
-            )
-    if not (1 <= instance.k <= instance.n):
-        bad(
-            "rank-out-of-range",
-            None,
-            f"rank bound k={instance.k} outside [1, n]={instance.n}",
-        )
+        if square and B.shape[0] != A.shape[0]:
+            rows = f"B has {B.shape[0]} rows, expected {A.shape[0]} to match A"
+            bad("dimension-mismatch", i, rows)
+        if B.shape[1] != n:
+            bad("dimension-mismatch", i, f"B has {B.shape[1]} columns, expected n={n}")
+    if not isinstance(k, numbers.Integral):
+        bad("rank-out-of-range", None, f"rank bound k={k!r} is not an integer")
+    elif not 1 <= k <= n:
+        bad("rank-out-of-range", None, f"rank bound k={k} outside [1, n]={n}")
     return report
 
 
@@ -192,16 +140,10 @@ def _as_factor(instance: ProblemInstance, Y, name="Y") -> FactorMatrix:
 def _evaluate(instance: ProblemInstance, Y: FactorMatrix):
     """(objective, relative residual, gradient, ||gradient||_F^2) at Y.
 
-    One kernel call per stack.  When every A_i is zero the residual has no
-    denominator and the absolute sum of residual norms is reported.
+    When every A_i is zero the residual has no denominator and the absolute
+    sum of residual norms is reported.
     """
-    grad = np.zeros((instance.n, instance.k))
-    r2 = np.concatenate(
-        [np.zeros(1)]
-        + [_kernels.residual_gradient(A, B, Y, grad) for A, B in instance._stacks]
-    )
-    f = float(r2.cumsum()[-1])
-    num = float(np.sqrt(r2).cumsum()[-1])
+    f, num, grad = _kernels.evaluate(instance._stacks, Y)
     denom = instance._target_norm
     return f, (num / denom if denom else num), grad, float((grad * grad).sum())
 

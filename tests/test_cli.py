@@ -89,6 +89,13 @@ def test_solve_malformed_file_exits_2(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_solve_pair_size_beyond_the_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "huge.prob"
+    bad.write_text("1 2 1\n1000000\n5\n")
+    assert run("solve", bad) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_solve_bad_rank_exits_2(problem_file, capsys):
     assert run("solve", problem_file, "--rank", 99) == 2
     capsys.readouterr()

@@ -121,6 +121,33 @@ def test_problem_bad_header(tmp_path):
         read_problem(path)
 
 
+@pytest.mark.parametrize("header", ["1 -2 1", "1 0 1"])
+def test_problem_header_n_below_one(tmp_path, header):
+    path = tmp_path / "hdr.prob"
+    path.write_text(header + "\n1\n2\n3\n")
+    with pytest.raises(ParseError, match="n must be positive") as err:
+        read_problem(path)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text, match, line",
+    [
+        # a 10^6 x 10^6 A_0 would need 7.28 TiB; the file has one line left
+        ("1 2 1\n1000000\n5\n", "A_0 needs 1000000 rows, found 1", 3),
+        # a 1 x 10^9 B_0 would need 7.45 GiB; its row holds one value
+        ("1 1000000000 1\n1\n5\n6\n", "expected 1000000000 values for B_0 row 0", 4),
+    ],
+    ids=["rows", "columns"],
+)
+def test_problem_block_beyond_the_file(tmp_path, text, match, line):
+    path = tmp_path / "huge.prob"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match) as err:
+        read_problem(path)
+    assert err.value.line == line
+
+
 def test_problem_validation_failure_on_read(tmp_path):
     # shapes parse fine but k > n
     path = tmp_path / "invalid.prob"
@@ -291,6 +318,15 @@ def test_solution_non_finite_X_raises(tmp_path):
     with pytest.raises(ParseError, match="non-finite") as err:
         read_solution(path)
     assert (err.value.line, err.value.column) == (8, 1)
+
+
+def test_solution_n_beyond_the_file(tmp_path):
+    # n = 3 * 10^6 would make X 65.5 TiB; the file has one row of it
+    path = tmp_path / "sol.txt"
+    path.write_text(solution_text(n="0").replace("n 0", "n 3000000") + "1\n")
+    with pytest.raises(ParseError, match="X needs 3000000 rows, found 1") as err:
+        read_solution(path)
+    assert err.value.line == 8
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 from psdfit import ProblemInstance, _kernels, linesearch, solver
 from psdfit.io import generate_instance
-from psdfit.problem import STACK_ENTRIES, _evaluate
+from psdfit.problem import _evaluate
 from psdfit.solver import SolverConfig, solve
 
 
@@ -33,24 +33,21 @@ def reference_quartic_terms(A, B, Y, D):
     )
 
 
-def test_gradient_accum_adds_in_place():
+def test_residual_gradient_returns_each_pairs_terms():
     rng = np.random.default_rng(3)
     g, mi, n, k = 5, 4, 6, 3
     A = rng.standard_normal((g, mi, mi))
     B = rng.standard_normal((g, mi, n))
     Y = rng.standard_normal((n, k))
-    base = np.full_like(Y, 5.0)
-    acc = base.copy()
-    r2 = _kernels.residual_gradient(A, B, Y, acc)
+    r2, terms = _kernels.residual_gradient(A, B, Y)
     assert r2.shape == (g,)
-    expected = base.copy()
+    assert terms.shape == (g, n, k)
     for i in range(g):
         r2_i, term = reference_pair(A[i], B[i], Y)
         assert r2[i] == r2_i
         R = A[i] - B[i] @ Y @ Y.T @ B[i].T
         assert math.isclose(r2_i, float(np.linalg.norm(R, "fro")) ** 2, rel_tol=1e-12)
-        expected += term
-    assert np.array_equal(acc, expected)
+        assert np.array_equal(terms[i], term)
 
 
 def test_stacked_evaluation_matches_per_pair_reference():
@@ -109,7 +106,7 @@ def test_stack_budget_counts_the_gradient_term(side, n, k, stack_sizes):
     # no temporary of a stack (g x m_i x m_i or g x n x k) exceeds the budget
     # unless one pair's own does
     for A, _ in inst._stacks:
-        assert len(A) == 1 or len(A) * max(side * side, n * k) <= STACK_ENTRIES
+        assert len(A) == 1 or len(A) * max(side * side, n * k) <= _kernels.STACK_ENTRIES
 
 
 def test_one_kernel_call_per_stack(monkeypatch):
@@ -137,3 +134,55 @@ def test_one_kernel_call_per_stack(monkeypatch):
     # every evaluation and every line search makes one kernel call per stack
     assert re.fullmatch(f"(Er{{{stacks}}}|Qq{{{stacks}}})+", calls), calls
     assert calls.count("E") == 5 and calls.count("Q") >= 4
+
+
+@pytest.mark.parametrize(
+    "sides, n, k",
+    [
+        ([1] * 40 + [2] * 9 + [3], 1, 1),  # one gradient entry per pair
+        ([6] * 20 + [7] + [6] * 3 + [16] * 2, 12, 3),
+        ([48] + [5] * 3, 64, 16),  # n k = 1024
+    ],
+    ids=["nk1", "mixed", "nk1024"],
+)
+@pytest.mark.parametrize("entries", [1, 10**9], ids=["alone", "runs"])
+def test_stacking_is_invisible(monkeypatch, sides, n, k, entries):
+    rng = np.random.default_rng(7)
+    pairs = tuple((rng.random((mi, mi)), rng.random((mi, n))) for mi in sides)
+    Y = rng.standard_normal((n, k))
+    D = rng.standard_normal((n, k))
+
+    def results():
+        inst = ProblemInstance(pairs=pairs, n=n, k=k)
+        p = linesearch.quartic_coeffs(inst, Y, D)
+        return len(inst._stacks), _evaluate(inst, Y), [p.a0, p.a1, p.a2, p.a3, p.a4]
+
+    # the default layout is a third one for "mixed" (stacks of 14 and 6),
+    # the runs for "nk1" and every pair alone for "nk1024"
+    _, (f, residual, grad, gg), a = results()
+    monkeypatch.setattr(_kernels, "STACK_ENTRIES", entries)
+    stacks_e, (f_e, residual_e, grad_e, gg_e), a_e = results()
+    runs = 1 + sum(x != y for x, y in zip(sides, sides[1:]))
+    assert stacks_e == (len(sides) if entries == 1 else runs)
+    assert f_e == f
+    assert residual_e == residual
+    assert np.array_equal(grad_e, grad)
+    assert gg_e == gg
+    assert a_e == a
+
+
+@pytest.mark.parametrize("g", [1, 2, 9, 20])
+@pytest.mark.parametrize("shape", [(), (1, 1), (1, 2), (2, 1), (5,), (12, 3), (64, 16)])
+def test_in_order_sum_is_a_pair_loop(g, shape):
+    rng = np.random.default_rng(g)
+    terms = rng.standard_normal((g, *shape))
+    total = rng.standard_normal(shape)
+    expected = total.copy()
+    for term in terms:
+        expected = expected + term
+    got = _kernels._in_order_sum(total, terms.copy())
+    assert np.asarray(got).tobytes() == expected.tobytes()
+    # added left to right, 1 + 2^-53 + 2^-53 + ... rounds back to 1 each time
+    tiny = np.full((g, *shape), 2.0**-53)
+    tiny[0] = 1.0
+    assert np.all(_kernels._in_order_sum(np.zeros(shape), tiny) == 1.0)

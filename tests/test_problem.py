@@ -54,6 +54,18 @@ def test_validate_rejects_rank_out_of_range():
         report.raise_if_invalid()
 
 
+def test_validate_rejects_non_integer_n_and_k():
+    pair = ((np.eye(3), np.eye(3)),)
+    report = validate(ProblemInstance(pairs=pair, n=3, k=2.0))
+    assert [v.code for v in report.violations] == ["rank-out-of-range"]
+    with pytest.raises(ValidationError, match="k=2.0 is not an integer"):
+        report.raise_if_invalid()
+    report = validate(ProblemInstance(pairs=pair, n=3.0, k=2))
+    assert [v.code for v in report.violations] == ["dimension-mismatch"]
+    assert "n=3.0 is not an integer" in report.violations[0].message
+    assert validate(ProblemInstance(pairs=pair, n=np.int64(3), k=np.int32(2))).ok
+
+
 def test_validate_rejects_empty_instance():
     report = validate(ProblemInstance(pairs=(), n=3, k=1))
     assert any(v.code == "empty-instance" for v in report.violations)
