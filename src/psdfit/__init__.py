@@ -21,13 +21,11 @@ trace/solution/matrix files in :mod:`psdfit.io` and PGM images in
 from .problem import (
     ProblemInstance,
     ValidationError,
-    ValidationReport,
     Violation,
     assemble_X,
     gradient,
     objective,
     residual_error,
-    validate,
 )
 from .solver import (
     IterationRecord,
@@ -51,7 +49,6 @@ __all__ = [
     "SolverResult",
     "TerminationReason",
     "ValidationError",
-    "ValidationReport",
     "Violation",
     "assemble_X",
     "generate_instance",
@@ -64,6 +61,5 @@ __all__ = [
     "read_problem",
     "residual_error",
     "solve",
-    "validate",
     "write_problem",
 ]

@@ -10,6 +10,7 @@ however the pairs are stacked.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,11 +22,11 @@ import numpy as np
 STACK_ENTRIES = 512
 
 
-def stack_pairs(pairs, n, k):
+def stack_pairs(pairs, factor_entries):
     """(stacks, views): runs of equal-shape pairs cut to STACK_ENTRIES, and each pair.
 
-    Multi-pair stacks are copies; a pair alone keeps its (float64,
-    C-contiguous) data.  views are the pairs, in order, sharing the stacks' data.
+    factor_entries is n k.  Multi-pair stacks are copies; a pair alone keeps
+    its (float64, C-contiguous) data.  views are the pairs, in order, in the stacks.
     """
     pairs = [
         (np.ascontiguousarray(A, dtype=np.float64), np.ascontiguousarray(B, dtype=np.float64))
@@ -34,7 +35,7 @@ def stack_pairs(pairs, n, k):
     stacks, views = [], []
     for _, run in itertools.groupby(pairs, lambda pair: (pair[0].shape, pair[1].shape)):
         run = list(run)
-        g = max(1, STACK_ENTRIES // int(max(run[0][0].size, n * k, 1)))
+        g = max(1, STACK_ENTRIES // int(max(run[0][0].size, factor_entries, 1)))
         for i in range(0, len(run), g):
             chunk = run[i : i + g]
             if len(chunk) == 1:
@@ -128,22 +129,20 @@ def quartic_sums(stacks, Y, D):
     return a.tolist()
 
 
-def _has_non_finite(M):
-    return np.count_nonzero(np.isfinite(M)) != M.size  # half the cost of .all()
-
-
 def non_finite(stacks):
     """Per pair, the names ("A", "B") of its matrices holding a NaN or infinity.
 
-    One check per stack; only a failed stack's pairs are checked one by one.
+    One screen per stack: a sum of squares is finite only if every entry is,
+    and one dot product per array costs less than np.isfinite.  The sum can
+    also overflow, so only a stack that fails it is checked entry by entry.
     """
     found = []
     for As, Bs in stacks:
-        if _has_non_finite(As) or _has_non_finite(Bs):
+        if math.isfinite(np.vdot(As, As) + np.vdot(Bs, Bs)):
+            found += [()] * len(As)
+        else:
             found += [
-                [name for name, M in zip("AB", pair) if _has_non_finite(M)]
+                [name for name, M in zip("AB", pair) if not np.isfinite(M).all()]
                 for pair in zip(As, Bs)
             ]
-        else:
-            found += [()] * len(As)
     return found

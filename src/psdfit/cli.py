@@ -157,7 +157,7 @@ def _cmd_demo_image(args):
     for line in report.lines():
         print(line)
     print(f"wrote {report.files['report']}")
-    return 0
+    return 0 if report.termination == TerminationReason.GRADIENT_TOLERANCE.value else 1
 
 
 def main(argv=None) -> int:

@@ -123,7 +123,7 @@ def observation_instance(X_true, m: int, k: int, seed: int):
 
     Each B_i picks ceil(3n/4) distinct rows and adds uniform noise in
     [-0.05, 0.05); Y0 is drawn from the same generator so one seed fixes
-    the whole demo.
+    the whole demo.  A k outside [1, n] is a ValidationError.
     """
     X_true = np.asarray(X_true, dtype=np.float64)
     n = X_true.shape[0]
@@ -138,9 +138,8 @@ def observation_instance(X_true, m: int, k: int, seed: int):
         B[np.arange(mi), rows] = 1.0
         B += _PERTURBATION * (2.0 * rng.random((mi, n)) - 1.0)
         pairs.append((B @ X_true @ B.T, B))
-    Y0 = rng.random((n, k))
     instance = ProblemInstance(pairs=tuple(pairs), n=n, k=k)
-    return instance, Y0
+    return instance, rng.random((n, k))
 
 
 @dataclass
@@ -194,11 +193,8 @@ def image_demo(
     """
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)
-    n = X_true.shape[0]
     if k is None:
-        k = min(16, n)
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k={k} out of range for n={n}")
+        k = min(16, X_true.shape[0])
     instance, Y0 = observation_instance(X_true, m, k, seed)
     config = SolverConfig(epsilon=tol, max_iterations=max_iterations)
     result = solve(instance, Y0=Y0, config=config)

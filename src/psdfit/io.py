@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemInstance, validate
+from .problem import ProblemInstance, ValidationError
 from .solver import IterationRecord, SolverResult, TerminationReason
 
 
@@ -150,10 +150,10 @@ def write_lines(path, lines):
 
 
 def read_problem(path) -> ProblemInstance:
-    """Parse and validate a problem file.
+    """Parse a problem file into a (validated) ProblemInstance.
 
-    validate detects non-finite entries; only then are the bad pair's two
-    blocks searched for the token to report.
+    The instance's construction detects non-finite entries; only then are
+    the bad pair's two blocks searched for the token to report.
     """
     reader = _TokenLines(path)
     lineno, toks = reader.next_line(3, "header (m n k)")
@@ -173,15 +173,15 @@ def read_problem(path) -> ProblemInstance:
         B = _read_block(reader, mi, n, f"B_{i}")
         pairs.append((A, B))
     reader.done()
-    instance = ProblemInstance(pairs=tuple(pairs), n=n, k=k)
-    report = validate(instance)
-    for v in report.violations:
-        if v.code == "non-finite":
-            (A, B), first = pairs[v.pair], starts[v.pair]
-            _finite(A, reader, first, f"A_{v.pair}")
-            _finite(B, reader, first + len(A), f"B_{v.pair}")
-    report.raise_if_invalid()
-    return instance
+    try:
+        return ProblemInstance(pairs=tuple(pairs), n=n, k=k)
+    except ValidationError as err:
+        for v in err.violations:
+            if v.code == "non-finite":
+                (A, B), first = pairs[v.pair], starts[v.pair]
+                _finite(A, reader, first, f"A_{v.pair}")
+                _finite(B, reader, first + len(A), f"B_{v.pair}")
+        raise
 
 
 def write_problem(path, instance: ProblemInstance):
@@ -318,8 +318,8 @@ def generate_instance(
         m = len(sizes)
     if m != len(sizes):
         raise ValueError(f"m={m} disagrees with {len(sizes)} sizes")
-    if n < 1 or not 1 <= k <= n or m < 1 or any(s < 1 for s in sizes):
-        raise ValueError("dimensions must be positive with 1 <= k <= n")
+    if n < 1 or k < 1 or m < 1 or any(s < 1 for s in sizes):
+        raise ValueError("dimensions must be positive")  # ProblemInstance checks k <= n
     if mode not in ("random", "consistent"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)

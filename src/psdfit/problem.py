@@ -8,6 +8,9 @@ of shape n x k turns this into an unconstrained problem in Y; this module
 provides the objective, its analytic gradient, the relative residual
 progress metric, and the PSD assembly X = Y Y^T.
 
+An instance is valid by construction: building one raises `ValidationError`,
+listing every `Violation`, if it breaks an invariant; nothing else checks it.
+
 The pairs are held in stacks, which `_kernels` builds and walks: it owns
 their grouping and every sum over pairs, which adds the pairs in pair order,
 so results are reproducible and do not depend on how the pairs are stacked.
@@ -29,8 +32,19 @@ FactorMatrix = NDArray[np.float64]
 GradientMatrix = NDArray[np.float64]
 
 
+@dataclass
+class Violation:
+    code: str  # "empty-instance" | "non-finite" | "dimension-mismatch" | "rank-out-of-range"
+    pair: int | None
+    message: str
+
+
 class ValidationError(ValueError):
-    """An operation was given a problem instance violating its invariants."""
+    """A problem instance violates its invariants; .violations lists every one."""
+
+    def __init__(self, violations: list[Violation]):
+        super().__init__("; ".join(v.message for v in violations))
+        self.violations = violations
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +52,11 @@ class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
 
     Construction groups the pairs into stacks (`_kernels.stack_pairs`), and
-    `pairs` then holds views into them.  The pair arrays are treated as
-    read-only once built: the kernels read the stacks behind them, and
-    Sum ||A_i||_F is computed on first use and cached.
+    `pairs` then holds views into them.  It raises `ValidationError` unless
+    there is a pair, n and k are integers with 1 <= k <= n, and each A_i is
+    square and each B_i is m_i x n, both finite.  The pair arrays are
+    treated as read-only once built: the kernels read the stacks behind
+    them, and Sum ||A_i||_F is computed on first use and cached.
     """
 
     pairs: tuple
@@ -50,9 +66,15 @@ class ProblemInstance:
     _stacks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        stacks, views = _kernels.stack_pairs(self.pairs, self.n, self.k)
+        n, k = self.n, self.k
+        # a non-integer n or k is a violation below, so it does not size the stacks
+        integral = isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)
+        stacks, views = _kernels.stack_pairs(self.pairs, n * k if integral else 0)
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "pairs", views)
+        violations = _violations(self)
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def m(self):
@@ -72,35 +94,15 @@ class ProblemInstance:
         return total
 
 
-@dataclass
-class Violation:
-    code: str  # "empty-instance" | "non-finite" | "dimension-mismatch" | "rank-out-of-range"
-    pair: int | None
-    message: str
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def raise_if_invalid(self):
-        if not self.ok:
-            raise ValidationError("; ".join(v.message for v in self.violations))
-
-
-def validate(instance: ProblemInstance) -> ValidationReport:
-    """Check all instance invariants, reporting every violation found."""
-    report = ValidationReport()
+def _violations(instance: ProblemInstance) -> list[Violation]:
+    """Every invariant the built instance violates, in pair order."""
+    violations = []
     n, k = instance.n, instance.k
 
     def bad(code, pair, message):
         if pair is not None:
             message = f"pair {pair}: {message}"
-        report.violations.append(Violation(code, pair, message))
+        violations.append(Violation(code, pair, message))
 
     if len(instance.pairs) == 0:
         bad("empty-instance", None, "instance has no (A, B) pairs")
@@ -123,9 +125,9 @@ def validate(instance: ProblemInstance) -> ValidationReport:
             bad("dimension-mismatch", i, f"B has {B.shape[1]} columns, expected n={n}")
     if not isinstance(k, numbers.Integral):
         bad("rank-out-of-range", None, f"rank bound k={k!r} is not an integer")
-    elif not 1 <= k <= n:
+    elif isinstance(n, numbers.Real) and not 1 <= k <= n:
         bad("rank-out-of-range", None, f"rank bound k={k} outside [1, n]={n}")
-    return report
+    return violations
 
 
 def _as_factor(instance: ProblemInstance, Y, name="Y") -> FactorMatrix:

@@ -7,11 +7,13 @@ steps come from the exact quartic line search.
 The direction resets to steepest descent on a fixed period and whenever
 the mixed direction fails the descent test, so every line search starts
 from a strict descent direction.  `multistart_solve` runs the iteration
-from several seeded starts and keeps the best.
+from several seeded starts and keeps the best.  The instance and the
+configuration are not checked here: each checks itself when built.
 """
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +26,6 @@ from .problem import (
     _as_factor,
     _evaluate,
     assemble_X,
-    validate,
 )
 
 
@@ -38,9 +39,9 @@ class TerminationReason(enum.Enum):
     DEGENERATE_DIRECTION = "degenerate-direction"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Stopping and restart policy.
+    """Stopping and restart policy, checked when built (ValueError).
 
     epsilon is the gradient-norm stopping tolerance.  restart_period
     forces a steepest-descent reset every that many iterations —
@@ -53,13 +54,17 @@ class SolverConfig:
     max_iterations: int = 10000
     restart_period: int | None = 200
 
-    def check(self):
+    def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise ValueError("restart_period must be at least 1")
+        if not _is_count(self.max_iterations):
+            raise ValueError("max_iterations must be an integer of at least 1")
+        if self.restart_period is not None and not _is_count(self.restart_period):
+            raise ValueError("restart_period must be None or an integer of at least 1")
+
+
+def _is_count(value):
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 @dataclass(slots=True)
@@ -156,10 +161,8 @@ def solve(
     resolution, f can rise by a few ulps.  Identical inputs produce
     identical traces.
     """
-    validate(instance).raise_if_invalid()
     if config is None:
         config = SolverConfig()
-    config.check()
     restart_period = config.restart_period  # None: no periodic restarts
 
     if Y0 is None:
@@ -235,7 +238,6 @@ def multistart_solve(
     """
     if num_starts < 1:
         raise ValueError("num_starts must be at least 1")
-    validate(instance).raise_if_invalid()
     rng = np.random.default_rng(seed)
     starts = [rng.random((instance.n, instance.k)) for _ in range(num_starts)]
     best = None

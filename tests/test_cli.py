@@ -150,6 +150,16 @@ def test_demo_image_end_to_end(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
+def test_demo_image_non_convergence_exits_1(tmp_path, capsys):
+    img = tmp_path / "small.pgm"
+    write_pgm(img, make_test_image(16, seed=0))
+    out_dir = tmp_path / "demo"
+    assert run("demo-image", img, "--max-iter", 2, "--out-dir", out_dir) == 1
+    assert "termination max-iterations" in capsys.readouterr().out
+    for name in ("restored_X.txt", "restored.pgm", "trace.csv", "report.txt"):
+        assert (out_dir / name).exists()
+
+
 def test_demo_image_rejects_non_pgm(tmp_path, capsys):
     img = tmp_path / "fake.pgm"
     img.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psdfit import SolverConfig, objective, solve
+from psdfit import SolverConfig, ValidationError, objective, solve
 from psdfit.imagedemo import (
     MAX_SIDE,
     ImageFormatError,
@@ -211,5 +211,5 @@ def test_image_demo_writes_everything(tmp_path):
 def test_image_demo_rank_out_of_range(tmp_path):
     img_path = tmp_path / "in.pgm"
     write_pgm(img_path, make_test_image(4, seed=11))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValidationError, match=r"rank bound k=9 outside \[1, n\]=4"):
         image_demo(img_path, m=1, k=9, seed=0, output_dir=tmp_path / "x")

@@ -171,6 +171,19 @@ def test_stacking_is_invisible(monkeypatch, sides, n, k, entries):
     assert a_e == a
 
 
+def test_non_finite_screen_misses_no_entry():
+    # the per-stack screen is a sum of squares: a bad entry at every position,
+    # over lengths around vector widths, and finite data whose sum overflows
+    for size in (1, 3, 7, 8, 9, 64, 129):
+        for pos in range(size):
+            for value in (np.nan, np.inf, -np.inf):
+                A = np.ones((2, size))
+                A[1, pos] = value
+                assert _kernels.non_finite([(A, np.ones((2, 3)))]) == [[], ["A"]]
+    huge = np.full((1, 5), 1e200)
+    assert not any(_kernels.non_finite([(huge, huge)]))
+
+
 @pytest.mark.parametrize("g", [1, 2, 9, 20])
 @pytest.mark.parametrize("shape", [(), (1, 1), (1, 2), (2, 1), (5,), (12, 3), (64, 16)])
 def test_in_order_sum_is_a_pair_loop(g, shape):

@@ -9,7 +9,6 @@ from psdfit import (
     gradient,
     objective,
     residual_error,
-    validate,
 )
 from psdfit.oracle import reference_objective, reference_residual
 
@@ -33,65 +32,93 @@ def rand_instance(seed, n_max=6, k_max=3, m_max=3):
 # validation
 
 
+def violations(pairs, n, k):
+    """(code, pair, message) of each violation building the instance raises."""
+    with pytest.raises(ValidationError) as err:
+        ProblemInstance(pairs=pairs, n=n, k=k)
+    found = [(v.code, v.pair, v.message) for v in err.value.violations]
+    assert str(err.value) == "; ".join(message for _, _, message in found)
+    return found
+
+
 def test_validate_accepts_consistent_shapes():
     inst = ProblemInstance(pairs=((np.eye(4), np.eye(4)),), n=4, k=2)
-    assert validate(inst).ok
+    assert (inst.m, inst.n, inst.k) == (1, 4, 2)
 
 
 def test_validate_rejects_nonsquare_A():
-    inst = ProblemInstance(pairs=((np.ones((3, 4)), np.ones((3, 4))),), n=4, k=1)
-    report = validate(inst)
-    assert not report.ok
-    assert report.violations[0].code == "dimension-mismatch"
-    assert report.violations[0].pair == 0
+    found = violations(((np.ones((3, 4)), np.ones((3, 4))),), n=4, k=1)
+    assert found[0][:2] == ("dimension-mismatch", 0)
 
 
 def test_validate_rejects_rank_out_of_range():
-    inst = ProblemInstance(pairs=((np.eye(4), np.eye(4)),), n=4, k=5)
-    report = validate(inst)
-    assert any(v.code == "rank-out-of-range" for v in report.violations)
-    with pytest.raises(ValidationError):
-        report.raise_if_invalid()
+    found = violations(((np.eye(4), np.eye(4)),), n=4, k=5)
+    assert any(code == "rank-out-of-range" for code, _, _ in found)
 
 
 def test_validate_rejects_non_integer_n_and_k():
     pair = ((np.eye(3), np.eye(3)),)
-    report = validate(ProblemInstance(pairs=pair, n=3, k=2.0))
-    assert [v.code for v in report.violations] == ["rank-out-of-range"]
-    with pytest.raises(ValidationError, match="k=2.0 is not an integer"):
-        report.raise_if_invalid()
-    report = validate(ProblemInstance(pairs=pair, n=3.0, k=2))
-    assert [v.code for v in report.violations] == ["dimension-mismatch"]
-    assert "n=3.0 is not an integer" in report.violations[0].message
-    assert validate(ProblemInstance(pairs=pair, n=np.int64(3), k=np.int32(2))).ok
+    with pytest.raises(ValidationError, match="k=2.0 is not an integer") as err:
+        ProblemInstance(pairs=pair, n=3, k=2.0)
+    assert [v.code for v in err.value.violations] == ["rank-out-of-range"]
+    found = violations(pair, n=3.0, k=2)
+    assert [code for code, _, _ in found] == ["dimension-mismatch"]
+    assert "n=3.0 is not an integer" in found[0][2]
+    ProblemInstance(pairs=pair, n=np.int64(3), k=np.int32(2))
+    # a non-numeric n or k is reported too, not multiplied into a TypeError
+    for n, k, code, value in [
+        (None, 1, "dimension-mismatch", None),
+        ("3", 1, "dimension-mismatch", "3"),
+        (3, None, "rank-out-of-range", None),
+        (3, "1", "rank-out-of-range", "1"),
+    ]:
+        found = violations(pair, n=n, k=k)
+        assert (code, None) in [(c, i) for c, i, _ in found]
+        assert any(f"={value!r} is not an integer" in message for _, _, message in found)
 
 
 def test_validate_rejects_empty_instance():
-    report = validate(ProblemInstance(pairs=(), n=3, k=1))
-    assert any(v.code == "empty-instance" for v in report.violations)
+    found = violations((), n=3, k=1)
+    assert any(code == "empty-instance" for code, _, _ in found)
 
 
 def test_validate_rejects_row_mismatch():
     # B has 3 rows but A is 4x4
-    inst = ProblemInstance(pairs=((np.eye(4), np.ones((3, 4))),), n=4, k=1)
-    assert any(v.code == "dimension-mismatch" for v in validate(inst).violations)
+    found = violations(((np.eye(4), np.ones((3, 4))),), n=4, k=1)
+    assert any(code == "dimension-mismatch" for code, _, _ in found)
 
 
 def test_validate_rejects_non_finite_entries():
     B = np.eye(3)
     B[1, 2] = np.inf
-    inst = ProblemInstance(pairs=((np.eye(3), np.eye(3)), (np.eye(3), B)), n=3, k=1)
-    report = validate(inst)
-    assert [(v.code, v.pair) for v in report.violations] == [("non-finite", 1)]
-    assert "B" in report.violations[0].message
-    nan_A = ProblemInstance(pairs=((np.full((3, 3), np.nan), np.eye(3)),), n=3, k=1)
-    assert [(v.code, v.pair) for v in validate(nan_A).violations] == [("non-finite", 0)]
-    assert "A" in validate(nan_A).violations[0].message
+    found = violations(((np.eye(3), np.eye(3)), (np.eye(3), B)), n=3, k=1)
+    assert [(code, pair) for code, pair, _ in found] == [("non-finite", 1)]
+    assert "B" in found[0][2]
+    found = violations(((np.full((3, 3), np.nan), np.eye(3)),), n=3, k=1)
+    assert [(code, pair) for code, pair, _ in found] == [("non-finite", 0)]
+    assert "A" in found[0][2]
+
+
+def test_invalid_instances_never_reach_evaluation():
+    # built, these would give objective nan, a matmul error naming no pair,
+    # a 2 x 3 gradient for n = 2, and f = 0 for no pairs
+    nan_B = np.eye(2)
+    nan_B[0, 1] = np.nan
+    cases = [
+        (((np.eye(2), nan_B),), 2, 1, "non-finite", "pair 0: B has non-finite entries"),
+        (((np.eye(2), np.ones((2, 3))),), 2, 1, "dimension-mismatch",
+         "pair 0: B has 3 columns, expected n=2"),
+        (((np.eye(2), np.eye(2)),), 2, 3, "rank-out-of-range",
+         "rank bound k=3 outside [1, n]=2"),
+        ((), 2, 1, "empty-instance", "instance has no (A, B) pairs"),
+    ]
+    for pairs, n, k, code, message in cases:
+        pair = 0 if pairs and code != "rank-out-of-range" else None
+        assert violations(pairs, n, k) == [(code, pair, message)]
 
 
 def test_scalar_instance_is_valid():
     inst = ProblemInstance(pairs=((np.array([[4.0]]), np.array([[1.0]])),), n=1, k=1)
-    assert validate(inst).ok
     assert objective(inst, np.array([[2.0]])) == pytest.approx(0.0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -282,16 +283,16 @@ def test_solve_seed_matches_explicit_start():
 
 
 def test_solve_rejects_invalid_instance():
-    bad = ProblemInstance(pairs=((np.ones((2, 2)), np.ones((2, 3))),), n=3, k=5)
+    # an invalid instance cannot be built, so solve never sees one
     with pytest.raises(ValidationError):
-        solve(bad)
+        ProblemInstance(pairs=((np.ones((2, 2)), np.ones((2, 3))),), n=3, k=5)
 
 
 def test_solve_rejects_non_finite_data():
     B = np.eye(2)
     B[0, 0] = np.inf
     with pytest.raises(ValidationError, match="B has non-finite"):
-        solve(ProblemInstance(pairs=((np.eye(2), B),), n=2, k=1))
+        ProblemInstance(pairs=((np.eye(2), B),), n=2, k=1)
 
 
 def test_solve_zero_targets_converges_to_zero():
@@ -317,12 +318,22 @@ def test_solve_restart_period_none_disables_restarts():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0).check()
+        SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0).check()
+        SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        SolverConfig(restart_period=0).check()
-    SolverConfig(restart_period=None).check()
+        SolverConfig(restart_period=0)
+    SolverConfig(restart_period=None)
+    # counts are integers: 2.5 iterations would run 3, and restart_period=2.5
+    # would restart every 5
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverConfig(max_iterations=2.5)
+    with pytest.raises(ValueError, match="restart_period"):
+        SolverConfig(restart_period=2.5)
+    SolverConfig(max_iterations=np.int64(3), restart_period=np.int32(2))
+    # frozen, so a config stays as checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolverConfig().max_iterations = 0
 
 
 def test_solver_result_termination_values():
