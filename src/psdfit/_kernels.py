@@ -1,9 +1,10 @@
 """Numeric kernels for the fitting objective, in plain numpy, over stacks of pairs.
 
 This is the only module that knows how the pairs are laid out: it groups
-them into stacks, walks the stacks and does every sum over the pairs.  A
-stack is g pairs of one shape: A is g x mi x mi and B is g x mi x n, both
-float64 C-contiguous; Y and D are n x k.  Every per-pair product is the 2-D
+them into stacks, walks the stacks and does every sum over the pairs, Sum
+||A_i||_F included, which `measure` adds up at construction.  A stack is g
+pairs of one shape: A is g x mi x mi and B is g x mi x n, both float64
+C-contiguous; Y and D are n x k.  Every per-pair product is the 2-D
 expression applied to each of the g matrices, and every sum over pairs adds
 them left to right, so the results are bitwise those of a per-pair loop,
 however the pairs are stacked.
@@ -129,20 +130,22 @@ def quartic_sums(stacks, Y, D):
     return a.tolist()
 
 
-def non_finite(stacks):
-    """Per pair, the names ("A", "B") of its matrices holding a NaN or infinity.
+def measure(stacks):
+    """(Sum ||A_i||_F, per pair the names of its non-finite matrices), in pair order.
 
-    One screen per stack: a sum of squares is finite only if every entry is,
-    and one dot product per array costs less than np.isfinite.  The sum can
-    also overflow, so only a stack that fails it is checked entry by entry.
+    One dot product per A_i gives its norm (bitwise np.linalg.norm) and its
+    finiteness screen, and one per stack screens the B_i: a sum of squares
+    is finite only if every entry is.  It can also overflow, so only what
+    fails a screen is checked entry by entry.
     """
-    found = []
+    total, found = 0.0, []
     for As, Bs in stacks:
-        if math.isfinite(np.vdot(As, As) + np.vdot(Bs, Bs)):
-            found += [()] * len(As)
-        else:
-            found += [
-                [name for name, M in zip("AB", pair) if not np.isfinite(M).all()]
-                for pair in zip(As, Bs)
-            ]
-    return found
+        B_finite = math.isfinite(np.vdot(Bs, Bs))
+        for A, B in zip(As, Bs):
+            sq = np.vdot(A, A)
+            total += math.sqrt(sq)
+            screens = (("A", A, math.isfinite(sq)), ("B", B, B_finite))
+            found.append(
+                [name for name, M, ok in screens if not (ok or np.isfinite(M).all())]
+            )
+    return total, found

@@ -7,8 +7,8 @@ Subcommands:
   gen         write a seeded random or consistent problem file
   demo-image  image-restoration demo on a binary PGM
 
-Exit codes: 0 success / checks passed, 1 verification or convergence
-failure, 2 usage or I/O errors.
+Exit codes: 0 success / checks passed, 1 verification, convergence or
+numerical failure, 2 usage or I/O errors.
 """
 
 import argparse
@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .imagedemo import image_demo
+from .imagedemo import DEMO_MAX_ITERATIONS, DEMO_TOL, image_demo
 from .linesearch import quartic_coeffs
 from .oracle import compare, fd_gradient, interpolate_quartic
 from .problem import ProblemInstance, gradient
-from .solver import NumericalError, SolverConfig, TerminationReason, solve
+from .solver import NumericalError, SolverConfig, solve
 
 
 def _build_parser():
@@ -34,8 +34,10 @@ def _build_parser():
     p = sub.add_parser("solve", help="solve a problem file")
     p.add_argument("problem", help="problem file path")
     p.add_argument("--rank", type=int, default=None, help="override rank k")
-    p.add_argument("--tol", type=float, default=1e-4, help="gradient-norm tolerance")
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument(
+        "--tol", type=float, default=SolverConfig.epsilon, help="gradient-norm tolerance"
+    )
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     start = p.add_mutually_exclusive_group()
     start.add_argument("--seed", type=int, default=0, help="seed for the random start")
     start.add_argument("--init", default=None, help="file with an explicit Y0")
@@ -68,8 +70,8 @@ def _build_parser():
     p.add_argument("--m", type=int, default=3, help="number of observations")
     p.add_argument("--rank", type=int, default=None, help="fit rank (default min(n, 16))")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=50_000)
+    p.add_argument("--tol", type=float, default=DEMO_TOL)
+    p.add_argument("--max-iter", type=int, default=DEMO_MAX_ITERATIONS)
     p.add_argument("--out-dir", required=True)
 
     return parser
@@ -92,7 +94,7 @@ def _cmd_solve(args):
         pio.write_trace(args.trace, result.trace)
     if args.out:
         pio.write_solution(args.out, result)
-    return 0 if result.termination_reason is TerminationReason.GRADIENT_TOLERANCE else 1
+    return 0 if result.converged else 1
 
 
 def _cmd_gradcheck(args):
@@ -157,7 +159,7 @@ def _cmd_demo_image(args):
     for line in report.lines():
         print(line)
     print(f"wrote {report.files['report']}")
-    return 0 if report.termination == TerminationReason.GRADIENT_TOLERANCE.value else 1
+    return 0 if report.converged else 1
 
 
 def main(argv=None) -> int:

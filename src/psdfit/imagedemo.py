@@ -20,6 +20,8 @@ from .solver import SolverConfig, SolverResult, solve
 from .io import format_float, write_lines, write_matrix, write_trace
 
 MAX_SIDE = 512  # dense solves above this are rejected
+DEMO_TOL = 1e-8  # the demo's stopping defaults, tighter than SolverConfig's
+DEMO_MAX_ITERATIONS = 50_000
 
 _SUBSAMPLE_FRACTION = 0.75
 _PERTURBATION = 0.05
@@ -151,6 +153,7 @@ class DemoReport:
     pair_residuals: tuple
     iterations: int
     termination: str
+    converged: bool  # the run's SolverResult.converged
     f_value: float
     files: dict = field(default_factory=dict)
 
@@ -183,8 +186,8 @@ def image_demo(
     seed: int,
     output_dir,
     *,
-    tol: float = 1e-8,
-    max_iterations: int = 50_000,
+    tol: float = DEMO_TOL,
+    max_iterations: int = DEMO_MAX_ITERATIONS,
 ) -> DemoReport:
     """Run the full restoration pipeline and write results to output_dir.
 
@@ -231,6 +234,7 @@ def summarize_restoration(
         pair_residuals=tuple(float(r) for r in residuals),
         iterations=result.iterations,
         termination=result.termination_reason.value,
+        converged=result.converged,
         f_value=result.trace[-1].f_value,
         files=files,
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .problem import FactorMatrix, ProblemInstance, _as_factor
+from .problem import FactorMatrix, NumericalError, ProblemInstance, _as_factor
 
 
 class DegenerateDirectionError(ValueError):
@@ -149,8 +149,12 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
 
     When a1 < 0 and a4 > 0 a positive minimizer always exists (phi'(0) < 0
     and phi grows at infinity).  Ties between equal-value positive critical
-    points resolve to the smallest step.
+    points resolve to the smallest step.  A non-finite coefficient (the
+    kernels overflowed) raises NumericalError.
     """
+    coeffs = (p.a0, p.a1, p.a2, p.a3, p.a4)
+    if not all(math.isfinite(a) for a in coeffs):
+        raise NumericalError(f"non-finite step polynomial {coeffs}")
     if p.a4 <= 1e-14 * (1.0 + p.a0):
         raise DegenerateDirectionError(
             f"quartic coefficient {p.a4:g} is negligible; direction leaves the"

@@ -20,7 +20,6 @@ All functions are pure and safe to call from multiple threads.
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,6 +46,10 @@ class ValidationError(ValueError):
         self.violations = violations
 
 
+class NumericalError(RuntimeError):
+    """A non-finite objective, gradient or step polynomial appeared in iteration."""
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
@@ -56,7 +59,7 @@ class ProblemInstance:
     there is a pair, n and k are integers with 1 <= k <= n, and each A_i is
     square and each B_i is m_i x n, both finite.  The pair arrays are
     treated as read-only once built: the kernels read the stacks behind
-    them, and Sum ||A_i||_F is computed on first use and cached.
+    them, and Sum ||A_i||_F comes from the walk that checks finiteness.
     """
 
     pairs: tuple
@@ -64,15 +67,18 @@ class ProblemInstance:
     k: int
     # (A stack, B stack) per run of pairs, in pair order
     _stacks: tuple = field(init=False, repr=False)
+    _norm_sum: float = field(init=False, repr=False)  # Sum ||A_i||_F in pair order
 
     def __post_init__(self):
         n, k = self.n, self.k
         # a non-integer n or k is a violation below, so it does not size the stacks
         integral = isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)
         stacks, views = _kernels.stack_pairs(self.pairs, n * k if integral else 0)
+        norm_sum, non_finite = _kernels.measure(stacks)
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "pairs", views)
-        violations = _violations(self)
+        object.__setattr__(self, "_norm_sum", norm_sum)
+        violations = _violations(self, non_finite)
         if violations:
             raise ValidationError(violations)
 
@@ -80,22 +86,9 @@ class ProblemInstance:
     def m(self):
         return len(self.pairs)
 
-    @property
-    def sizes(self):
-        """The observation sides m_i."""
-        return tuple(B.shape[0] for _, B in self.pairs)
 
-    @cached_property
-    def _target_norm(self):
-        """Sum of ||A_i||_F, the denominator of the relative residual."""
-        total = 0.0
-        for A, _ in self.pairs:
-            total += float(np.linalg.norm(A, "fro"))
-        return total
-
-
-def _violations(instance: ProblemInstance) -> list[Violation]:
-    """Every invariant the built instance violates, in pair order."""
+def _violations(instance: ProblemInstance, non_finite) -> list[Violation]:
+    """Every invariant violated, in pair order; non_finite is `_kernels.measure`'s."""
     violations = []
     n, k = instance.n, instance.k
 
@@ -108,7 +101,6 @@ def _violations(instance: ProblemInstance) -> list[Violation]:
         bad("empty-instance", None, "instance has no (A, B) pairs")
     if not isinstance(n, numbers.Integral):
         bad("dimension-mismatch", None, f"column dimension n={n!r} is not an integer")
-    non_finite = _kernels.non_finite(instance._stacks)
     for i, ((A, B), names) in enumerate(zip(instance.pairs, non_finite)):
         for name in names:
             bad("non-finite", i, f"{name} has non-finite entries")
@@ -146,7 +138,7 @@ def _evaluate(instance: ProblemInstance, Y: FactorMatrix):
     sum of residual norms is reported.
     """
     f, num, grad = _kernels.evaluate(instance._stacks, Y)
-    denom = instance._target_norm
+    denom = instance._norm_sum
     return f, (num / denom if denom else num), grad, float((grad * grad).sum())
 
 

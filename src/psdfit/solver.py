@@ -22,15 +22,12 @@ from . import linesearch
 from .problem import (
     FactorMatrix,
     GradientMatrix,
+    NumericalError,
     ProblemInstance,
     _as_factor,
     _evaluate,
     assemble_X,
 )
-
-
-class NumericalError(RuntimeError):
-    """A non-finite objective or gradient value appeared during iteration."""
 
 
 class TerminationReason(enum.Enum):
@@ -55,8 +52,8 @@ class SolverConfig:
     restart_period: int | None = 200
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not (isinstance(self.epsilon, numbers.Real) and self.epsilon > 0):
+            raise ValueError("epsilon must be a positive number")
         if not _is_count(self.max_iterations):
             raise ValueError("max_iterations must be an integer of at least 1")
         if self.restart_period is not None and not _is_count(self.restart_period):
@@ -82,7 +79,7 @@ class SolverResult:
     Y_final: FactorMatrix
     X_final: np.ndarray
     iterations: int
-    converged: bool
+    converged: bool  # the one place a termination_reason maps to success
     trace: list[IterationRecord] = field(repr=False)
     termination_reason: TerminationReason
 
@@ -152,9 +149,10 @@ def solve(
 
     Stops when the gradient Frobenius norm drops below config.epsilon, the
     iteration limit is reached, or the line search hits a degenerate
-    direction.  When Y0 is None the start point is drawn uniformly from
-    [0, 1) using the given seed.  The optional callback is invoked after
-    each iteration as callback(record, Y, grad, direction).
+    direction; a non-finite objective, gradient or step polynomial raises
+    NumericalError naming the iteration.  When Y0 is None the start point is
+    drawn uniformly from [0, 1) using the given seed.  The optional callback
+    is invoked after each iteration as callback(record, Y, grad, direction).
 
     Each recorded f is a fresh evaluation, so the trace's f values are
     nonincreasing only up to rounding: where the true decrease is below f's
@@ -204,6 +202,8 @@ def solve(
         ):
             reason = TerminationReason.DEGENERATE_DIRECTION
             break
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} at iteration {k + 1}") from None
 
     return SolverResult(
         Y_final=Y,
@@ -236,8 +236,8 @@ def multistart_solve(
     start index.  A start failing with a numerical error is recorded and
     skipped; at least one start must succeed.
     """
-    if num_starts < 1:
-        raise ValueError("num_starts must be at least 1")
+    if not _is_count(num_starts):
+        raise ValueError("num_starts must be an integer of at least 1")
     rng = np.random.default_rng(seed)
     starts = [rng.random((instance.n, instance.k)) for _ in range(num_starts)]
     best = None

@@ -1,9 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from psdfit import ProblemInstance
-from psdfit.cli import main
-from psdfit.imagedemo import make_test_image, write_pgm
+import psdfit.cli
+import psdfit.imagedemo
+import psdfit.solver
+from psdfit import ProblemInstance, SolverConfig, TerminationReason
+from psdfit.cli import _build_parser, main
+from psdfit.imagedemo import image_demo, make_test_image, write_pgm
 from psdfit.io import read_solution, read_trace, write_matrix, write_problem
 
 import golden
@@ -64,6 +69,62 @@ def test_solve_rank_override(tmp_path, problem_file, capsys):
 def test_solve_non_convergence_exits_1(problem_file, capsys):
     assert run("solve", problem_file, "--max-iter", 1) == 1
     assert "termination max-iterations" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_solve_numerical_failure_exits_1(tmp_path, capsys):
+    # f and the gradient are finite at the start, the step polynomial is not
+    B = np.array([[1e77, 2e77], [1e77, 1e77]])
+    prob = tmp_path / "overflow.prob"
+    init = tmp_path / "y0.txt"
+    write_problem(prob, ProblemInstance(pairs=((np.eye(2), B),), n=2, k=1))
+    write_matrix(init, np.array([[1e-80], [3e-80]]))
+    assert run("solve", prob, "--init", init) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert "step polynomial" in err and "iteration 1" in err
+
+
+@pytest.mark.parametrize(
+    "limit, reason",
+    [
+        ((), TerminationReason.GRADIENT_TOLERANCE),
+        (("--max-iter", 2), TerminationReason.MAX_ITERATIONS),
+    ],
+)
+def test_exit_code_is_the_results_converged(tmp_path, monkeypatch, capsys, limit, reason):
+    results = []
+
+    def keep(*args, **kwargs):
+        results.append(psdfit.solver.solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(psdfit.cli, "solve", keep)
+    monkeypatch.setattr(psdfit.imagedemo, "solve", keep)
+    prob = tmp_path / "golden.prob"
+    img = tmp_path / "tiny.pgm"
+    write_problem(prob, golden.instance(2))
+    write_pgm(img, make_test_image(8, seed=1))
+    codes = [
+        run("solve", prob, *limit),
+        run("demo-image", img, "--m", 2, *limit, "--out-dir", tmp_path / "demo"),
+    ]
+    capsys.readouterr()
+    assert [r.termination_reason for r in results] == [reason, reason]
+    assert codes == [0 if r.converged else 1 for r in results]
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = _build_parser()
+    args = parser.parse_args(["solve", "x.prob"])
+    config = SolverConfig()
+    assert (args.tol, args.max_iter) == (config.epsilon, config.max_iterations)
+    args = parser.parse_args(["demo-image", "x.pgm", "--out-dir", "d"])
+    params = inspect.signature(image_demo).parameters
+    assert (args.tol, args.max_iter) == (
+        params["tol"].default,
+        params["max_iterations"].default,
+    )
 
 
 def test_solve_zero_targets_exits_0(tmp_path, capsys):

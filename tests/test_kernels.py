@@ -80,6 +80,7 @@ def test_stacked_evaluation_matches_per_pair_reference():
         grad += term
         a = [x + t for x, t in zip(a, reference_quartic_terms(A, B, Y, D))]
 
+    assert inst._norm_sum == sum(float(np.linalg.norm(A, "fro")) for A, _ in data)
     f_s, residual_s, grad_s, gg_s = _evaluate(inst, Y)
     assert f_s == f
     assert residual_s == num / denom
@@ -172,16 +173,18 @@ def test_stacking_is_invisible(monkeypatch, sides, n, k, entries):
 
 
 def test_non_finite_screen_misses_no_entry():
-    # the per-stack screen is a sum of squares: a bad entry at every position,
-    # over lengths around vector widths, and finite data whose sum overflows
+    # the screens are sums of squares, one per A_i and one per B stack: a bad
+    # entry at every position, over lengths around vector widths, and finite
+    # data whose sum overflows
     for size in (1, 3, 7, 8, 9, 64, 129):
         for pos in range(size):
             for value in (np.nan, np.inf, -np.inf):
-                A = np.ones((2, size))
-                A[1, pos] = value
-                assert _kernels.non_finite([(A, np.ones((2, 3)))]) == [[], ["A"]]
-    huge = np.full((1, 5), 1e200)
-    assert not any(_kernels.non_finite([(huge, huge)]))
+                M = np.ones((2, size))
+                M[1, pos] = value
+                assert _kernels.measure([(M, np.ones((2, 3)))])[1] == [[], ["A"]]
+                assert _kernels.measure([(np.ones((2, 3)), M)])[1] == [[], ["B"]]
+    huge = np.full((1, 1, 5), 1e200)
+    assert _kernels.measure([(huge, huge)]) == (math.inf, [[]])
 
 
 @pytest.mark.parametrize("g", [1, 2, 9, 20])

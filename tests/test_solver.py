@@ -23,7 +23,7 @@ from psdfit.linesearch import (
     NonDescentDirectionError,
     exact_step,
 )
-from psdfit.solver import step
+from psdfit.solver import multistart_solve, step
 
 import golden
 
@@ -235,6 +235,16 @@ def test_solve_overflow_raises_numerical_error():
         solve(inst, np.ones((2, 1)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_solve_non_finite_step_polynomial_raises_numerical_error():
+    # f and the gradient are finite at Y0, but the step polynomial along the
+    # unit direction overflows
+    B = np.array([[1e77, 2e77], [1e77, 1e77]])
+    inst = ProblemInstance(pairs=((np.eye(2), B),), n=2, k=1)
+    with pytest.raises(NumericalError, match="step polynomial.* at iteration 1$"):
+        solve(inst, np.array([[1e-80], [3e-80]]))
+
+
 def test_solve_callback_sees_every_iteration():
     inst = golden.instance(2)
     seen = []
@@ -324,6 +334,9 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restart_period=0)
     SolverConfig(restart_period=None)
+    for epsilon in ("1e-4", None):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolverConfig(epsilon=epsilon)
     # counts are integers: 2.5 iterations would run 3, and restart_period=2.5
     # would restart every 5
     with pytest.raises(ValueError, match="max_iterations"):
@@ -334,6 +347,11 @@ def test_solver_config_validation():
     # frozen, so a config stays as checked
     with pytest.raises(dataclasses.FrozenInstanceError):
         SolverConfig().max_iterations = 0
+
+
+def test_multistart_rejects_non_integer_start_count():
+    with pytest.raises(ValueError, match="num_starts"):
+        multistart_solve(golden.instance(2), num_starts=2.5)
 
 
 def test_solver_result_termination_values():
