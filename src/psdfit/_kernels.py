@@ -85,28 +85,26 @@ def residual_gradient(A, B, Y):
 
 
 def quartic_terms(A, B, Y, D):
-    """Each pair's contribution (a0..a4) to the step polynomial along D, as g x 5.
+    """Each pair's a2, a3, a4 of the step polynomial along D, as g x 3.
 
-    With M = A - B Y Y^T B^T, P = B (Y D^T + D Y^T) B^T and Q = B D D^T B^T,
-    the residual at step t is M - t P - t^2 Q, so
-    ||M - t P - t^2 Q||_F^2 expands to the returned quartic coefficients.
+    With W = B Y and V = B D the residual at step t is
+    A - W W^T - t (W V^T + V W^T) - t^2 V V^T, whose squared norm has, in
+    the k x k Gram matrices a = W^T W, b = W^T V and c = V^T V,
+        a2 = 2 (<a, c> + <b, b^T> + ||b||^2 - <A V, V>)
+        a3 = 4 <b, c>      a4 = ||c||^2
+    so no m_i x m_i matrix is formed.  a0 and a1 are f and <grad f, D>.
     """
     W = B @ Y
     V = B @ D
     Wt = W.swapaxes(-1, -2)
-    Vt = V.swapaxes(-1, -2)
-    M = A - W @ Wt
-    P = W @ Vt
-    P += V @ Wt
-    Q = V @ Vt
-    del W, V, Wt, Vt  # at most M, P, Q and one product are alive below
-    terms = np.empty((len(A), 5))
-    terms[:, 0] = (M * M).sum(axis=(1, 2))
-    terms[:, 1] = -2.0 * (M * P).sum(axis=(1, 2))
-    terms[:, 2] = (P * P).sum(axis=(1, 2)) - 2.0 * (M * Q).sum(axis=(1, 2))
-    terms[:, 3] = 2.0 * (P * Q).sum(axis=(1, 2))
-    terms[:, 4] = (Q * Q).sum(axis=(1, 2))
-    return terms
+    a, b, c = Wt @ W, Wt @ V, V.swapaxes(-1, -2) @ V
+    bt = b.swapaxes(-1, -2)
+
+    def inner(x, y):  # each pair's Frobenius inner product
+        return (x * y).sum(axis=(1, 2))
+
+    a2 = 2.0 * (inner(a, c) + inner(b, bt) + inner(b, b) - inner(A @ V, V))
+    return np.stack([a2, 4.0 * inner(b, c), inner(c, c)], axis=1)
 
 
 def evaluate(stacks, Y):
@@ -123,8 +121,8 @@ def evaluate(stacks, Y):
 
 
 def quartic_sums(stacks, Y, D):
-    """[a0, a1, a2, a3, a4] summed over all pairs."""
-    a = np.zeros(5)
+    """[a2, a3, a4] summed over all pairs; a0 and a1 come from the evaluation."""
+    a = np.zeros(3)
     for A, B in stacks:
         a = _in_order_sum(a, quartic_terms(A, B, Y, D))
     return a.tolist()

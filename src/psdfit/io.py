@@ -305,9 +305,10 @@ def generate_instance(
     """Draw a seeded instance.
 
     In "random" mode every A_i and B_i entry is uniform on [0, 1).  In
-    "consistent" mode a hidden factor Z (n x k) is drawn first and
+    "consistent" mode the B_i are drawn, then a hidden factor Z (n x k), and
     A_i = B_i Z Z^T B_i^T, so the optimal objective value is exactly zero.
-    Identical seeds give identical instances.
+    Z is not the first draw, which is `solve`'s default start for the same
+    seed.  Identical seeds give identical instances.
     """
     if sizes is None:
         if m is None:
@@ -325,9 +326,9 @@ def generate_instance(
     rng = np.random.default_rng(seed)
     pairs = []
     if mode == "consistent":
+        Bs = [rng.random((mi, n)) for mi in sizes]
         Z = rng.random((n, k))
-        for mi in sizes:
-            B = rng.random((mi, n))
+        for B in Bs:
             W = B @ Z
             pairs.append((W @ W.T, B))
     else:

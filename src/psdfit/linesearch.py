@@ -1,8 +1,9 @@
 """Exact line search along a direction D.
 
-The objective restricted to Y + t D is a quartic polynomial in t whose
-coefficients come in closed form from the pair residuals, so the exact
-minimizing step is found by solving the cubic derivative analytically.
+The objective restricted to Y + t D is a quartic polynomial in t, so the
+exact minimizing step is found by solving the cubic derivative
+analytically.  Its a0 and a1 are f and <grad f, D> at Y, which the caller
+has evaluated; a2..a4 come in closed form from the pairs.
 """
 
 import math
@@ -52,19 +53,20 @@ class StepResult:
     critical_points: tuple
 
 
-def quartic_coeffs(instance: ProblemInstance, Y: FactorMatrix, D) -> QuarticPolynomial:
+def quartic_coeffs(
+    instance: ProblemInstance, Y: FactorMatrix, D, f, grad
+) -> QuarticPolynomial:
     """Coefficients of phi(t) = objective(Y + t D), exact for all t.
 
-    With M_i = A_i - B_i Y Y^T B_i^T, P_i = B_i (Y D^T + D Y^T) B_i^T and
-    Q_i = B_i D D^T B_i^T, the residual of pair i at step t is
-    M_i - t P_i - t^2 Q_i, giving
-        a4 = sum ||Q_i||^2           a3 = sum 2 tr(P_i^T Q_i)
-        a2 = sum (||P_i||^2 - 2 tr(M_i^T Q_i))
-        a1 = sum -2 tr(M_i^T P_i)    a0 = sum ||M_i||^2.
+    f and grad are the objective and its gradient at Y, from the evaluation
+    there: a0 = f and a1 = <grad, D>.  a2..a4 are the sums over pairs of
+    `_kernels.quartic_terms`, in k x k Gram matrices of B_i Y and B_i D.
     """
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
-    return QuarticPolynomial(*_kernels.quartic_sums(instance._stacks, Y, D))
+    grad = _as_factor(instance, grad, name="grad")
+    a2, a3, a4 = _kernels.quartic_sums(instance._stacks, Y, D)
+    return QuarticPolynomial(float(f), float((grad * D).sum()), a2, a3, a4)
 
 
 def _cbrt(x):
@@ -177,21 +179,22 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
     return StepResult(t_star=best_t, phi_at_t=best_v, critical_points=tuple(crit))
 
 
-def exact_step(instance: ProblemInstance, Y: FactorMatrix, D) -> StepResult:
+def exact_step(instance: ProblemInstance, Y: FactorMatrix, D, f, grad) -> StepResult:
     """Exact line search along D: the positive t minimizing objective(Y + tD).
 
-    The polynomial is set up for the unit-norm direction D/||D||_F and the
-    minimizing step is mapped back afterwards.  The coefficients scale as
-    powers of ||D||, so without the normalization the quartic term of a
-    small late-iteration direction would drop below the degeneracy
-    threshold even though the direction itself is perfectly usable; after
-    it, the threshold tests the direction, not its length.
+    f and grad are the objective and its gradient at Y.  The polynomial is
+    set up for the unit-norm direction D/||D||_F and the minimizing step is
+    mapped back afterwards.  The coefficients scale as powers of ||D||, so
+    without the normalization the quartic term of a small late-iteration
+    direction would drop below the degeneracy threshold even though the
+    direction itself is perfectly usable; after it, the threshold tests
+    the direction, not its length.
     """
     D = _as_factor(instance, D, name="D")
     nrm = float(np.linalg.norm(D))
     if nrm == 0.0 or not math.isfinite(nrm):
         raise DegenerateDirectionError("zero or non-finite direction")
-    found = minimize_quartic(quartic_coeffs(instance, Y, D / nrm))
+    found = minimize_quartic(quartic_coeffs(instance, Y, D / nrm, f, grad))
     return StepResult(
         t_star=found.t_star / nrm,
         phi_at_t=found.phi_at_t,

@@ -57,9 +57,10 @@ class ProblemInstance:
     Construction groups the pairs into stacks (`_kernels.stack_pairs`), and
     `pairs` then holds views into them.  It raises `ValidationError` unless
     there is a pair, n and k are integers with 1 <= k <= n, and each A_i is
-    square and each B_i is m_i x n, both finite.  The pair arrays are
-    treated as read-only once built: the kernels read the stacks behind
-    them, and Sum ||A_i||_F comes from the walk that checks finiteness.
+    m_i x m_i with m_i >= 1 and each B_i is m_i x n, both finite.  The pair
+    arrays are treated as read-only once built: the kernels read the stacks
+    behind them, and Sum ||A_i||_F comes from the walk that checks
+    finiteness.
     """
 
     pairs: tuple
@@ -107,6 +108,8 @@ def _violations(instance: ProblemInstance, non_finite) -> list[Violation]:
         square = A.ndim == 2 and A.shape[0] == A.shape[1]
         if not square:
             bad("dimension-mismatch", i, f"A must be square, got shape {A.shape}")
+        elif A.shape[0] == 0:
+            bad("dimension-mismatch", i, "pair size m_i must be at least 1, got 0")
         if B.ndim != 2:
             bad("dimension-mismatch", i, f"B must be a matrix, got ndim {B.ndim}")
             continue

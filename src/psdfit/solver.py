@@ -40,7 +40,7 @@ class TerminationReason(enum.Enum):
 class SolverConfig:
     """Stopping and restart policy, checked when built (ValueError).
 
-    epsilon is the gradient-norm stopping tolerance.  restart_period
+    epsilon is the gradient-norm stopping tolerance (finite, > 0).  restart_period
     forces a steepest-descent reset every that many iterations —
     Fletcher-Reeves directions are known to stall on some instances
     without an occasional reset — while None disables periodic restarts,
@@ -52,8 +52,8 @@ class SolverConfig:
     restart_period: int | None = 200
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, numbers.Real) and self.epsilon > 0):
-            raise ValueError("epsilon must be a positive number")
+        if not (isinstance(self.epsilon, numbers.Real) and 0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be a finite positive number")
         if not _is_count(self.max_iterations):
             raise ValueError("max_iterations must be an integer of at least 1")
         if self.restart_period is not None and not _is_count(self.restart_period):
@@ -87,6 +87,7 @@ class SolverResult:
 def step(
     instance: ProblemInstance,
     Y: FactorMatrix,
+    f: float,
     grad: GradientMatrix,
     gg: float,
     D,
@@ -96,24 +97,25 @@ def step(
 ):
     """One iteration: exact step along D, new gradient, next direction.
 
-    gg is ||grad||_F^2.  Returns (Y_next, grad_next, gg_next, D_next,
-    record), with gg_next = ||grad_next||_F^2 to pass to the next step.
-    Rounding can spoil a mixed direction's descent property after it passed
-    the test, so when the line search finds no descent along D the step is
-    retried once along -grad; NonDescentDirectionError propagates only when
-    D already was -grad.  The Fletcher-Reeves ratio is beta = gg_next / gg.
-    The next direction resets to -grad_next, with beta recorded as 0, when
-    force_restart is set or the Fletcher-Reeves direction fails the descent
-    test tr(grad_next^T D_next) < 0.  The gradient, its squared norm and the
-    record's f and residual come from one evaluation at Y_next.
+    f, grad and gg are f, its gradient and ||grad||_F^2 at Y, which the line
+    search also uses.  Returns (Y_next, grad_next, gg_next, D_next, record),
+    each at Y_next, to pass to the next step.  Rounding can spoil a mixed
+    direction's descent property after it passed the test, so when the line
+    search finds no descent along D the step is retried once along -grad;
+    NonDescentDirectionError propagates only when D already was -grad.  The
+    Fletcher-Reeves ratio is beta = gg_next / gg.  The next direction resets
+    to -grad_next, with beta recorded as 0, when force_restart is set or the
+    Fletcher-Reeves direction fails the descent test <grad_next, D_next> < 0.
+    The gradient, its squared norm and the record's f and residual come from
+    one evaluation at Y_next.
     """
     try:
-        found = linesearch.exact_step(instance, Y, D)
+        found = linesearch.exact_step(instance, Y, D, f, grad)
     except linesearch.NonDescentDirectionError:
         if np.array_equal(D, -grad):
             raise
         D = -grad
-        found = linesearch.exact_step(instance, Y, D)
+        found = linesearch.exact_step(instance, Y, D, f, grad)
     t = found.t_star
     Y_next = Y + t * D
     f_next, residual, grad_next, gg_next = _evaluate(instance, Y_next)
@@ -194,7 +196,8 @@ def solve(
         force = restart_period is not None and (k + 1) % restart_period == 0
         try:
             Y, grad, gg, D, record = step(
-                instance, Y, grad, gg, D, index=k + 1, force_restart=force
+                instance, Y, record.f_value, grad, gg, D,
+                index=k + 1, force_restart=force,
             )
         except (
             linesearch.DegenerateDirectionError,

@@ -163,7 +163,7 @@ def test_criterion_4_line_search_coefficients(capsys):
         pts = np.random.default_rng(600 + s)
         Y = pts.standard_normal((n, k))
         D = pts.standard_normal((n, k))
-        p = quartic_coeffs(inst, Y, D)
+        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
         q = interpolate_quartic(inst, Y, D)
         for a, b in zip((p.a0, p.a1, p.a2, p.a3, p.a4), (q.a0, q.a1, q.a2, q.a3, q.a4)):
             worst_coeff = max(worst_coeff, abs(a - b) / max(1.0, abs(a), abs(b)))
@@ -192,8 +192,9 @@ def test_criterion_5_exact_step_grid_optimality(capsys):
         D = pts.standard_normal((n, k))
         if float(np.sum(gradient(inst, Y) * D)) > 0.0:
             D = -D  # keep the sampled line, pointed downhill
-        found = exact_step(inst, Y, D)
-        p = quartic_coeffs(inst, Y, D)
+        f, g = objective(inst, Y), gradient(inst, Y)
+        found = exact_step(inst, Y, D, f, g)
+        p = quartic_coeffs(inst, Y, D, f, g)
         grid = np.linspace(0.0, 10.0 * found.t_star, 100_001)[1:]
         vals = np.polyval([p.a4, p.a3, p.a2, p.a1, p.a0], grid)
         gap = float(found.phi_at_t - vals.min())  # positive = suboptimal

@@ -369,11 +369,21 @@ def test_generate_is_deterministic(tmp_path):
 
 def test_generate_consistent_mode_has_zero_optimum():
     inst = generate_instance(5, 2, m=3, seed=4, mode="consistent")
-    # the hidden factor is the first draw from the seeded generator
-    Z = np.random.default_rng(4).random((5, 2))
+    # the hidden factor is drawn from the seeded generator after the three B_i
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        rng.random((5, 5))
+    Z = rng.random((5, 2))
     from psdfit import objective
 
     assert objective(inst, Z) < 1e-20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generate_consistent_mode_does_not_start_solve_at_the_answer(seed):
+    # solve's default start is the first draw of the same seed's generator
+    inst = generate_instance(8, 3, m=3, seed=seed, mode="consistent")
+    assert solve(inst, seed=seed).iterations > 0
 
 
 def test_generate_sizes_control_pair_shapes():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,17 +20,16 @@ def reference_pair(A, B, Y):
 
 
 def reference_quartic_terms(A, B, Y, D):
+    """One pair's a2, a3, a4, in the 2-D Gram form of a per-pair loop."""
     W = B @ Y
     V = B @ D
-    M = A - W @ W.T
-    P = W @ V.T + V @ W.T
-    Q = V @ V.T
+    a = W.T @ W
+    b = W.T @ V
+    c = V.T @ V
     return (
-        np.sum(M * M),
-        -2.0 * np.sum(M * P),
-        np.sum(P * P) - 2.0 * np.sum(M * Q),
-        2.0 * np.sum(P * Q),
-        np.sum(Q * Q),
+        2.0 * (np.sum(a * c) + np.sum(b * b.T) + np.sum(b * b) - np.sum((A @ V) * V)),
+        4.0 * np.sum(b * c),
+        np.sum(c * c),
     )
 
 
@@ -71,7 +71,7 @@ def test_stacked_evaluation_matches_per_pair_reference():
 
     f = num = denom = 0.0
     grad = np.zeros((n, k))
-    a = [0.0] * 5
+    a = [0.0] * 3
     for A, B in data:
         r2, term = reference_pair(A, B, Y)
         f += r2
@@ -86,8 +86,27 @@ def test_stacked_evaluation_matches_per_pair_reference():
     assert residual_s == num / denom
     assert np.array_equal(grad_s, grad)
     assert gg_s == (grad * grad).sum()
-    p = linesearch.quartic_coeffs(inst, Y, D)
-    assert [p.a0, p.a1, p.a2, p.a3, p.a4] == a
+    p = linesearch.quartic_coeffs(inst, Y, D, f_s, grad_s)
+    assert p.a0 == f_s
+    assert p.a1 == (grad_s * D).sum()
+    assert [p.a2, p.a3, p.a4] == a
+
+
+def test_quartic_terms_form_no_pair_sized_matrix():
+    # the step polynomial needs k x k Gram matrices and m_i x k products only
+    mi, n, k = 400, 8, 2
+    rng = np.random.default_rng(9)
+    pair = (rng.random((mi, mi)), rng.random((mi, n)))
+    inst = ProblemInstance(pairs=(pair,), n=n, k=k)
+    Y = rng.standard_normal((n, k))
+    D = rng.standard_normal((n, k))
+    tracemalloc.start()
+    try:
+        _kernels.quartic_sums(inst._stacks, Y, D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mi * mi * 8
 
 
 @pytest.mark.parametrize(
@@ -155,8 +174,9 @@ def test_stacking_is_invisible(monkeypatch, sides, n, k, entries):
 
     def results():
         inst = ProblemInstance(pairs=pairs, n=n, k=k)
-        p = linesearch.quartic_coeffs(inst, Y, D)
-        return len(inst._stacks), _evaluate(inst, Y), [p.a0, p.a1, p.a2, p.a3, p.a4]
+        evaluated = _evaluate(inst, Y)
+        p = linesearch.quartic_coeffs(inst, Y, D, evaluated[0], evaluated[2])
+        return len(inst._stacks), evaluated, [p.a0, p.a1, p.a2, p.a3, p.a4]
 
     # the default layout is a third one for "mixed" (stacks of 14 and 6),
     # the runs for "nk1" and every pair alone for "nk1024"

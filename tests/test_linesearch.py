@@ -37,7 +37,8 @@ def rand_instance_and_direction(seed):
 
 def test_coeffs_zero_direction():
     inst = golden.instance(2)
-    p = quartic_coeffs(inst, golden.Y0_RANK2, np.zeros((4, 2)))
+    Y = golden.Y0_RANK2
+    p = quartic_coeffs(inst, Y, np.zeros((4, 2)), objective(inst, Y), gradient(inst, Y))
     assert p.a1 == p.a2 == p.a3 == p.a4 == 0.0
     assert p.a0 == pytest.approx(objective(inst, golden.Y0_RANK2))
 
@@ -45,14 +46,15 @@ def test_coeffs_zero_direction():
 def test_coeffs_scalar_pure_quartic():
     # m=1, A=0, B=I, Y=0, D=I (everything 1x1): residual is -t^2, phi = t^4
     inst = ProblemInstance(pairs=((np.zeros((1, 1)), np.eye(1)),), n=1, k=1)
-    p = quartic_coeffs(inst, np.zeros((1, 1)), np.eye(1))
+    Y = np.zeros((1, 1))
+    p = quartic_coeffs(inst, Y, np.eye(1), objective(inst, Y), gradient(inst, Y))
     assert (p.a0, p.a1, p.a2, p.a3, p.a4) == (0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def test_coeffs_evaluate_to_the_objective_along_the_line():
     for seed in range(10):
         inst, Y, D = rand_instance_and_direction(seed)
-        p = quartic_coeffs(inst, Y, D)
+        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
         for t in (-1.3, -0.2, 0.0, 0.7, 2.9):
             f = objective(inst, Y + t * D)
             assert p(t) == pytest.approx(f, rel=1e-10, abs=1e-10)
@@ -61,7 +63,7 @@ def test_coeffs_evaluate_to_the_objective_along_the_line():
 def test_coeffs_match_interpolation_oracle():
     for seed in range(20):
         inst, Y, D = rand_instance_and_direction(seed)
-        p = quartic_coeffs(inst, Y, D)
+        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
         q = interpolate_quartic(inst, Y, D)
         mine = np.array([p.a0, p.a1, p.a2, p.a3, p.a4])
         theirs = np.array([q.a0, q.a1, q.a2, q.a3, q.a4])
@@ -72,10 +74,21 @@ def test_coeffs_match_interpolation_oracle():
 def test_coeffs_a0_and_a1_identities():
     for seed in range(20):
         inst, Y, D = rand_instance_and_direction(seed)
-        p = quartic_coeffs(inst, Y, D)
+        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
         assert p.a0 == pytest.approx(objective(inst, Y), rel=1e-12)
         slope = float(np.trace(gradient(inst, Y).T @ D))
         assert p.a1 == pytest.approx(slope, rel=1e-10, abs=1e-10)
+
+
+def test_coeffs_check_the_gradients_shape():
+    # an n x 1 or 1 x k gradient would broadcast against D into a wrong a1
+    inst, Y, D = rand_instance_and_direction(4)  # n = 5, k = 3
+    f, g = objective(inst, Y), gradient(inst, Y)
+    for bad in (g[:, :1], g[:1], g.T, g.ravel()):
+        with pytest.raises(ValueError, match="grad has shape"):
+            quartic_coeffs(inst, Y, D, f, bad)
+        with pytest.raises(ValueError, match="grad has shape"):
+            exact_step(inst, Y, D, f, bad)
 
 
 def test_coeffs_null_direction_collapses_lower_terms():
@@ -87,7 +100,7 @@ def test_coeffs_null_direction_collapses_lower_terms():
     Y = rng.standard_normal((3, 2))
     D = np.zeros((3, 2))
     D[2] = rng.standard_normal(2)  # supported on the null space only
-    p = quartic_coeffs(inst, Y, D)
+    p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
     assert p.a4 == 0.0
     assert p.a3 == p.a2 == p.a1 == 0.0
 
@@ -235,9 +248,10 @@ def test_minimize_grid_search_oracle():
 
 def test_exact_step_scale_invariant():
     inst, Y, _ = rand_instance_and_direction(4)
-    D = -gradient(inst, Y)
-    s1 = exact_step(inst, Y, D)
-    s2 = exact_step(inst, Y, 3.7 * D)
+    f, g = objective(inst, Y), gradient(inst, Y)
+    D = -g
+    s1 = exact_step(inst, Y, D, f, g)
+    s2 = exact_step(inst, Y, 3.7 * D, f, g)
     assert 3.7 * s2.t_star == pytest.approx(s1.t_star, rel=1e-12)
     assert s2.phi_at_t == pytest.approx(s1.phi_at_t, rel=1e-12)
 
@@ -245,8 +259,9 @@ def test_exact_step_scale_invariant():
 def test_exact_step_is_a_line_minimum():
     for seed in range(10):
         inst, Y, _ = rand_instance_and_direction(seed)
-        D = -gradient(inst, Y)
-        step = exact_step(inst, Y, D)
+        g = gradient(inst, Y)
+        D = -g
+        step = exact_step(inst, Y, D, objective(inst, Y), g)
         f_star = reference_objective(inst, Y + step.t_star * D)
         assert f_star == pytest.approx(step.phi_at_t, rel=1e-9, abs=1e-9)
         for t in np.linspace(0.0, 10.0 * step.t_star, 2001):
@@ -259,9 +274,10 @@ def test_exact_step_stationarity():
     # phi'(t*) = 0 to tolerance 1e-9 * (1 + |a1|), on the normalized direction
     for seed in range(10):
         inst, Y, _ = rand_instance_and_direction(seed)
-        D = -gradient(inst, Y)
+        g = gradient(inst, Y)
+        D = -g
         Dn = D / np.linalg.norm(D)
-        p = quartic_coeffs(inst, Y, Dn)
+        p = quartic_coeffs(inst, Y, Dn, objective(inst, Y), g)
         step = minimize_quartic(p)
         t = step.t_star
         dphi = ((4.0 * p.a4 * t + 3.0 * p.a3) * t + 2.0 * p.a2) * t + p.a1
@@ -270,5 +286,6 @@ def test_exact_step_stationarity():
 
 def test_exact_step_zero_direction_raises():
     inst = golden.instance(2)
+    Y = golden.Y0_RANK2
     with pytest.raises(DegenerateDirectionError):
-        exact_step(inst, golden.Y0_RANK2, np.zeros((4, 2)))
+        exact_step(inst, Y, np.zeros((4, 2)), objective(inst, Y), gradient(inst, Y))

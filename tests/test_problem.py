@@ -88,6 +88,15 @@ def test_validate_rejects_row_mismatch():
     assert any(code == "dimension-mismatch" for code, _, _ in found)
 
 
+def test_validate_rejects_a_pair_of_size_zero():
+    # the file format requires m_i >= 1, so the writer could not round-trip it
+    empty = (np.zeros((0, 0)), np.zeros((0, 3)))
+    found = violations((empty, (np.eye(2), np.ones((2, 3)))), n=3, k=1)
+    assert found == [
+        ("dimension-mismatch", 0, "pair 0: pair size m_i must be at least 1, got 0")
+    ]
+
+
 def test_validate_rejects_non_finite_entries():
     B = np.eye(3)
     B[1, 2] = np.inf
@@ -289,6 +298,9 @@ def test_assemble_X_contract():
 
 def test_generate_instance_consistent_mode_has_zero_optimum():
     inst = generate_instance(n=5, k=2, m=3, seed=4, mode="consistent")
-    # the planted factor is the first draw of the generator
-    Z = np.random.default_rng(4).random((5, 2))
+    # the planted factor is drawn from the generator after the three B_i
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        rng.random((5, 5))
+    Z = rng.random((5, 2))
     assert objective(inst, Z) < 1e-20

@@ -37,7 +37,7 @@ def test_step_decreases_objective_from_steepest_descent():
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
     f0 = objective(inst, Y)
-    Y1, g1, gg1, D1, record = step(inst, Y, g, (g * g).sum(), -g, index=1)
+    Y1, g1, gg1, D1, record = step(inst, Y, f0, g, (g * g).sum(), -g, index=1)
     assert record.index == 1
     assert record.step > 0.0
     assert record.f_value < f0
@@ -51,9 +51,10 @@ def test_step_mixes_by_the_ratio_of_squared_gradient_norms():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
-    Y1, g1, gg1, D1, _ = step(inst, Y, g, (g * g).sum(), -g, index=1)
+    f = objective(inst, Y)
+    Y1, g1, gg1, D1, first = step(inst, Y, f, g, (g * g).sum(), -g, index=1)
     assert gg1 == (g1 * g1).sum()
-    Y2, g2, gg2, D2, record = step(inst, Y1, g1, gg1, D1, index=2)
+    Y2, g2, gg2, D2, record = step(inst, Y1, first.f_value, g1, gg1, D1, index=2)
     assert record.beta != 0.0  # a mixed, not a restarted, direction
     assert record.beta == (g2 * g2).sum() / (g1 * g1).sum()
     assert record.grad_norm == math.sqrt((g2 * g2).sum())
@@ -66,8 +67,8 @@ def test_fr_beta_equal_gradients():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
-    _, g1, gg1, _, _ = step(inst, Y, g, (g * g).sum(), -g)
-    _, _, _, D1, record = step(inst, Y, g, gg1, -g)
+    _, g1, gg1, _, _ = step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
+    _, _, _, D1, record = step(inst, Y, objective(inst, Y), g, gg1, -g)
     assert record.beta == 1.0
     assert np.array_equal(D1, -g1 - g)
 
@@ -77,8 +78,8 @@ def test_fr_beta_norm_ratio():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
-    _, _, gg1, _, _ = step(inst, Y, g, (g * g).sum(), -g)
-    _, _, _, _, record = step(inst, Y, g, 4.0 * gg1, -g)
+    _, _, gg1, _, _ = step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
+    _, _, _, _, record = step(inst, Y, objective(inst, Y), g, 4.0 * gg1, -g)
     assert record.beta == 0.25
 
 
@@ -88,7 +89,7 @@ def test_fr_beta_zero_next():
     inst = ProblemInstance(pairs=((np.array([[4.0]]), np.eye(1)),), n=1, k=1)
     Y = np.ones((1, 1))
     g = gradient(inst, Y)
-    Y1, g1, gg1, D1, record = step(inst, Y, g, (g * g).sum(), -g)
+    Y1, g1, gg1, D1, record = step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
     assert np.array_equal(Y1, [[2.0]])
     assert gg1 == 0.0
     assert not g1.any()
@@ -100,14 +101,15 @@ def test_step_from_a_zero_gradient_raises_before_mixing():
     inst = golden.instance(2)
     zero = np.zeros((inst.n, inst.k))
     with pytest.raises(DegenerateDirectionError):
-        step(inst, golden.Y0_RANK2, zero, 0.0, -zero)
+        step(inst, golden.Y0_RANK2, objective(inst, golden.Y0_RANK2), zero, 0.0, -zero)
 
 
 def test_step_force_restart_resets_direction():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
-    Y1, g1, gg1, D1, record = step(inst, Y, g, (g * g).sum(), -g, force_restart=True)
+    f = objective(inst, Y)
+    Y1, g1, gg1, D1, record = step(inst, Y, f, g, (g * g).sum(), -g, force_restart=True)
     assert record.beta == 0.0
     assert np.array_equal(D1, -g1)
 
@@ -117,10 +119,10 @@ def test_step_retries_a_non_descent_direction_along_the_negative_gradient():
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
     with pytest.raises(NonDescentDirectionError):
-        exact_step(inst, Y, g)
-    gg = (g * g).sum()
-    Y1, g1, gg1, D1, record = step(inst, Y, g, gg, g)
-    Y2, g2, gg2, D2, expected = step(inst, Y, g, gg, -g)
+        exact_step(inst, Y, g, objective(inst, Y), g)
+    f, gg = objective(inst, Y), (g * g).sum()
+    Y1, g1, gg1, D1, record = step(inst, Y, f, g, gg, g)
+    Y2, g2, gg2, D2, expected = step(inst, Y, f, g, gg, -g)
     assert np.array_equal(Y1, Y2)
     assert np.array_equal(g1, g2)
     assert gg1 == gg2
@@ -334,7 +336,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restart_period=0)
     SolverConfig(restart_period=None)
-    for epsilon in ("1e-4", None):
+    for epsilon in ("1e-4", None, math.inf, math.nan):
         with pytest.raises(ValueError, match="epsilon"):
             SolverConfig(epsilon=epsilon)
     # counts are integers: 2.5 iterations would run 3, and restart_period=2.5
