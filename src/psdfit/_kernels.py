@@ -7,7 +7,7 @@ pairs of one shape: A is g x mi x mi and B is g x mi x n, both float64
 C-contiguous; Y and D are n x k.  Every per-pair product is the 2-D
 expression applied to each of the g matrices, and every sum over pairs adds
 them left to right, so the results are bitwise those of a per-pair loop,
-however the pairs are stacked.
+however the pairs are stacked.  An evaluation forms each pair's residual once.
 """
 
 import itertools
@@ -23,16 +23,32 @@ import numpy as np
 STACK_ENTRIES = 512
 
 
+def _as_real(M):
+    """(M as float64 C-contiguous, True), or (zeros of its shape, False) if not real.
+
+    Complex numbers and strings are refused, not cast (a cast would drop the
+    imaginary part); the zeros only stand in for them in an instance that
+    its constructor then refuses.
+    """
+    M = np.asarray(M)
+    if M.dtype.kind in "biufO":  # bool, integer, float or Python objects
+        try:
+            return np.ascontiguousarray(M, dtype=np.float64), True
+        except (TypeError, ValueError):  # an object that is not a real number
+            pass
+    return np.zeros(M.shape), False
+
+
 def stack_pairs(pairs, factor_entries):
-    """(stacks, views): runs of equal-shape pairs cut to STACK_ENTRIES, and each pair.
+    """(stacks, views, not_real): runs of equal-shape pairs cut to STACK_ENTRIES,
+    each pair, and per pair the names of its matrices that are not real.
 
     factor_entries is n k.  Multi-pair stacks are copies; a pair alone keeps
     its (float64, C-contiguous) data.  views are the pairs, in order, in the stacks.
     """
-    pairs = [
-        (np.ascontiguousarray(A, dtype=np.float64), np.ascontiguousarray(B, dtype=np.float64))
-        for A, B in pairs
-    ]
+    cast = [(_as_real(A), _as_real(B)) for A, B in pairs]
+    not_real = [[name for name, (_, ok) in zip("AB", pair) if not ok] for pair in cast]
+    pairs = [(A, B) for (A, _), (B, _) in cast]
     stacks, views = [], []
     for _, run in itertools.groupby(pairs, lambda pair: (pair[0].shape, pair[1].shape)):
         run = list(run)
@@ -47,7 +63,7 @@ def stack_pairs(pairs, factor_entries):
                 As, Bs = np.array([A for A, _ in chunk]), np.array([B for _, B in chunk])
                 stacks.append((As, Bs))
                 views.extend(zip(As, Bs))
-    return tuple(stacks), tuple(views)
+    return tuple(stacks), tuple(views), not_real
 
 
 def _in_order_sum(total, terms):
@@ -64,23 +80,19 @@ def _in_order_sum(total, terms):
 
 
 def residual_gradient(A, B, Y):
-    """Each pair's ||A - B Y Y^T B^T||_F^2 and gradient term, as (g,) and g x n x k.
+    """Each pair's ||R||_F^2 and gradient term, as (g,) and g x n x k.
 
-    The gradient term of a pair is 2 B^T (2 B Y Y^T B^T - A - A^T) B Y.
-    W = B Y and W W^T are formed once and shared by both quantities.
+    Both are read from R = A - W W^T, W = B Y, formed once: the gradient term
+    -2 B^T (R + R^T) W equals the expanded 2 B^T (2 W W^T - A - A^T) W.
     """
     W = B @ Y
-    G = W @ W.swapaxes(-1, -2)
-    R = A - G
+    R = A - W @ W.swapaxes(-1, -2)
     r2 = (R * R).sum(axis=(1, 2))
-    del R  # free the residuals before the gradient terms are formed
-    # G becomes 2 G - A - A^T in place: the same arithmetic, without another
-    # stack-sized temporary
-    G *= 2.0
-    G -= A
-    G -= A.swapaxes(-1, -2)
-    terms = B.swapaxes(-1, -2) @ (G @ W)
-    terms *= 2.0
+    # R + R^T without a ufunc buffer, which would be a third stack-sized array
+    S = R.swapaxes(-1, -2).copy()
+    S += R
+    terms = B.swapaxes(-1, -2) @ (S @ W)
+    terms *= -2.0
     return r2, terms
 
 
@@ -108,9 +120,9 @@ def quartic_terms(A, B, Y, D):
 
 
 def evaluate(stacks, Y):
-    """(Sum r_i^2, Sum r_i, gradient), r_i the residual norm of pair i."""
+    """(Sum r_i^2, Sum r_i, gradient), all read from R_i; r_i = ||R_i||_F."""
     grad = np.zeros(Y.shape)
-    r2 = [np.zeros(1)]  # a leading zero, so no pairs sum to 0.0
+    r2 = []
     for A, B in stacks:
         r2_stack, terms = residual_gradient(A, B, Y)
         r2.append(r2_stack)

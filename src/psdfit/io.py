@@ -16,10 +16,11 @@ X.  Every format is read through one block reader and written through one
 row formatter and one line writer.
 
 Readers accept only what the writers produce.  A malformed or non-finite
-number, a non-integer count or trace index, m, m_i or n < 1, a count of
-rows the file does not hold, a negative iteration count or an unknown
-termination reason is a ParseError naming its line (and, for a bad token,
-its column).  The same seed always regenerates the same instance.
+number, a non-integer count or trace index, a trace index out of sequence,
+m, m_i or n < 1, a count of rows the file does not hold, a negative
+iteration count or an unknown termination reason is a ParseError naming its
+line (and, for a bad token, its column).  The same seed always regenerates
+the same instance.
 """
 
 import math
@@ -223,17 +224,26 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
-    """Read a trace CSV: integer iteration indices, finite values."""
+    """Read a trace CSV: iteration indices 0, 1, 2, ... in order, finite values."""
     reader = _TokenLines(path, sep=",")
     if not reader.rows or reader.rows[0][1] != TRACE_HEADER.split(","):
         raise ParseError("missing trace header", line=1)
     reader.at = 1
     data = _read_block(reader, len(reader.rows) - 1, 6, "trace")
     _finite(data, reader, 1, "trace")
-    return [
-        IterationRecord(_numbers(lineno, toks[:1], "trace iteration", int)[0], *values)
-        for (lineno, toks), (_, *values) in zip(reader.rows[1:], data.tolist())
-    ]
+    records = []
+    for expected, ((lineno, toks), (_, *values)) in enumerate(
+        zip(reader.rows[1:], data.tolist())
+    ):
+        (index,) = _numbers(lineno, toks[:1], "trace iteration", int)
+        if index != expected:
+            raise ParseError(
+                f"trace iteration {index} out of sequence, expected {expected}",
+                line=lineno,
+                column=1,
+            )
+        records.append(IterationRecord(index, *values))
+    return records
 
 
 def summary_lines(result: SolverResult):

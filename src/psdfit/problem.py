@@ -33,7 +33,9 @@ GradientMatrix = NDArray[np.float64]
 
 @dataclass
 class Violation:
-    code: str  # "empty-instance" | "non-finite" | "dimension-mismatch" | "rank-out-of-range"
+    # "empty-instance" | "not-real" | "non-finite" | "dimension-mismatch"
+    # | "rank-out-of-range"
+    code: str
     pair: int | None
     message: str
 
@@ -57,9 +59,9 @@ class ProblemInstance:
     Construction groups the pairs into stacks (`_kernels.stack_pairs`), and
     `pairs` then holds views into them.  It raises `ValidationError` unless
     there is a pair, n and k are integers with 1 <= k <= n, and each A_i is
-    m_i x m_i with m_i >= 1 and each B_i is m_i x n, both finite.  The pair
-    arrays are treated as read-only once built: the kernels read the stacks
-    behind them, and Sum ||A_i||_F comes from the walk that checks
+    m_i x m_i with m_i >= 1 and each B_i is m_i x n, both real and finite.
+    The pair arrays are treated as read-only once built: the kernels read the
+    stacks behind them, and Sum ||A_i||_F comes from the walk that checks
     finiteness.
     """
 
@@ -74,12 +76,13 @@ class ProblemInstance:
         n, k = self.n, self.k
         # a non-integer n or k is a violation below, so it does not size the stacks
         integral = isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)
-        stacks, views = _kernels.stack_pairs(self.pairs, n * k if integral else 0)
+        entries = n * k if integral else 0
+        stacks, views, not_real = _kernels.stack_pairs(self.pairs, entries)
         norm_sum, non_finite = _kernels.measure(stacks)
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "pairs", views)
         object.__setattr__(self, "_norm_sum", norm_sum)
-        violations = _violations(self, non_finite)
+        violations = _violations(self, not_real, non_finite)
         if violations:
             raise ValidationError(violations)
 
@@ -88,8 +91,12 @@ class ProblemInstance:
         return len(self.pairs)
 
 
-def _violations(instance: ProblemInstance, non_finite) -> list[Violation]:
-    """Every invariant violated, in pair order; non_finite is `_kernels.measure`'s."""
+def _violations(instance: ProblemInstance, not_real, non_finite) -> list[Violation]:
+    """Every invariant violated, in pair order.
+
+    not_real and non_finite name each pair's bad matrices, as
+    `_kernels.stack_pairs` and `_kernels.measure` report them.
+    """
     violations = []
     n, k = instance.n, instance.k
 
@@ -102,8 +109,10 @@ def _violations(instance: ProblemInstance, non_finite) -> list[Violation]:
         bad("empty-instance", None, "instance has no (A, B) pairs")
     if not isinstance(n, numbers.Integral):
         bad("dimension-mismatch", None, f"column dimension n={n!r} is not an integer")
-    for i, ((A, B), names) in enumerate(zip(instance.pairs, non_finite)):
-        for name in names:
+    for i, (A, B) in enumerate(instance.pairs):
+        for name in not_real[i]:
+            bad("not-real", i, f"{name} has entries that are not real numbers")
+        for name in non_finite[i]:
             bad("non-finite", i, f"{name} has non-finite entries")
         square = A.ndim == 2 and A.shape[0] == A.shape[1]
         if not square:
@@ -155,9 +164,9 @@ def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
 
     Equals sum_i (4 B_i^T B_i Y Y^T B_i^T B_i Y - 2 B_i^T A_i B_i Y
     - 2 B_i^T A_i^T B_i Y); the A_i and A_i^T terms stay distinct because
-    A_i need not be symmetric.  Computed in the factored form
-    2 B_i^T (2 B_i Y Y^T B_i^T - A_i - A_i^T) B_i Y, which the tests pin
-    against the expanded form.
+    A_i need not be symmetric.  Computed from each pair's residual
+    R_i = A_i - B_i Y Y^T B_i^T, which the objective reads too, as
+    -2 B_i^T (R_i + R_i^T) B_i Y; the tests pin it against the expanded form.
     """
     return _evaluate(instance, _as_factor(instance, Y))[2]
 

@@ -153,7 +153,8 @@ def solve(
     iteration limit is reached, or the line search hits a degenerate
     direction; a non-finite objective, gradient or step polynomial raises
     NumericalError naming the iteration.  When Y0 is None the start point is
-    drawn uniformly from [0, 1) using the given seed.  The optional callback
+    drawn uniformly from [0, 1) using the given seed; a Y0 of the wrong
+    shape or with a NaN or infinity is a ValueError.  The optional callback
     is invoked after each iteration as callback(record, Y, grad, direction).
 
     Each recorded f is a fresh evaluation, so the trace's f values are
@@ -168,6 +169,8 @@ def solve(
     if Y0 is None:
         Y0 = np.random.default_rng(seed).random((instance.n, instance.k))
     Y = _as_factor(instance, Y0, name="Y0")
+    if not np.isfinite(Y).all():
+        raise ValueError("Y0 has non-finite entries")
 
     f, residual, grad, gg = _evaluate(instance, Y)
     record = IterationRecord(

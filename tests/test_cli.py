@@ -5,6 +5,7 @@ import pytest
 
 import psdfit.cli
 import psdfit.imagedemo
+import psdfit.linesearch
 import psdfit.solver
 from psdfit import ProblemInstance, SolverConfig, TerminationReason
 from psdfit.cli import _build_parser, main
@@ -69,6 +70,19 @@ def test_solve_rank_override(tmp_path, problem_file, capsys):
 def test_solve_non_convergence_exits_1(problem_file, capsys):
     assert run("solve", problem_file, "--max-iter", 1) == 1
     assert "termination max-iterations" in capsys.readouterr().out
+
+
+def test_solve_degenerate_direction_exits_1(tmp_path, monkeypatch, capsys):
+    def degenerate(*args):
+        raise psdfit.linesearch.DegenerateDirectionError("degenerate")
+
+    monkeypatch.setattr(psdfit.linesearch, "exact_step", degenerate)
+    prob = tmp_path / "golden.prob"
+    out = tmp_path / "solution.txt"
+    write_problem(prob, golden.instance(2))
+    assert run("solve", prob, "--out", out) == 1
+    assert "termination degenerate-direction" in capsys.readouterr().out
+    assert read_solution(out).termination == "degenerate-direction"
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

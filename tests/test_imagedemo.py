@@ -5,6 +5,7 @@ from psdfit import SolverConfig, ValidationError, objective, solve
 from psdfit.imagedemo import (
     MAX_SIDE,
     ImageFormatError,
+    _rescale_to_gray,
     image_demo,
     image_to_truth,
     make_test_image,
@@ -69,6 +70,31 @@ def test_pgm_rejects_truncated_header(tmp_path):
     path.write_bytes(b"P5\n4")
     with pytest.raises(ImageFormatError, match="truncated header"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        (b"P5\n4 x\n255\n", "non-numeric header field"),
+        (b"P5\n0 4\n255\n", "bad image dimensions"),
+        (b"P5\n4 -1\n255\n", "bad image dimensions"),
+    ],
+)
+def test_pgm_rejects_bad_header_fields(tmp_path, header, match):
+    path = tmp_path / "hdr.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(ImageFormatError, match=match):
+        read_pgm(path)
+
+
+def test_pgm_write_rejects_a_non_matrix(tmp_path):
+    with pytest.raises(ImageFormatError, match="image must be 2-D"):
+        write_pgm(tmp_path / "flat.pgm", np.arange(4.0))
+
+
+def test_rescale_of_a_constant_matrix_is_black():
+    gray = _rescale_to_gray(np.full((3, 3), 0.7))
+    assert gray.shape == (3, 3) and not gray.any()
 
 
 def test_pgm_write_clips_and_rounds(tmp_path):

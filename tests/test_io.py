@@ -121,6 +121,14 @@ def test_problem_bad_header(tmp_path):
         read_problem(path)
 
 
+def test_problem_pair_size_below_one(tmp_path):
+    path = tmp_path / "size.prob"
+    path.write_text("1 2 1\n0\n")
+    with pytest.raises(ParseError, match="pair 0 size must be positive") as err:
+        read_problem(path)
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("header", ["1 -2 1", "1 0 1"])
 def test_problem_header_n_below_one(tmp_path, header):
     path = tmp_path / "hdr.prob"
@@ -253,8 +261,13 @@ def test_trace_wrong_column_count(tmp_path):
 
 @pytest.mark.parametrize(
     "row, match, column",
-    [("1.5,1,2,3,4,5", "integer", 1), ("1,1,2,3,4,nan", "non-finite", 6)],
-    ids=["fractional-index", "non-finite-value"],
+    [
+        ("1.5,1,2,3,4,5", "integer", 1),
+        ("1,1,2,3,4,nan", "non-finite", 6),
+        ("5,1,2,3,4,5", "iteration 5 out of sequence, expected 1", 1),
+        ("-3,1,2,3,4,5", "iteration -3 out of sequence, expected 1", 1),
+    ],
+    ids=["fractional-index", "non-finite-value", "index-skips", "index-negative"],
 )
 def test_trace_reader_rules(tmp_path, row, match, column):
     path = tmp_path / "bad.csv"

@@ -14,9 +14,8 @@ from psdfit.solver import SolverConfig, solve
 def reference_pair(A, B, Y):
     """One pair's r^2 and gradient term, in the 2-D form of a per-pair loop."""
     W = B @ Y
-    G = W @ W.T
-    R = A - G
-    return float(np.sum(R * R)), 2.0 * (B.T @ ((2.0 * G - A - A.T) @ W))
+    R = A - W @ W.T
+    return float(np.sum(R * R)), -2.0 * (B.T @ ((R + R.T) @ W))
 
 
 def reference_quartic_terms(A, B, Y, D):
@@ -107,6 +106,23 @@ def test_quartic_terms_form_no_pair_sized_matrix():
     finally:
         tracemalloc.stop()
     assert peak < mi * mi * 8
+
+
+def test_evaluation_keeps_two_pair_sized_matrices():
+    # the residual is formed once and gives f, Sum r_i and the gradient term;
+    # R and R + R^T are the only m_i x m_i arrays alive together
+    mi, n, k = 400, 8, 2
+    rng = np.random.default_rng(9)
+    pair = (rng.random((mi, mi)), rng.random((mi, n)))
+    inst = ProblemInstance(pairs=(pair,), n=n, k=k)
+    Y = rng.standard_normal((n, k))
+    tracemalloc.start()
+    try:
+        _kernels.evaluate(inst._stacks, Y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * mi * mi * 8
 
 
 @pytest.mark.parametrize(

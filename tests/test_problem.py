@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,26 @@ def test_validate_rejects_non_finite_entries():
     assert "A" in found[0][2]
 
 
+def test_validate_rejects_data_that_is_not_real():
+    # a cast would drop the imaginary part, or fail naming no pair; both are
+    # reported with the instance's other violations, and nothing is warned
+    complex_A = np.eye(2) * (1.0 + 2.0j)
+    text_B = np.array([["1", "0"], ["0", "x"]])
+    pairs = ((complex_A, np.eye(2)), (np.eye(2), text_B), (np.eye(3), np.eye(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = violations(pairs, n=2, k=1)
+    assert found == [
+        ("not-real", 0, "pair 0: A has entries that are not real numbers"),
+        ("not-real", 1, "pair 1: B has entries that are not real numbers"),
+        ("dimension-mismatch", 2, "pair 2: B has 2 rows, expected 3 to match A"),
+    ]
+    # integer and boolean data are real numbers
+    pairs = ((np.eye(2, dtype=int), np.eye(2, dtype=bool)),)
+    inst = ProblemInstance(pairs=pairs, n=2, k=1)
+    assert inst.pairs[0][1].dtype == np.float64
+
+
 def test_invalid_instances_never_reach_evaluation():
     # built, these would give objective nan, a matmul error naming no pair,
     # a 2 x 3 gradient for n = 2, and f = 0 for no pairs
@@ -117,6 +140,8 @@ def test_invalid_instances_never_reach_evaluation():
         (((np.eye(2), nan_B),), 2, 1, "non-finite", "pair 0: B has non-finite entries"),
         (((np.eye(2), np.ones((2, 3))),), 2, 1, "dimension-mismatch",
          "pair 0: B has 3 columns, expected n=2"),
+        (((np.eye(2), np.ones(2)),), 2, 1, "dimension-mismatch",
+         "pair 0: B must be a matrix, got ndim 1"),
         (((np.eye(2), np.eye(2)),), 2, 3, "rank-out-of-range",
          "rank bound k=3 outside [1, n]=2"),
         ((), 2, 1, "empty-instance", "instance has no (A, B) pairs"),
@@ -172,6 +197,21 @@ def test_objective_golden_start_matches_reference():
     inst = golden.instance(2)
     f = objective(inst, golden.Y0_RANK2)
     assert f == pytest.approx(reference_objective(inst, golden.Y0_RANK2), rel=1e-13)
+
+
+@pytest.mark.parametrize("k, Y", [(2, golden.Y0_RANK2), (3, golden.Y0_RANK3)])
+def test_objective_and_residual_are_bitwise_a_per_pair_residual(k, Y):
+    inst = golden.instance(k)
+    f = num = denom = 0.0
+    for A, B in inst.pairs:
+        W = B @ Y
+        R = A - W @ W.T
+        r2 = float(np.sum(R * R))
+        f += r2
+        num += math.sqrt(r2)
+        denom += float(np.linalg.norm(A, "fro"))
+    assert objective(inst, Y) == f
+    assert residual_error(inst, Y) == num / denom
 
 
 def test_objective_rejects_bad_shape():

@@ -23,6 +23,8 @@ from psdfit.linesearch import (
     NonDescentDirectionError,
     exact_step,
 )
+from psdfit import linesearch, solver
+from psdfit.io import read_solution, write_solution
 from psdfit.solver import multistart_solve, step
 
 import golden
@@ -112,6 +114,23 @@ def test_step_force_restart_resets_direction():
     Y1, g1, gg1, D1, record = step(inst, Y, f, g, (g * g).sum(), -g, force_restart=True)
     assert record.beta == 0.0
     assert np.array_equal(D1, -g1)
+
+
+def test_step_raises_when_the_negative_gradient_is_no_descent(monkeypatch):
+    # there is no retry when D already is -grad
+    calls = []
+
+    def no_descent(*args):
+        calls.append(args)
+        raise NonDescentDirectionError("no descent")
+
+    monkeypatch.setattr(linesearch, "exact_step", no_descent)
+    inst = golden.instance(2)
+    Y = golden.Y0_RANK2
+    g = gradient(inst, Y)
+    with pytest.raises(NonDescentDirectionError):
+        step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
+    assert len(calls) == 1
 
 
 def test_step_retries_a_non_descent_direction_along_the_negative_gradient():
@@ -227,6 +246,42 @@ def test_solve_identity_maps_single_pair():
     )
     assert result.converged
     assert np.max(np.abs(result.X_final - Z @ Z.T)) < 1e-6
+
+
+def fail_line_search_after(monkeypatch, searches):
+    """Make every line search after the first `searches` degenerate."""
+    exact_step_ = linesearch.exact_step
+    calls = []
+
+    def degenerate(*args):
+        calls.append(args)
+        if len(calls) > searches:
+            raise DegenerateDirectionError("degenerate")
+        return exact_step_(*args)
+
+    monkeypatch.setattr(linesearch, "exact_step", degenerate)
+
+
+def test_solve_stops_at_a_degenerate_direction(tmp_path, monkeypatch):
+    fail_line_search_after(monkeypatch, 3)
+    result = solve(golden.instance(2), golden.Y0_RANK2)
+    assert result.termination_reason is TerminationReason.DEGENERATE_DIRECTION
+    assert not result.converged
+    # the three steps taken are kept, and the result is at the last of them
+    assert result.iterations == 3
+    assert [r.index for r in result.trace] == [0, 1, 2, 3]
+    assert result.trace[-1].f_value == objective(golden.instance(2), result.Y_final)
+    path = tmp_path / "sol.txt"
+    write_solution(path, result)
+    assert read_solution(path).termination == "degenerate-direction"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_solve_rejects_a_non_finite_start(bad):
+    Y0 = golden.Y0_RANK2.copy()
+    Y0[2, 1] = bad
+    with pytest.raises(ValueError, match="Y0 has non-finite entries"):
+        solve(golden.instance(2), Y0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -354,6 +409,33 @@ def test_solver_config_validation():
 def test_multistart_rejects_non_integer_start_count():
     with pytest.raises(ValueError, match="num_starts"):
         multistart_solve(golden.instance(2), num_starts=2.5)
+
+
+def test_multistart_skips_a_failing_start(monkeypatch):
+    solve_ = solver.solve
+    starts = []
+
+    def second_start_fails(instance, Y0, config):
+        starts.append(Y0)
+        if len(starts) == 2:
+            raise NumericalError("non-finite objective or gradient at iteration 0")
+        return solve_(instance, Y0, config)
+
+    monkeypatch.setattr(solver, "solve", second_start_fails)
+    cfg = SolverConfig(max_iterations=30)
+    result = multistart_solve(golden.instance(2), cfg, num_starts=3, seed=4)
+    assert result.failures == [(1, "non-finite objective or gradient at iteration 0")]
+    assert math.isnan(result.final_objectives[1])
+    assert result.best_start in (0, 2)
+    assert result.best.trace[-1].f_value == min(result.final_objectives[::2])
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_multistart_raises_when_every_start_fails():
+    huge = np.full((2, 2), 1e200)
+    inst = ProblemInstance(pairs=((huge, np.eye(2)),), n=2, k=1)
+    with pytest.raises(NumericalError, match="every start failed"):
+        multistart_solve(inst, num_starts=3)
 
 
 def test_solver_result_termination_values():
