@@ -18,9 +18,9 @@ row formatter and one line writer.
 Readers accept only what the writers produce.  A malformed or non-finite
 number, a non-integer count or trace index, a trace index out of sequence,
 m, m_i or n < 1, a count of rows the file does not hold, a negative
-iteration count or an unknown termination reason is a ParseError naming its
-line (and, for a bad token, its column).  The same seed always regenerates
-the same instance.
+iteration count, an unknown termination reason or a byte that is not ASCII
+is a ParseError naming its line (and, for a bad token, its column).  The
+same seed always regenerates the same instance.
 """
 
 import math
@@ -52,15 +52,27 @@ def format_float(x: float) -> str:
 class _TokenLines:
     """A file's non-blank lines as (line number, tokens), consumed in order.
 
-    Tokens are split on whitespace, or on sep when one is given (CSV).
+    Tokens are split on whitespace, or on sep when one is given (CSV).  A
+    byte that is not ASCII is a ParseError at its line and token.
     """
 
     def __init__(self, path, sep=None):
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        # a non-ASCII byte reads as a lone surrogate, inside some token
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            text = fh.read()
+        lines = text.splitlines()
         self.rows = [
             (i + 1, raw.split(sep)) for i, raw in enumerate(lines) if raw.strip()
         ]
+        if not text.isascii():
+            lineno, j, tok = next(
+                (lineno, j, tok)
+                for lineno, toks in self.rows
+                for j, tok in enumerate(toks, start=1)
+                if not tok.isascii()
+            )
+            bad = tok.encode("ascii", "surrogateescape")
+            raise ParseError(f"non-ASCII byte in {bad!r}", line=lineno, column=j)
         self.unit = "values" if sep is None else "columns"
         self.at = 0
 

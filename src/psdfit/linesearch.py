@@ -16,11 +16,7 @@ from .problem import FactorMatrix, NumericalError, ProblemInstance, _as_factor
 
 
 class DegenerateDirectionError(ValueError):
-    """The quartic term vanishes (B_i D = 0 for every i); no step exists."""
-
-
-class NonDescentDirectionError(ValueError):
-    """No positive critical point improves on the zero step."""
+    """The line search has no step along D (see `minimize_quartic`)."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class QuarticPolynomial:
 class StepResult:
     t_star: float
     phi_at_t: float
-    critical_points: tuple
 
 
 def quartic_coeffs(
@@ -100,9 +95,9 @@ def cubic_real_roots(c3, c2, c1, c0):
     coefficient is not finite, when c3 is zero, and when the monic or
     depressed form overflows: c2/c3, c1/c3, c0/c3 or the discriminant of
     the depressed cubic built from them is not finite.  `minimize_quartic`
-    only passes c3 = 4 a4 with a4 above its degeneracy threshold.  Roots are
-    computed by Cardano's method (trigonometric branch when all three roots
-    are real) and polished by Newton steps.
+    reads that ValueError as a direction with no step.  Roots are computed
+    by Cardano's method (trigonometric branch when all three roots are
+    real) and polished by Newton steps.
     """
     for c in (c3, c2, c1, c0):
         if not math.isfinite(c):
@@ -150,19 +145,19 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
     """The positive step minimizing phi, via the real roots of phi'.
 
     When a1 < 0 and a4 > 0 a positive minimizer always exists (phi'(0) < 0
-    and phi grows at infinity).  Ties between equal-value positive critical
-    points resolve to the smallest step.  A non-finite coefficient (the
-    kernels overflowed) raises NumericalError.
+    and phi grows at infinity).  DegenerateDirectionError is raised when
+    phi' is not a finite true cubic (`cubic_real_roots` refuses it) or no
+    positive critical point improves on the zero step.  Ties between
+    equal-value positive critical points resolve to the smallest step.  A
+    non-finite coefficient (the kernels overflowed) raises NumericalError.
     """
     coeffs = (p.a0, p.a1, p.a2, p.a3, p.a4)
     if not all(math.isfinite(a) for a in coeffs):
         raise NumericalError(f"non-finite step polynomial {coeffs}")
-    if p.a4 <= 1e-14 * (1.0 + p.a0):
-        raise DegenerateDirectionError(
-            f"quartic coefficient {p.a4:g} is negligible; direction leaves the"
-            " objective constant to quartic order"
-        )
-    crit = cubic_real_roots(*p.derivative_coeffs())
+    try:
+        crit = cubic_real_roots(*p.derivative_coeffs())
+    except ValueError as exc:
+        raise DegenerateDirectionError(f"no step along the direction: {exc}") from None
     best_t = None
     best_v = math.inf
     for t in crit:  # ascending, so strict improvement keeps the smallest tie
@@ -172,11 +167,11 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
                 best_t = t
                 best_v = v
     if best_t is None or (p.a1 >= 0.0 and best_v >= p.a0):
-        raise NonDescentDirectionError(
+        raise DegenerateDirectionError(
             "no positive critical point improves on the zero step"
             f" (a1={p.a1:g})"
         )
-    return StepResult(t_star=best_t, phi_at_t=best_v, critical_points=tuple(crit))
+    return StepResult(t_star=best_t, phi_at_t=best_v)
 
 
 def exact_step(instance: ProblemInstance, Y: FactorMatrix, D, f, grad) -> StepResult:
@@ -184,19 +179,14 @@ def exact_step(instance: ProblemInstance, Y: FactorMatrix, D, f, grad) -> StepRe
 
     f and grad are the objective and its gradient at Y.  The polynomial is
     set up for the unit-norm direction D/||D||_F and the minimizing step is
-    mapped back afterwards.  The coefficients scale as powers of ||D||, so
-    without the normalization the quartic term of a small late-iteration
-    direction would drop below the degeneracy threshold even though the
-    direction itself is perfectly usable; after it, the threshold tests
-    the direction, not its length.
+    mapped back afterwards.  The coefficient of t^j scales as ||D||^j, so
+    the normalization makes "the monic form of phi' is finite" a property
+    of the direction, not of its length.  A zero or non-finite D raises
+    DegenerateDirectionError.
     """
     D = _as_factor(instance, D, name="D")
     nrm = float(np.linalg.norm(D))
     if nrm == 0.0 or not math.isfinite(nrm):
         raise DegenerateDirectionError("zero or non-finite direction")
     found = minimize_quartic(quartic_coeffs(instance, Y, D / nrm, f, grad))
-    return StepResult(
-        t_star=found.t_star / nrm,
-        phi_at_t=found.phi_at_t,
-        critical_points=tuple(t / nrm for t in found.critical_points),
-    )
+    return StepResult(t_star=found.t_star / nrm, phi_at_t=found.phi_at_t)

@@ -60,7 +60,7 @@ class OracleReport:
         )
 
 
-def compare(quantity, primary, oracle, tolerance, metric="rel") -> OracleReport:
+def compare(quantity, primary, oracle, tolerance) -> OracleReport:
     """Build an OracleReport from primary vs oracle values.
 
     Relative discrepancies divide by max(1, |primary|, |oracle|) entrywise,
@@ -73,7 +73,6 @@ def compare(quantity, primary, oracle, tolerance, metric="rel") -> OracleReport:
     max_abs = float(diff.max())
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     max_rel = float((diff / scale).max())
-    value = max_rel if metric == "rel" else max_abs
     return OracleReport(
         quantity=quantity,
         primary=primary,
@@ -81,7 +80,7 @@ def compare(quantity, primary, oracle, tolerance, metric="rel") -> OracleReport:
         max_abs=max_abs,
         max_rel=max_rel,
         tolerance=tolerance,
-        passed=bool(value <= tolerance),
+        passed=bool(max_rel <= tolerance),
     )
 
 

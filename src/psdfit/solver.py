@@ -100,9 +100,9 @@ def step(
     f, grad and gg are f, its gradient and ||grad||_F^2 at Y, which the line
     search also uses.  Returns (Y_next, grad_next, gg_next, D_next, record),
     each at Y_next, to pass to the next step.  Rounding can spoil a mixed
-    direction's descent property after it passed the test, so when the line
-    search finds no descent along D the step is retried once along -grad;
-    NonDescentDirectionError propagates only when D already was -grad.  The
+    direction after it passed the descent test, so when the line search
+    finds no step along D the step is retried once along -grad;
+    DegenerateDirectionError propagates only when D already was -grad.  The
     Fletcher-Reeves ratio is beta = gg_next / gg.  The next direction resets
     to -grad_next, with beta recorded as 0, when force_restart is set or the
     Fletcher-Reeves direction fails the descent test <grad_next, D_next> < 0.
@@ -111,7 +111,7 @@ def step(
     """
     try:
         found = linesearch.exact_step(instance, Y, D, f, grad)
-    except linesearch.NonDescentDirectionError:
+    except linesearch.DegenerateDirectionError:
         if np.array_equal(D, -grad):
             raise
         D = -grad
@@ -150,12 +150,13 @@ def solve(
     """Minimize the objective from Y0, tracing every iteration.
 
     Stops when the gradient Frobenius norm drops below config.epsilon, the
-    iteration limit is reached, or the line search hits a degenerate
-    direction; a non-finite objective, gradient or step polynomial raises
-    NumericalError naming the iteration.  When Y0 is None the start point is
-    drawn uniformly from [0, 1) using the given seed; a Y0 of the wrong
-    shape or with a NaN or infinity is a ValueError.  The optional callback
-    is invoked after each iteration as callback(record, Y, grad, direction).
+    iteration limit is reached, or `step` finds no step even along -grad (a
+    degenerate direction); a non-finite objective, gradient or step
+    polynomial raises NumericalError naming the iteration.  When Y0 is None
+    the start point is drawn uniformly from [0, 1) using the given seed; a
+    Y0 of the wrong shape or with a NaN or infinity is a ValueError.  The
+    optional callback is invoked after each iteration as
+    callback(record, Y, grad, direction).
 
     Each recorded f is a fresh evaluation, so the trace's f values are
     nonincreasing only up to rounding: where the true decrease is below f's
@@ -202,10 +203,7 @@ def solve(
                 instance, Y, record.f_value, grad, gg, D,
                 index=k + 1, force_restart=force,
             )
-        except (
-            linesearch.DegenerateDirectionError,
-            linesearch.NonDescentDirectionError,
-        ):
+        except linesearch.DegenerateDirectionError:
             reason = TerminationReason.DEGENERATE_DIRECTION
             break
         except NumericalError as exc:

@@ -367,6 +367,28 @@ def test_solution_reader_rules(tmp_path, field, match, line):
 
 
 # ---------------------------------------------------------------------------
+# bytes that are not ASCII, in every format
+
+
+@pytest.mark.parametrize(
+    "reader, data, line, column",
+    [
+        (read_problem, b"1 2 1\n1\n1\n1\xc3\xa9 0\n", 4, 1),
+        (read_matrix, b"1\xff 0\n", 1, 1),
+        (read_trace, TRACE_HEADER.encode() + b"\n0,1,2,3,0,0\n1,1,2,3,4\xb5,5\n", 3, 5),
+        (read_solution, solution_text().encode()[:-2] + b"\xe91\n", 8, 1),
+    ],
+    ids=["problem", "matrix", "trace", "solution"],
+)
+def test_non_ascii_byte_is_a_parse_error(tmp_path, reader, data, line, column):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="non-ASCII byte") as err:
+        reader(path)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+# ---------------------------------------------------------------------------
 # generate_instance
 
 

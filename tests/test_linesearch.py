@@ -4,7 +4,6 @@ import pytest
 from psdfit import ProblemInstance, gradient, objective
 from psdfit.linesearch import (
     DegenerateDirectionError,
-    NonDescentDirectionError,
     QuarticPolynomial,
     cubic_real_roots,
     exact_step,
@@ -192,20 +191,38 @@ def test_minimize_perfect_well():
 
 def test_minimize_even_quartic():
     # phi(t) = t^4 - 2 t^2 + 5: critical points -1, 0, 1
-    step = minimize_quartic(QuarticPolynomial(a0=5.0, a1=0.0, a2=-2.0, a3=0.0, a4=1.0))
-    assert np.allclose(step.critical_points, [-1.0, 0.0, 1.0], atol=1e-12)
+    p = QuarticPolynomial(a0=5.0, a1=0.0, a2=-2.0, a3=0.0, a4=1.0)
+    step = minimize_quartic(p)
+    roots = cubic_real_roots(*p.derivative_coeffs())
+    assert np.allclose(roots, [-1.0, 0.0, 1.0], atol=1e-12)
     assert step.t_star == pytest.approx(1.0)
     assert step.phi_at_t == pytest.approx(4.0)
 
 
 def test_minimize_degenerate_quartic_raises():
+    # a4 = 0: phi' is not a true cubic
     with pytest.raises(DegenerateDirectionError):
-        minimize_quartic(QuarticPolynomial(a0=2.0, a1=-1.0, a2=0.5, a3=0.0, a4=1e-17))
+        minimize_quartic(QuarticPolynomial(a0=2.0, a1=-1.0, a2=0.5, a3=0.0, a4=0.0))
+
+
+def test_minimize_overflowing_monic_form_raises():
+    # c1 / c3 = 2e300 / 4e-13 overflows
+    with pytest.raises(DegenerateDirectionError):
+        minimize_quartic(QuarticPolynomial(a0=0.0, a1=-1.0, a2=1e300, a3=0.0, a4=1e-13))
+
+
+def test_minimize_small_quartic_term_still_steps():
+    # a4 is tiny next to a0, yet phi' is a finite true cubic: the step is the
+    # near-quadratic minimum t = 1, not a refusal
+    p = QuarticPolynomial(a0=2.0, a1=-1.0, a2=0.5, a3=0.0, a4=1e-17)
+    step = minimize_quartic(p)
+    assert step.t_star == pytest.approx(1.0, rel=1e-12)
+    assert step.phi_at_t == pytest.approx(1.5, rel=1e-15)
 
 
 def test_minimize_non_descent_raises():
     # phi(t) = t^4 + t^2 + t + 1 is strictly increasing for t > 0
-    with pytest.raises(NonDescentDirectionError):
+    with pytest.raises(DegenerateDirectionError):
         minimize_quartic(QuarticPolynomial(a0=1.0, a1=1.0, a2=1.0, a3=0.0, a4=1.0))
 
 
@@ -213,7 +230,8 @@ def test_minimize_tie_breaks_to_smallest_step():
     # phi(t) = (t-1)^2 (t-3)^2: equal minima at t = 1 and t = 3
     p = QuarticPolynomial(a0=9.0, a1=-24.0, a2=22.0, a3=-8.0, a4=1.0)
     step = minimize_quartic(p)
-    assert np.allclose(step.critical_points, [1.0, 2.0, 3.0], atol=1e-9)
+    roots = cubic_real_roots(*p.derivative_coeffs())
+    assert np.allclose(roots, [1.0, 2.0, 3.0], atol=1e-9)
     assert step.t_star == pytest.approx(1.0)
     assert step.phi_at_t == pytest.approx(0.0, abs=1e-12)
 
@@ -221,7 +239,7 @@ def test_minimize_tie_breaks_to_smallest_step():
 def test_minimize_zero_slope_no_improvement_raises():
     # phi(t) = t^2 (t-2)^2: phi(2) = phi(0), flat slope at zero -- stepping
     # cannot improve, so the direction is rejected as non-descent
-    with pytest.raises(NonDescentDirectionError):
+    with pytest.raises(DegenerateDirectionError):
         minimize_quartic(QuarticPolynomial(a0=0.0, a1=0.0, a2=4.0, a3=-4.0, a4=1.0))
 
 

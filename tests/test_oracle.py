@@ -61,13 +61,6 @@ def test_compare_relative_scale_floor():
     assert r.max_abs == pytest.approx(1e-15)
 
 
-def test_compare_abs_metric():
-    r = compare("big", 1e6, 1e6 + 0.5, 1.0, metric="abs")
-    assert r.passed
-    r2 = compare("big", 1e6, 1e6 + 2.0, 1.0, metric="abs")
-    assert not r2.passed
-
-
 # ---------------------------------------------------------------------------
 # fd_gradient
 

@@ -18,11 +18,7 @@ from psdfit import (
     residual_error,
     solve,
 )
-from psdfit.linesearch import (
-    DegenerateDirectionError,
-    NonDescentDirectionError,
-    exact_step,
-)
+from psdfit.linesearch import DegenerateDirectionError, exact_step
 from psdfit import linesearch, solver
 from psdfit.io import read_solution, write_solution
 from psdfit.solver import multistart_solve, step
@@ -122,22 +118,33 @@ def test_step_raises_when_the_negative_gradient_is_no_descent(monkeypatch):
 
     def no_descent(*args):
         calls.append(args)
-        raise NonDescentDirectionError("no descent")
+        raise DegenerateDirectionError("no descent")
 
     monkeypatch.setattr(linesearch, "exact_step", no_descent)
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
-    with pytest.raises(NonDescentDirectionError):
+    with pytest.raises(DegenerateDirectionError):
         step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
     assert len(calls) == 1
+
+
+def test_step_retries_a_zero_direction_along_the_negative_gradient():
+    # any failed search along a mixed D is retried, not only a non-descent one
+    inst = golden.instance(2)
+    Y = golden.Y0_RANK2
+    g = gradient(inst, Y)
+    f, gg = objective(inst, Y), (g * g).sum()
+    _, _, _, _, record = step(inst, Y, f, g, gg, np.zeros_like(g))
+    _, _, _, _, expected = step(inst, Y, f, g, gg, -g)
+    assert record == expected
 
 
 def test_step_retries_a_non_descent_direction_along_the_negative_gradient():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     g = gradient(inst, Y)
-    with pytest.raises(NonDescentDirectionError):
+    with pytest.raises(DegenerateDirectionError):
         exact_step(inst, Y, g, objective(inst, Y), g)
     f, gg = objective(inst, Y), (g * g).sum()
     Y1, g1, gg1, D1, record = step(inst, Y, f, g, gg, g)
