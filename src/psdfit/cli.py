@@ -8,10 +8,12 @@ Subcommands:
   demo-image  image-restoration demo on a binary PGM
 
 Exit codes: 0 success / checks passed, 1 verification, convergence or
-numerical failure, 2 usage or I/O errors.
+numerical failure, 2 usage or I/O errors.  Output paths are checked before
+the fit, so a file that could not be written costs no solve.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -20,7 +22,7 @@ from . import io as pio
 from .imagedemo import DEMO_MAX_ITERATIONS, DEMO_TOL, image_demo
 from .linesearch import quartic_coeffs
 from .oracle import compare, fd_gradient, interpolate_quartic
-from .problem import ProblemInstance, gradient, objective
+from .problem import ProblemInstance, evaluate, gradient
 from .solver import NumericalError, SolverConfig, solve
 
 
@@ -83,7 +85,16 @@ def _with_rank(instance: ProblemInstance, rank):
     return ProblemInstance(pairs=instance.pairs, n=instance.n, k=rank)
 
 
+def _check_output_dirs(*paths):
+    """Refuse, before the fit, an output path whose directory does not exist."""
+    for path in filter(None, paths):
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(f"{path}: directory {directory} does not exist")
+
+
 def _cmd_solve(args):
+    _check_output_dirs(args.trace, args.out)
     instance = _with_rank(pio.read_problem(args.problem), args.rank)
     Y0 = pio.read_matrix(args.init) if args.init is not None else None
     config = SolverConfig(epsilon=args.tol, max_iterations=args.max_iter)
@@ -115,7 +126,7 @@ def _cmd_linecheck(args):
     rng = np.random.default_rng(args.seed)
     Y = rng.random((instance.n, instance.k))
     D = 2.0 * rng.random((instance.n, instance.k)) - 1.0
-    poly = quartic_coeffs(instance, Y, D, objective(instance, Y), gradient(instance, Y))
+    poly = quartic_coeffs(instance, Y, D, evaluate(instance, Y))
     fitted = interpolate_quartic(instance, Y, D)
     report = compare(
         "quartic coefficients",

@@ -192,8 +192,11 @@ def image_demo(
     """Run the full restoration pipeline and write results to output_dir.
 
     Writes restored_X.txt (full precision), restored.pgm (rescaled view),
-    trace.csv, and report.txt; returns the in-memory report.
+    trace.csv, and report.txt; returns the in-memory report.  output_dir is
+    created first, so a path that cannot be a directory fails (OSError)
+    before the fit.
     """
+    os.makedirs(output_dir, exist_ok=True)
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)
     if k is None:
@@ -207,6 +210,7 @@ def image_demo(
 def summarize_restoration(
     X_true, instance: ProblemInstance, result: SolverResult, output_dir
 ) -> DemoReport:
+    """Compare the fit with X_true and write the demo's files into output_dir."""
     X_hat = result.X_final
     rel_err = np.linalg.norm(X_hat - X_true) / np.linalg.norm(X_true)
     residuals = []
@@ -215,7 +219,6 @@ def summarize_restoration(
         scale = np.linalg.norm(A)
         residuals.append(gap / scale if scale > 0 else gap)
 
-    os.makedirs(output_dir, exist_ok=True)
     files = {
         "restored_X": os.path.join(output_dir, "restored_X.txt"),
         "restored_image": os.path.join(output_dir, "restored.pgm"),

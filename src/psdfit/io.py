@@ -236,10 +236,15 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
-    """Read a trace CSV: iteration indices 0, 1, 2, ... in order, finite values."""
+    """Read a trace CSV: iteration indices 0, 1, 2, ... in order, finite values.
+
+    Row 0, the start point, is always written, so a header alone is refused.
+    """
     reader = _TokenLines(path, sep=",")
     if not reader.rows or reader.rows[0][1] != TRACE_HEADER.split(","):
         raise ParseError("missing trace header", line=1)
+    if len(reader.rows) == 1:
+        raise ParseError("trace has no iteration rows", line=1)
     reader.at = 1
     data = _read_block(reader, len(reader.rows) - 1, 6, "trace")
     _finite(data, reader, 1, "trace")

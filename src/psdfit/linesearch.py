@@ -2,8 +2,8 @@
 
 The objective restricted to Y + t D is a quartic polynomial in t, so the
 exact minimizing step is found by solving the cubic derivative
-analytically.  Its a0 and a1 are f and <grad f, D> at Y, which the caller
-has evaluated; a2..a4 come in closed form from the pairs.
+analytically.  Its a0 and a1 are f and <grad f, D> from the caller's
+`Evaluation` at Y; a2..a4 come in closed form from the pairs.
 """
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .problem import FactorMatrix, NumericalError, ProblemInstance, _as_factor
+from .problem import Evaluation, FactorMatrix, NumericalError, ProblemInstance, _as_factor
 
 
 class DegenerateDirectionError(ValueError):
@@ -49,19 +49,19 @@ class StepResult:
 
 
 def quartic_coeffs(
-    instance: ProblemInstance, Y: FactorMatrix, D, f, grad
+    instance: ProblemInstance, Y: FactorMatrix, D, at: Evaluation
 ) -> QuarticPolynomial:
     """Coefficients of phi(t) = objective(Y + t D), exact for all t.
 
-    f and grad are the objective and its gradient at Y, from the evaluation
-    there: a0 = f and a1 = <grad, D>.  a2..a4 are the sums over pairs of
-    `_kernels.quartic_terms`, in k x k Gram matrices of B_i Y and B_i D.
+    at is `problem.evaluate(instance, Y)`: a0 = at.f and a1 = <at.grad, D>.
+    a2..a4 are the sums over pairs of `_kernels.quartic_terms`, in k x k
+    Gram matrices of B_i Y and B_i D.
     """
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
-    grad = _as_factor(instance, grad, name="grad")
+    grad = _as_factor(instance, at.grad, name="grad")
     a2, a3, a4 = _kernels.quartic_sums(instance._stacks, Y, D)
-    return QuarticPolynomial(float(f), float((grad * D).sum()), a2, a3, a4)
+    return QuarticPolynomial(float(at.f), float((grad * D).sum()), a2, a3, a4)
 
 
 def _cbrt(x):
@@ -174,19 +174,21 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
     return StepResult(t_star=best_t, phi_at_t=best_v)
 
 
-def exact_step(instance: ProblemInstance, Y: FactorMatrix, D, f, grad) -> StepResult:
+def exact_step(
+    instance: ProblemInstance, Y: FactorMatrix, D, at: Evaluation
+) -> StepResult:
     """Exact line search along D: the positive t minimizing objective(Y + tD).
 
-    f and grad are the objective and its gradient at Y.  The polynomial is
-    set up for the unit-norm direction D/||D||_F and the minimizing step is
-    mapped back afterwards.  The coefficient of t^j scales as ||D||^j, so
-    the normalization makes "the monic form of phi' is finite" a property
-    of the direction, not of its length.  A zero or non-finite D raises
-    DegenerateDirectionError.
+    at is the `Evaluation` at Y, which gives phi(0) and phi'(0).  The
+    polynomial is set up for the unit-norm direction D/||D||_F and the
+    minimizing step is mapped back afterwards.  The coefficient of t^j
+    scales as ||D||^j, so the normalization makes "the monic form of phi'
+    is finite" a property of the direction, not of its length.  A zero or
+    non-finite D raises DegenerateDirectionError.
     """
     D = _as_factor(instance, D, name="D")
     nrm = float(np.linalg.norm(D))
     if nrm == 0.0 or not math.isfinite(nrm):
         raise DegenerateDirectionError("zero or non-finite direction")
-    found = minimize_quartic(quartic_coeffs(instance, Y, D / nrm, f, grad))
+    found = minimize_quartic(quartic_coeffs(instance, Y, D / nrm, at))
     return StepResult(t_star=found.t_star / nrm, phi_at_t=found.phi_at_t)

@@ -5,8 +5,8 @@ side m_i and B_i of shape m_i x n, together with a rank bound k <= n.  The
 task is to pick a symmetric positive semidefinite X of rank at most k
 minimizing the sum of ||A_i - B_i X B_i^T||_F^2.  Writing X = Y Y^T with Y
 of shape n x k turns this into an unconstrained problem in Y; this module
-provides the objective, its analytic gradient, the relative residual
-progress metric, and the PSD assembly X = Y Y^T.
+provides `evaluate` (the objective, its analytic gradient and the relative
+residual progress metric, as one `Evaluation`) and the PSD assembly X = Y Y^T.
 
 An instance is valid by construction: building one raises `ValidationError`,
 listing every `Violation`, if it breaks an invariant; nothing else checks it.
@@ -143,20 +143,30 @@ def _as_factor(instance: ProblemInstance, Y, name="Y") -> FactorMatrix:
     return Y
 
 
-def _evaluate(instance: ProblemInstance, Y: FactorMatrix):
-    """(objective, relative residual, gradient, ||gradient||_F^2) at Y.
+@dataclass(frozen=True, slots=True, eq=False)
+class Evaluation:
+    """The objective, relative residual, gradient and ||grad||_F^2 at one Y."""
 
-    When every A_i is zero the residual has no denominator and the absolute
-    sum of residual norms is reported.
+    f: float
+    residual: float
+    grad: GradientMatrix
+    gg: float
+
+
+def evaluate(instance: ProblemInstance, Y: FactorMatrix) -> Evaluation:
+    """The objective, relative residual, gradient and ||gradient||_F^2 at Y.
+
+    Y must be n x k (ValueError).  When every A_i is zero the residual has
+    no denominator and the absolute sum of residual norms is reported.
     """
-    f, num, grad = _kernels.evaluate(instance._stacks, Y)
+    f, num, grad = _kernels.evaluate(instance._stacks, _as_factor(instance, Y))
     denom = instance._norm_sum
-    return f, (num / denom if denom else num), grad, float((grad * grad).sum())
+    return Evaluation(f, num / denom if denom else num, grad, float((grad * grad).sum()))
 
 
 def objective(instance: ProblemInstance, Y: FactorMatrix) -> float:
     """Sum over pairs of ||A_i - B_i Y Y^T B_i^T||_F^2 (nonnegative)."""
-    return _evaluate(instance, _as_factor(instance, Y))[0]
+    return evaluate(instance, Y).f
 
 
 def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
@@ -168,7 +178,7 @@ def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
     R_i = A_i - B_i Y Y^T B_i^T, which the objective reads too, as
     -2 B_i^T (R_i + R_i^T) B_i Y; the tests pin it against the expanded form.
     """
-    return _evaluate(instance, _as_factor(instance, Y))[2]
+    return evaluate(instance, Y).grad
 
 
 def residual_error(instance: ProblemInstance, Y: FactorMatrix) -> float:
@@ -178,7 +188,7 @@ def residual_error(instance: ProblemInstance, Y: FactorMatrix) -> float:
     before dividing.  When every A_i is zero the sum of residual norms is
     returned undivided.
     """
-    return _evaluate(instance, _as_factor(instance, Y))[1]
+    return evaluate(instance, Y).residual
 
 
 def assemble_X(Y: FactorMatrix) -> NDArray[np.float64]:

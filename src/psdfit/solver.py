@@ -20,13 +20,13 @@ import numpy as np
 
 from . import linesearch
 from .problem import (
+    Evaluation,
     FactorMatrix,
-    GradientMatrix,
     NumericalError,
     ProblemInstance,
     _as_factor,
-    _evaluate,
     assemble_X,
+    evaluate,
 )
 
 
@@ -84,59 +84,51 @@ class SolverResult:
     termination_reason: TerminationReason
 
 
+def _record(index: int, at: Evaluation, step: float, beta: float) -> IterationRecord:
+    return IterationRecord(index, at.f, math.sqrt(at.gg), at.residual, step, beta)
+
+
 def step(
     instance: ProblemInstance,
     Y: FactorMatrix,
-    f: float,
-    grad: GradientMatrix,
-    gg: float,
+    at: Evaluation,
     D,
     *,
     index: int = 1,
     force_restart: bool = False,
 ):
-    """One iteration: exact step along D, new gradient, next direction.
+    """One iteration: exact step along D, evaluation at Y_next, next direction.
 
-    f, grad and gg are f, its gradient and ||grad||_F^2 at Y, which the line
-    search also uses.  Returns (Y_next, grad_next, gg_next, D_next, record),
-    each at Y_next, to pass to the next step.  Rounding can spoil a mixed
-    direction after it passed the descent test, so when the line search
-    finds no step along D the step is retried once along -grad;
-    DegenerateDirectionError propagates only when D already was -grad.  The
-    Fletcher-Reeves ratio is beta = gg_next / gg.  The next direction resets
-    to -grad_next, with beta recorded as 0, when force_restart is set or the
-    Fletcher-Reeves direction fails the descent test <grad_next, D_next> < 0.
-    The gradient, its squared norm and the record's f and residual come from
-    one evaluation at Y_next.
+    at is the `Evaluation` at Y, which the line search also reads.  Returns
+    (Y_next, at_next, D_next, record), each at Y_next, to pass to the next
+    step.  Rounding can spoil a mixed direction after it passed the descent
+    test, so when the line search finds no step along D the step is retried
+    once along -at.grad; DegenerateDirectionError propagates only when D
+    already was -at.grad.  The Fletcher-Reeves ratio is
+    beta = at_next.gg / at.gg.  The next direction resets to -at_next.grad,
+    with beta recorded as 0, when force_restart is set or the
+    Fletcher-Reeves direction fails the descent test <at_next.grad, D_next> < 0.
     """
     try:
-        found = linesearch.exact_step(instance, Y, D, f, grad)
+        found = linesearch.exact_step(instance, Y, D, at)
     except linesearch.DegenerateDirectionError:
-        if np.array_equal(D, -grad):
+        if np.array_equal(D, -at.grad):
             raise
-        D = -grad
-        found = linesearch.exact_step(instance, Y, D, f, grad)
+        D = -at.grad
+        found = linesearch.exact_step(instance, Y, D, at)
     t = found.t_star
     Y_next = Y + t * D
-    f_next, residual, grad_next, gg_next = _evaluate(instance, Y_next)
+    at_next = evaluate(instance, Y_next)
     if force_restart:
         beta = 0.0
-        D_next = -grad_next
+        D_next = -at_next.grad
     else:
-        beta = gg_next / gg
-        D_next = -grad_next + beta * D
-        if (grad_next * D_next).sum() >= 0.0:
+        beta = at_next.gg / at.gg
+        D_next = -at_next.grad + beta * D
+        if (at_next.grad * D_next).sum() >= 0.0:
             beta = 0.0
-            D_next = -grad_next
-    record = IterationRecord(
-        index=index,
-        f_value=f_next,
-        grad_norm=math.sqrt(gg_next),
-        residual=residual,
-        step=t,
-        beta=beta,
-    )
-    return Y_next, grad_next, gg_next, D_next, record
+            D_next = -at_next.grad
+    return Y_next, at_next, D_next, _record(index, at_next, t, beta)
 
 
 def solve(
@@ -154,8 +146,12 @@ def solve(
     degenerate direction); a non-finite objective, gradient or step
     polynomial raises NumericalError naming the iteration.  When Y0 is None
     the start point is drawn uniformly from [0, 1) using the given seed; a
-    Y0 of the wrong shape or with a NaN or infinity is a ValueError.  The
-    optional callback is invoked after each iteration as
+    Y0 of the wrong shape, with a NaN or infinity, or of column rank below k
+    is a ValueError.  The gradient -2 sum_i B_i^T (R_i + R_i^T) B_i Y is a
+    matrix times Y, so every iterate would keep a rank-deficient Y0's right
+    null space and the fit its rank.  Each iterate's one `Evaluation` gives
+    its record, the stopping test, beta and the next line search's phi(0).
+    The optional callback is invoked after each iteration as
     callback(record, Y, grad, direction).
 
     Each recorded f is a fresh evaluation, so the trace's f values are
@@ -172,17 +168,13 @@ def solve(
     Y = _as_factor(instance, Y0, name="Y0")
     if not np.isfinite(Y).all():
         raise ValueError("Y0 has non-finite entries")
+    rank = np.linalg.matrix_rank(Y)
+    if rank < instance.k:
+        raise ValueError(f"Y0 has column rank {rank}, below k={instance.k}")
 
-    f, residual, grad, gg = _evaluate(instance, Y)
-    record = IterationRecord(
-        index=0,
-        f_value=f,
-        grad_norm=math.sqrt(gg),
-        residual=residual,
-        step=0.0,
-        beta=0.0,
-    )
-    D = -grad
+    at = evaluate(instance, Y)
+    record = _record(0, at, 0.0, 0.0)
+    D = -at.grad
     trace = []
     while True:
         k = record.index
@@ -190,7 +182,7 @@ def solve(
             raise NumericalError(f"non-finite objective or gradient at iteration {k}")
         trace.append(record)
         if k > 0 and callback is not None:
-            callback(record, Y, grad, D)
+            callback(record, Y, at.grad, D)
         if record.grad_norm < config.epsilon:
             reason = TerminationReason.GRADIENT_TOLERANCE
             break
@@ -199,10 +191,7 @@ def solve(
             break
         force = restart_period is not None and (k + 1) % restart_period == 0
         try:
-            Y, grad, gg, D, record = step(
-                instance, Y, record.f_value, grad, gg, D,
-                index=k + 1, force_restart=force,
-            )
+            Y, at, D, record = step(instance, Y, at, D, index=k + 1, force_restart=force)
         except linesearch.DegenerateDirectionError:
             reason = TerminationReason.DEGENERATE_DIRECTION
             break

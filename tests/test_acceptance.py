@@ -22,7 +22,6 @@ from psdfit import (
     SolverResult,
     generate_instance,
     gradient,
-    objective,
     read_problem,
     solve,
     write_problem,
@@ -30,6 +29,7 @@ from psdfit import (
 from psdfit.io import read_solution, write_solution, write_trace
 from psdfit.linesearch import exact_step, quartic_coeffs
 from psdfit.oracle import fd_gradient, interpolate_quartic, psd_truncation
+from psdfit.problem import evaluate
 from psdfit.solver import multistart_solve
 
 import golden
@@ -163,7 +163,7 @@ def test_criterion_4_line_search_coefficients(capsys):
         pts = np.random.default_rng(600 + s)
         Y = pts.standard_normal((n, k))
         D = pts.standard_normal((n, k))
-        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
+        p = quartic_coeffs(inst, Y, D, evaluate(inst, Y))
         q = interpolate_quartic(inst, Y, D)
         for a, b in zip((p.a0, p.a1, p.a2, p.a3, p.a4), (q.a0, q.a1, q.a2, q.a3, q.a4)):
             worst_coeff = max(worst_coeff, abs(a - b) / max(1.0, abs(a), abs(b)))
@@ -192,9 +192,9 @@ def test_criterion_5_exact_step_grid_optimality(capsys):
         D = pts.standard_normal((n, k))
         if float(np.sum(gradient(inst, Y) * D)) > 0.0:
             D = -D  # keep the sampled line, pointed downhill
-        f, g = objective(inst, Y), gradient(inst, Y)
-        found = exact_step(inst, Y, D, f, g)
-        p = quartic_coeffs(inst, Y, D, f, g)
+        at = evaluate(inst, Y)
+        found = exact_step(inst, Y, D, at)
+        p = quartic_coeffs(inst, Y, D, at)
         grid = np.linspace(0.0, 10.0 * found.t_star, 100_001)[1:]
         vals = np.polyval([p.a4, p.a3, p.a2, p.a1, p.a0], grid)
         gap = float(found.phi_at_t - vals.min())  # positive = suboptimal

@@ -171,6 +171,44 @@ def test_solve_pair_size_beyond_the_file_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_solve_rank_deficient_init_exits_2(tmp_path, problem_file, capsys):
+    init = tmp_path / "y0.txt"
+    write_matrix(init, np.zeros((4, 2)))
+    assert run("solve", problem_file, "--init", init) == 2
+    assert "Y0 has column rank 0" in capsys.readouterr().err
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("the fit ran before its output paths were checked")
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+def test_solve_refuses_a_missing_output_directory_before_the_fit(
+    tmp_path, monkeypatch, capsys, flag
+):
+    monkeypatch.setattr(psdfit.cli, "solve", no_fit)
+    monkeypatch.setattr(psdfit.imagedemo, "solve", no_fit)
+    prob = tmp_path / "golden.prob"
+    write_problem(prob, golden.instance(2))
+    path = tmp_path / "nodir" / "file.txt"
+    assert run("solve", prob, flag, path) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_demo_image_refuses_a_file_as_output_directory_before_the_fit(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(psdfit.cli, "solve", no_fit)
+    monkeypatch.setattr(psdfit.imagedemo, "solve", no_fit)
+    img = tmp_path / "tiny.pgm"
+    write_pgm(img, make_test_image(8, seed=1))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run("demo-image", img, "--out-dir", afile) == 2
+    assert str(afile) in capsys.readouterr().err
+
+
 def test_solve_bad_rank_exits_2(problem_file, capsys):
     assert run("solve", problem_file, "--rank", 99) == 2
     capsys.readouterr()

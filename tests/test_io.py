@@ -252,6 +252,15 @@ def test_trace_missing_header(tmp_path):
         read_trace(path)
 
 
+def test_trace_header_only(tmp_path):
+    # write_trace always writes row 0, the start point
+    path = tmp_path / "empty.csv"
+    path.write_text(TRACE_HEADER + "\n")
+    with pytest.raises(ParseError, match="no iteration rows") as err:
+        read_trace(path)
+    assert err.value.line == 1
+
+
 def test_trace_wrong_column_count(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text(TRACE_HEADER + "\n0,1,2\n")

@@ -7,7 +7,7 @@ import pytest
 
 from psdfit import ProblemInstance, _kernels, linesearch, solver
 from psdfit.io import generate_instance
-from psdfit.problem import _evaluate
+from psdfit.problem import evaluate
 from psdfit.solver import SolverConfig, solve
 
 
@@ -80,14 +80,14 @@ def test_stacked_evaluation_matches_per_pair_reference():
         a = [x + t for x, t in zip(a, reference_quartic_terms(A, B, Y, D))]
 
     assert inst._norm_sum == sum(float(np.linalg.norm(A, "fro")) for A, _ in data)
-    f_s, residual_s, grad_s, gg_s = _evaluate(inst, Y)
-    assert f_s == f
-    assert residual_s == num / denom
-    assert np.array_equal(grad_s, grad)
-    assert gg_s == (grad * grad).sum()
-    p = linesearch.quartic_coeffs(inst, Y, D, f_s, grad_s)
-    assert p.a0 == f_s
-    assert p.a1 == (grad_s * D).sum()
+    at = evaluate(inst, Y)
+    assert at.f == f
+    assert at.residual == num / denom
+    assert np.array_equal(at.grad, grad)
+    assert at.gg == (grad * grad).sum()
+    p = linesearch.quartic_coeffs(inst, Y, D, at)
+    assert p.a0 == at.f
+    assert p.a1 == (at.grad * D).sum()
     assert [p.a2, p.a3, p.a4] == a
 
 
@@ -160,7 +160,7 @@ def test_one_kernel_call_per_stack(monkeypatch):
 
         monkeypatch.setattr(module, attr, recorded)
 
-    record(solver, "_evaluate", "E")
+    record(solver, "evaluate", "E")
     record(linesearch, "quartic_coeffs", "Q")
     record(_kernels, "residual_gradient", "r")
     record(_kernels, "quartic_terms", "q")
@@ -190,21 +190,21 @@ def test_stacking_is_invisible(monkeypatch, sides, n, k, entries):
 
     def results():
         inst = ProblemInstance(pairs=pairs, n=n, k=k)
-        evaluated = _evaluate(inst, Y)
-        p = linesearch.quartic_coeffs(inst, Y, D, evaluated[0], evaluated[2])
-        return len(inst._stacks), evaluated, [p.a0, p.a1, p.a2, p.a3, p.a4]
+        at = evaluate(inst, Y)
+        p = linesearch.quartic_coeffs(inst, Y, D, at)
+        return len(inst._stacks), at, [p.a0, p.a1, p.a2, p.a3, p.a4]
 
     # the default layout is a third one for "mixed" (stacks of 14 and 6),
     # the runs for "nk1" and every pair alone for "nk1024"
-    _, (f, residual, grad, gg), a = results()
+    _, at, a = results()
     monkeypatch.setattr(_kernels, "STACK_ENTRIES", entries)
-    stacks_e, (f_e, residual_e, grad_e, gg_e), a_e = results()
+    stacks_e, at_e, a_e = results()
     runs = 1 + sum(x != y for x, y in zip(sides, sides[1:]))
     assert stacks_e == (len(sides) if entries == 1 else runs)
-    assert f_e == f
-    assert residual_e == residual
-    assert np.array_equal(grad_e, grad)
-    assert gg_e == gg
+    assert at_e.f == at.f
+    assert at_e.residual == at.residual
+    assert np.array_equal(at_e.grad, at.grad)
+    assert at_e.gg == at.gg
     assert a_e == a
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from psdfit.linesearch import (
     quartic_coeffs,
 )
 from psdfit.oracle import interpolate_quartic, reference_objective
+from psdfit.problem import evaluate
 
 import golden
 
@@ -37,7 +40,7 @@ def rand_instance_and_direction(seed):
 def test_coeffs_zero_direction():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    p = quartic_coeffs(inst, Y, np.zeros((4, 2)), objective(inst, Y), gradient(inst, Y))
+    p = quartic_coeffs(inst, Y, np.zeros((4, 2)), evaluate(inst, Y))
     assert p.a1 == p.a2 == p.a3 == p.a4 == 0.0
     assert p.a0 == pytest.approx(objective(inst, golden.Y0_RANK2))
 
@@ -46,14 +49,14 @@ def test_coeffs_scalar_pure_quartic():
     # m=1, A=0, B=I, Y=0, D=I (everything 1x1): residual is -t^2, phi = t^4
     inst = ProblemInstance(pairs=((np.zeros((1, 1)), np.eye(1)),), n=1, k=1)
     Y = np.zeros((1, 1))
-    p = quartic_coeffs(inst, Y, np.eye(1), objective(inst, Y), gradient(inst, Y))
+    p = quartic_coeffs(inst, Y, np.eye(1), evaluate(inst, Y))
     assert (p.a0, p.a1, p.a2, p.a3, p.a4) == (0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def test_coeffs_evaluate_to_the_objective_along_the_line():
     for seed in range(10):
         inst, Y, D = rand_instance_and_direction(seed)
-        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
+        p = quartic_coeffs(inst, Y, D, evaluate(inst, Y))
         for t in (-1.3, -0.2, 0.0, 0.7, 2.9):
             f = objective(inst, Y + t * D)
             assert p(t) == pytest.approx(f, rel=1e-10, abs=1e-10)
@@ -62,7 +65,7 @@ def test_coeffs_evaluate_to_the_objective_along_the_line():
 def test_coeffs_match_interpolation_oracle():
     for seed in range(20):
         inst, Y, D = rand_instance_and_direction(seed)
-        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
+        p = quartic_coeffs(inst, Y, D, evaluate(inst, Y))
         q = interpolate_quartic(inst, Y, D)
         mine = np.array([p.a0, p.a1, p.a2, p.a3, p.a4])
         theirs = np.array([q.a0, q.a1, q.a2, q.a3, q.a4])
@@ -73,7 +76,7 @@ def test_coeffs_match_interpolation_oracle():
 def test_coeffs_a0_and_a1_identities():
     for seed in range(20):
         inst, Y, D = rand_instance_and_direction(seed)
-        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
+        p = quartic_coeffs(inst, Y, D, evaluate(inst, Y))
         assert p.a0 == pytest.approx(objective(inst, Y), rel=1e-12)
         slope = float(np.trace(gradient(inst, Y).T @ D))
         assert p.a1 == pytest.approx(slope, rel=1e-10, abs=1e-10)
@@ -82,12 +85,13 @@ def test_coeffs_a0_and_a1_identities():
 def test_coeffs_check_the_gradients_shape():
     # an n x 1 or 1 x k gradient would broadcast against D into a wrong a1
     inst, Y, D = rand_instance_and_direction(4)  # n = 5, k = 3
-    f, g = objective(inst, Y), gradient(inst, Y)
+    at = evaluate(inst, Y)
+    g = at.grad
     for bad in (g[:, :1], g[:1], g.T, g.ravel()):
         with pytest.raises(ValueError, match="grad has shape"):
-            quartic_coeffs(inst, Y, D, f, bad)
+            quartic_coeffs(inst, Y, D, dataclasses.replace(at, grad=bad))
         with pytest.raises(ValueError, match="grad has shape"):
-            exact_step(inst, Y, D, f, bad)
+            exact_step(inst, Y, D, dataclasses.replace(at, grad=bad))
 
 
 def test_coeffs_null_direction_collapses_lower_terms():
@@ -99,7 +103,7 @@ def test_coeffs_null_direction_collapses_lower_terms():
     Y = rng.standard_normal((3, 2))
     D = np.zeros((3, 2))
     D[2] = rng.standard_normal(2)  # supported on the null space only
-    p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
+    p = quartic_coeffs(inst, Y, D, evaluate(inst, Y))
     assert p.a4 == 0.0
     assert p.a3 == p.a2 == p.a1 == 0.0
 
@@ -266,10 +270,10 @@ def test_minimize_grid_search_oracle():
 
 def test_exact_step_scale_invariant():
     inst, Y, _ = rand_instance_and_direction(4)
-    f, g = objective(inst, Y), gradient(inst, Y)
-    D = -g
-    s1 = exact_step(inst, Y, D, f, g)
-    s2 = exact_step(inst, Y, 3.7 * D, f, g)
+    at = evaluate(inst, Y)
+    D = -at.grad
+    s1 = exact_step(inst, Y, D, at)
+    s2 = exact_step(inst, Y, 3.7 * D, at)
     assert 3.7 * s2.t_star == pytest.approx(s1.t_star, rel=1e-12)
     assert s2.phi_at_t == pytest.approx(s1.phi_at_t, rel=1e-12)
 
@@ -277,9 +281,9 @@ def test_exact_step_scale_invariant():
 def test_exact_step_is_a_line_minimum():
     for seed in range(10):
         inst, Y, _ = rand_instance_and_direction(seed)
-        g = gradient(inst, Y)
-        D = -g
-        step = exact_step(inst, Y, D, objective(inst, Y), g)
+        at = evaluate(inst, Y)
+        D = -at.grad
+        step = exact_step(inst, Y, D, at)
         f_star = reference_objective(inst, Y + step.t_star * D)
         assert f_star == pytest.approx(step.phi_at_t, rel=1e-9, abs=1e-9)
         for t in np.linspace(0.0, 10.0 * step.t_star, 2001):
@@ -292,10 +296,10 @@ def test_exact_step_stationarity():
     # phi'(t*) = 0 to tolerance 1e-9 * (1 + |a1|), on the normalized direction
     for seed in range(10):
         inst, Y, _ = rand_instance_and_direction(seed)
-        g = gradient(inst, Y)
-        D = -g
+        at = evaluate(inst, Y)
+        D = -at.grad
         Dn = D / np.linalg.norm(D)
-        p = quartic_coeffs(inst, Y, Dn, objective(inst, Y), g)
+        p = quartic_coeffs(inst, Y, Dn, at)
         step = minimize_quartic(p)
         t = step.t_star
         dphi = ((4.0 * p.a4 * t + 3.0 * p.a3) * t + 2.0 * p.a2) * t + p.a1
@@ -306,4 +310,4 @@ def test_exact_step_zero_direction_raises():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     with pytest.raises(DegenerateDirectionError):
-        exact_step(inst, Y, np.zeros((4, 2)), objective(inst, Y), gradient(inst, Y))
+        exact_step(inst, Y, np.zeros((4, 2)), evaluate(inst, Y))

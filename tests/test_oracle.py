@@ -20,6 +20,7 @@ from psdfit.oracle import (
 )
 from psdfit.solver import MultistartResult, multistart_solve
 from psdfit.linesearch import quartic_coeffs
+from psdfit.problem import evaluate
 
 import golden
 
@@ -116,7 +117,7 @@ def test_interpolation_agrees_with_closed_form():
         inst = generate_instance(int(rng.integers(2, 6)), 2, m=2, seed=seed)
         Y = rng.standard_normal((inst.n, 2))
         D = rng.standard_normal((inst.n, 2))
-        p = quartic_coeffs(inst, Y, D, objective(inst, Y), gradient(inst, Y))
+        p = quartic_coeffs(inst, Y, D, evaluate(inst, Y))
         q = interpolate_quartic(inst, Y, D)
         for mine, theirs in zip(
             (p.a0, p.a1, p.a2, p.a3, p.a4), (q.a0, q.a1, q.a2, q.a3, q.a4)

@@ -21,6 +21,7 @@ from psdfit import (
 from psdfit.linesearch import DegenerateDirectionError, exact_step
 from psdfit import linesearch, solver
 from psdfit.io import read_solution, write_solution
+from psdfit.problem import evaluate
 from psdfit.solver import multistart_solve, step
 
 import golden
@@ -33,9 +34,10 @@ import golden
 def test_step_decreases_objective_from_steepest_descent():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    g = gradient(inst, Y)
-    f0 = objective(inst, Y)
-    Y1, g1, gg1, D1, record = step(inst, Y, f0, g, (g * g).sum(), -g, index=1)
+    at = evaluate(inst, Y)
+    f0 = at.f
+    Y1, at1, D1, record = step(inst, Y, at, -at.grad, index=1)
+    g1 = at1.grad
     assert record.index == 1
     assert record.step > 0.0
     assert record.f_value < f0
@@ -48,11 +50,12 @@ def test_step_decreases_objective_from_steepest_descent():
 def test_step_mixes_by_the_ratio_of_squared_gradient_norms():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    g = gradient(inst, Y)
-    f = objective(inst, Y)
-    Y1, g1, gg1, D1, first = step(inst, Y, f, g, (g * g).sum(), -g, index=1)
+    at = evaluate(inst, Y)
+    Y1, at1, D1, first = step(inst, Y, at, -at.grad, index=1)
+    g1, gg1 = at1.grad, at1.gg
     assert gg1 == (g1 * g1).sum()
-    Y2, g2, gg2, D2, record = step(inst, Y1, first.f_value, g1, gg1, D1, index=2)
+    Y2, at2, D2, record = step(inst, Y1, at1, D1, index=2)
+    g2, gg2 = at2.grad, at2.gg
     assert record.beta != 0.0  # a mixed, not a restarted, direction
     assert record.beta == (g2 * g2).sum() / (g1 * g1).sum()
     assert record.grad_norm == math.sqrt((g2 * g2).sum())
@@ -64,20 +67,20 @@ def test_fr_beta_equal_gradients():
     # equal squared gradient norms before and after the step give beta = 1
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    g = gradient(inst, Y)
-    _, g1, gg1, _, _ = step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
-    _, _, _, D1, record = step(inst, Y, objective(inst, Y), g, gg1, -g)
+    at = evaluate(inst, Y)
+    _, at1, _, _ = step(inst, Y, at, -at.grad)
+    _, _, D1, record = step(inst, Y, dataclasses.replace(at, gg=at1.gg), -at.grad)
     assert record.beta == 1.0
-    assert np.array_equal(D1, -g1 - g)
+    assert np.array_equal(D1, -at1.grad - at.grad)
 
 
 def test_fr_beta_norm_ratio():
     # a next squared norm a quarter of the current one gives beta = 0.25
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    g = gradient(inst, Y)
-    _, _, gg1, _, _ = step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
-    _, _, _, _, record = step(inst, Y, objective(inst, Y), g, 4.0 * gg1, -g)
+    at = evaluate(inst, Y)
+    _, at1, _, _ = step(inst, Y, at, -at.grad)
+    _, _, _, record = step(inst, Y, dataclasses.replace(at, gg=4.0 * at1.gg), -at.grad)
     assert record.beta == 0.25
 
 
@@ -86,11 +89,11 @@ def test_fr_beta_zero_next():
     # the next gradient vanishes exactly, so beta is 0
     inst = ProblemInstance(pairs=((np.array([[4.0]]), np.eye(1)),), n=1, k=1)
     Y = np.ones((1, 1))
-    g = gradient(inst, Y)
-    Y1, g1, gg1, D1, record = step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
+    at = evaluate(inst, Y)
+    Y1, at1, D1, record = step(inst, Y, at, -at.grad)
     assert np.array_equal(Y1, [[2.0]])
-    assert gg1 == 0.0
-    assert not g1.any()
+    assert at1.gg == 0.0
+    assert not at1.grad.any()
     assert record.beta == 0.0
     assert not D1.any()
 
@@ -98,18 +101,18 @@ def test_fr_beta_zero_next():
 def test_step_from_a_zero_gradient_raises_before_mixing():
     inst = golden.instance(2)
     zero = np.zeros((inst.n, inst.k))
+    at = dataclasses.replace(evaluate(inst, golden.Y0_RANK2), grad=zero, gg=0.0)
     with pytest.raises(DegenerateDirectionError):
-        step(inst, golden.Y0_RANK2, objective(inst, golden.Y0_RANK2), zero, 0.0, -zero)
+        step(inst, golden.Y0_RANK2, at, -zero)
 
 
 def test_step_force_restart_resets_direction():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    g = gradient(inst, Y)
-    f = objective(inst, Y)
-    Y1, g1, gg1, D1, record = step(inst, Y, f, g, (g * g).sum(), -g, force_restart=True)
+    at = evaluate(inst, Y)
+    Y1, at1, D1, record = step(inst, Y, at, -at.grad, force_restart=True)
     assert record.beta == 0.0
-    assert np.array_equal(D1, -g1)
+    assert np.array_equal(D1, -at1.grad)
 
 
 def test_step_raises_when_the_negative_gradient_is_no_descent(monkeypatch):
@@ -123,9 +126,9 @@ def test_step_raises_when_the_negative_gradient_is_no_descent(monkeypatch):
     monkeypatch.setattr(linesearch, "exact_step", no_descent)
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    g = gradient(inst, Y)
+    at = evaluate(inst, Y)
     with pytest.raises(DegenerateDirectionError):
-        step(inst, Y, objective(inst, Y), g, (g * g).sum(), -g)
+        step(inst, Y, at, -at.grad)
     assert len(calls) == 1
 
 
@@ -133,25 +136,24 @@ def test_step_retries_a_zero_direction_along_the_negative_gradient():
     # any failed search along a mixed D is retried, not only a non-descent one
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    g = gradient(inst, Y)
-    f, gg = objective(inst, Y), (g * g).sum()
-    _, _, _, _, record = step(inst, Y, f, g, gg, np.zeros_like(g))
-    _, _, _, _, expected = step(inst, Y, f, g, gg, -g)
+    at = evaluate(inst, Y)
+    _, _, _, record = step(inst, Y, at, np.zeros_like(at.grad))
+    _, _, _, expected = step(inst, Y, at, -at.grad)
     assert record == expected
 
 
 def test_step_retries_a_non_descent_direction_along_the_negative_gradient():
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
-    g = gradient(inst, Y)
+    at = evaluate(inst, Y)
+    g = at.grad
     with pytest.raises(DegenerateDirectionError):
-        exact_step(inst, Y, g, objective(inst, Y), g)
-    f, gg = objective(inst, Y), (g * g).sum()
-    Y1, g1, gg1, D1, record = step(inst, Y, f, g, gg, g)
-    Y2, g2, gg2, D2, expected = step(inst, Y, f, g, gg, -g)
+        exact_step(inst, Y, g, at)
+    Y1, at1, D1, record = step(inst, Y, at, g)
+    Y2, at2, D2, expected = step(inst, Y, at, -g)
     assert np.array_equal(Y1, Y2)
-    assert np.array_equal(g1, g2)
-    assert gg1 == gg2
+    assert np.array_equal(at1.grad, at2.grad)
+    assert at1.gg == at2.gg
     assert np.array_equal(D1, D2)
     assert record == expected
 
@@ -289,6 +291,21 @@ def test_solve_rejects_a_non_finite_start(bad):
     Y0[2, 1] = bad
     with pytest.raises(ValueError, match="Y0 has non-finite entries"):
         solve(golden.instance(2), Y0)
+
+
+@pytest.mark.parametrize("start", ["zero", "ones-column", "equal-columns"])
+def test_solve_rejects_a_rank_deficient_start(start):
+    # every iterate keeps Y0's right null space, so the fit cannot reach rank k
+    inst = generate_instance(8, 3, m=3, seed=0, mode="consistent")
+    Y0 = np.zeros((8, 3))
+    if start == "ones-column":
+        Y0[:, 0] = 1.0
+    elif start == "equal-columns":
+        Y0 = np.random.default_rng(0).random((8, 3))
+        Y0[:, 2] = Y0[:, 1]
+    rank = {"zero": 0, "ones-column": 1, "equal-columns": 2}[start]
+    with pytest.raises(ValueError, match=f"Y0 has column rank {rank}, below k=3"):
+        solve(inst, Y0, SolverConfig(epsilon=1e-7))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
