@@ -15,12 +15,12 @@ import math
 
 import numpy as np
 
-# At most this many entries in each temporary of a stack (4 KiB).  A pair's
+# At most this many entries in each temporary of a stack (64 KiB).  A pair's
 # largest temporary is its m_i x m_i residual or its n x k gradient term, so
-# 64 pairs of 6 x 6 with n k = 36 make stacks of 14, while a pair with
-# max(m_i^2, n k) > 256 is alone in its stack.  Larger stacks make fewer
-# kernel calls but larger temporaries.
-STACK_ENTRIES = 512
+# 64 pairs of 6 x 6 with n k = 36 make one stack, as do three 48 x 48 pairs
+# with n k = 1024, while a pair with max(m_i^2, n k) > 4096 is alone in its
+# stack.  Larger stacks make fewer kernel calls but larger temporaries.
+STACK_ENTRIES = 8192
 
 
 def _as_real(M):

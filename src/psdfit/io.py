@@ -23,13 +23,14 @@ is a ParseError naming its line (and, for a bad token, its column).  The
 same seed always regenerates the same instance.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import ProblemInstance, ValidationError
-from .solver import IterationRecord, SolverResult, TerminationReason
+from .solver import IterationRecord, SolverResult, TerminationReason, Trace
 
 
 class ParseError(ValueError):
@@ -226,13 +227,18 @@ TRACE_HEADER = "iteration,f,grad_norm,residual,step,beta"
 
 
 def write_trace(path, trace):
-    """Write iteration records as CSV, one row per record."""
-    values = _rows(
-        [(r.f_value, r.grad_norm, r.residual, r.step, r.beta) for r in trace], ","
-    )
-    write_lines(
-        path, [TRACE_HEADER, *(f"{r.index},{v}" for r, v in zip(trace, values))]
-    )
+    """Write a trace as CSV, one row per iteration, in one pass over trace.
+
+    A solver's `Trace` is read from its float64 columns, building no record;
+    any other iterable of IterationRecord (read_trace's list, an iterator)
+    is read record by record.
+    """
+    if isinstance(trace, Trace):
+        rows = zip(itertools.count(), *trace.columns)
+    else:
+        rows = ((r.index, r.f_value, r.grad_norm, r.residual, r.step, r.beta) for r in trace)
+    lines = (f"{i},{','.join(map(format_float, values))}" for i, *values in rows)
+    write_lines(path, [TRACE_HEADER, *lines])
 
 
 def read_trace(path):

@@ -14,6 +14,8 @@ configuration are not checked here: each checks itself when built.
 import enum
 import math
 import numbers
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,13 +76,60 @@ class IterationRecord:
     beta: float
 
 
+class Trace(Sequence):
+    """A solve's iterations as a sequence of IterationRecord, row i being iteration i.
+
+    The rows are kept as five float64 columns (f_value, grad_norm, residual,
+    step, beta; 8 B per field per iteration), and each record is built when
+    it is read: by indexing, slices (a list of records), iteration and ==
+    (with a Trace or any other sequence of records).
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self):
+        self.columns = tuple(array("d") for _ in range(5))
+
+    def append(self, record: IterationRecord):
+        """Add the next row; record.index is its position."""
+        f, grad_norm, residual, step, beta = self.columns
+        f.append(record.f_value)
+        grad_norm.append(record.grad_norm)
+        residual.append(record.residual)
+        step.append(record.step)
+        beta.append(record.beta)
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        j = range(len(self))[i]  # a negative i counts from the end; IndexError past it
+        return IterationRecord(j, *(column[j] for column in self.columns))
+
+    def __iter__(self):
+        return (IterationRecord(j, *row) for j, row in enumerate(zip(*self.columns)))
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
 @dataclass
 class SolverResult:
+    """A solve's end point and how it got there.
+
+    trace is a `Trace`, a Sequence[IterationRecord] with one record per
+    iteration, the start point being record 0: len(trace) == iterations + 1.
+    """
+
     Y_final: FactorMatrix
     X_final: np.ndarray
     iterations: int
     converged: bool  # the one place a termination_reason maps to success
-    trace: list[IterationRecord] = field(repr=False)
+    trace: Trace = field(repr=False)
     termination_reason: TerminationReason
 
 
@@ -175,7 +224,7 @@ def solve(
     at = evaluate(instance, Y)
     record = _record(0, at, 0.0, 0.0)
     D = -at.grad
-    trace = []
+    trace = Trace()
     while True:
         k = record.index
         if not (np.isfinite(record.f_value) and np.isfinite(record.grad_norm)):

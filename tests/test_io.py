@@ -239,10 +239,12 @@ def test_trace_round_trip(tmp_path, short_run):
             assert getattr(got, field) == pytest.approx(
                 getattr(want, field), rel=1e-12, abs=1e-300
             )
-    # rewriting the parsed records reproduces the file byte for byte
-    path2 = tmp_path / "trace2.csv"
-    write_trace(path2, back)
-    assert path.read_bytes() == path2.read_bytes()
+    # rewriting the parsed records, as a list or as a one-pass iterator,
+    # reproduces the file byte for byte
+    for source in (back, iter(back)):
+        path2 = tmp_path / "trace2.csv"
+        write_trace(path2, source)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_trace_missing_header(tmp_path):

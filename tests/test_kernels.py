@@ -49,10 +49,11 @@ def test_residual_gradient_returns_each_pairs_terms():
         assert np.array_equal(terms[i], term)
 
 
-def test_stacked_evaluation_matches_per_pair_reference():
-    # a run the stack budget splits (20 = 14 + 6), a side change, a short
-    # run, stacks whose per-pair sums have more than 128 entries, and two
-    # pairs too large to share a stack
+def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
+    # at a budget of 512 entries: a run the budget splits (20 = 14 + 6), a
+    # side change, a short run, stacks whose per-pair sums have more than
+    # 128 entries, and two pairs too large to share a stack
+    monkeypatch.setattr(_kernels, "STACK_ENTRIES", 512)
     sides = [6] * 20 + [7] + [6] * 3 + [16] * 2 + [12] * 3 + [30] * 2
     n, k = 12, 3
     rng = np.random.default_rng(5)
@@ -134,7 +135,8 @@ def test_evaluation_keeps_two_pair_sized_matrices():
         (6, 12, 3, [8]),
     ],
 )
-def test_stack_budget_counts_the_gradient_term(side, n, k, stack_sizes):
+def test_stack_budget_counts_the_gradient_term(monkeypatch, side, n, k, stack_sizes):
+    monkeypatch.setattr(_kernels, "STACK_ENTRIES", 512)
     rng = np.random.default_rng(0)
     pairs = tuple((rng.random((side, side)), rng.random((side, n))) for _ in range(8))
     inst = ProblemInstance(pairs=pairs, n=n, k=k)
@@ -146,6 +148,7 @@ def test_stack_budget_counts_the_gradient_term(side, n, k, stack_sizes):
 
 
 def test_one_kernel_call_per_stack(monkeypatch):
+    monkeypatch.setattr(_kernels, "STACK_ENTRIES", 512)
     inst = generate_instance(12, 3, sizes=[6] * 64, seed=0)
     stacks = len(inst._stacks)
     assert stacks == 5
@@ -173,6 +176,25 @@ def test_one_kernel_call_per_stack(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "sides, n, k, stack_sizes",
+    [
+        ([6] * 64, 12, 3, [64]),  # many small pairs: one stack
+        ([48] * 3, 64, 16, [3]),  # three 48 x 48 pairs: one stack
+        ([128], 32, 4, [1]),  # a 128 x 128 residual alone exceeds the budget
+    ],
+    ids=["64x6x6", "3x48x48", "1x128x128"],
+)
+def test_shipped_budget_layouts(sides, n, k, stack_sizes):
+    rng = np.random.default_rng(1)
+    data = [(rng.random((mi, mi)), rng.random((mi, n))) for mi in sides]
+    inst = ProblemInstance(pairs=tuple(data), n=n, k=k)
+    assert [len(A) for A, _ in inst._stacks] == stack_sizes
+    if stack_sizes == [1]:  # a pair alone in its stack is not copied
+        assert np.shares_memory(inst._stacks[0][0], data[0][0])
+        assert np.shares_memory(inst._stacks[0][1], data[0][1])
+
+
+@pytest.mark.parametrize(
     "sides, n, k",
     [
         ([1] * 40 + [2] * 9 + [3], 1, 1),  # one gradient entry per pair
@@ -194,8 +216,9 @@ def test_stacking_is_invisible(monkeypatch, sides, n, k, entries):
         p = linesearch.quartic_coeffs(inst, Y, D, at)
         return len(inst._stacks), at, [p.a0, p.a1, p.a2, p.a3, p.a4]
 
-    # the default layout is a third one for "mixed" (stacks of 14 and 6),
-    # the runs for "nk1" and every pair alone for "nk1024"
+    # at a budget of 512 the layout is a third one for "mixed" (stacks of 14
+    # and 6), the runs for "nk1" and every pair alone for "nk1024"
+    monkeypatch.setattr(_kernels, "STACK_ENTRIES", 512)
     _, at, a = results()
     monkeypatch.setattr(_kernels, "STACK_ENTRIES", entries)
     stacks_e, at_e, a_e = results()

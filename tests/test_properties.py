@@ -20,6 +20,8 @@ from psdfit import (
     objective,
     solve,
 )
+from psdfit import _kernels, linesearch
+from psdfit.problem import evaluate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -97,6 +99,54 @@ def test_joint_scaling(case, c):
     f_scale, g_scale = scales(inst, Y)
     assert close(objective(scaled, c * Y), c**4 * objective(inst, Y), c**4 * f_scale)
     assert close(gradient(scaled, c * Y), c**3 * gradient(inst, Y), c**3 * g_scale)
+
+
+@st.composite
+def stacked_instances(draw):
+    """(pairs, n, k, Y0, D): up to three runs of up to 24 equal-side pairs, m_i <= 6.
+
+    A run of more than 14 such pairs is cut into several stacks at a budget
+    of 512 entries and is one stack at the shipped budget.
+    """
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    runs = draw(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 24)), min_size=1, max_size=3)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = tuple(
+        (rng.standard_normal((mi, mi)), rng.standard_normal((mi, n)))
+        for mi, count in runs
+        for _ in range(count)
+    )
+    return pairs, n, k, rng.standard_normal((n, k)), rng.standard_normal((n, k))
+
+
+def bits(*values):
+    """The float64 bytes of each value (numbers or arrays), for bitwise comparison."""
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+@PROPERTY
+@given(stacked_instances())
+def test_stack_budget_is_invisible(case):
+    # every per-pair result is summed in pair order, so how many pairs share
+    # a stack changes no bit of the evaluation, the step polynomial or a solve
+    pairs, n, k, Y0, D = case
+    config = SolverConfig(epsilon=1e-300, max_iterations=20)
+    seen = []
+    for budget in (1, 512, _kernels.STACK_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "STACK_ENTRIES", budget)
+            inst = ProblemInstance(pairs=pairs, n=n, k=k)
+        at = evaluate(inst, Y0)
+        p = linesearch.quartic_coeffs(inst, Y0, D, at)
+        result = solve(inst, Y0, config)
+        seen.append(
+            bits(at.f, at.residual, at.grad, at.gg, p.a0, p.a1, p.a2, p.a3, p.a4)
+            + bits(result.Y_final, *result.trace.columns)
+        )
+    assert seen[0] == seen[1] == seen[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,46 @@ def test_solve_callback_sees_every_iteration():
 
     result = solve(inst, golden.Y0_RANK2, SolverConfig(max_iterations=10), callback=cb)
     assert seen == result.trace[1:]
+
+
+def test_solve_trace_is_a_sequence_of_records():
+    result = solve(golden.instance(2), golden.Y0_RANK2, SolverConfig(max_iterations=10))
+    trace = result.trace
+    records = list(trace)
+    assert len(trace) == len(records) == result.iterations + 1 == 11
+    assert [r.index for r in records] == list(range(11))
+    assert all(isinstance(r, IterationRecord) for r in records)
+    assert trace[-1] == records[10] and trace[-1].index == 10
+    assert trace[-11] == trace[0] == records[0]
+    for past in (11, -12):
+        with pytest.raises(IndexError):
+            trace[past]
+    assert trace[2:5] == records[2:5] and trace[::-3] == records[::-3]
+    assert trace[20:] == []
+    assert trace == trace and trace == records and records == trace
+    changed = records[:-1] + [dataclasses.replace(records[-1], beta=1.0)]
+    assert trace != records[:-1] and trace != changed and changed != trace
+    shorter = solve(golden.instance(2), golden.Y0_RANK2, SolverConfig(max_iterations=9))
+    assert trace != shorter.trace and shorter.trace == records[:-1]
+
+
+def test_solve_trace_costs_under_64_bytes_per_iteration():
+    # each iteration adds five float64 fields to the trace, not a record
+    inst = generate_instance(6, 2, m=3, seed=0)
+
+    def run(cap):
+        config = SolverConfig(epsilon=1e-300, max_iterations=cap)
+        tracemalloc.start()
+        try:
+            result = solve(inst, config=config, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result.iterations, peak
+
+    (short, short_peak), (long, long_peak) = run(200), run(2000)
+    assert short == 200 and long > 400
+    assert (long_peak - short_peak) / (long - short) < 64
 
 
 def test_solve_trace_metrics_equal_the_public_functions():
