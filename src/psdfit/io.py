@@ -23,14 +23,13 @@ is a ParseError naming its line (and, for a bad token, its column).  The
 same seed always regenerates the same instance.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import ProblemInstance, ValidationError
-from .solver import IterationRecord, SolverResult, TerminationReason, Trace
+from .solver import IterationRecord, SolverResult, TerminationReason
 
 
 class ParseError(ValueError):
@@ -229,14 +228,10 @@ TRACE_HEADER = "iteration,f,grad_norm,residual,step,beta"
 def write_trace(path, trace):
     """Write a trace as CSV, one row per iteration, in one pass over trace.
 
-    A solver's `Trace` is read from its float64 columns, building no record;
-    any other iterable of IterationRecord (read_trace's list, an iterator)
-    is read record by record.
+    trace is any iterable of IterationRecord: a solver's `Trace`,
+    read_trace's list or an iterator.
     """
-    if isinstance(trace, Trace):
-        rows = zip(itertools.count(), *trace.columns)
-    else:
-        rows = ((r.index, r.f_value, r.grad_norm, r.residual, r.step, r.beta) for r in trace)
+    rows = ((r.index, r.f_value, r.grad_norm, r.residual, r.step, r.beta) for r in trace)
     lines = (f"{i},{','.join(map(format_float, values))}" for i, *values in rows)
     write_lines(path, [TRACE_HEADER, *lines])
 

@@ -108,9 +108,6 @@ class Trace(Sequence):
         j = range(len(self))[i]  # a negative i counts from the end; IndexError past it
         return IterationRecord(j, *(column[j] for column in self.columns))
 
-    def __iter__(self):
-        return (IterationRecord(j, *row) for j, row in enumerate(zip(*self.columns)))
-
     def __eq__(self, other):
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
