@@ -7,7 +7,10 @@ pairs of one shape: A is g x mi x mi and B is g x mi x n, both float64
 C-contiguous; Y and D are n x k.  Every per-pair product is the 2-D
 expression applied to each of the g matrices, and every sum over pairs adds
 them left to right, so the results are bitwise those of a per-pair loop,
-however the pairs are stacked.  An evaluation forms each pair's residual once.
+however the pairs are stacked.  An evaluation forms each pair's residual
+once, and holds one m_i x m_i array per stack.  The line search reads the
+pairs only through m_i x 2k products and the n x n matrix
+P = Sum B_i^T A_i B_i, which `congruence_sum` builds pair by pair.
 """
 
 import itertools
@@ -33,7 +36,8 @@ def _as_real(M):
     M = np.asarray(M)
     if M.dtype.kind in "biufO":  # bool, integer, float or Python objects
         try:
-            return np.ascontiguousarray(M, dtype=np.float64), True
+            # not ascontiguousarray, which makes a 0-d matrix 1-d
+            return np.asarray(M, dtype=np.float64, order="C"), True
         except (TypeError, ValueError):  # an object that is not a real number
             pass
     return np.zeros(M.shape), False
@@ -82,41 +86,61 @@ def _in_order_sum(total, terms):
 def residual_gradient(A, B, Y):
     """Each pair's ||R||_F^2 and gradient term, as (g,) and g x n x k.
 
-    Both are read from R = A - W W^T, W = B Y, formed once: the gradient term
-    -2 B^T (R + R^T) W equals the expanded 2 B^T (2 W W^T - A - A^T) W.
+    Both are read from R = A - W W^T, W = B Y, formed once in place over
+    W W^T and the only m_i x m_i array: the gradient term
+    -2 B^T (R W + R^T W) equals the expanded 2 B^T (2 W W^T - A - A^T) W,
+    and R^T W is a product with a transposed view, not a copy.
     """
     W = B @ Y
-    R = A - W @ W.swapaxes(-1, -2)
-    r2 = (R * R).sum(axis=(1, 2))
-    # R + R^T without a ufunc buffer, which would be a third stack-sized array
-    S = R.swapaxes(-1, -2).copy()
-    S += R
-    terms = B.swapaxes(-1, -2) @ (S @ W)
+    # numpy sends a buffer times its own transposed view to syrk, about 5x
+    # slower than GEMM at m_i x 4, so each Gram product takes a copy of W^T
+    R = W @ W.swapaxes(-1, -2).copy()
+    np.subtract(A, R, out=R)
+    RW = R @ W
+    RW += R.swapaxes(-1, -2) @ W
+    terms = B.swapaxes(-1, -2) @ RW
     terms *= -2.0
-    return r2, terms
+    R *= R
+    return R.sum(axis=(1, 2)), terms
 
 
-def quartic_terms(A, B, Y, D):
-    """Each pair's a2, a3, a4 of the step polynomial along D, as g x 3.
+def quartic_terms(B, Y, D):
+    """Each pair's a2 + 2 <A V, V>, a3 and a4 of the step polynomial, as g x 3.
 
     With W = B Y and V = B D the residual at step t is
     A - W W^T - t (W V^T + V W^T) - t^2 V V^T, whose squared norm has, in
-    the k x k Gram matrices a = W^T W, b = W^T V and c = V^T V,
+    the k x k blocks a = W^T W, b = W^T V and c = V^T V of the Gram matrix
+    of U = B [Y D],
         a2 = 2 (<a, c> + <b, b^T> + ||b||^2 - <A V, V>)
         a3 = 4 <b, c>      a4 = ||c||^2
-    so no m_i x m_i matrix is formed.  a0 and a1 are f and <grad f, D>.
+    The <A V, V> part, summed over the pairs, is <D, P D> (`quartic_sums`),
+    so A is not read and no m_i x m_i matrix is formed.  a0 and a1 are f
+    and <grad f, D>.
     """
-    W = B @ Y
-    V = B @ D
-    Wt = W.swapaxes(-1, -2)
-    a, b, c = Wt @ W, Wt @ V, V.swapaxes(-1, -2) @ V
-    bt = b.swapaxes(-1, -2)
+    k = Y.shape[1]
+    U = B @ np.concatenate((Y, D), axis=1)
+    G = U.swapaxes(-1, -2).copy() @ U  # a copy of U^T, not syrk (residual_gradient)
+    a, b, c = G[:, :k, :k], G[:, :k, k:], G[:, k:, k:]
 
     def inner(x, y):  # each pair's Frobenius inner product
         return (x * y).sum(axis=(1, 2))
 
-    a2 = 2.0 * (inner(a, c) + inner(b, bt) + inner(b, b) - inner(A @ V, V))
+    a2 = 2.0 * (inner(a, c) + inner(b, b.swapaxes(-1, -2)) + inner(b, b))
     return np.stack([a2, 4.0 * inner(b, c), inner(c, c)], axis=1)
+
+
+def congruence_sum(stacks):
+    """P = Sum B_i^T (A_i B_i), n x n, added in pair order.
+
+    One pair at a time, so its temporaries are m_i x n and n x n: a g x n x n
+    stack of terms would be the largest array of a solve on many small pairs.
+    """
+    n = stacks[0][1].shape[-1]
+    P = np.zeros((n, n))
+    for As, Bs in stacks:
+        for A, B in zip(As, Bs):
+            P += B.T @ (A @ B)
+    return P
 
 
 def evaluate(stacks, Y):
@@ -132,11 +156,15 @@ def evaluate(stacks, Y):
     return float(_in_order_sum(0.0, r2)), float(_in_order_sum(0.0, r)), grad
 
 
-def quartic_sums(stacks, Y, D):
-    """[a2, a3, a4] summed over all pairs; a0 and a1 come from the evaluation."""
+def quartic_sums(stacks, P, Y, D):
+    """[a2, a3, a4] summed over all pairs; a0 and a1 come from the evaluation.
+
+    P is `congruence_sum(stacks)`; Sum <A_i V_i, V_i> = <D, P D>.
+    """
     a = np.zeros(3)
-    for A, B in stacks:
-        a = _in_order_sum(a, quartic_terms(A, B, Y, D))
+    for _, B in stacks:
+        a = _in_order_sum(a, quartic_terms(B, Y, D))
+    a[0] -= 2.0 * (D * (P @ D)).sum()
     return a.tolist()
 
 

@@ -3,7 +3,10 @@
 The objective restricted to Y + t D is a quartic polynomial in t, so the
 exact minimizing step is found by solving the cubic derivative
 analytically.  Its a0 and a1 are f and <grad f, D> from the caller's
-`Evaluation` at Y; a2..a4 come in closed form from the pairs.
+`Evaluation` at Y; a2..a4 come in closed form from the 2k x 2k Gram matrix
+of each B_i [Y D] and from the n x n matrix P = Sum B_i^T A_i B_i, which
+gives Sum <A_i B_i D, B_i D> as <D, P D>.  P is built on the first line
+search of an instance and kept on it, so no line search reads an A_i.
 """
 
 import math
@@ -55,12 +58,12 @@ def quartic_coeffs(
 
     at is `problem.evaluate(instance, Y)`: a0 = at.f and a1 = <at.grad, D>.
     a2..a4 are the sums over pairs of `_kernels.quartic_terms`, in k x k
-    Gram matrices of B_i Y and B_i D.
+    Gram matrices of B_i Y and B_i D, less 2 <D, P D> from a2.
     """
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
     grad = _as_factor(instance, at.grad, name="grad")
-    a2, a3, a4 = _kernels.quartic_sums(instance._stacks, Y, D)
+    a2, a3, a4 = _kernels.quartic_sums(instance._stacks, instance._P, Y, D)
     return QuarticPolynomial(float(at.f), float((grad * D).sum()), a2, a3, a4)
 
 

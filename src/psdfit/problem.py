@@ -15,11 +15,16 @@ The pairs are held in stacks, which `_kernels` builds and walks: it owns
 their grouping and every sum over pairs, which adds the pairs in pair order,
 so results are reproducible and do not depend on how the pairs are stacked.
 
-All functions are pure and safe to call from multiple threads.
+All functions are pure and safe to call from multiple threads.  The one
+state an instance gains after construction, the n x n matrix
+P = Sum B_i^T A_i B_i that the line search reads (`ProblemInstance._P`), is
+a function of the pairs alone: threads that race to build it build the
+same P, bit for bit, and it is read-only.
 """
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,6 +94,18 @@ class ProblemInstance:
     @property
     def m(self):
         return len(self.pairs)
+
+    @cached_property
+    def _P(self):
+        """Sum B_i^T A_i B_i in pair order (n x n, read-only), built on first use.
+
+        The line search reads Sum <A_i V_i, V_i> as <D, P D>.  It is built
+        here, not in the constructor, so that constructing an instance still
+        makes a single walk over the data.
+        """
+        P = _kernels.congruence_sum(self._stacks)
+        P.flags.writeable = False
+        return P
 
 
 def _violations(instance: ProblemInstance, not_real, non_finite) -> list[Violation]:
@@ -176,7 +193,10 @@ def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
     - 2 B_i^T A_i^T B_i Y); the A_i and A_i^T terms stay distinct because
     A_i need not be symmetric.  Computed from each pair's residual
     R_i = A_i - B_i Y Y^T B_i^T, which the objective reads too, as
-    -2 B_i^T (R_i + R_i^T) B_i Y; the tests pin it against the expanded form.
+    -2 B_i^T (R_i W_i + R_i^T W_i) with W_i = B_i Y: R_i is the one m_i x m_i
+    array of the evaluation, and R_i^T W_i reads it through a transposed
+    view.  The cached P of the line search is not used here.  The tests pin
+    it against the expanded form.
     """
     return evaluate(instance, Y).grad
 

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,22 +16,29 @@ from psdfit.solver import SolverConfig, solve
 def reference_pair(A, B, Y):
     """One pair's r^2 and gradient term, in the 2-D form of a per-pair loop."""
     W = B @ Y
-    R = A - W @ W.T
-    return float(np.sum(R * R)), -2.0 * (B.T @ ((R + R.T) @ W))
+    R = A - W @ W.T.copy()
+    return float(np.sum(R * R)), -2.0 * (B.T @ (R @ W + R.T @ W))
 
 
-def reference_quartic_terms(A, B, Y, D):
-    """One pair's a2, a3, a4, in the 2-D Gram form of a per-pair loop."""
-    W = B @ Y
-    V = B @ D
-    a = W.T @ W
-    b = W.T @ V
-    c = V.T @ V
+def reference_quartic_terms(B, Y, D):
+    """One pair's a2 + 2 <A V, V>, a3 and a4, in the 2-D Gram form of a pair loop."""
+    k = Y.shape[1]
+    U = B @ np.hstack((Y, D))
+    G = U.T.copy() @ U
+    a, b, c = G[:k, :k], G[:k, k:], G[k:, k:]
     return (
-        2.0 * (np.sum(a * c) + np.sum(b * b.T) + np.sum(b * b) - np.sum((A @ V) * V)),
+        2.0 * (np.sum(a * c) + np.sum(b * b.T) + np.sum(b * b)),
         4.0 * np.sum(b * c),
         np.sum(c * c),
     )
+
+
+def reference_P(pairs, n):
+    """Sum B_i^T (A_i B_i), added pair by pair."""
+    P = np.zeros((n, n))
+    for A, B in pairs:
+        P = P + B.T @ (A @ B)
+    return P
 
 
 def test_residual_gradient_returns_each_pairs_terms():
@@ -78,9 +87,12 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
         num += math.sqrt(r2)
         denom += float(np.linalg.norm(A, "fro"))
         grad += term
-        a = [x + t for x, t in zip(a, reference_quartic_terms(A, B, Y, D))]
+        a = [x + t for x, t in zip(a, reference_quartic_terms(B, Y, D))]
+    P = reference_P(data, n)
+    a[0] -= 2.0 * np.sum(D * (P @ D))
 
     assert inst._norm_sum == sum(float(np.linalg.norm(A, "fro")) for A, _ in data)
+    assert np.array_equal(inst._P, P)
     at = evaluate(inst, Y)
     assert at.f == f
     assert at.residual == num / denom
@@ -92,26 +104,66 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     assert [p.a2, p.a3, p.a4] == a
 
 
-def test_quartic_terms_form_no_pair_sized_matrix():
-    # the step polynomial needs k x k Gram matrices and m_i x k products only
-    mi, n, k = 400, 8, 2
-    rng = np.random.default_rng(9)
-    pair = (rng.random((mi, mi)), rng.random((mi, n)))
-    inst = ProblemInstance(pairs=(pair,), n=n, k=k)
+def test_racing_line_searches_build_one_P():
+    # P is cached on the instance by its first line search; threads that
+    # race to build it must all see the same P and the same coefficients
+    rng = np.random.default_rng(11)
+    n, k = 12, 3
+    pairs = tuple((rng.random((mi, mi)), rng.random((mi, n))) for mi in [6] * 40 + [20])
     Y = rng.standard_normal((n, k))
     D = rng.standard_normal((n, k))
-    tracemalloc.start()
+    serial = ProblemInstance(pairs=pairs, n=n, k=k)
+    expected = linesearch.quartic_coeffs(serial, Y, D, evaluate(serial, Y))
+    inst = ProblemInstance(pairs=pairs, n=n, k=k)
+    at = evaluate(inst, Y)
+    threads = 8
+    start = threading.Barrier(threads)
+    got = []
+
+    def search():
+        start.wait(timeout=10)
+        got.append(linesearch.quartic_coeffs(inst, Y, D, at))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        _kernels.quartic_sums(inst._stacks, Y, D)
-        _, peak = tracemalloc.get_traced_memory()
+        workers = [threading.Thread(target=search) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
     finally:
-        tracemalloc.stop()
-    assert peak < mi * mi * 8
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [expected] * threads
+    assert np.array_equal(inst._P, _kernels.congruence_sum(inst._stacks))
+    assert not inst._P.flags.writeable
 
 
-def test_evaluation_keeps_two_pair_sized_matrices():
-    # the residual is formed once and gives f, Sum r_i and the gradient term;
-    # R and R + R^T are the only m_i x m_i arrays alive together
+def test_quartic_terms_form_no_pair_sized_matrix():
+    # the step polynomial needs 2k x 2k Gram matrices, m_i x 2k products and
+    # P, which is built one pair at a time: 512 pairs of 1 x 1 at n = 200
+    # stay under 3 n x n arrays, where a 512 x n x n stack would be 164 MB
+    rng = np.random.default_rng(9)
+    cases = [([400], 8, 2, 400 * 400 * 8), ([1] * 512, 200, 10, 3 * 200 * 200 * 8)]
+    for sides, n, k, bound in cases:
+        pairs = tuple((rng.random((mi, mi)), rng.random((mi, n))) for mi in sides)
+        inst = ProblemInstance(pairs=pairs, n=n, k=k)
+        Y = rng.standard_normal((n, k))
+        D = rng.standard_normal((n, k))
+        tracemalloc.start()
+        try:
+            P = _kernels.congruence_sum(inst._stacks)
+            _kernels.quartic_sums(inst._stacks, P, Y, D)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+def test_evaluation_keeps_one_pair_sized_matrix():
+    # the residual is formed once, in place, and gives f, Sum r_i and the
+    # gradient term; it is the only m_i x m_i array of the evaluation
     mi, n, k = 400, 8, 2
     rng = np.random.default_rng(9)
     pair = (rng.random((mi, mi)), rng.random((mi, n)))
@@ -123,7 +175,7 @@ def test_evaluation_keeps_two_pair_sized_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * mi * mi * 8
+    assert peak < 1.5 * mi * mi * 8
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,11 @@ def test_invalid_instances_never_reach_evaluation():
          "pair 0: B has 3 columns, expected n=2"),
         (((np.eye(2), np.ones(2)),), 2, 1, "dimension-mismatch",
          "pair 0: B must be a matrix, got ndim 1"),
+        # 0-d matrices keep their shape in the report
+        (((np.float64(1.0), np.ones((1, 2))),), 2, 1, "dimension-mismatch",
+         "pair 0: A must be square, got shape ()"),
+        (((np.ones((1, 1)), np.float64(1.0)),), 1, 1, "dimension-mismatch",
+         "pair 0: B must be a matrix, got ndim 0"),
         (((np.eye(2), np.eye(2)),), 2, 3, "rank-out-of-range",
          "rank bound k=3 outside [1, n]=2"),
         ((), 2, 1, "empty-instance", "instance has no (A, B) pairs"),
