@@ -7,10 +7,19 @@ pairs of one shape: A is g x mi x mi and B is g x mi x n, both float64
 C-contiguous; Y and D are n x k.  Every per-pair product is the 2-D
 expression applied to each of the g matrices, and every sum over pairs adds
 them left to right, so the results are bitwise those of a per-pair loop,
-however the pairs are stacked.  An evaluation forms each pair's residual
-once, and holds one m_i x m_i array per stack.  The line search reads the
-pairs only through m_i x 2k products and the n x n matrix
-P = Sum B_i^T A_i B_i, which `congruence_sum` builds pair by pair.
+however the pairs are stacked.
+
+The kernels run on the working pairs, which `reduce_pairs` makes once, after
+validation: a pair with m_i > n becomes the n x n pair (Q_i^T A_i Q_i, R_i)
+of the thin QR B_i = Q_i R_i, plus the constant
+c_i = ||A_i - Q_i Q_i^T A_i Q_i Q_i^T||_F^2, and a pair with m_i <= n is
+kept as it is.  Q_i Q_i^T is an orthogonal projector, so
+||A_i - B_i X B_i^T||^2 = c_i + ||Q_i^T A_i Q_i - R_i X R_i^T||^2 for every
+X, A_i symmetric or not.  An evaluation forms each working pair's residual
+once, and holds one min(m_i, n) x min(m_i, n) array per stack.  The line
+search reads the pairs only through min(m_i, n) x 2k products and the n x n
+matrix P = Sum B_i^T A_i B_i = Sum R_i^T (Q_i^T A_i Q_i) R_i, which
+`congruence_sum` builds pair by pair.
 """
 
 import itertools
@@ -18,11 +27,13 @@ import math
 
 import numpy as np
 
-# At most this many entries in each temporary of a stack (64 KiB).  A pair's
-# largest temporary is its m_i x m_i residual or its n x k gradient term, so
-# 64 pairs of 6 x 6 with n k = 36 make one stack, as do three 48 x 48 pairs
-# with n k = 1024, while a pair with max(m_i^2, n k) > 4096 is alone in its
-# stack.  Larger stacks make fewer kernel calls but larger temporaries.
+# At most this many entries in each temporary of a stack (64 KiB).  A working
+# pair's largest temporary is its residual, of side min(m_i, n), or its n x k
+# gradient term, so 64 pairs of 6 x 6 with n k = 36 make one stack, as do
+# three 48 x 48 pairs with n k = 1024 and three 128 x 128 pairs with n = 32
+# (working side 32), while a pair with max(min(m_i, n)^2, n k) > 4096 is
+# alone in its stack.  Larger stacks make fewer kernel calls but larger
+# temporaries.
 STACK_ENTRIES = 8192
 
 
@@ -43,16 +54,12 @@ def _as_real(M):
     return np.zeros(M.shape), False
 
 
-def stack_pairs(pairs, factor_entries):
-    """(stacks, views, not_real): runs of equal-shape pairs cut to STACK_ENTRIES,
-    each pair, and per pair the names of its matrices that are not real.
+def _group(pairs, factor_entries):
+    """(stacks, views): runs of equal-shape pairs cut to STACK_ENTRIES, and each
+    pair, in order, in the stacks.
 
-    factor_entries is n k.  Multi-pair stacks are copies; a pair alone keeps
-    its (float64, C-contiguous) data.  views are the pairs, in order, in the stacks.
+    Multi-pair stacks are copies; a pair alone keeps its data.
     """
-    cast = [(_as_real(A), _as_real(B)) for A, B in pairs]
-    not_real = [[name for name, (_, ok) in zip("AB", pair) if not ok] for pair in cast]
-    pairs = [(A, B) for (A, _), (B, _) in cast]
     stacks, views = [], []
     for _, run in itertools.groupby(pairs, lambda pair: (pair[0].shape, pair[1].shape)):
         run = list(run)
@@ -67,7 +74,56 @@ def stack_pairs(pairs, factor_entries):
                 As, Bs = np.array([A for A, _ in chunk]), np.array([B for _, B in chunk])
                 stacks.append((As, Bs))
                 views.extend(zip(As, Bs))
-    return tuple(stacks), tuple(views), not_real
+    return tuple(stacks), tuple(views)
+
+
+def stack_pairs(pairs, factor_entries):
+    """(stacks, views, not_real): the caller's pairs stacked (`_group`), each
+    pair, and per pair the names of its matrices that are not real.
+
+    factor_entries is n k.  A pair alone in its stack keeps its (float64,
+    C-contiguous) data.  views are the pairs, in order, in the stacks.
+    """
+    cast = [(_as_real(A), _as_real(B)) for A, B in pairs]
+    not_real = [[name for name, (_, ok) in zip("AB", pair) if not ok] for pair in cast]
+    stacks, views = _group([(A, B) for (A, _), (B, _) in cast], factor_entries)
+    return stacks, views, not_real
+
+
+def reduce_pairs(stacks, factor_entries):
+    """(stacks, c): the working pairs of a valid instance, stacked, and each c_i.
+
+    Each stack of pairs with m_i > n takes one batched thin QR B = Q R and
+    becomes the n x n pairs (Q^T A Q, R), with
+    c_i = ||A_i - Q_i (Q_i^T A_i Q_i) Q_i^T||_F^2 summed over row blocks of
+    at most n rows, so no temporary exceeds n x m_i per pair.  c_i is formed
+    directly: ||A_i||^2 - ||Q_i^T A_i Q_i||^2 would cancel to a rounding
+    error of order u ||A_i||^2 where the fit is exact.  The working pairs are
+    restacked by their shapes; pairs with m_i <= n keep their arrays (c_i = 0),
+    and with no pair taller than n the stacks are returned as they are.
+    """
+    n = stacks[0][1].shape[-1]
+    if all(Bs.shape[1] <= n for _, Bs in stacks):
+        return stacks, np.zeros(sum(len(Bs) for _, Bs in stacks))
+    working, c = [], []
+    for As, Bs in stacks:
+        m = As.shape[-1]
+        if m <= n:
+            working.extend(zip(As, Bs))
+            c.append(np.zeros(len(As)))
+            continue
+        Q, R = np.linalg.qr(Bs)
+        Qt = Q.swapaxes(-1, -2)
+        At = (Qt @ As) @ Q
+        AtQt = At @ Qt
+        ci = np.zeros(len(As))
+        for r in range(0, m, n):
+            E = As[:, r : r + n] - Q[:, r : r + n] @ AtQt
+            E *= E
+            ci += E.sum(axis=(1, 2))
+        working.extend(zip(At, R))
+        c.append(ci)
+    return _group(working, factor_entries)[0], np.concatenate(c)
 
 
 def _in_order_sum(total, terms):
@@ -143,8 +199,12 @@ def congruence_sum(stacks):
     return P
 
 
-def evaluate(stacks, Y):
-    """(Sum r_i^2, Sum r_i, gradient), all read from R_i; r_i = ||R_i||_F."""
+def evaluate(stacks, c, Y):
+    """(Sum r_i^2, Sum r_i, gradient), all read from R_i and c.
+
+    r_i^2 = c_i + ||R_i||_F^2, the squared residual of the caller's pair
+    (`reduce_pairs`); c holds each c_i in pair order.
+    """
     grad = np.zeros(Y.shape)
     r2 = []
     for A, B in stacks:
@@ -152,6 +212,7 @@ def evaluate(stacks, Y):
         r2.append(r2_stack)
         grad = _in_order_sum(grad, terms)  # one stack's terms alive at a time
     r2 = np.concatenate(r2)
+    r2 += c
     r = np.sqrt(r2)
     return float(_in_order_sum(0.0, r2)), float(_in_order_sum(0.0, r)), grad
 

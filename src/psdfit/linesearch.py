@@ -4,9 +4,12 @@ The objective restricted to Y + t D is a quartic polynomial in t, so the
 exact minimizing step is found by solving the cubic derivative
 analytically.  Its a0 and a1 are f and <grad f, D> from the caller's
 `Evaluation` at Y; a2..a4 come in closed form from the 2k x 2k Gram matrix
-of each B_i [Y D] and from the n x n matrix P = Sum B_i^T A_i B_i, which
-gives Sum <A_i B_i D, B_i D> as <D, P D>.  P is built on the first line
-search of an instance and kept on it, so no line search reads an A_i.
+of each working pair's B_i [Y D] and from the n x n matrix
+P = Sum B_i^T A_i B_i, which gives Sum <A_i B_i D, B_i D> as <D, P D>.  P is
+built on the first line search of an instance and kept on it, so no line
+search reads an A_i.  A pair taller than n enters as its n x n working pair
+(`problem.ProblemInstance`), so every product here has at most n rows.  The
+step found is never uphill: a minimizer above phi(0) is no step.
 """
 
 import math
@@ -149,10 +152,15 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
 
     When a1 < 0 and a4 > 0 a positive minimizer always exists (phi'(0) < 0
     and phi grows at infinity).  DegenerateDirectionError is raised when
-    phi' is not a finite true cubic (`cubic_real_roots` refuses it) or no
-    positive critical point improves on the zero step.  Ties between
-    equal-value positive critical points resolve to the smallest step.  A
-    non-finite coefficient (the kernels overflowed) raises NumericalError.
+    phi' is not a finite true cubic (`cubic_real_roots` refuses it), when
+    no positive critical point improves on the zero step, and when the best
+    one lies above phi(0): a root that rounding put on the wrong side of 0
+    leaves only a minimizer uphill of the start, and taking it can throw an
+    iterate at the rounding floor back above its start.  phi(t*) == phi(0)
+    is a step when a1 < 0, since near the floor phi(t*) can round to phi(0).
+    Ties between equal-value positive critical points resolve to the
+    smallest step.  A non-finite coefficient (the kernels overflowed)
+    raises NumericalError.
     """
     coeffs = (p.a0, p.a1, p.a2, p.a3, p.a4)
     if not all(math.isfinite(a) for a in coeffs):
@@ -169,7 +177,7 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
             if v < best_v:
                 best_t = t
                 best_v = v
-    if best_t is None or (p.a1 >= 0.0 and best_v >= p.a0):
+    if best_t is None or best_v > p.a0 or (p.a1 >= 0.0 and best_v == p.a0):
         raise DegenerateDirectionError(
             "no positive critical point improves on the zero step"
             f" (a1={p.a1:g})"

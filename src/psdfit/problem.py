@@ -14,12 +14,16 @@ listing every `Violation`, if it breaks an invariant; nothing else checks it.
 The pairs are held in stacks, which `_kernels` builds and walks: it owns
 their grouping and every sum over pairs, which adds the pairs in pair order,
 so results are reproducible and do not depend on how the pairs are stacked.
+The stacks hold the working pairs: once an instance is valid, each pair with
+m_i > n is reduced to an n x n pair through the thin QR of B_i, and a
+constant that the evaluation adds back (`_kernels.reduce_pairs`), so no
+iteration forms an array larger than min(m_i, n)^2 for a pair.
 
 All functions are pure and safe to call from multiple threads.  The one
 state an instance gains after construction, the n x n matrix
 P = Sum B_i^T A_i B_i that the line search reads (`ProblemInstance._P`), is
-a function of the pairs alone: threads that race to build it build the
-same P, bit for bit, and it is read-only.
+a function of the working pairs alone: threads that race to build it build
+the same P, bit for bit, and it is read-only.
 """
 
 import numbers
@@ -62,19 +66,23 @@ class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
 
     Construction groups the pairs into stacks (`_kernels.stack_pairs`), and
-    `pairs` then holds views into them.  It raises `ValidationError` unless
-    there is a pair, n and k are integers with 1 <= k <= n, and each A_i is
-    m_i x m_i with m_i >= 1 and each B_i is m_i x n, both real and finite.
-    The pair arrays are treated as read-only once built: the kernels read the
-    stacks behind them, and Sum ||A_i||_F comes from the walk that checks
-    finiteness.
+    `pairs` then holds views into them, bitwise the caller's data.  It
+    raises `ValidationError` unless there is a pair, n and k are integers
+    with 1 <= k <= n, and each A_i is m_i x m_i with m_i >= 1 and each B_i
+    is m_i x n, both real and finite.  Sum ||A_i||_F comes from the walk that
+    checks finiteness.  A valid instance then reduces its pairs taller than n
+    to n x n working pairs (`_kernels.reduce_pairs`), which the kernels
+    read; pairs with m_i <= n are their own working pairs, so the pair
+    arrays are treated as read-only once built.
     """
 
     pairs: tuple
     n: int
     k: int
-    # (A stack, B stack) per run of pairs, in pair order
+    # (A stack, B stack) per run of working pairs, in pair order
     _stacks: tuple = field(init=False, repr=False)
+    # per pair, ||A_i||_F^2 outside range(B_i) x range(B_i); 0 where m_i <= n
+    _c: np.ndarray = field(init=False, repr=False)
     _norm_sum: float = field(init=False, repr=False)  # Sum ||A_i||_F in pair order
 
     def __post_init__(self):
@@ -84,12 +92,14 @@ class ProblemInstance:
         entries = n * k if integral else 0
         stacks, views, not_real = _kernels.stack_pairs(self.pairs, entries)
         norm_sum, non_finite = _kernels.measure(stacks)
-        object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "pairs", views)
         object.__setattr__(self, "_norm_sum", norm_sum)
         violations = _violations(self, not_real, non_finite)
         if violations:
             raise ValidationError(violations)
+        stacks, c = _kernels.reduce_pairs(stacks, entries)
+        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "_c", c)
 
     @property
     def m(self):
@@ -99,7 +109,9 @@ class ProblemInstance:
     def _P(self):
         """Sum B_i^T A_i B_i in pair order (n x n, read-only), built on first use.
 
-        The line search reads Sum <A_i V_i, V_i> as <D, P D>.  It is built
+        It is summed over the working pairs: R_i^T (Q_i^T A_i Q_i) R_i for a
+        pair taller than n.  The line search reads Sum <A_i V_i, V_i> as
+        <D, P D>.  It is built
         here, not in the constructor, so that constructing an instance still
         makes a single walk over the data.
         """
@@ -176,7 +188,8 @@ def evaluate(instance: ProblemInstance, Y: FactorMatrix) -> Evaluation:
     Y must be n x k (ValueError).  When every A_i is zero the residual has
     no denominator and the absolute sum of residual norms is reported.
     """
-    f, num, grad = _kernels.evaluate(instance._stacks, _as_factor(instance, Y))
+    Y = _as_factor(instance, Y)
+    f, num, grad = _kernels.evaluate(instance._stacks, instance._c, Y)
     denom = instance._norm_sum
     return Evaluation(f, num / denom if denom else num, grad, float((grad * grad).sum()))
 
@@ -191,12 +204,14 @@ def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
 
     Equals sum_i (4 B_i^T B_i Y Y^T B_i^T B_i Y - 2 B_i^T A_i B_i Y
     - 2 B_i^T A_i^T B_i Y); the A_i and A_i^T terms stay distinct because
-    A_i need not be symmetric.  Computed from each pair's residual
+    A_i need not be symmetric.  Computed from each working pair's residual
     R_i = A_i - B_i Y Y^T B_i^T, which the objective reads too, as
-    -2 B_i^T (R_i W_i + R_i^T W_i) with W_i = B_i Y: R_i is the one m_i x m_i
-    array of the evaluation, and R_i^T W_i reads it through a transposed
-    view.  The cached P of the line search is not used here.  The tests pin
-    it against the expanded form.
+    -2 B_i^T (R_i W_i + R_i^T W_i) with W_i = B_i Y: R_i is the one
+    min(m_i, n) x min(m_i, n) array of the evaluation, and R_i^T W_i reads
+    it through a transposed view.  A pair taller than n enters as its n x n
+    working pair (Q_i^T A_i Q_i, R_i), whose gradient term is the same.  The
+    cached P of the line search is not used here.  The tests pin it against
+    the expanded form.
     """
     return evaluate(instance, Y).grad
 

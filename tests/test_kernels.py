@@ -20,6 +20,26 @@ def reference_pair(A, B, Y):
     return float(np.sum(R * R)), -2.0 * (B.T @ (R @ W + R.T @ W))
 
 
+def reference_reduce(A, B):
+    """One pair's working pair and c, in the 2-D form of a per-pair loop.
+
+    A pair with m > n becomes (Q^T A Q, R) of the thin QR B = Q R, and c is
+    ||A - Q (Q^T A Q) Q^T||^2 added over row blocks of n rows; a pair with
+    m <= n is its own working pair, with c = 0.
+    """
+    m, n = B.shape
+    if m <= n:
+        return A, B, 0.0
+    Q, R = np.linalg.qr(B)
+    At = (Q.T @ A) @ Q
+    AtQt = At @ Q.T
+    c = 0.0
+    for r in range(0, m, n):
+        E = A[r : r + n] - Q[r : r + n] @ AtQt
+        c += np.sum(E * E)
+    return At, R, c
+
+
 def reference_quartic_terms(B, Y, D):
     """One pair's a2 + 2 <A V, V>, a3 and a4, in the 2-D Gram form of a pair loop."""
     k = Y.shape[1]
@@ -60,35 +80,44 @@ def test_residual_gradient_returns_each_pairs_terms():
 
 def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     # at a budget of 512 entries: a run the budget splits (20 = 14 + 6), a
-    # side change, a short run, stacks whose per-pair sums have more than
-    # 128 entries, and two pairs too large to share a stack
+    # side change, a short run, and pairs taller than n = 12 (16 and 30),
+    # whose 12 x 12 working pairs join the 12 x 12 pairs in one run of seven
+    # that the budget cuts into 3 + 3 + 1
     monkeypatch.setattr(_kernels, "STACK_ENTRIES", 512)
     sides = [6] * 20 + [7] + [6] * 3 + [16] * 2 + [12] * 3 + [30] * 2
     n, k = 12, 3
     rng = np.random.default_rng(5)
     data = [(rng.random((mi, mi)), rng.random((mi, n))) for mi in sides]
     inst = ProblemInstance(pairs=tuple(data), n=n, k=k)
-    assert [len(A) for A, _ in inst._stacks] == [14, 6, 1, 3, 2, 3, 1, 1]
+    assert [len(A) for A, _ in inst._stacks] == [14, 6, 1, 3, 3, 3, 1]
     assert all(
         np.array_equal(A, A0) and np.array_equal(B, B0)
         for (A, B), (A0, B0) in zip(inst.pairs, data, strict=True)
     )
-    # a pair alone in its stack is not copied
-    assert np.shares_memory(inst._stacks[-1][0], data[-1][0])
+    # a pair with m_i <= n alone in its stack is not copied
+    assert np.shares_memory(inst._stacks[2][0], data[20][0])
+    assert np.shares_memory(inst._stacks[2][1], data[20][1])
+    working = [reference_reduce(A, B) for A, B in data]
+    stacked = [pair for As, Bs in inst._stacks for pair in zip(As, Bs)]
+    assert all(
+        np.array_equal(A, At) and np.array_equal(B, R)
+        for (A, B), (At, R, _) in zip(stacked, working, strict=True)
+    )
+    assert np.array_equal(inst._c, [c for _, _, c in working])
     Y = rng.standard_normal((n, k))
     D = rng.standard_normal((n, k))
 
     f = num = denom = 0.0
     grad = np.zeros((n, k))
     a = [0.0] * 3
-    for A, B in data:
+    for (A, B, c), (A0, _) in zip(working, data):
         r2, term = reference_pair(A, B, Y)
-        f += r2
-        num += math.sqrt(r2)
-        denom += float(np.linalg.norm(A, "fro"))
+        f += r2 + c
+        num += math.sqrt(r2 + c)
+        denom += float(np.linalg.norm(A0, "fro"))
         grad += term
         a = [x + t for x, t in zip(a, reference_quartic_terms(B, Y, D))]
-    P = reference_P(data, n)
+    P = reference_P([(A, B) for A, B, _ in working], n)
     a[0] -= 2.0 * np.sum(D * (P @ D))
 
     assert inst._norm_sum == sum(float(np.linalg.norm(A, "fro")) for A, _ in data)
@@ -102,6 +131,13 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     assert p.a0 == at.f
     assert p.a1 == (at.grad * D).sum()
     assert [p.a2, p.a3, p.a4] == a
+
+    # and the working pairs give the caller's pairs' values, to rounding
+    f0 = sum(reference_pair(A, B, Y)[0] for A, B in data)
+    grad0 = sum(reference_pair(A, B, Y)[1] for A, B in data)
+    assert math.isclose(at.f, f0, rel_tol=1e-12)
+    assert np.allclose(at.grad, grad0, rtol=1e-11, atol=1e-11 * np.abs(grad0).max())
+    assert np.allclose(inst._P, reference_P(data, n), rtol=1e-11, atol=0.0)
 
 
 def test_racing_line_searches_build_one_P():
@@ -161,21 +197,39 @@ def test_quartic_terms_form_no_pair_sized_matrix():
         assert peak < bound
 
 
+def evaluation_peak(inst, Y):
+    """The tracemalloc peak of one kernel evaluation, in bytes."""
+    tracemalloc.start()
+    try:
+        _kernels.evaluate(inst._stacks, inst._c, Y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_evaluation_keeps_one_pair_sized_matrix():
     # the residual is formed once, in place, and gives f, Sum r_i and the
     # gradient term; it is the only m_i x m_i array of the evaluation
-    mi, n, k = 400, 8, 2
+    # (m_i = n, so the pair is its own working pair)
+    mi, n, k = 400, 400, 2
     rng = np.random.default_rng(9)
     pair = (rng.random((mi, mi)), rng.random((mi, n)))
     inst = ProblemInstance(pairs=(pair,), n=n, k=k)
     Y = rng.standard_normal((n, k))
-    tracemalloc.start()
-    try:
-        _kernels.evaluate(inst._stacks, Y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * mi * mi * 8
+    assert evaluation_peak(inst, Y) < 1.5 * mi * mi * 8
+
+
+def test_tall_pair_evaluation_forms_no_pair_sized_matrix():
+    # a 400 x 400 pair at n = 8 is evaluated through its 8 x 8 working pair:
+    # the whole evaluation stays under one m_i x n array (25.6 KB), where
+    # the caller's residual would be 1.28 MB
+    mi, n, k = 400, 8, 2
+    rng = np.random.default_rng(9)
+    pair = (rng.random((mi, mi)), rng.random((mi, n)))
+    inst = ProblemInstance(pairs=(pair,), n=n, k=k)
+    assert [A.shape for A, _ in inst._stacks] == [(1, n, n)]
+    assert evaluation_peak(inst, rng.standard_normal((n, k))) < mi * n * 8
 
 
 @pytest.mark.parametrize(
@@ -232,18 +286,28 @@ def test_one_kernel_call_per_stack(monkeypatch):
     [
         ([6] * 64, 12, 3, [64]),  # many small pairs: one stack
         ([48] * 3, 64, 16, [3]),  # three 48 x 48 pairs: one stack
-        ([128], 32, 4, [1]),  # a 128 x 128 residual alone exceeds the budget
+        ([128], 32, 4, [1]),  # a 128 x 128 pair works as a 32 x 32 pair
+        ([128] * 3, 32, 4, [3]),  # three of them share one stack
+        ([100], 128, 4, [1]),  # a 100 x 100 residual alone exceeds the budget
     ],
-    ids=["64x6x6", "3x48x48", "1x128x128"],
+    ids=["64x6x6", "3x48x48", "1x128x128", "3x128x128", "1x100x100"],
 )
 def test_shipped_budget_layouts(sides, n, k, stack_sizes):
     rng = np.random.default_rng(1)
     data = [(rng.random((mi, mi)), rng.random((mi, n))) for mi in sides]
     inst = ProblemInstance(pairs=tuple(data), n=n, k=k)
     assert [len(A) for A, _ in inst._stacks] == stack_sizes
-    if stack_sizes == [1]:  # a pair alone in its stack is not copied
-        assert np.shares_memory(inst._stacks[0][0], data[0][0])
-        assert np.shares_memory(inst._stacks[0][1], data[0][1])
+    side = min(sides[0], n)  # the working side
+    assert [(A.shape, B.shape) for A, B in inst._stacks] == [
+        ((g, side, side), (g, side, n)) for g in stack_sizes
+    ]
+    assert all(
+        np.array_equal(A, A0) and np.array_equal(B, B0)
+        for (A, B), (A0, B0) in zip(inst.pairs, data, strict=True)
+    )
+    if stack_sizes == [1]:  # a pair alone in its stack is not copied, unless reduced
+        assert np.shares_memory(inst._stacks[0][0], data[0][0]) == (sides[0] <= n)
+        assert np.shares_memory(inst._stacks[0][1], data[0][1]) == (sides[0] <= n)
 
 
 @pytest.mark.parametrize(
@@ -269,12 +333,15 @@ def test_stacking_is_invisible(monkeypatch, sides, n, k, entries):
         return len(inst._stacks), at, [p.a0, p.a1, p.a2, p.a3, p.a4]
 
     # at a budget of 512 the layout is a third one for "mixed" (stacks of 14
-    # and 6), the runs for "nk1" and every pair alone for "nk1024"
+    # and 6), the runs for "nk1" and every pair alone for "nk1024"; the runs
+    # are of working sides min(m_i, n), so the 50 pairs of "nk1" (n = 1)
+    # are one run, and the 16 x 16 pairs of "mixed" (n = 12) are reduced
     monkeypatch.setattr(_kernels, "STACK_ENTRIES", 512)
     _, at, a = results()
     monkeypatch.setattr(_kernels, "STACK_ENTRIES", entries)
     stacks_e, at_e, a_e = results()
-    runs = 1 + sum(x != y for x, y in zip(sides, sides[1:]))
+    working = [min(mi, n) for mi in sides]
+    runs = 1 + sum(x != y for x, y in zip(working, working[1:]))
     assert stacks_e == (len(sides) if entries == 1 else runs)
     assert at_e.f == at.f
     assert at_e.residual == at.residual

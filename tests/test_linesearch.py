@@ -247,6 +247,18 @@ def test_minimize_zero_slope_no_improvement_raises():
         minimize_quartic(QuarticPolynomial(a0=0.0, a1=0.0, a2=4.0, a3=-4.0, a4=1.0))
 
 
+def test_minimize_never_steps_uphill():
+    # the unit -grad polynomial at a rounding-floor iterate (n = 8, B x 100,
+    # A x 1e4): phi' has roots near 3.7e-16, 2.82 and 5.35, and rounding can
+    # put the smallest below 0, leaving t = 5.35 with phi 1e28 times phi(0)
+    p = QuarticPolynomial(a0=3.9e-17, a1=-1.06e-3, a2=1.44e12, a3=-5.21e11, a4=4.78e10)
+    try:
+        found = minimize_quartic(p)
+    except DegenerateDirectionError:
+        return
+    assert found.phi_at_t <= p.a0
+
+
 def test_minimize_grid_search_oracle():
     rng = np.random.default_rng(3)
     checked = 0

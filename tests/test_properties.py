@@ -4,7 +4,9 @@ The objective and gradient properties are hypothesis properties: each
 example is a small random instance with non-symmetric A_i and rectangular
 B_i, drawn from a seed that hypothesis chooses.  The settings derandomize
 the search and keep no example database, so runs are reproducible and write
-nothing to disk.  The solved-X properties run on eight seeded instances.
+nothing to disk.  Instances with pairs taller than n are checked against the
+independent oracles.  The solved-X properties run on eight seeded
+instances.
 """
 
 import numpy as np
@@ -21,6 +23,12 @@ from psdfit import (
     solve,
 )
 from psdfit import _kernels, linesearch
+from psdfit.oracle import (
+    fd_gradient,
+    interpolate_quartic,
+    reference_objective,
+    reference_residual,
+)
 from psdfit.problem import evaluate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -147,6 +155,67 @@ def test_stack_budget_is_invisible(case):
             + bits(result.Y_final, *result.trace.columns)
         )
     assert seen[0] == seen[1] == seen[2]
+
+
+# ---------------------------------------------------------------------------
+# pairs taller than n, which the kernels see through n x n working pairs
+
+
+@st.composite
+def tall_instances(draw, consistent=False):
+    """(instance, Y, D, Z): pairs of side below, at and above n, at least one above.
+
+    n <= 5 (n = 1 and k = n included); a tall B_i is C_i E_i with E_i of
+    r_i <= n rows, so it may be rank-deficient.  The A_i are Gaussian, hence
+    not symmetric, or with consistent the planted B_i Z Z^T B_i^T.
+    """
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    sizes = draw(st.lists(st.integers(1, n + 6), max_size=3))
+    sizes = draw(st.permutations(sizes + [draw(st.integers(n + 1, n + 6))]))
+    ranks = [draw(st.integers(1, n)) if mi > n else n for mi in sizes]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = rng.standard_normal((n, k))
+    pairs = []
+    for mi, r in zip(sizes, ranks):
+        B = rng.standard_normal((mi, r)) @ rng.standard_normal((r, n))
+        W = B @ Z
+        A = W @ W.T if consistent else rng.standard_normal((mi, mi))
+        pairs.append((A, B))
+    inst = ProblemInstance(pairs=tuple(pairs), n=n, k=k)
+    return inst, rng.standard_normal((n, k)), rng.standard_normal((n, k)), Z
+
+
+@PROPERTY
+@given(tall_instances())
+def test_tall_pairs_match_the_oracles(case):
+    # the oracles read the caller's pairs, never the working pairs
+    inst, Y, D, _ = case
+    assert np.all(inst._c >= 0.0)
+    at = evaluate(inst, Y)
+    assert at.f == pytest.approx(reference_objective(inst, Y), rel=1e-12)
+    assert at.residual == pytest.approx(reference_residual(inst, Y), rel=1e-12)
+    g_fd = fd_gradient(inst, Y)
+    scale = np.maximum(1.0, np.maximum(np.abs(at.grad), np.abs(g_fd)))
+    assert (np.abs(at.grad - g_fd) / scale).max() < 1e-6
+    p = linesearch.quartic_coeffs(inst, Y, D, at)
+    q = interpolate_quartic(inst, Y, D)
+    for mine, theirs in zip(
+        (p.a0, p.a1, p.a2, p.a3, p.a4), (q.a0, q.a1, q.a2, q.a3, q.a4)
+    ):
+        assert abs(mine - theirs) <= 1e-8 * max(1.0, abs(mine), abs(theirs))
+
+
+@PROPERTY
+@given(tall_instances(consistent=True))
+def test_tall_pairs_fit_exactly_at_the_planted_factor(case):
+    # c_i is summed from the residual outside range(B_i), so f at the planted
+    # Z stays at the rounding floor (u Sum ||A_i||)^2; ||A_i||^2 - ||Q^T A Q||^2
+    # would leave an error near u (Sum ||A_i||)^2, some 1e15 times larger
+    inst, _, _, Z = case
+    u = np.finfo(np.float64).eps / 2
+    floor = (u * sum(np.linalg.norm(A) for A, _ in inst.pairs)) ** 2
+    assert 0.0 <= evaluate(inst, Z).f <= 1e3 * floor
 
 
 # ---------------------------------------------------------------------------

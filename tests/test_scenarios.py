@@ -49,6 +49,15 @@ def test_large_targets_take_steps_to_the_rounding_floor(a):
     assert result.trace[-1].residual <= 1e-12
 
 
+def test_badly_scaled_tall_instance_reaches_the_rounding_floor():
+    # a 40 x 40 and a 12 x 12 pair at n = 10: the taller pair is fit through
+    # its 10 x 10 working pair, whose constant c_i stays at the rounding floor
+    base = generate_instance(10, 4, sizes=[40, 12], seed=3, mode="consistent")
+    config = SolverConfig(epsilon=1e-6, max_iterations=4000)
+    result = solve(scaled(base, a=1e6, b=1e3), config=config, seed=1)
+    assert result.trace[-1].residual <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # edge cases
 

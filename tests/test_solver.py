@@ -286,6 +286,25 @@ def test_solve_stops_at_a_degenerate_direction(tmp_path, monkeypatch):
     assert read_solution(path).termination == "degenerate-direction"
 
 
+def test_solve_never_steps_uphill_at_the_rounding_floor():
+    # at iteration 8365 of this solve a line search whose small critical
+    # point rounded below 0 once took f from 3.9e-17 to 7.3e11, above f_0;
+    # no recorded f may exceed its predecessor by more than the rounding
+    # allowance of the benchmark's trace check, 2 sqrt(f) tau + tau^2 with
+    # tau = 4 u Sum (||A_i|| + ||B_i||^2 ||X||) at the returned X
+    base = generate_instance(8, 3, m=3, seed=0, mode="consistent")
+    pairs = tuple((1e4 * A, 100.0 * B) for A, B in base.pairs)
+    inst = ProblemInstance(pairs=pairs, n=8, k=3)
+    result = solve(inst, config=SolverConfig(epsilon=1e-6), seed=18)
+    u = np.finfo(np.float64).eps / 2
+    x = np.linalg.norm(result.X_final)
+    norms = sum(np.linalg.norm(A) + np.linalg.norm(B) ** 2 * x for A, B in pairs)
+    tau = 4.0 * u * norms
+    f = [r.f_value for r in result.trace]
+    rises = [b - a - (2.0 * math.sqrt(a) * tau + tau * tau) for a, b in zip(f, f[1:])]
+    assert max(rises) <= 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_solve_rejects_a_non_finite_start(bad):
     Y0 = golden.Y0_RANK2.copy()
