@@ -17,8 +17,9 @@ kept as it is.  Q_i Q_i^T is an orthogonal projector, so
 ||A_i - B_i X B_i^T||^2 = c_i + ||Q_i^T A_i Q_i - R_i X R_i^T||^2 for every
 X, A_i symmetric or not.  An evaluation forms each working pair's residual
 once, and holds one min(m_i, n) x min(m_i, n) array per stack.  The line
-search reads the pairs only through min(m_i, n) x 2k products and the n x n
-matrix P = Sum B_i^T A_i B_i = Sum R_i^T (Q_i^T A_i Q_i) R_i, which
+search reads the pairs only through min(m_i, n) x 2k products, of which it
+keeps a 3 x 3 Gram matrix per pair, and the n x n matrix
+P = Sum B_i^T A_i B_i = Sum R_i^T (Q_i^T A_i Q_i) R_i, which
 `congruence_sum` builds pair by pair.
 """
 
@@ -161,28 +162,32 @@ def residual_gradient(A, B, Y):
 
 
 def quartic_terms(B, Y, D):
-    """Each pair's a2 + 2 <A V, V>, a3 and a4 of the step polynomial, as g x 3.
+    """Each pair's 3 x 3 Gram matrix F F^T of F = [vec a; vec s; vec c], as g x 3 x 3.
 
-    With W = B Y and V = B D the residual at step t is
-    A - W W^T - t (W V^T + V W^T) - t^2 V V^T, whose squared norm has, in
-    the k x k blocks a = W^T W, b = W^T V and c = V^T V of the Gram matrix
-    of U = B [Y D],
-        a2 = 2 (<a, c> + <b, b^T> + ||b||^2 - <A V, V>)
-        a3 = 4 <b, c>      a4 = ||c||^2
+    With W = B Y and V = B D the Gram matrix of W + t V is
+    a(t) = a + t s + t^2 c, in the k x k blocks a = W^T W, b = W^T V,
+    s = b + b^T and c = V^T V of the Gram matrix of U = B [Y D].  The
+    residual at step t has squared norm
+    ||A||^2 - 2 <A, (W + t V)(W + t V)^T> + ||a(t)||^2, as
+    ||X X^T|| = ||X^T X||, and the t^2, t^3 and t^4 terms of ||a(t)||^2 are
+    read from Q = F F^T:
+        a2 = Q11 + 2 Q02 - 2 <A V, V>      a3 = 2 Q12      a4 = Q22
     The <A V, V> part, summed over the pairs, is <D, P D> (`quartic_sums`),
     so A is not read and no m_i x m_i matrix is formed.  a0 and a1 are f
     and <grad f, D>.
     """
-    k = Y.shape[1]
+    g, k = len(B), Y.shape[1]
     U = B @ np.concatenate((Y, D), axis=1)
     G = U.swapaxes(-1, -2).copy() @ U  # a copy of U^T, not syrk (residual_gradient)
-    a, b, c = G[:, :k, :k], G[:, :k, k:], G[:, k:, k:]
-
-    def inner(x, y):  # each pair's Frobenius inner product
-        return (x * y).sum(axis=(1, 2))
-
-    a2 = 2.0 * (inner(a, c) + inner(b, b.swapaxes(-1, -2)) + inner(b, b))
-    return np.stack([a2, 4.0 * inner(b, c), inner(c, c)], axis=1)
+    del U
+    F = np.empty((g, 3, k, k))
+    F[:, 0] = G[:, :k, :k]
+    b = G[:, :k, k:]
+    np.add(b, b.swapaxes(-1, -2), out=F[:, 1])
+    F[:, 2] = G[:, k:, k:]
+    del G, b  # so that G is not alive with F's transposed copy (a solve's peak)
+    F = F.reshape(g, 3, k * k)
+    return F @ F.swapaxes(-1, -2).copy()  # a copy of F^T, not syrk
 
 
 def congruence_sum(stacks):
@@ -220,13 +225,15 @@ def evaluate(stacks, c, Y):
 def quartic_sums(stacks, P, Y, D):
     """[a2, a3, a4] summed over all pairs; a0 and a1 come from the evaluation.
 
-    P is `congruence_sum(stacks)`; Sum <A_i V_i, V_i> = <D, P D>.
+    The pairs' 3 x 3 `quartic_terms` are added in pair order and combined
+    once.  P is `congruence_sum(stacks)`; Sum <A_i V_i, V_i> = <D, P D>.
     """
-    a = np.zeros(3)
+    Q = 0.0
     for _, B in stacks:
-        a = _in_order_sum(a, quartic_terms(B, Y, D))
-    a[0] -= 2.0 * (D * (P @ D)).sum()
-    return a.tolist()
+        Q = _in_order_sum(Q, quartic_terms(B, Y, D))
+    Q = Q.tolist()
+    DPD = float((D * (P @ D)).sum())
+    return [Q[1][1] + 2.0 * Q[0][2] - 2.0 * DPD, 2.0 * Q[1][2], Q[2][2]]
 
 
 def measure(stacks):

@@ -3,8 +3,9 @@
 The objective restricted to Y + t D is a quartic polynomial in t, so the
 exact minimizing step is found by solving the cubic derivative
 analytically.  Its a0 and a1 are f and <grad f, D> from the caller's
-`Evaluation` at Y; a2..a4 come in closed form from the 2k x 2k Gram matrix
-of each working pair's B_i [Y D] and from the n x n matrix
+`Evaluation` at Y; a2..a4 come in closed form from a 3 x 3 Gram matrix per
+working pair, of the k x k blocks of the Gram matrix of B_i [Y D]
+(`_kernels.quartic_terms`), and from the n x n matrix
 P = Sum B_i^T A_i B_i, which gives Sum <A_i B_i D, B_i D> as <D, P D>.  P is
 built on the first line search of an instance and kept on it, so no line
 search reads an A_i.  A pair taller than n enters as its n x n working pair
@@ -60,8 +61,9 @@ def quartic_coeffs(
     """Coefficients of phi(t) = objective(Y + t D), exact for all t.
 
     at is `problem.evaluate(instance, Y)`: a0 = at.f and a1 = <at.grad, D>.
-    a2..a4 are the sums over pairs of `_kernels.quartic_terms`, in k x k
-    Gram matrices of B_i Y and B_i D, less 2 <D, P D> from a2.
+    a2..a4 are read from the sum over pairs of `_kernels.quartic_terms`, the
+    3 x 3 Gram matrices of the k x k Gram blocks of B_i Y and B_i D, less
+    2 <D, P D> from a2 (`_kernels.quartic_sums`).
     """
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
@@ -198,7 +200,8 @@ def exact_step(
     non-finite D raises DegenerateDirectionError.
     """
     D = _as_factor(instance, D, name="D")
-    nrm = float(np.linalg.norm(D))
+    flat = D.ravel()
+    nrm = math.sqrt(flat.dot(flat))  # bitwise np.linalg.norm(D)
     if nrm == 0.0 or not math.isfinite(nrm):
         raise DegenerateDirectionError("zero or non-finite direction")
     found = minimize_quartic(quartic_coeffs(instance, Y, D / nrm, at))

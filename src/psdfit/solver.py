@@ -224,7 +224,7 @@ def solve(
     trace = Trace()
     while True:
         k = record.index
-        if not (np.isfinite(record.f_value) and np.isfinite(record.grad_norm)):
+        if not (math.isfinite(record.f_value) and math.isfinite(record.grad_norm)):
             raise NumericalError(f"non-finite objective or gradient at iteration {k}")
         trace.append(record)
         if k > 0 and callback is not None:

@@ -41,16 +41,15 @@ def reference_reduce(A, B):
 
 
 def reference_quartic_terms(B, Y, D):
-    """One pair's a2 + 2 <A V, V>, a3 and a4, in the 2-D Gram form of a pair loop."""
+    """One pair's 3 x 3 Gram matrix of [vec a; vec b + b^T; vec c], in the 2-D
+    form of a pair loop, where a, b and c are the k x k blocks of the Gram
+    matrix of B [Y D]."""
     k = Y.shape[1]
     U = B @ np.hstack((Y, D))
     G = U.T.copy() @ U
     a, b, c = G[:k, :k], G[:k, k:], G[k:, k:]
-    return (
-        2.0 * (np.sum(a * c) + np.sum(b * b.T) + np.sum(b * b)),
-        4.0 * np.sum(b * c),
-        np.sum(c * c),
-    )
+    F = np.stack([a.ravel(), (b + b.T).ravel(), c.ravel()])
+    return F @ F.T.copy()
 
 
 def reference_P(pairs, n):
@@ -76,6 +75,27 @@ def test_residual_gradient_returns_each_pairs_terms():
         R = A[i] - B[i] @ Y @ Y.T @ B[i].T
         assert math.isclose(r2_i, float(np.linalg.norm(R, "fro")) ** 2, rel_tol=1e-12)
         assert np.array_equal(terms[i], term)
+
+
+def test_quartic_terms_returns_each_pairs_terms():
+    rng = np.random.default_rng(3)
+    for g, mi, n, k in [(5, 4, 6, 3), (3, 7, 5, 1), (2, 6, 6, 6)]:
+        B = rng.standard_normal((g, mi, n))
+        Y = rng.standard_normal((n, k))
+        D = rng.standard_normal((n, k))
+        terms = _kernels.quartic_terms(B, Y, D)
+        assert terms.shape == (g, 3, 3)
+        for i in range(g):
+            Q = reference_quartic_terms(B[i], Y, D)
+            assert np.array_equal(terms[i], Q)
+            # the Gram parts of a2, a3 and a4 in the expanded per-pair form
+            W, V = B[i] @ Y, B[i] @ D
+            S = W @ V.T + V @ W.T
+            VV = V @ V.T
+            a2 = np.sum(S * S) + 2.0 * np.sum((W @ W.T) * VV)
+            assert math.isclose(Q[1, 1] + 2.0 * Q[0, 2], a2, rel_tol=1e-12)
+            assert math.isclose(2.0 * Q[1, 2], 2.0 * np.sum(S * VV), rel_tol=1e-12)
+            assert math.isclose(Q[2, 2], np.sum(VV * VV), rel_tol=1e-12)
 
 
 def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
@@ -109,16 +129,16 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
 
     f = num = denom = 0.0
     grad = np.zeros((n, k))
-    a = [0.0] * 3
+    Q = np.zeros((3, 3))
     for (A, B, c), (A0, _) in zip(working, data):
         r2, term = reference_pair(A, B, Y)
         f += r2 + c
         num += math.sqrt(r2 + c)
         denom += float(np.linalg.norm(A0, "fro"))
         grad += term
-        a = [x + t for x, t in zip(a, reference_quartic_terms(B, Y, D))]
+        Q = Q + reference_quartic_terms(B, Y, D)
     P = reference_P([(A, B) for A, B, _ in working], n)
-    a[0] -= 2.0 * np.sum(D * (P @ D))
+    a = [Q[1, 1] + 2.0 * Q[0, 2] - 2.0 * np.sum(D * (P @ D)), 2.0 * Q[1, 2], Q[2, 2]]
 
     assert inst._norm_sum == sum(float(np.linalg.norm(A, "fro")) for A, _ in data)
     assert np.array_equal(inst._P, P)
@@ -258,27 +278,42 @@ def test_one_kernel_call_per_stack(monkeypatch):
     inst = generate_instance(12, 3, sizes=[6] * 64, seed=0)
     stacks = len(inst._stacks)
     assert stacks == 5
-    log = []
+    Y0 = np.random.default_rng(0).random((inst.n, inst.k))
+    log, searches, iterates = [], [], [(Y0, -evaluate(inst, Y0).grad)]
 
-    def record(module, attr, mark):
+    def record(module, attr, mark, keep=None):
         fn = getattr(module, attr)
 
         def recorded(*args, **kwargs):
             log.append(mark)
+            if keep is not None:
+                keep.append(args)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, recorded)
 
     record(solver, "evaluate", "E")
+    record(linesearch, "exact_step", "S", searches)
     record(linesearch, "quartic_coeffs", "Q")
     record(_kernels, "residual_gradient", "r")
     record(_kernels, "quartic_terms", "q")
-    result = solve(inst, config=SolverConfig(max_iterations=4))
+
+    def callback(record, Y, grad, D):
+        iterates.append((Y, D))
+
+    result = solve(inst, Y0, SolverConfig(max_iterations=4), callback=callback)
     assert result.iterations == 4
     calls = "".join(log)
-    # every evaluation and every line search makes one kernel call per stack
-    assert re.fullmatch(f"(Er{{{stacks}}}|Qq{{{stacks}}})+", calls), calls
-    assert calls.count("E") == 5 and calls.count("Q") >= 4
+    # every evaluation and every line search makes one kernel call per stack,
+    # and each iteration makes one public line search, `exact_step`
+    one = f"SQq{{{stacks}}}Er{{{stacks}}}"
+    assert re.fullmatch(f"Er{{{stacks}}}({one}){{4}}", calls), calls
+    # with the iterate and the direction that the previous iteration left
+    # as its 2nd and 3rd positional arguments, which is how a probe reads them
+    assert len(searches) == 4
+    for args, (Y, D) in zip(searches, iterates[:4], strict=True):
+        assert len(args) >= 3 and args[0] is inst
+        assert np.array_equal(args[1], Y) and np.array_equal(args[2], D)
 
 
 @pytest.mark.parametrize(

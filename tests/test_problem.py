@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,9 @@ from psdfit import (
     objective,
     residual_error,
 )
+from psdfit import linesearch
 from psdfit.oracle import reference_objective, reference_residual
+from psdfit.problem import _as_factor, evaluate
 
 import golden
 
@@ -223,6 +226,70 @@ def test_objective_rejects_bad_shape():
     inst = golden.instance(2)
     with pytest.raises(ValueError, match="shape"):
         objective(inst, np.zeros((4, 3)))
+
+
+class FactorSubclass(np.ndarray):
+    pass
+
+
+def factor_kinds(Y):
+    """Y in each input kind the public functions take, by name."""
+    strided = np.zeros((2 * Y.shape[0], 3 * Y.shape[1]))
+    strided[::2, ::3] = Y
+    read_only = Y.copy()
+    read_only.flags.writeable = False
+    return {
+        "list": Y.tolist(),
+        "float32": Y.astype(np.float32),
+        "int": np.rint(4 * Y).astype(np.int64),
+        "fortran": np.asfortranarray(Y),
+        "strided": strided[::2, ::3],
+        "subclass": Y.view(FactorSubclass),
+        "big-endian": Y.astype(">f8"),
+        "read-only": read_only,
+    }
+
+
+def test_factor_inputs_convert_as_before():
+    # a conforming factor (ndarray, float64, C-contiguous, n x k) is taken as
+    # it is; every other input is converted as np.ascontiguousarray converts
+    # it, or refused for its shape, and gives the same results, bit for bit,
+    # as the array it converts to
+    inst = generate_instance(5, 2, m=3, seed=4)
+    rng = np.random.default_rng(4)
+    Y = rng.standard_normal((5, 2))
+    D = -evaluate(inst, Y).grad
+    assert _as_factor(inst, Y) is Y
+    for name, kind in factor_kinds(Y).items():
+        got = _as_factor(inst, kind)
+        want = np.ascontiguousarray(kind, dtype=np.float64)
+        assert type(got) is np.ndarray and got.dtype == np.float64, name
+        assert got.flags.c_contiguous and got.shape == (5, 2), name
+        assert np.array_equal(got, want), name
+        assert (got is kind) == (name == "read-only"), name
+
+    def results(Y, D):
+        at = evaluate(inst, Y)
+        p = linesearch.quartic_coeffs(inst, Y, D, at)
+        found = linesearch.exact_step(inst, Y, D, at)
+        values = (at.f, at.residual, at.grad, at.gg, p.a0, p.a1, p.a2, p.a3, p.a4,
+                  found.t_star, found.phi_at_t)
+        return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+    for (name, Yk), Dk in zip(factor_kinds(Y).items(), factor_kinds(D).values()):
+        want = results(np.ascontiguousarray(Yk, float), np.ascontiguousarray(Dk, float))
+        assert results(Yk, Dk) == want, name
+
+    for shape, said in [((5, 3), (5, 3)), ((2, 5), (2, 5)), ((10,), (10,)),
+                        ((), (1,)), ((1, 5, 2), (1, 5, 2))]:
+        for bad in (np.zeros(shape), np.zeros(shape, dtype=np.float32)):
+            message = re.escape(f"has shape {said}, expected (5, 2)")
+            with pytest.raises(ValueError, match="Y " + message):
+                evaluate(inst, bad)
+            with pytest.raises(ValueError, match="D " + message):
+                linesearch.exact_step(inst, Y, bad, evaluate(inst, Y))
+            with pytest.raises(ValueError, match="D " + message):
+                linesearch.quartic_coeffs(inst, Y, bad, evaluate(inst, Y))
 
 
 # ---------------------------------------------------------------------------
