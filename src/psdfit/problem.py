@@ -163,22 +163,11 @@ def _violations(instance: ProblemInstance, not_real, non_finite) -> list[Violati
     return violations
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 def _as_factor(instance: ProblemInstance, Y, name="Y") -> FactorMatrix:
     """Y as an n x k float64 C-contiguous ndarray (ValueError on another shape).
 
-    A Y that already is one is returned as it is, without a call into numpy:
-    the iteration passes its iterates, directions and gradients through here.
+    A Y that already is one is returned as it is, without a copy.
     """
-    if (
-        type(Y) is np.ndarray
-        and Y.dtype is _FLOAT64
-        and Y.shape == (instance.n, instance.k)
-        and Y.flags.c_contiguous
-    ):
-        return Y
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     if Y.shape != (instance.n, instance.k):
         raise ValueError(
