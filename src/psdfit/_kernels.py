@@ -16,9 +16,11 @@ c_i = ||A_i - Q_i Q_i^T A_i Q_i Q_i^T||_F^2, and a pair with m_i <= n is
 kept as it is.  Q_i Q_i^T is an orthogonal projector, so
 ||A_i - B_i X B_i^T||^2 = c_i + ||Q_i^T A_i Q_i - R_i X R_i^T||^2 for every
 X, A_i symmetric or not.  An evaluation forms each working pair's residual
-once, and holds one min(m_i, n) x min(m_i, n) array per stack.  The line
-search reads the pairs only through min(m_i, n) x 2k products, of which it
-keeps a 3 x 3 Gram matrix per pair, and the n x n matrix
+once, and holds one min(m_i, n) x min(m_i, n) array per stack; each
+||R_i||_F^2 is a BLAS dot product of vec R_i with itself.  The line search
+reads the pairs only through min(m_i, n) x 2k products, of which it keeps a
+4 x 4 Gram matrix per pair, of the four k x k blocks of the Gram matrix of
+B_i [Y D], and the n x n matrix
 P = Sum B_i^T A_i B_i = Sum R_i^T (Q_i^T A_i Q_i) R_i, which
 `congruence_sum` builds pair by pair.
 """
@@ -147,6 +149,7 @@ def residual_gradient(A, B, Y):
     W W^T and the only m_i x m_i array: the gradient term
     -2 B^T (R W + R^T W) equals the expanded 2 B^T (2 W W^T - A - A^T) W,
     and R^T W is a product with a transposed view, not a copy.
+    ||R||_F^2 is the dot product of vec R with itself.
     """
     W = B @ Y
     # numpy sends a buffer times its own transposed view to syrk, about 5x
@@ -157,21 +160,23 @@ def residual_gradient(A, B, Y):
     RW += R.swapaxes(-1, -2) @ W
     terms = B.swapaxes(-1, -2) @ RW
     terms *= -2.0
-    R *= R
-    return R.sum(axis=(1, 2)), terms
+    Rf = R.reshape(len(R), 1, -1)
+    # 1 x m_i^2 times m_i^2 x 1 is one BLAS dot per pair, bitwise vec(R).dot(vec(R))
+    return (Rf @ Rf.swapaxes(-1, -2)).reshape(-1), terms
 
 
 def quartic_terms(B, Y, D):
-    """Each pair's 3 x 3 Gram matrix F F^T of F = [vec a; vec s; vec c], as g x 3 x 3.
+    """Each pair's 4 x 4 Gram matrix of H = [vec a; vec b; vec b^T; vec c], g x 4 x 4.
 
     With W = B Y and V = B D the Gram matrix of W + t V is
     a(t) = a + t s + t^2 c, in the k x k blocks a = W^T W, b = W^T V,
-    s = b + b^T and c = V^T V of the Gram matrix of U = B [Y D].  The
-    residual at step t has squared norm
+    b^T = V^T W and c = V^T V of the Gram matrix G of U = B [Y D], with
+    s = b + b^T.  The residual at step t has squared norm
     ||A||^2 - 2 <A, (W + t V)(W + t V)^T> + ||a(t)||^2, as
     ||X X^T|| = ||X^T X||, and the t^2, t^3 and t^4 terms of ||a(t)||^2 are
-    read from Q = F F^T:
-        a2 = Q11 + 2 Q02 - 2 <A V, V>      a3 = 2 Q12      a4 = Q22
+    read from Q = H H^T (`quartic_sums`), with <s, s> = Q11 + 2 Q12 + Q22:
+        a2 = <s, s> + 2 Q03 - 2 <A V, V>   a3 = 2 (Q13 + Q23)   a4 = Q33
+    H is G's four blocks, copied out by one reshape, so s is never formed.
     The <A V, V> part, summed over the pairs, is <D, P D> (`quartic_sums`),
     so A is not read and no m_i x m_i matrix is formed.  a0 and a1 are f
     and <grad f, D>.
@@ -180,14 +185,9 @@ def quartic_terms(B, Y, D):
     U = B @ np.concatenate((Y, D), axis=1)
     G = U.swapaxes(-1, -2).copy() @ U  # a copy of U^T, not syrk (residual_gradient)
     del U
-    F = np.empty((g, 3, k, k))
-    F[:, 0] = G[:, :k, :k]
-    b = G[:, :k, k:]
-    np.add(b, b.swapaxes(-1, -2), out=F[:, 1])
-    F[:, 2] = G[:, k:, k:]
-    del G, b  # so that G is not alive with F's transposed copy (a solve's peak)
-    F = F.reshape(g, 3, k * k)
-    return F @ F.swapaxes(-1, -2).copy()  # a copy of F^T, not syrk
+    H = G.reshape(g, 2, k, 2, k).transpose(0, 1, 3, 2, 4).reshape(g, 4, k * k)
+    del G  # so that G is not alive with H's transposed copy (a solve's peak)
+    return H @ H.swapaxes(-1, -2).copy()  # a copy of H^T, not syrk
 
 
 def congruence_sum(stacks):
@@ -216,24 +216,35 @@ def evaluate(stacks, c, Y):
         r2_stack, terms = residual_gradient(A, B, Y)
         r2.append(r2_stack)
         grad = _in_order_sum(grad, terms)  # one stack's terms alive at a time
-    r2 = np.concatenate(r2)
-    r2 += c
-    r = np.sqrt(r2)
-    return float(_in_order_sum(0.0, r2)), float(_in_order_sum(0.0, r)), grad
+    # row 0 takes each r_i^2 and row 1 each r_i, in pair order, and one
+    # running sum along the rows adds both left to right; r is made after
+    # the last residual, which it would otherwise join at a solve's peak
+    r = np.empty((2, len(c)))
+    i = 0
+    for r2_stack in r2:
+        j = i + len(r2_stack)
+        np.add(r2_stack, c[i:j], out=r[0, i:j])
+        i = j
+    np.sqrt(r[0], out=r[1])
+    np.add.accumulate(r, axis=1, out=r)
+    f, num = r[:, -1].tolist()
+    return f, num, grad
 
 
 def quartic_sums(stacks, P, Y, D):
     """[a2, a3, a4] summed over all pairs; a0 and a1 come from the evaluation.
 
-    The pairs' 3 x 3 `quartic_terms` are added in pair order and combined
-    once.  P is `congruence_sum(stacks)`; Sum <A_i V_i, V_i> = <D, P D>.
+    The pairs' 4 x 4 `quartic_terms` are added in pair order and combined
+    once, <s, s> first.  P is `congruence_sum(stacks)`;
+    Sum <A_i V_i, V_i> = <D, P D>, one dot product of vec D and vec (P D).
     """
     Q = 0.0
     for _, B in stacks:
         Q = _in_order_sum(Q, quartic_terms(B, Y, D))
     Q = Q.tolist()
-    DPD = float((D * (P @ D)).sum())
-    return [Q[1][1] + 2.0 * Q[0][2] - 2.0 * DPD, 2.0 * Q[1][2], Q[2][2]]
+    DPD = float(D.ravel().dot((P @ D).ravel()))
+    ss = Q[1][1] + 2.0 * Q[1][2] + Q[2][2]
+    return [ss + 2.0 * Q[0][3] - 2.0 * DPD, 2.0 * (Q[1][3] + Q[2][3]), Q[3][3]]
 
 
 def measure(stacks):

@@ -3,10 +3,11 @@
 The objective restricted to Y + t D is a quartic polynomial in t, so the
 exact minimizing step is found by solving the cubic derivative
 analytically.  Its a0 and a1 are f and <grad f, D> from the caller's
-`Evaluation` at Y; a2..a4 come in closed form from a 3 x 3 Gram matrix per
-working pair, of the k x k blocks of the Gram matrix of B_i [Y D]
-(`_kernels.quartic_terms`), and from the n x n matrix
-P = Sum B_i^T A_i B_i, which gives Sum <A_i B_i D, B_i D> as <D, P D>.  P is
+`Evaluation` at Y, a1 as one dot product; a2..a4 come in closed form from a
+4 x 4 Gram matrix per working pair, of the four k x k blocks a, b, b^T and
+c of the Gram matrix of B_i [Y D] (`_kernels.quartic_terms`), and from the
+n x n matrix P = Sum B_i^T A_i B_i, which gives Sum <A_i B_i D, B_i D> as
+<D, P D>, also one dot product.  P is
 built on the first line search of an instance and kept on it, so no line
 search reads an A_i.  A pair taller than n enters as its n x n working pair
 (`problem.ProblemInstance`), so every product here has at most n rows.  The
@@ -60,16 +61,18 @@ def quartic_coeffs(
 ) -> QuarticPolynomial:
     """Coefficients of phi(t) = objective(Y + t D), exact for all t.
 
-    at is `problem.evaluate(instance, Y)`: a0 = at.f and a1 = <at.grad, D>.
-    a2..a4 are read from the sum over pairs of `_kernels.quartic_terms`, the
-    3 x 3 Gram matrices of the k x k Gram blocks of B_i Y and B_i D, less
+    at is `problem.evaluate(instance, Y)`: a0 = at.f and a1 = <at.grad, D>,
+    the BLAS dot product of vec at.grad and vec D.  a2..a4 are read from the
+    sum over pairs of `_kernels.quartic_terms`, the 4 x 4 Gram matrices of
+    the k x k Gram blocks a, b, b^T and c of B_i Y and B_i D, less
     2 <D, P D> from a2 (`_kernels.quartic_sums`).
     """
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
     grad = _as_factor(instance, at.grad, name="grad")
     a2, a3, a4 = _kernels.quartic_sums(instance._stacks, instance._P, Y, D)
-    return QuarticPolynomial(float(at.f), float((grad * D).sum()), a2, a3, a4)
+    a1 = float(grad.ravel().dot(D.ravel()))
+    return QuarticPolynomial(float(at.f), a1, a2, a3, a4)
 
 
 def _cbrt(x):

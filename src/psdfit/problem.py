@@ -190,12 +190,15 @@ def evaluate(instance: ProblemInstance, Y: FactorMatrix) -> Evaluation:
     """The objective, relative residual, gradient and ||gradient||_F^2 at Y.
 
     Y must be n x k (ValueError).  When every A_i is zero the residual has
-    no denominator and the absolute sum of residual norms is reported.
+    no denominator and the absolute sum of residual norms is reported.  gg
+    is the dot product of vec grad with itself, so sqrt(gg) is bitwise
+    np.linalg.norm(grad).
     """
     Y = _as_factor(instance, Y)
     f, num, grad = _kernels.evaluate(instance._stacks, instance._c, Y)
     denom = instance._norm_sum
-    return Evaluation(f, num / denom if denom else num, grad, float((grad * grad).sum()))
+    flat = grad.ravel()
+    return Evaluation(f, num / denom if denom else num, grad, float(flat.dot(flat)))
 
 
 def objective(instance: ProblemInstance, Y: FactorMatrix) -> float:

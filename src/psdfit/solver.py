@@ -170,8 +170,10 @@ def step(
         D_next = -at_next.grad
     else:
         beta = at_next.gg / at.gg
-        D_next = -at_next.grad + beta * D
-        if (at_next.grad * D_next).sum() >= 0.0:
+        # float64 whatever D's dtype, so the in-place subtraction loses no digits
+        D_next = np.multiply(beta, D, dtype=np.float64)
+        D_next -= at_next.grad
+        if at_next.grad.ravel().dot(D_next.ravel()) >= 0.0:
             beta = 0.0
             D_next = -at_next.grad
     return Y_next, at_next, D_next, _record(index, at_next, t, beta)

@@ -14,10 +14,13 @@ from psdfit.solver import SolverConfig, solve
 
 
 def reference_pair(A, B, Y):
-    """One pair's r^2 and gradient term, in the 2-D form of a per-pair loop."""
+    """One pair's r^2 and gradient term, in the 2-D form of a per-pair loop.
+
+    r^2 is the dot product of the flattened residual with itself.
+    """
     W = B @ Y
     R = A - W @ W.T.copy()
-    return float(np.sum(R * R)), -2.0 * (B.T @ (R @ W + R.T @ W))
+    return float(R.ravel().dot(R.ravel())), -2.0 * (B.T @ (R @ W + R.T @ W))
 
 
 def reference_reduce(A, B):
@@ -41,15 +44,21 @@ def reference_reduce(A, B):
 
 
 def reference_quartic_terms(B, Y, D):
-    """One pair's 3 x 3 Gram matrix of [vec a; vec b + b^T; vec c], in the 2-D
-    form of a pair loop, where a, b and c are the k x k blocks of the Gram
-    matrix of B [Y D]."""
+    """One pair's 4 x 4 Gram matrix of [vec a; vec b; vec b^T; vec c], in the
+    2-D form of a pair loop, where a, b, b^T and c are the k x k blocks of the
+    Gram matrix of B [Y D], read in that order."""
     k = Y.shape[1]
     U = B @ np.hstack((Y, D))
     G = U.T.copy() @ U
-    a, b, c = G[:k, :k], G[:k, k:], G[k:, k:]
-    F = np.stack([a.ravel(), (b + b.T).ravel(), c.ravel()])
-    return F @ F.T.copy()
+    blocks = [G[:k, :k], G[:k, k:], G[k:, :k], G[k:, k:]]
+    H = np.stack([block.ravel() for block in blocks])
+    return H @ H.T.copy()
+
+
+def combine(Q, DPD):
+    """[a2, a3, a4] from a 4 x 4 sum of `reference_quartic_terms` and <D, P D>."""
+    ss = Q[1, 1] + 2.0 * Q[1, 2] + Q[2, 2]
+    return [ss + 2.0 * Q[0, 3] - 2.0 * DPD, 2.0 * (Q[1, 3] + Q[2, 3]), Q[3, 3]]
 
 
 def reference_P(pairs, n):
@@ -84,7 +93,7 @@ def test_quartic_terms_returns_each_pairs_terms():
         Y = rng.standard_normal((n, k))
         D = rng.standard_normal((n, k))
         terms = _kernels.quartic_terms(B, Y, D)
-        assert terms.shape == (g, 3, 3)
+        assert terms.shape == (g, 4, 4)
         for i in range(g):
             Q = reference_quartic_terms(B[i], Y, D)
             assert np.array_equal(terms[i], Q)
@@ -93,9 +102,10 @@ def test_quartic_terms_returns_each_pairs_terms():
             S = W @ V.T + V @ W.T
             VV = V @ V.T
             a2 = np.sum(S * S) + 2.0 * np.sum((W @ W.T) * VV)
-            assert math.isclose(Q[1, 1] + 2.0 * Q[0, 2], a2, rel_tol=1e-12)
-            assert math.isclose(2.0 * Q[1, 2], 2.0 * np.sum(S * VV), rel_tol=1e-12)
-            assert math.isclose(Q[2, 2], np.sum(VV * VV), rel_tol=1e-12)
+            a = combine(Q, 0.0)
+            assert math.isclose(a[0], a2, rel_tol=1e-12)
+            assert math.isclose(a[1], 2.0 * np.sum(S * VV), rel_tol=1e-12)
+            assert math.isclose(a[2], np.sum(VV * VV), rel_tol=1e-12)
 
 
 def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
@@ -129,7 +139,7 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
 
     f = num = denom = 0.0
     grad = np.zeros((n, k))
-    Q = np.zeros((3, 3))
+    Q = np.zeros((4, 4))
     for (A, B, c), (A0, _) in zip(working, data):
         r2, term = reference_pair(A, B, Y)
         f += r2 + c
@@ -138,7 +148,7 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
         grad += term
         Q = Q + reference_quartic_terms(B, Y, D)
     P = reference_P([(A, B) for A, B, _ in working], n)
-    a = [Q[1, 1] + 2.0 * Q[0, 2] - 2.0 * np.sum(D * (P @ D)), 2.0 * Q[1, 2], Q[2, 2]]
+    a = combine(Q, D.ravel().dot((P @ D).ravel()))
 
     assert inst._norm_sum == sum(float(np.linalg.norm(A, "fro")) for A, _ in data)
     assert np.array_equal(inst._P, P)
@@ -146,10 +156,10 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     assert at.f == f
     assert at.residual == num / denom
     assert np.array_equal(at.grad, grad)
-    assert at.gg == (grad * grad).sum()
+    assert at.gg == grad.ravel().dot(grad.ravel())
     p = linesearch.quartic_coeffs(inst, Y, D, at)
     assert p.a0 == at.f
-    assert p.a1 == (at.grad * D).sum()
+    assert p.a1 == at.grad.ravel().dot(D.ravel())
     assert [p.a2, p.a3, p.a4] == a
 
     # and the working pairs give the caller's pairs' values, to rounding

@@ -214,7 +214,7 @@ def test_objective_and_residual_are_bitwise_a_per_pair_residual(k, Y):
     for A, B in inst.pairs:
         W = B @ Y
         R = A - W @ W.T
-        r2 = float(np.sum(R * R))
+        r2 = float(R.ravel().dot(R.ravel()))
         f += r2
         num += math.sqrt(r2)
         denom += float(np.linalg.norm(A, "fro"))

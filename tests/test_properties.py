@@ -5,14 +5,14 @@ example is a small random instance with non-symmetric A_i and rectangular
 B_i, drawn from a seed that hypothesis chooses.  The settings derandomize
 the search and keep no example database, so runs are reproducible and write
 nothing to disk.  Instances with pairs taller than n are checked against the
-independent oracles, and the step polynomial's a2..a4 against a long-double
-expansion at a norm-wise bound.  The solved-X properties run on eight
-seeded instances.
+independent oracles, and the step polynomial's a2..a4 and the evaluation's
+f, Sum r_i and ||grad f||^2 against long-double expansions at norm-wise
+bounds.  The solved-X properties run on eight seeded instances.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psdfit import (
@@ -136,8 +136,25 @@ def bits(*values):
     return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
 
 
+# Two pairs of one row, n = 2, k = 1: a 1 x 2 B_i times Y is a BLAS dot per
+# pair, but the flattened 2 x 2 stack times Y would be a gemv, which rounds
+# these W_i differently (it fuses the multiply-add), so an evaluator that
+# multiplies a stack's B_i Y as one matrix fails on this case every run
+ONE_ROW_PAIRS = (
+    (
+        (np.array([[0.5]]), np.array([[0.1, 0.6]])),
+        (np.array([[-0.4]]), np.array([[0.2, 0.3]])),
+    ),
+    2,
+    1,
+    np.array([[0.3], [0.7]]),
+    np.array([[0.2], [-0.9]]),
+)
+
+
 @PROPERTY
 @given(stacked_instances())
+@example(ONE_ROW_PAIRS)
 def test_stack_budget_is_invisible(case):
     # every per-pair result is summed in pair order, so how many pairs share
     # a stack changes no bit of the evaluation, the step polynomial or a solve
@@ -278,6 +295,54 @@ def test_step_polynomial_is_accurate_to_its_scale(case):
     p = linesearch.quartic_coeffs(inst, Y, D, evaluate(inst, Y))
     want, scale = long_double_terms(inst, Y, D)
     got = np.array([p.a2, p.a3, p.a4], dtype=np.longdouble)
+    u = np.finfo(np.float64).eps / 2
+    assert np.all(np.abs(got - want) <= 64 * u * scale), (got - want) / (u * scale)
+
+
+# ---------------------------------------------------------------------------
+# the accuracy of the evaluation's f, Sum r_i and ||grad f||^2
+
+
+def long_double_evaluation(inst, Y):
+    """(f, Sum r_i, ||grad f||^2) and their norm-wise scales, in long double.
+
+    Expanded pair by pair over the caller's pairs, with W = B Y,
+    R = A - W W^T and grad f = Sum -2 B^T (R W + R^T W).  Each R is formed
+    from terms of size ||A|| + ||W||^2, so its error is of u times that
+    size, the error of r_i too; f's scale takes 2 ||R|| + u size for the
+    error of ||R||^2, and ||grad f||^2's takes 2 ||grad f|| + u s for that
+    of a gradient formed from terms of size s = Sum 4 ||B|| size ||W||.
+    """
+    L = np.longdouble
+    u = np.finfo(np.float64).eps / 2
+    f = num = f_scale = num_scale = s = L(0)
+    grad = np.zeros(Y.shape, L)
+    for A, B in inst.pairs:
+        A, B = A.astype(L), B.astype(L)
+        W = B @ Y.astype(L)
+        R = A - W @ W.T
+        rr = np.sum(R * R)
+        size = np.sqrt(np.sum(A * A)) + np.sum(W * W)
+        f += rr
+        num += np.sqrt(rr)
+        f_scale += (2 * np.sqrt(rr) + u * size) * size
+        num_scale += size
+        grad -= 2 * (B.T @ (R @ W + R.T @ W))
+        s += 4 * np.sqrt(np.sum(B * B)) * size * np.sqrt(np.sum(W * W))
+    gg = np.sum(grad * grad)
+    return np.array([f, num, gg]), np.array([f_scale, num_scale, (2 * np.sqrt(gg) + u * s) * s])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(step_cases())
+def test_evaluation_is_accurate_to_its_scale(case):
+    # f, Sum r_i and ||grad f||^2 each within 64 u of its norm-wise scale,
+    # over the same scaled copies and pairs taller than n as the step
+    # polynomial's test
+    inst, Y, _ = case
+    at = evaluate(inst, Y)
+    want, scale = long_double_evaluation(inst, Y)
+    got = np.array([at.f, at.residual * inst._norm_sum, at.gg], dtype=np.longdouble)
     u = np.finfo(np.float64).eps / 2
     assert np.all(np.abs(got - want) <= 64 * u * scale), (got - want) / (u * scale)
 

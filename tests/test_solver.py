@@ -43,7 +43,7 @@ def test_step_decreases_objective_from_steepest_descent():
     assert record.step > 0.0
     assert record.f_value < f0
     assert record.f_value == pytest.approx(objective(inst, Y1), rel=1e-12)
-    assert record.grad_norm == pytest.approx(np.linalg.norm(g1), rel=1e-12)
+    assert record.grad_norm == np.linalg.norm(g1)
     # the produced direction must satisfy the descent test
     assert float(np.sum(g1 * D1)) < 0.0
 
@@ -54,13 +54,13 @@ def test_step_mixes_by_the_ratio_of_squared_gradient_norms():
     at = evaluate(inst, Y)
     Y1, at1, D1, first = step(inst, Y, at, -at.grad, index=1)
     g1, gg1 = at1.grad, at1.gg
-    assert gg1 == (g1 * g1).sum()
+    assert gg1 == g1.ravel().dot(g1.ravel())
     Y2, at2, D2, record = step(inst, Y1, at1, D1, index=2)
     g2, gg2 = at2.grad, at2.gg
     assert record.beta != 0.0  # a mixed, not a restarted, direction
-    assert record.beta == (g2 * g2).sum() / (g1 * g1).sum()
-    assert record.grad_norm == math.sqrt((g2 * g2).sum())
-    assert gg2 == (g2 * g2).sum()
+    assert record.beta == g2.ravel().dot(g2.ravel()) / g1.ravel().dot(g1.ravel())
+    assert record.grad_norm == math.sqrt(g2.ravel().dot(g2.ravel()))
+    assert gg2 == g2.ravel().dot(g2.ravel())
     assert np.array_equal(D2, -g2 + record.beta * D1)
 
 
