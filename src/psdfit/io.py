@@ -12,8 +12,10 @@ Problem files are whitespace-separated text with explicit dimension headers:
 Numbers are written with 16 significant digits, which reproduces values to
 better than 1e-12 relative and makes write -> read -> write byte-stable.
 Traces are six-column CSV; solutions carry summary fields and the assembled
-X.  Every format is read through one block reader and written through one
-row formatter and one line writer.
+X.  Every format is read through one block reader, which splits each line
+once and converts each block of numbers in one call, and every row of
+numbers is written through one % template per row and one line writer, so
+converting or formatting each number is the only per-number cost.
 
 Readers accept only what the writers produce.  A malformed or non-finite
 number, a non-integer count or trace index, a trace index out of sequence,
@@ -25,6 +27,8 @@ same seed always regenerates the same instance.
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,16 +48,22 @@ class ParseError(ValueError):
         self.column = column
 
 
+_SPEC = ".16g"  # 16 significant digits: how every file format writes a float
+
+
 def format_float(x: float) -> str:
     """A float as text with 16 significant digits, as every file format writes it."""
-    return format(float(x), ".16g")
+    return format(float(x), _SPEC)
 
 
 class _TokenLines:
-    """A file's non-blank lines as (line number, tokens), consumed in order.
+    """A file's non-blank lines, consumed in order.
 
-    Tokens are split on whitespace, or on sep when one is given (CSV).  A
-    byte that is not ASCII is a ParseError at its line and token.
+    tokens[j] is the j-th non-blank line split on whitespace, or on sep when
+    one is given (CSV, where a line of only whitespace is blank); each line
+    is split once.  linenos[j] is that line's 1-based number, read only to
+    report a fault.  A byte that is not ASCII is a ParseError at its line
+    and token.
     """
 
     def __init__(self, path, sep=None):
@@ -61,13 +71,16 @@ class _TokenLines:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
         lines = text.splitlines()
-        self.rows = [
-            (i + 1, raw.split(sep)) for i, raw in enumerate(lines) if raw.strip()
-        ]
+        if sep is None:
+            split = list(map(str.split, lines))  # a blank line splits to []
+        else:
+            split = [raw.split(sep) if raw.strip() else [] for raw in lines]
+        self.linenos = list(compress(count(1), split))
+        self.tokens = list(filter(None, split))
         if not text.isascii():
             lineno, j, tok = next(
                 (lineno, j, tok)
-                for lineno, toks in self.rows
+                for lineno, toks in zip(self.linenos, self.tokens)
                 for j, tok in enumerate(toks, start=1)
                 if not tok.isascii()
             )
@@ -76,22 +89,26 @@ class _TokenLines:
         self.unit = "values" if sep is None else "columns"
         self.at = 0
 
+    def count_error(self, j, expect, what):
+        """The ParseError for non-blank line j when it does not hold expect tokens."""
+        return ParseError(
+            f"expected {expect} {self.unit} for {what}, found {len(self.tokens[j])}",
+            line=self.linenos[j],
+        )
+
     def next_line(self, expect: int, what: str):
-        if self.at >= len(self.rows):
+        """The next line as (line number, tokens); it must hold expect tokens."""
+        j = self.at
+        if j >= len(self.tokens):
             raise ParseError(f"unexpected end of file while reading {what}")
-        lineno, toks = self.rows[self.at]
         self.at += 1
-        if len(toks) != expect:
-            raise ParseError(
-                f"expected {expect} {self.unit} for {what}, found {len(toks)}",
-                line=lineno,
-            )
-        return lineno, toks
+        if len(self.tokens[j]) != expect:
+            raise self.count_error(j, expect, what)
+        return self.linenos[j], self.tokens[j]
 
     def done(self):
-        if self.at < len(self.rows):
-            lineno, _ = self.rows[self.at]
-            raise ParseError("unexpected trailing content", line=lineno)
+        if self.at < len(self.tokens):
+            raise ParseError("unexpected trailing content", line=self.linenos[self.at])
 
 
 def _numbers(lineno, toks, what, kind, skip=0):
@@ -109,57 +126,82 @@ def _numbers(lineno, toks, what, kind, skip=0):
 
 
 def _read_block(reader, rows, cols, what):
-    """The next rows lines, cols numbers each, as a float array.
+    """The next rows lines (rows >= 1), cols numbers each, as a float array.
 
-    The array is allocated only once the lines left and the first row's
-    width bear out rows and cols, so a count in a header cannot ask for
-    more memory than the file holds.  numpy converts each row's strings as
-    Python's float does; the bad token is looked for only when it refuses
-    one.
+    The block's lines are taken as one slice, and the array is allocated
+    only once the lines left and every row's count bear out rows and cols,
+    so a count in a header cannot ask for more memory than the file holds.
+    numpy then converts the whole block in one call, each string as
+    Python's float does.  Rows are looked into, and labelled, only on a
+    fault, and the first fault in file order is the one raised: a row r of
+    the wrong width is reported once rows 0..r-1 hold no bad token.
     """
-    left = len(reader.rows) - reader.at
-    if rows > left:
+    first = reader.at
+    block = reader.tokens[first : first + rows]
+    if len(block) < rows:
         raise ParseError(
-            f"unexpected end of file: {what} needs {rows} rows, found {left}",
-            line=reader.rows[-1][0] if reader.rows else None,
+            f"unexpected end of file: {what} needs {rows} rows, found {len(block)}",
+            line=reader.linenos[-1] if reader.linenos else None,
         )
-    data = np.empty((0, cols))
+    widths = list(map(len, block))
+    if widths.count(cols) != rows:
+        r = next(r for r, width in enumerate(widths) if width != cols)
+        _raise_bad_token(reader, first, r, what)
+        raise reader.count_error(first + r, cols, f"{what} row {r}")
+    reader.at = first + rows
+    try:
+        return np.array(block, dtype=float)
+    except ValueError:
+        _raise_bad_token(reader, first, rows, what)
+        raise
+
+
+def _raise_bad_token(reader, first, rows, what):
+    """Raise at the first token float refuses in rows 0..rows-1 of a block.
+
+    The block's row 0 is reader line first.  Returns if every token converts.
+    """
     for r in range(rows):
-        lineno, toks = reader.next_line(cols, f"{what} row {r}")
-        if r == 0:
-            data = np.empty((rows, cols))
-        try:
-            data[r] = toks
-        except ValueError:
-            data[r] = _numbers(lineno, toks, f"{what} row {r}", float)
-    return data
+        j = first + r
+        _numbers(reader.linenos[j], reader.tokens[j], f"{what} row {r}", float)
 
 
 def _finite(data, reader, first, what):
     """Return data if it is all finite, else raise at its first NaN or infinity.
 
-    data[r] was parsed from reader.rows[first + r].  One check per block keeps
+    data[r] was parsed from reader line first + r.  One check per block keeps
     the common case cheap (count_nonzero costs half of .all() on small
     blocks); the token is found only on failure.
     """
     if np.count_nonzero(np.isfinite(data)) != data.size:
         r, c = np.argwhere(~np.isfinite(data))[0]
-        lineno, toks = reader.rows[first + r]
+        j = first + r
         raise ParseError(
-            f"non-finite number {toks[c]!r} in {what}", line=lineno, column=int(c) + 1
+            f"non-finite number {reader.tokens[j][c]!r} in {what}",
+            line=reader.linenos[j],
+            column=int(c) + 1,
         )
     return data
 
 
-def _rows(M, sep=" "):
-    """Each row of M as one line of formatted numbers."""
-    return [sep.join(format_float(x) for x in row) for row in M]
+def _template(cols, sep):
+    """A % template for cols floats in format_float's format, joined by sep.
+
+    For a float x, "%.16g" % x is format(x, ".16g"), character for character.
+    """
+    return sep.join(["%" + _SPEC] * cols)
+
+
+def _rows(M):
+    """Each row of the 2-D array M as one line, formatted by one template."""
+    template = _template(M.shape[1], " ")
+    return [template % tuple(row) for row in M.tolist()]
 
 
 def write_lines(path, lines):
     """Write ASCII lines, each ended by a newline."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+        fh.write("\n".join([*lines, ""]))
 
 
 def read_problem(path) -> ProblemInstance:
@@ -177,8 +219,9 @@ def read_problem(path) -> ProblemInstance:
         raise ParseError("column dimension n must be positive", line=lineno)
     pairs, starts = [], []
     for i in range(m):
-        lineno, toks = reader.next_line(1, f"size of pair {i}")
-        (mi,) = _numbers(lineno, toks, f"size of pair {i}", int)
+        what = f"size of pair {i}"
+        lineno, toks = reader.next_line(1, what)
+        (mi,) = _numbers(lineno, toks, what, int)
         if mi < 1:
             raise ParseError(f"pair {i} size must be positive", line=lineno)
         starts.append(reader.at)
@@ -208,13 +251,17 @@ def write_problem(path, instance: ProblemInstance):
 def read_matrix(path) -> np.ndarray:
     """Read a rectangular whitespace-separated matrix (one row per line)."""
     reader = _TokenLines(path)
-    if not reader.rows:
+    if not reader.tokens:
         raise ParseError("empty matrix file")
-    width = len(reader.rows[0][1])
-    ragged = [lineno for lineno, toks in reader.rows if len(toks) != width]
+    width = len(reader.tokens[0])
+    ragged = [
+        lineno
+        for lineno, toks in zip(reader.linenos, reader.tokens)
+        if len(toks) != width
+    ]
     if ragged:
         raise ParseError(f"ragged matrix: expected {width} values", line=ragged[0])
-    data = _read_block(reader, len(reader.rows), width, "matrix")
+    data = _read_block(reader, len(reader.tokens), width, "matrix")
     return _finite(data, reader, 0, "matrix")
 
 
@@ -223,17 +270,18 @@ def write_matrix(path, M):
 
 
 TRACE_HEADER = "iteration,f,grad_norm,residual,step,beta"
+_TRACE_ROW = "%s," + _template(5, ",")
+_TRACE_FIELDS = attrgetter("index", "f_value", "grad_norm", "residual", "step", "beta")
 
 
 def write_trace(path, trace):
     """Write a trace as CSV, one row per iteration, in one pass over trace.
 
     trace is any iterable of IterationRecord: a solver's `Trace`,
-    read_trace's list or an iterator.
+    read_trace's list or an iterator.  Each row is one % template.
     """
-    rows = ((r.index, r.f_value, r.grad_norm, r.residual, r.step, r.beta) for r in trace)
-    lines = (f"{i},{','.join(map(format_float, values))}" for i, *values in rows)
-    write_lines(path, [TRACE_HEADER, *lines])
+    rows = map(_TRACE_ROW.__mod__, map(_TRACE_FIELDS, trace))
+    write_lines(path, [TRACE_HEADER, *rows])
 
 
 def read_trace(path):
@@ -242,16 +290,16 @@ def read_trace(path):
     Row 0, the start point, is always written, so a header alone is refused.
     """
     reader = _TokenLines(path, sep=",")
-    if not reader.rows or reader.rows[0][1] != TRACE_HEADER.split(","):
+    if not reader.tokens or reader.tokens[0] != TRACE_HEADER.split(","):
         raise ParseError("missing trace header", line=1)
-    if len(reader.rows) == 1:
+    if len(reader.tokens) == 1:
         raise ParseError("trace has no iteration rows", line=1)
     reader.at = 1
-    data = _read_block(reader, len(reader.rows) - 1, 6, "trace")
+    data = _read_block(reader, len(reader.tokens) - 1, 6, "trace")
     _finite(data, reader, 1, "trace")
     records = []
-    for expected, ((lineno, toks), (_, *values)) in enumerate(
-        zip(reader.rows[1:], data.tolist())
+    for expected, (lineno, toks, (_, *values)) in enumerate(
+        zip(reader.linenos[1:], reader.tokens[1:], data.tolist())
     ):
         (index,) = _numbers(lineno, toks[:1], "trace iteration", int)
         if index != expected:

@@ -17,6 +17,7 @@ import numbers
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -81,8 +82,8 @@ class Trace(Sequence):
 
     The rows are kept as five float64 columns (f_value, grad_norm, residual,
     step, beta; 8 B per field per iteration), and each record is built when
-    it is read: by indexing, slices (a list of records), iteration and ==
-    (with a Trace or any other sequence of records).
+    it is read: by indexing, slices (a list of records), iteration (which
+    zips the columns) and == (with a Trace or any other sequence of records).
     """
 
     __slots__ = ("columns",)
@@ -107,6 +108,9 @@ class Trace(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         j = range(len(self))[i]  # a negative i counts from the end; IndexError past it
         return IterationRecord(j, *(column[j] for column in self.columns))
+
+    def __iter__(self):
+        return map(IterationRecord, count(), *self.columns)
 
     def __eq__(self, other):
         if isinstance(other, Sequence):

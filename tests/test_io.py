@@ -1,5 +1,10 @@
+import struct
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psdfit import (
     ParseError,
@@ -19,6 +24,7 @@ from psdfit.io import (
     write_solution,
     write_trace,
 )
+from psdfit.solver import IterationRecord, SolverResult, TerminationReason, Trace
 
 import golden
 
@@ -84,6 +90,46 @@ def test_problem_non_finite_token_position(tmp_path):
     with pytest.raises(ParseError, match="non-finite") as err:
         read_problem(path)
     assert (err.value.line, err.value.column) == (6, 2)
+
+
+A_3x3 = "1 2 3\n4 5 6\n7 8 9\n"
+B_3x2 = "1 0\n0 1\n1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, match, line, column",
+    [
+        # lines: header 1, size 2, A_0 3-5, B_0 6-8
+        (A_3x3.replace("7 8 9", "7 8 x") + B_3x2, "'x' in A_0 row 2", 5, 3),
+        (A_3x3 + B_3x2.replace("0 1", "0 y"), "'y' in B_0 row 1", 7, 2),
+        (
+            A_3x3.replace("4 5 6", "4 5") + B_3x2,
+            "3 values for A_0 row 1, found 2",
+            4,
+            None,
+        ),
+        # the bad token in row 1 comes before the short row 3 in the file
+        (
+            "1 2 3 4\n1 x 3 4\n1 2 3 4\n1 2 3\n" + "1 0\n" * 4,
+            "bad number 'x' in A_0 row 1",
+            4,
+            2,
+        ),
+    ],
+    ids=[
+        "last-row-of-A",
+        "middle-row-of-B",
+        "short-middle-row",
+        "bad-token-before-short-row",
+    ],
+)
+def test_problem_block_fault_positions(tmp_path, text, match, line, column):
+    size = text.count("\n") // 2
+    path = tmp_path / "bad.prob"
+    path.write_text(f"1 2 1\n{size}\n" + text)
+    with pytest.raises(ParseError, match=match) as err:
+        read_problem(path)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_problem_truncated_file(tmp_path):
@@ -247,6 +293,15 @@ def test_trace_round_trip(tmp_path, short_run):
         assert path.read_bytes() == path2.read_bytes()
 
 
+def test_trace_blank_lines_are_ignored(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text(TRACE_HEADER + "\n\n0,1,2,3,0,0\n  \n1,1,2,3,4,5\n\n")
+    assert read_trace(path) == [
+        IterationRecord(0, 1, 2, 3, 0, 0),
+        IterationRecord(1, 1, 2, 3, 4, 5),
+    ]
+
+
 def test_trace_missing_header(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("0,1,2,3,4,5\n")
@@ -375,6 +430,74 @@ def test_solution_reader_rules(tmp_path, field, match, line):
     with pytest.raises(ParseError, match=match) as err:
         read_solution(path)
     assert (err.value.line, err.value.column) == (line, 2)
+
+
+# ---------------------------------------------------------------------------
+# writers: every float as format(float(x), ".16g"), byte for byte
+
+SPECIAL = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, -2.5e-310]
+# any float64, from its 64 bits: nan payloads, infinities, zeros, subnormals
+doubles = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+)
+float_rows = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(
+        st.lists(doubles, min_size=cols, max_size=cols), min_size=1, max_size=4
+    )
+)
+
+
+def formatted(numbers, sep=" "):
+    return sep.join(format(float(x), ".16g") for x in numbers)
+
+
+def record_bits(record):
+    """A record's index and the bits of its five values, so that nan compares equal."""
+    index, *values = astuple(record)
+    return index, struct.pack("<5d", *values)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rows=float_rows, reason=st.sampled_from(TerminationReason))
+@example(rows=[SPECIAL[:5], SPECIAL[2:]], reason=TerminationReason.GRADIENT_TOLERANCE)
+def test_writers_format_every_float64(tmp_path_factory, rows, reason):
+    out = tmp_path_factory.mktemp("writers")
+    M = np.array(rows)
+    write_matrix(out / "m.txt", M)
+    assert (out / "m.txt").read_text() == "".join(formatted(row) + "\n" for row in rows)
+
+    flat = [x for row in rows for x in row]
+    values = [[flat[(i + j) % len(flat)] for j in range(5)] for i in range(len(flat))]
+    trace = Trace()
+    for i, row in enumerate(values):
+        trace.append(IterationRecord(i, *row))
+    records = [trace[i] for i in range(len(trace))]
+    assert all(type(r) is IterationRecord for r in trace)
+    assert list(map(record_bits, trace)) == list(map(record_bits, records))
+    want = TRACE_HEADER + "\n"
+    want += "".join(f"{i},{formatted(row, ',')}\n" for i, row in enumerate(values))
+    for source in (trace, records):
+        write_trace(out / "t.csv", source)
+        assert (out / "t.csv").read_text() == want
+
+    n = min(M.shape)
+    X = M[:n, :n]
+    result = SolverResult(np.zeros((n, 1)), X, len(trace) - 1, False, trace, reason)
+    write_solution(out / "s.txt", result)
+    last = records[-1]
+    assert (out / "s.txt").read_text() == "".join(
+        line + "\n"
+        for line in [
+            f"n {n}",
+            f"termination {reason.value}",
+            f"iterations {len(trace) - 1}",
+            f"f {formatted([last.f_value])}",
+            f"grad_norm {formatted([last.grad_norm])}",
+            f"residual {formatted([last.residual])}",
+            "X",
+            *map(formatted, X.tolist()),
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
