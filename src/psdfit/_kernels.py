@@ -9,11 +9,11 @@ expression applied to each of the g matrices, and every sum over pairs adds
 them left to right, so the results are bitwise those of a per-pair loop,
 however the pairs are stacked.
 
-The kernels run on the working pairs, which `reduce_pairs` makes once, after
-validation: a pair with m_i > n becomes the n x n pair (Q_i^T A_i Q_i, R_i)
-of the thin QR B_i = Q_i R_i, plus the constant
-c_i = ||A_i - Q_i Q_i^T A_i Q_i Q_i^T||_F^2, and a pair with m_i <= n is
-kept as it is.  Q_i Q_i^T is an orthogonal projector, so
+The kernels run on the working pairs, which `working_stacks` makes once,
+after validation, pair by pair before it stacks them: a pair with m_i > n
+becomes the n x n pair (Q_i^T A_i Q_i, R_i) of its thin QR B_i = Q_i R_i,
+plus the constant c_i = ||A_i - Q_i Q_i^T A_i Q_i Q_i^T||_F^2, and a pair
+with m_i <= n is kept as it is.  Q_i Q_i^T is an orthogonal projector, so
 ||A_i - B_i X B_i^T||^2 = c_i + ||Q_i^T A_i Q_i - R_i X R_i^T||^2 for every
 X, A_i symmetric or not.  An evaluation forms each working pair's residual
 once, and holds one min(m_i, n) x min(m_i, n) array per stack; each
@@ -40,23 +40,6 @@ import numpy as np
 STACK_ENTRIES = 8192
 
 
-def _as_real(M):
-    """(M as float64 C-contiguous, True), or (zeros of its shape, False) if not real.
-
-    Complex numbers and strings are refused, not cast (a cast would drop the
-    imaginary part); the zeros only stand in for them in an instance that
-    its constructor then refuses.
-    """
-    M = np.asarray(M)
-    if M.dtype.kind in "biufO":  # bool, integer, float or Python objects
-        try:
-            # not ascontiguousarray, which makes a 0-d matrix 1-d
-            return np.asarray(M, dtype=np.float64, order="C"), True
-        except (TypeError, ValueError):  # an object that is not a real number
-            pass
-    return np.zeros(M.shape), False
-
-
 def _group(pairs, factor_entries):
     """(stacks, views): runs of equal-shape pairs cut to STACK_ENTRIES, and each
     pair, in order, in the stacks.
@@ -66,7 +49,7 @@ def _group(pairs, factor_entries):
     stacks, views = [], []
     for _, run in itertools.groupby(pairs, lambda pair: (pair[0].shape, pair[1].shape)):
         run = list(run)
-        g = max(1, STACK_ENTRIES // int(max(run[0][0].size, factor_entries, 1)))
+        g = max(1, STACK_ENTRIES // max(run[0][0].size, factor_entries))
         for i in range(0, len(run), g):
             chunk = run[i : i + g]
             if len(chunk) == 1:
@@ -80,53 +63,34 @@ def _group(pairs, factor_entries):
     return tuple(stacks), tuple(views)
 
 
-def stack_pairs(pairs, factor_entries):
-    """(stacks, views, not_real): the caller's pairs stacked (`_group`), each
-    pair, and per pair the names of its matrices that are not real.
+def working_stacks(pairs, n, k):
+    """(stacks, views, c): the working pairs of a valid instance, stacked
+    (`_group`), each working pair in the stacks, and each c_i, in pair order.
 
-    factor_entries is n k.  A pair alone in its stack keeps its (float64,
-    C-contiguous) data.  views are the pairs, in order, in the stacks.
-    """
-    cast = [(_as_real(A), _as_real(B)) for A, B in pairs]
-    not_real = [[name for name, (_, ok) in zip("AB", pair) if not ok] for pair in cast]
-    stacks, views = _group([(A, B) for (A, _), (B, _) in cast], factor_entries)
-    return stacks, views, not_real
-
-
-def reduce_pairs(stacks, factor_entries):
-    """(stacks, c): the working pairs of a valid instance, stacked, and each c_i.
-
-    Each stack of pairs with m_i > n takes one batched thin QR B = Q R and
-    becomes the n x n pairs (Q^T A Q, R), with
+    A pair with m_i > n takes its own thin QR B_i = Q_i R_i and becomes the
+    n x n pair (Q_i^T A_i Q_i, R_i), with
     c_i = ||A_i - Q_i (Q_i^T A_i Q_i) Q_i^T||_F^2 summed over row blocks of
-    at most n rows, so no temporary exceeds n x m_i per pair.  c_i is formed
+    at most n rows, so no temporary exceeds n x m_i.  c_i is formed
     directly: ||A_i||^2 - ||Q_i^T A_i Q_i||^2 would cancel to a rounding
-    error of order u ||A_i||^2 where the fit is exact.  The working pairs are
-    restacked by their shapes; pairs with m_i <= n keep their arrays (c_i = 0),
-    and with no pair taller than n the stacks are returned as they are.
+    error of order u ||A_i||^2 where the fit is exact.  A pair with m_i <= n
+    is its own working pair, with c_i = 0.
     """
-    n = stacks[0][1].shape[-1]
-    if all(Bs.shape[1] <= n for _, Bs in stacks):
-        return stacks, np.zeros(sum(len(Bs) for _, Bs in stacks))
     working, c = [], []
-    for As, Bs in stacks:
-        m = As.shape[-1]
-        if m <= n:
-            working.extend(zip(As, Bs))
-            c.append(np.zeros(len(As)))
-            continue
-        Q, R = np.linalg.qr(Bs)
-        Qt = Q.swapaxes(-1, -2)
-        At = (Qt @ As) @ Q
-        AtQt = At @ Qt
-        ci = np.zeros(len(As))
-        for r in range(0, m, n):
-            E = As[:, r : r + n] - Q[:, r : r + n] @ AtQt
-            E *= E
-            ci += E.sum(axis=(1, 2))
-        working.extend(zip(At, R))
+    for A, B in pairs:
+        ci = 0.0
+        if len(B) > n:
+            Q, R = np.linalg.qr(B)
+            At = (Q.T @ A) @ Q
+            AtQt = At @ Q.T
+            for r in range(0, len(A), n):
+                E = A[r : r + n] - Q[r : r + n] @ AtQt
+                E *= E
+                ci += E.sum()
+            A, B = At, R
+        working.append((A, B))
         c.append(ci)
-    return _group(working, factor_entries)[0], np.concatenate(c)
+    stacks, views = _group(working, n * k)
+    return stacks, views, np.array(c)
 
 
 def _in_order_sum(total, terms):
@@ -208,7 +172,7 @@ def evaluate(stacks, c, Y):
     """(Sum r_i^2, Sum r_i, gradient), all read from R_i and c.
 
     r_i^2 = c_i + ||R_i||_F^2, the squared residual of the caller's pair
-    (`reduce_pairs`); c holds each c_i in pair order.
+    (`working_stacks`); c holds each c_i in pair order.
     """
     grad = np.zeros(Y.shape)
     r2 = []
@@ -247,22 +211,20 @@ def quartic_sums(stacks, P, Y, D):
     return [ss + 2.0 * Q[0][3] - 2.0 * DPD, 2.0 * (Q[1][3] + Q[2][3]), Q[3][3]]
 
 
-def measure(stacks):
+def measure(pairs):
     """(Sum ||A_i||_F, per pair the names of its non-finite matrices), in pair order.
 
-    One dot product per A_i gives its norm (bitwise np.linalg.norm) and its
-    finiteness screen, and one per stack screens the B_i: a sum of squares
-    is finite only if every entry is.  It can also overflow, so only what
-    fails a screen is checked entry by entry.
+    One dot product per matrix screens it, and per A_i also gives its norm
+    (bitwise np.linalg.norm): a sum of squares is finite only if every
+    entry is.  It can also overflow, so only what fails a screen is checked
+    entry by entry.
     """
     total, found = 0.0, []
-    for As, Bs in stacks:
-        B_finite = math.isfinite(np.vdot(Bs, Bs))
-        for A, B in zip(As, Bs):
-            sq = np.vdot(A, A)
-            total += math.sqrt(sq)
-            screens = (("A", A, math.isfinite(sq)), ("B", B, B_finite))
-            found.append(
-                [name for name, M, ok in screens if not (ok or np.isfinite(M).all())]
-            )
+    for A, B in pairs:
+        sq = np.vdot(A, A)
+        total += math.sqrt(sq)
+        screens = (("A", A, math.isfinite(sq)), ("B", B, math.isfinite(np.vdot(B, B))))
+        found.append(
+            [name for name, M, ok in screens if not (ok or np.isfinite(M).all())]
+        )
     return total, found

@@ -26,6 +26,7 @@ same seed always regenerates the same instance.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import attrgetter
@@ -297,19 +298,20 @@ def read_trace(path):
     reader.at = 1
     data = _read_block(reader, len(reader.tokens) - 1, 6, "trace")
     _finite(data, reader, 1, "trace")
-    records = []
-    for expected, (lineno, toks, (_, *values)) in enumerate(
-        zip(reader.linenos[1:], reader.tokens[1:], data.tolist())
+    for expected, lineno, (token, *_) in zip(
+        count(), reader.linenos[1:], reader.tokens[1:]
     ):
-        (index,) = _numbers(lineno, toks[:1], "trace iteration", int)
+        if token == str(expected):
+            continue
+        # another spelling of the expected index ("01", " 1") is accepted
+        (index,) = _numbers(lineno, [token], "trace iteration", int)
         if index != expected:
             raise ParseError(
                 f"trace iteration {index} out of sequence, expected {expected}",
                 line=lineno,
                 column=1,
             )
-        records.append(IterationRecord(index, *values))
-    return records
+    return list(map(IterationRecord, count(), *data[:, 1:].T.tolist()))
 
 
 def summary_lines(result: SolverResult):
@@ -386,11 +388,17 @@ def generate_instance(
     Z is not the first draw, which is `solve`'s default start for the same
     seed.  Identical seeds give identical instances.
     """
+    for name, value in (("n", n), ("k", k), ("m", m)):
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}={value!r} is not an integer")
     if sizes is None:
         if m is None:
             raise ValueError("provide sizes or m")
         sizes = [n] * m
-    sizes = [int(s) for s in sizes]
+    sizes = list(sizes)
+    if not all(isinstance(s, numbers.Integral) for s in sizes):
+        raise ValueError(f"sizes={sizes!r} are not all integers")
+    sizes = list(map(int, sizes))
     if m is None:
         m = len(sizes)
     if m != len(sizes):

@@ -15,9 +15,10 @@ The pairs are held in stacks, which `_kernels` builds and walks: it owns
 their grouping and every sum over pairs, which adds the pairs in pair order,
 so results are reproducible and do not depend on how the pairs are stacked.
 The stacks hold the working pairs: once an instance is valid, each pair with
-m_i > n is reduced to an n x n pair through the thin QR of B_i, and a
-constant that the evaluation adds back (`_kernels.reduce_pairs`), so no
-iteration forms an array larger than min(m_i, n)^2 for a pair.
+m_i > n is reduced to an n x n pair through the thin QR of its B_i, and a
+constant that the evaluation adds back, and the working pairs are grouped
+once (`_kernels.working_stacks`), so no iteration forms an array larger
+than min(m_i, n)^2 for a pair.
 
 All functions are pure and safe to call from multiple threads.  The one
 state an instance gains after construction, the n x n matrix
@@ -65,15 +66,16 @@ class NumericalError(RuntimeError):
 class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
 
-    Construction groups the pairs into stacks (`_kernels.stack_pairs`), and
-    `pairs` then holds views into them, bitwise the caller's data.  It
-    raises `ValidationError` unless there is a pair, n and k are integers
-    with 1 <= k <= n, and each A_i is m_i x m_i with m_i >= 1 and each B_i
-    is m_i x n, both real and finite.  Sum ||A_i||_F comes from the walk that
-    checks finiteness.  A valid instance then reduces its pairs taller than n
-    to n x n working pairs (`_kernels.reduce_pairs`), which the kernels
-    read; pairs with m_i <= n are their own working pairs, so the pair
-    arrays are treated as read-only once built.
+    Construction casts each pair to float64 and raises `ValidationError`
+    unless there is a pair, n and k are integers with 1 <= k <= n, and each
+    A_i is m_i x m_i with m_i >= 1 and each B_i is m_i x n, both real and
+    finite.  Sum ||A_i||_F comes from the walk that checks finiteness.  A
+    valid instance then reduces each pair taller than n to an n x n working
+    pair and stacks the working pairs (`_kernels.working_stacks`), which the
+    kernels read.  `pairs` stays bitwise the caller's data: a pair with
+    m_i <= n is its own working pair and is held as its view into the
+    stacks, and a reduced pair keeps its cast arrays, so the pair arrays are
+    treated as read-only once built.
     """
 
     pairs: tuple
@@ -87,19 +89,21 @@ class ProblemInstance:
 
     def __post_init__(self):
         n, k = self.n, self.k
-        # a non-integer n or k is a violation below, so it does not size the stacks
-        integral = isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)
-        entries = n * k if integral else 0
-        stacks, views, not_real = _kernels.stack_pairs(self.pairs, entries)
-        norm_sum, non_finite = _kernels.measure(stacks)
-        object.__setattr__(self, "pairs", views)
-        object.__setattr__(self, "_norm_sum", norm_sum)
-        violations = _violations(self, not_real, non_finite)
+        cast = [(_as_real(A), _as_real(B)) for A, B in self.pairs]
+        pairs = [(A, B) for (A, _), (B, _) in cast]
+        not_real = [[name for name, (_, ok) in zip("AB", pair) if not ok] for pair in cast]
+        norm_sum, non_finite = _kernels.measure(pairs)
+        violations = _violations(pairs, n, k, not_real, non_finite)
         if violations:
             raise ValidationError(violations)
-        stacks, c = _kernels.reduce_pairs(stacks, entries)
+        stacks, views, c = _kernels.working_stacks(pairs, n, k)
+        pairs = tuple(
+            view if len(B) <= n else (A, B) for view, (A, B) in zip(views, pairs)
+        )
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_norm_sum", norm_sum)
 
     @property
     def m(self):
@@ -120,25 +124,41 @@ class ProblemInstance:
         return P
 
 
-def _violations(instance: ProblemInstance, not_real, non_finite) -> list[Violation]:
+def _as_real(M):
+    """(M as float64 C-contiguous, True), or (zeros of its shape, False) if not real.
+
+    Complex numbers and strings are refused, not cast (a cast would drop the
+    imaginary part); the zeros only stand in for them in an instance that
+    its constructor then refuses.
+    """
+    M = np.asarray(M)
+    if M.dtype.kind in "biufO":  # bool, integer, float or Python objects
+        try:
+            # not ascontiguousarray, which makes a 0-d matrix 1-d
+            return np.asarray(M, dtype=np.float64, order="C"), True
+        except (TypeError, ValueError):  # an object that is not a real number
+            pass
+    return np.zeros(M.shape), False
+
+
+def _violations(pairs, n, k, not_real, non_finite) -> list[Violation]:
     """Every invariant violated, in pair order.
 
-    not_real and non_finite name each pair's bad matrices, as
-    `_kernels.stack_pairs` and `_kernels.measure` report them.
+    not_real and non_finite name each pair's bad matrices, as `_as_real`
+    and `_kernels.measure` report them.
     """
     violations = []
-    n, k = instance.n, instance.k
 
     def bad(code, pair, message):
         if pair is not None:
             message = f"pair {pair}: {message}"
         violations.append(Violation(code, pair, message))
 
-    if len(instance.pairs) == 0:
+    if len(pairs) == 0:
         bad("empty-instance", None, "instance has no (A, B) pairs")
     if not isinstance(n, numbers.Integral):
         bad("dimension-mismatch", None, f"column dimension n={n!r} is not an integer")
-    for i, (A, B) in enumerate(instance.pairs):
+    for i, (A, B) in enumerate(pairs):
         for name in not_real[i]:
             bad("not-real", i, f"{name} has entries that are not real numbers")
         for name in non_finite[i]:

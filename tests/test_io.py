@@ -343,6 +343,17 @@ def test_trace_reader_rules(tmp_path, row, match, column):
     assert (err.value.line, err.value.column) == (3, column)
 
 
+@pytest.mark.parametrize("index", ["01", " 1", "+1", "1 "])
+def test_trace_reader_accepts_other_index_spellings(tmp_path, index):
+    # an index that int reads as the expected one is accepted, as written
+    path = tmp_path / "spelled.csv"
+    path.write_text(TRACE_HEADER + "\n0,1,2,3,0,0\n" + index + ",1,2,3,4,5\n")
+    assert read_trace(path) == [
+        IterationRecord(0, 1, 2, 3, 0, 0),
+        IterationRecord(1, 1, 2, 3, 4, 5),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # solutions
 
@@ -572,3 +583,13 @@ def test_generate_argument_validation():
         generate_instance(3, 4, m=1)  # k > n
     with pytest.raises(ValueError):
         generate_instance(3, 1, sizes=[0])
+    # non-integers are refused, not truncated or left to fail elsewhere
+    with pytest.raises(ValueError, match="sizes"):
+        generate_instance(n=4, k=2, sizes=[2.7, 3.2])
+    with pytest.raises(ValueError, match="m=2.0"):
+        generate_instance(4, 2, m=2.0)
+    with pytest.raises(ValueError, match="n=4.0"):
+        generate_instance(4.0, 2, m=2)
+    with pytest.raises(ValueError, match="k=1.5"):
+        generate_instance(4, 1.5, m=2)
+    assert generate_instance(np.int64(4), 2, sizes=(np.int64(s) for s in [3, 5])).m == 2

@@ -334,8 +334,9 @@ def test_one_kernel_call_per_stack(monkeypatch):
         ([128], 32, 4, [1]),  # a 128 x 128 pair works as a 32 x 32 pair
         ([128] * 3, 32, 4, [3]),  # three of them share one stack
         ([100], 128, 4, [1]),  # a 100 x 100 residual alone exceeds the budget
+        ([64] * 16, 8, 2, [16]),  # sixteen 8 x 8 working pairs in one stack
     ],
-    ids=["64x6x6", "3x48x48", "1x128x128", "3x128x128", "1x100x100"],
+    ids=["64x6x6", "3x48x48", "1x128x128", "3x128x128", "1x100x100", "16x64x64"],
 )
 def test_shipped_budget_layouts(sides, n, k, stack_sizes):
     rng = np.random.default_rng(1)
@@ -353,6 +354,10 @@ def test_shipped_budget_layouts(sides, n, k, stack_sizes):
     if stack_sizes == [1]:  # a pair alone in its stack is not copied, unless reduced
         assert np.shares_memory(inst._stacks[0][0], data[0][0]) == (sides[0] <= n)
         assert np.shares_memory(inst._stacks[0][1], data[0][1]) == (sides[0] <= n)
+    # a reduced pair keeps the caller's arrays, however its working pair is stacked
+    for (A, B), (A0, B0) in zip(inst.pairs, data):
+        if len(B0) > n:
+            assert np.shares_memory(A, A0) and np.shares_memory(B, B0)
 
 
 @pytest.mark.parametrize(
@@ -396,17 +401,18 @@ def test_stacking_is_invisible(monkeypatch, sides, n, k, entries):
 
 
 def test_non_finite_screen_misses_no_entry():
-    # the screens are sums of squares, one per A_i and one per B stack: a bad
-    # entry at every position, over lengths around vector widths, and finite
-    # data whose sum overflows
+    # the screens are sums of squares, one per A_i and one per B_i: a bad
+    # entry at every position of a 2 x size matrix, over lengths around
+    # vector widths, in the second pair, and finite data whose sum overflows
+    ones = np.ones((2, 3))
     for size in (1, 3, 7, 8, 9, 64, 129):
-        for pos in range(size):
+        for pos in range(2 * size):
             for value in (np.nan, np.inf, -np.inf):
                 M = np.ones((2, size))
-                M[1, pos] = value
-                assert _kernels.measure([(M, np.ones((2, 3)))])[1] == [[], ["A"]]
-                assert _kernels.measure([(np.ones((2, 3)), M)])[1] == [[], ["B"]]
-    huge = np.full((1, 1, 5), 1e200)
+                M.flat[pos] = value
+                assert _kernels.measure([(ones, ones), (M, ones)])[1] == [[], ["A"]]
+                assert _kernels.measure([(ones, ones), (ones, M)])[1] == [[], ["B"]]
+    huge = np.full((1, 5), 1e200)
     assert _kernels.measure([(huge, huge)]) == (math.inf, [[]])
 
 
