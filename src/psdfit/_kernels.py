@@ -3,8 +3,9 @@
 This is the only module that knows how the pairs are laid out: it groups
 them into stacks, walks the stacks and does every sum over the pairs, Sum
 ||A_i||_F included, which `measure` adds up at construction.  A stack is g
-pairs of one shape: A is g x mi x mi and B is g x mi x n, both float64
-C-contiguous; Y and D are n x k.  Every per-pair product is the 2-D
+pairs of one shape, (A, B, c): A is g x mi x mi and B is g x mi x n, both
+float64 C-contiguous, and c holds the g constants c_i (below); Y and D are
+n x k.  Every per-pair product is the 2-D
 expression applied to each of the g matrices, and every sum over pairs adds
 them left to right, so the results are bitwise those of a per-pair loop,
 however the pairs are stacked.
@@ -13,20 +14,23 @@ The kernels run on the working pairs, which `working_stacks` makes once,
 after validation, pair by pair before it stacks them: a pair with m_i > n
 becomes the n x n pair (Q_i^T A_i Q_i, R_i) of its thin QR B_i = Q_i R_i,
 plus the constant c_i = ||A_i - Q_i Q_i^T A_i Q_i Q_i^T||_F^2, and a pair
-with m_i <= n is kept as it is.  Q_i Q_i^T is an orthogonal projector, so
-||A_i - B_i X B_i^T||^2 = c_i + ||Q_i^T A_i Q_i - R_i X R_i^T||^2 for every
-X, A_i symmetric or not.  An evaluation forms each working pair's residual
-once, and holds one min(m_i, n) x min(m_i, n) array per stack; each
-||R_i||_F^2 is a BLAS dot product of vec R_i with itself.  The line search
-reads the pairs only through min(m_i, n) x 2k products, of which it keeps a
-4 x 4 Gram matrix per pair, of the four k x k blocks of the Gram matrix of
-B_i [Y D], and the n x n matrix
-P = Sum B_i^T A_i B_i = Sum R_i^T (Q_i^T A_i Q_i) R_i, which
-`congruence_sum` builds pair by pair.
+with m_i <= n is kept as it is, with c_i = 0.  Q_i Q_i^T is an orthogonal
+projector, so ||A_i - B_i X B_i^T||^2 = c_i + ||Q_i^T A_i Q_i - R_i X R_i^T||^2
+for every X, A_i symmetric or not.  The stacks (`Stacks`) also build on
+first use, and keep, the n x n matrix
+P = Sum B_i^T A_i B_i = Sum R_i^T (Q_i^T A_i Q_i) R_i, so the working
+pairs, their c_i and P are one value, which no other module takes apart.
+An evaluation forms each working pair's residual once, and
+holds one min(m_i, n) x min(m_i, n) array per stack; each ||R_i||_F^2 is a
+BLAS dot product of vec R_i with itself.  The line search reads the pairs
+only through min(m_i, n) x 2k products, of which it keeps a 4 x 4 Gram
+matrix per pair, of the four k x k blocks of the Gram matrix of
+B_i [Y D], and through P.
 """
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -40,42 +44,60 @@ import numpy as np
 STACK_ENTRIES = 8192
 
 
-def _group(pairs, factor_entries):
-    """(stacks, views): runs of equal-shape pairs cut to STACK_ENTRIES, and each
-    pair, in order, in the stacks.
+class Stacks(tuple):
+    """The stacks of the working pairs, (A, B, c) each, in pair order, and P."""
+
+    @cached_property
+    def P(self):
+        """P = Sum B_i^T (A_i B_i), n x n, added in pair order, built on first use.
+
+        One pair at a time, so its temporaries are m_i x n and n x n: a
+        g x n x n stack of terms would be the largest array of a solve on
+        many small pairs.  It is read-only, and a function of the working
+        pairs alone: threads that race to build it build the same P, bit for
+        bit.
+        """
+        n = self[0][1].shape[-1]
+        P = np.zeros((n, n))
+        for As, Bs, _ in self:
+            for A, B in zip(As, Bs):
+                P += B.T @ (A @ B)
+        P.flags.writeable = False
+        return P
+
+
+def _group(working, factor_entries):
+    """`Stacks`: runs of equal-shape working pairs (A, B, c) cut to STACK_ENTRIES.
 
     Multi-pair stacks are copies; a pair alone keeps its data.
     """
-    stacks, views = [], []
-    for _, run in itertools.groupby(pairs, lambda pair: (pair[0].shape, pair[1].shape)):
+    stacks = []
+    for _, run in itertools.groupby(working, lambda pair: (pair[0].shape, pair[1].shape)):
         run = list(run)
         g = max(1, STACK_ENTRIES // max(run[0][0].size, factor_entries))
         for i in range(0, len(run), g):
-            chunk = run[i : i + g]
-            if len(chunk) == 1:
-                ((A, B),) = chunk
-                stacks.append((A[None], B[None]))
-                views.append((A, B))
+            As, Bs, c = zip(*run[i : i + g])
+            if len(As) == 1:
+                stacks.append((As[0][None], Bs[0][None], np.array(c)))
             else:
-                As, Bs = np.array([A for A, _ in chunk]), np.array([B for _, B in chunk])
-                stacks.append((As, Bs))
-                views.extend(zip(As, Bs))
-    return tuple(stacks), tuple(views)
+                stacks.append((np.array(As), np.array(Bs), np.array(c)))
+    return Stacks(stacks)
 
 
 def working_stacks(pairs, n, k):
-    """(stacks, views, c): the working pairs of a valid instance, stacked
-    (`_group`), each working pair in the stacks, and each c_i, in pair order.
+    """(stacks, pairs): the working pairs of a valid instance, stacked
+    (`_group`), and the instance's pairs.
 
     A pair with m_i > n takes its own thin QR B_i = Q_i R_i and becomes the
     n x n pair (Q_i^T A_i Q_i, R_i), with
     c_i = ||A_i - Q_i (Q_i^T A_i Q_i) Q_i^T||_F^2 summed over row blocks of
     at most n rows, so no temporary exceeds n x m_i.  c_i is formed
     directly: ||A_i||^2 - ||Q_i^T A_i Q_i||^2 would cancel to a rounding
-    error of order u ||A_i||^2 where the fit is exact.  A pair with m_i <= n
-    is its own working pair, with c_i = 0.
+    error of order u ||A_i||^2 where the fit is exact.  Such a pair is
+    handed back as given; a pair with m_i <= n is its own working pair,
+    with c_i = 0, and is handed back as its view into the stacks.
     """
-    working, c = [], []
+    working = []
     for A, B in pairs:
         ci = 0.0
         if len(B) > n:
@@ -87,10 +109,12 @@ def working_stacks(pairs, n, k):
                 E *= E
                 ci += E.sum()
             A, B = At, R
-        working.append((A, B))
-        c.append(ci)
-    stacks, views = _group(working, n * k)
-    return stacks, views, np.array(c)
+        working.append((A, B, ci))
+    stacks = _group(working, n * k)
+    views = (view for As, Bs, _ in stacks for view in zip(As, Bs))
+    return stacks, tuple(
+        view if len(B) <= n else (A, B) for view, (A, B) in zip(views, pairs)
+    )
 
 
 def _in_order_sum(total, terms):
@@ -154,59 +178,45 @@ def quartic_terms(B, Y, D):
     return H @ H.swapaxes(-1, -2).copy()  # a copy of H^T, not syrk
 
 
-def congruence_sum(stacks):
-    """P = Sum B_i^T (A_i B_i), n x n, added in pair order.
-
-    One pair at a time, so its temporaries are m_i x n and n x n: a g x n x n
-    stack of terms would be the largest array of a solve on many small pairs.
-    """
-    n = stacks[0][1].shape[-1]
-    P = np.zeros((n, n))
-    for As, Bs in stacks:
-        for A, B in zip(As, Bs):
-            P += B.T @ (A @ B)
-    return P
-
-
-def evaluate(stacks, c, Y):
-    """(Sum r_i^2, Sum r_i, gradient), all read from R_i and c.
+def evaluate(stacks, Y):
+    """(Sum r_i^2, Sum r_i, gradient), all read from R_i and c_i.
 
     r_i^2 = c_i + ||R_i||_F^2, the squared residual of the caller's pair
-    (`working_stacks`); c holds each c_i in pair order.
+    (`working_stacks`).
     """
     grad = np.zeros(Y.shape)
     r2 = []
-    for A, B in stacks:
+    for A, B, c in stacks:
         r2_stack, terms = residual_gradient(A, B, Y)
+        r2_stack += c
         r2.append(r2_stack)
         grad = _in_order_sum(grad, terms)  # one stack's terms alive at a time
     # row 0 takes each r_i^2 and row 1 each r_i, in pair order, and one
     # running sum along the rows adds both left to right; r is made after
     # the last residual, which it would otherwise join at a solve's peak
-    r = np.empty((2, len(c)))
+    r = np.empty((2, sum(map(len, r2))))
     i = 0
-    for r2_stack in r2:
-        j = i + len(r2_stack)
-        np.add(r2_stack, c[i:j], out=r[0, i:j])
-        i = j
+    for r2_stack in r2:  # by slices: np.concatenate raised a solve's peak
+        r[0, i : i + len(r2_stack)] = r2_stack
+        i += len(r2_stack)
     np.sqrt(r[0], out=r[1])
     np.add.accumulate(r, axis=1, out=r)
     f, num = r[:, -1].tolist()
     return f, num, grad
 
 
-def quartic_sums(stacks, P, Y, D):
+def quartic_sums(stacks, Y, D):
     """[a2, a3, a4] summed over all pairs; a0 and a1 come from the evaluation.
 
     The pairs' 4 x 4 `quartic_terms` are added in pair order and combined
-    once, <s, s> first.  P is `congruence_sum(stacks)`;
-    Sum <A_i V_i, V_i> = <D, P D>, one dot product of vec D and vec (P D).
+    once, <s, s> first.  Sum <A_i V_i, V_i> = <D, P D>, one dot product of
+    vec D and vec (P D), with the stacks' P.
     """
     Q = 0.0
-    for _, B in stacks:
+    for _, B, _ in stacks:
         Q = _in_order_sum(Q, quartic_terms(B, Y, D))
     Q = Q.tolist()
-    DPD = float(D.ravel().dot((P @ D).ravel()))
+    DPD = float(D.ravel().dot((stacks.P @ D).ravel()))
     ss = Q[1][1] + 2.0 * Q[1][2] + Q[2][2]
     return [ss + 2.0 * Q[0][3] - 2.0 * DPD, 2.0 * (Q[1][3] + Q[2][3]), Q[3][3]]
 

@@ -8,8 +8,8 @@ Subcommands:
   demo-image  image-restoration demo on a binary PGM
 
 Exit codes: 0 success / checks passed, 1 verification, convergence or
-numerical failure, 2 usage or I/O errors.  Output paths are checked before
-the fit, so a file that could not be written costs no solve.
+numerical failure, 2 usage or I/O errors.  Arguments and output paths are
+checked before the fit, so a file that could not be written costs no solve.
 """
 
 import argparse
@@ -24,6 +24,16 @@ from .linesearch import quartic_coeffs
 from .oracle import compare, fd_gradient, interpolate_quartic
 from .problem import ProblemInstance, evaluate, gradient
 from .solver import NumericalError, SolverConfig, solve
+
+
+def _sizes(text):
+    """The integers of a comma-separated list, each item present."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _build_parser():
@@ -61,7 +71,7 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="pair count (sizes default to n)")
     p.add_argument(
-        "--sizes", default=None, help="comma-separated per-pair sizes m_i"
+        "--sizes", type=_sizes, default=None, help="comma-separated per-pair sizes m_i"
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("random", "consistent"), default="random")
@@ -86,8 +96,11 @@ def _with_rank(instance: ProblemInstance, rank):
 
 
 def _check_output_dirs(*paths):
-    """Refuse, before the fit, an output path whose directory does not exist."""
+    """Refuse, before the fit, an output path that is a directory or whose
+    directory does not exist."""
     for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: Is a directory")
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise FileNotFoundError(f"{path}: directory {directory} does not exist")
@@ -139,11 +152,8 @@ def _cmd_linecheck(args):
 
 
 def _cmd_gen(args):
-    sizes = None
-    if args.sizes is not None:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     instance = pio.generate_instance(
-        n=args.n, k=args.k, m=args.m, sizes=sizes, seed=args.seed, mode=args.mode
+        n=args.n, k=args.k, m=args.m, sizes=args.sizes, seed=args.seed, mode=args.mode
     )
     pio.write_problem(args.out, instance)
     print(f"wrote {args.out} (m={instance.m}, n={instance.n}, k={instance.k})")

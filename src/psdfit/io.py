@@ -250,19 +250,14 @@ def write_problem(path, instance: ProblemInstance):
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a rectangular whitespace-separated matrix (one row per line)."""
+    """Read a rectangular whitespace-separated matrix (one row per line).
+
+    Every row must hold as many values as the first (`_read_block`).
+    """
     reader = _TokenLines(path)
     if not reader.tokens:
         raise ParseError("empty matrix file")
-    width = len(reader.tokens[0])
-    ragged = [
-        lineno
-        for lineno, toks in zip(reader.linenos, reader.tokens)
-        if len(toks) != width
-    ]
-    if ragged:
-        raise ParseError(f"ragged matrix: expected {width} values", line=ragged[0])
-    data = _read_block(reader, len(reader.tokens), width, "matrix")
+    data = _read_block(reader, len(reader.tokens), len(reader.tokens[0]), "matrix")
     return _finite(data, reader, 0, "matrix")
 
 

@@ -7,11 +7,11 @@ analytically.  Its a0 and a1 are f and <grad f, D> from the caller's
 4 x 4 Gram matrix per working pair, of the four k x k blocks a, b, b^T and
 c of the Gram matrix of B_i [Y D] (`_kernels.quartic_terms`), and from the
 n x n matrix P = Sum B_i^T A_i B_i, which gives Sum <A_i B_i D, B_i D> as
-<D, P D>, also one dot product.  P is
-built on the first line search of an instance and kept on it, so no line
-search reads an A_i.  A pair taller than n enters as its n x n working pair
-(`problem.ProblemInstance`), so every product here has at most n rows.  The
-step found is never uphill: a minimizer above phi(0) is no step.
+<D, P D>, also one dot product.  The instance's stacks build P on the first
+line search and keep it (`_kernels.Stacks`), so no line search reads an A_i.
+A pair taller than n enters as its n x n working pair, so every product
+here has at most n rows.  The step found is never uphill: a minimizer above
+phi(0) is no step.
 """
 
 import math
@@ -70,7 +70,7 @@ def quartic_coeffs(
     Y = _as_factor(instance, Y)
     D = _as_factor(instance, D, name="D")
     grad = _as_factor(instance, at.grad, name="grad")
-    a2, a3, a4 = _kernels.quartic_sums(instance._stacks, instance._P, Y, D)
+    a2, a3, a4 = _kernels.quartic_sums(instance._stacks, Y, D)
     a1 = float(grad.ravel().dot(D.ravel()))
     return QuarticPolynomial(float(at.f), a1, a2, a3, a4)
 

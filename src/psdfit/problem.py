@@ -14,22 +14,17 @@ listing every `Violation`, if it breaks an invariant; nothing else checks it.
 The pairs are held in stacks, which `_kernels` builds and walks: it owns
 their grouping and every sum over pairs, which adds the pairs in pair order,
 so results are reproducible and do not depend on how the pairs are stacked.
-The stacks hold the working pairs: once an instance is valid, each pair with
-m_i > n is reduced to an n x n pair through the thin QR of its B_i, and a
-constant that the evaluation adds back, and the working pairs are grouped
-once (`_kernels.working_stacks`), so no iteration forms an array larger
-than min(m_i, n)^2 for a pair.
+The stacks hold the working pairs, each pair with m_i > n reduced to an
+n x n pair, with the constants c_i and the matrix P that the kernels read
+(`_kernels.working_stacks`), so no iteration forms an array larger than
+min(m_i, n)^2 for a pair.
 
-All functions are pure and safe to call from multiple threads.  The one
-state an instance gains after construction, the n x n matrix
-P = Sum B_i^T A_i B_i that the line search reads (`ProblemInstance._P`), is
-a function of the working pairs alone: threads that race to build it build
-the same P, bit for bit, and it is read-only.
+All functions are pure and safe to call from multiple threads, and an
+instance gains no attribute after construction.
 """
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,6 +34,9 @@ from . import _kernels
 # An n x k factor matrix parametrizing X = Y Y^T, and its gradient (same shape).
 FactorMatrix = NDArray[np.float64]
 GradientMatrix = NDArray[np.float64]
+# float64's dtype, the object every native float64 array carries; a cast to
+# it skips converting the type np.float64 on each call
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass
@@ -70,21 +68,18 @@ class ProblemInstance:
     unless there is a pair, n and k are integers with 1 <= k <= n, and each
     A_i is m_i x m_i with m_i >= 1 and each B_i is m_i x n, both real and
     finite.  Sum ||A_i||_F comes from the walk that checks finiteness.  A
-    valid instance then reduces each pair taller than n to an n x n working
-    pair and stacks the working pairs (`_kernels.working_stacks`), which the
-    kernels read.  `pairs` stays bitwise the caller's data: a pair with
-    m_i <= n is its own working pair and is held as its view into the
-    stacks, and a reduced pair keeps its cast arrays, so the pair arrays are
-    treated as read-only once built.
+    valid instance then holds the stacks of its working pairs
+    (`_kernels.working_stacks`), and `pairs` as the stacks hand them back:
+    bitwise the caller's data, as views into the stacks or as the cast
+    arrays of a reduced pair, so the pair arrays are treated as read-only
+    once built.
     """
 
     pairs: tuple
     n: int
     k: int
-    # (A stack, B stack) per run of working pairs, in pair order
+    # `_kernels.Stacks`: (A, B, c) per run of working pairs, in pair order, and P
     _stacks: tuple = field(init=False, repr=False)
-    # per pair, ||A_i||_F^2 outside range(B_i) x range(B_i); 0 where m_i <= n
-    _c: np.ndarray = field(init=False, repr=False)
     _norm_sum: float = field(init=False, repr=False)  # Sum ||A_i||_F in pair order
 
     def __post_init__(self):
@@ -96,32 +91,14 @@ class ProblemInstance:
         violations = _violations(pairs, n, k, not_real, non_finite)
         if violations:
             raise ValidationError(violations)
-        stacks, views, c = _kernels.working_stacks(pairs, n, k)
-        pairs = tuple(
-            view if len(B) <= n else (A, B) for view, (A, B) in zip(views, pairs)
-        )
+        stacks, pairs = _kernels.working_stacks(pairs, n, k)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_norm_sum", norm_sum)
 
     @property
     def m(self):
         return len(self.pairs)
-
-    @cached_property
-    def _P(self):
-        """Sum B_i^T A_i B_i in pair order (n x n, read-only), built on first use.
-
-        It is summed over the working pairs: R_i^T (Q_i^T A_i Q_i) R_i for a
-        pair taller than n.  The line search reads Sum <A_i V_i, V_i> as
-        <D, P D>.  It is built
-        here, not in the constructor, so that constructing an instance still
-        makes a single walk over the data.
-        """
-        P = _kernels.congruence_sum(self._stacks)
-        P.flags.writeable = False
-        return P
 
 
 def _as_real(M):
@@ -135,7 +112,7 @@ def _as_real(M):
     if M.dtype.kind in "biufO":  # bool, integer, float or Python objects
         try:
             # not ascontiguousarray, which makes a 0-d matrix 1-d
-            return np.asarray(M, dtype=np.float64, order="C"), True
+            return np.asarray(M, dtype=_FLOAT64, order="C"), True
         except (TypeError, ValueError):  # an object that is not a real number
             pass
     return np.zeros(M.shape), False
@@ -183,12 +160,28 @@ def _violations(pairs, n, k, not_real, non_finite) -> list[Violation]:
     return violations
 
 
+def _as_float(M, name):
+    """M as a float64 C-contiguous ndarray, cast as pairs are (`_as_real`).
+
+    ValueError if it is not real: a complex M or one of strings is refused.
+    """
+    M, real = _as_real(M)
+    if not real:
+        raise ValueError(f"{name} has entries that are not real numbers")
+    return M
+
+
 def _as_factor(instance: ProblemInstance, Y, name="Y") -> FactorMatrix:
-    """Y as an n x k float64 C-contiguous ndarray (ValueError on another shape).
+    """Y as an n x k float64 C-contiguous ndarray (ValueError if it is not
+    real, `_as_float`, or of another shape).
 
     A Y that already is one is returned as it is, without a copy.
     """
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    # a float64 ndarray is real: only other inputs pay for the cast rule
+    if Y.__class__ is np.ndarray and Y.dtype is _FLOAT64:
+        Y = np.asarray(Y, order="C")
+    else:
+        Y = _as_float(Y, name)
     if Y.shape != (instance.n, instance.k):
         raise ValueError(
             f"{name} has shape {Y.shape}, expected ({instance.n}, {instance.k})"
@@ -215,7 +208,7 @@ def evaluate(instance: ProblemInstance, Y: FactorMatrix) -> Evaluation:
     np.linalg.norm(grad).
     """
     Y = _as_factor(instance, Y)
-    f, num, grad = _kernels.evaluate(instance._stacks, instance._c, Y)
+    f, num, grad = _kernels.evaluate(instance._stacks, Y)
     denom = instance._norm_sum
     flat = grad.ravel()
     return Evaluation(f, num / denom if denom else num, grad, float(flat.dot(flat)))
@@ -257,7 +250,8 @@ def assemble_X(Y: FactorMatrix) -> NDArray[np.float64]:
     """Assemble X = Y Y^T, symmetrized exactly by averaging with its transpose.
 
     The result is symmetric PSD with rank at most the column count of Y.
+    ValueError if Y is not real (`_as_float`).
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = _as_float(Y, "Y")
     X = Y @ Y.T
     return (X + X.T) / 2.0

@@ -196,6 +196,35 @@ def test_solve_refuses_a_missing_output_directory_before_the_fit(
     assert not (tmp_path / "nodir").exists()
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+def test_solve_refuses_a_directory_as_output_file_before_the_fit(
+    tmp_path, monkeypatch, capsys, flag
+):
+    monkeypatch.setattr(psdfit.cli, "solve", no_fit)
+    prob = tmp_path / "golden.prob"
+    write_problem(prob, golden.instance(2))
+    assert run("solve", prob, flag, tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{tmp_path}: Is a directory" in err
+
+
+@pytest.mark.parametrize("sizes", ["3,,4", "3,x", "3,4,", ",3", "", "3.5"])
+def test_gen_refuses_sizes_that_are_not_integers(tmp_path, monkeypatch, capsys, sizes):
+    def no_generate(*args, **kwargs):
+        raise AssertionError("an instance was generated from bad --sizes")
+
+    monkeypatch.setattr(psdfit.cli.pio, "generate_instance", no_generate)
+    out = tmp_path / "x.prob"
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "--n", 8, "--k", 3, "--sizes", sizes, "--out", out)
+    assert exc.value.code == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert "argument --sizes" in err and repr(sizes) in err
+    assert not out.exists()
+
+
 def test_demo_image_refuses_a_file_as_output_directory_before_the_fit(
     tmp_path, monkeypatch, capsys
 ):

@@ -243,8 +243,18 @@ def test_matrix_vector_is_promoted_to_row(tmp_path):
 def test_matrix_ragged_raises(tmp_path):
     path = tmp_path / "ragged.txt"
     path.write_text("1 2\n3\n")
-    with pytest.raises(ParseError, match="ragged"):
+    with pytest.raises(ParseError, match="expected 2 values for matrix row 1, found 1") as err:
         read_matrix(path)
+    assert err.value.line == 2
+
+
+def test_matrix_reports_a_bad_number_before_a_later_ragged_row(tmp_path):
+    # the first fault in file order is the one reported
+    path = tmp_path / "ragged.txt"
+    path.write_text("1 x 3\n4 5\n")
+    with pytest.raises(ParseError, match=r"bad number 'x' in matrix row 0") as err:
+        read_matrix(path)
+    assert (err.value.line, err.value.column) == (1, 2)
 
 
 def test_matrix_non_finite_raises(tmp_path):

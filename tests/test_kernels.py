@@ -119,7 +119,7 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     rng = np.random.default_rng(5)
     data = [(rng.random((mi, mi)), rng.random((mi, n))) for mi in sides]
     inst = ProblemInstance(pairs=tuple(data), n=n, k=k)
-    assert [len(A) for A, _ in inst._stacks] == [14, 6, 1, 3, 3, 3, 1]
+    assert [len(A) for A, _, _ in inst._stacks] == [14, 6, 1, 3, 3, 3, 1]
     assert all(
         np.array_equal(A, A0) and np.array_equal(B, B0)
         for (A, B), (A0, B0) in zip(inst.pairs, data, strict=True)
@@ -128,12 +128,11 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     assert np.shares_memory(inst._stacks[2][0], data[20][0])
     assert np.shares_memory(inst._stacks[2][1], data[20][1])
     working = [reference_reduce(A, B) for A, B in data]
-    stacked = [pair for As, Bs in inst._stacks for pair in zip(As, Bs)]
+    stacked = [pair for stack in inst._stacks for pair in zip(*stack)]
     assert all(
-        np.array_equal(A, At) and np.array_equal(B, R)
-        for (A, B), (At, R, _) in zip(stacked, working, strict=True)
+        np.array_equal(A, At) and np.array_equal(B, R) and c == c0
+        for (A, B, c), (At, R, c0) in zip(stacked, working, strict=True)
     )
-    assert np.array_equal(inst._c, [c for _, _, c in working])
     Y = rng.standard_normal((n, k))
     D = rng.standard_normal((n, k))
 
@@ -151,7 +150,7 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     a = combine(Q, D.ravel().dot((P @ D).ravel()))
 
     assert inst._norm_sum == sum(float(np.linalg.norm(A, "fro")) for A, _ in data)
-    assert np.array_equal(inst._P, P)
+    assert np.array_equal(inst._stacks.P, P)
     at = evaluate(inst, Y)
     assert at.f == f
     assert at.residual == num / denom
@@ -167,12 +166,12 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     grad0 = sum(reference_pair(A, B, Y)[1] for A, B in data)
     assert math.isclose(at.f, f0, rel_tol=1e-12)
     assert np.allclose(at.grad, grad0, rtol=1e-11, atol=1e-11 * np.abs(grad0).max())
-    assert np.allclose(inst._P, reference_P(data, n), rtol=1e-11, atol=0.0)
+    assert np.allclose(inst._stacks.P, reference_P(data, n), rtol=1e-11, atol=0.0)
 
 
 def test_racing_line_searches_build_one_P():
-    # P is cached on the instance by its first line search; threads that
-    # race to build it must all see the same P and the same coefficients
+    # P is cached on the instance's stacks by its first line search; threads
+    # that race to build it must all see the same P and the same coefficients
     rng = np.random.default_rng(11)
     n, k = 12, 3
     pairs = tuple((rng.random((mi, mi)), rng.random((mi, n))) for mi in [6] * 40 + [20])
@@ -202,8 +201,19 @@ def test_racing_line_searches_build_one_P():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert got == [expected] * threads
-    assert np.array_equal(inst._P, _kernels.congruence_sum(inst._stacks))
-    assert not inst._P.flags.writeable
+    assert np.array_equal(inst._stacks.P, serial._stacks.P)
+    assert not inst._stacks.P.flags.writeable
+
+
+def test_a_solve_adds_no_attribute_to_the_instance():
+    # P is kept by the stacks, so the instance holds after a solve exactly
+    # the objects it held when it was built
+    inst = generate_instance(6, 2, sizes=[3, 9, 6], seed=2)
+    before = dict(vars(inst))
+    solve(inst, seed=0, config=SolverConfig(max_iterations=5))
+    assert vars(inst).keys() == before.keys()
+    assert all(vars(inst)[name] is value for name, value in before.items())
+    assert "P" in vars(inst._stacks)  # built by the solve and kept there
 
 
 def test_quartic_terms_form_no_pair_sized_matrix():
@@ -219,8 +229,7 @@ def test_quartic_terms_form_no_pair_sized_matrix():
         D = rng.standard_normal((n, k))
         tracemalloc.start()
         try:
-            P = _kernels.congruence_sum(inst._stacks)
-            _kernels.quartic_sums(inst._stacks, P, Y, D)
+            _kernels.quartic_sums(inst._stacks, Y, D)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -231,7 +240,7 @@ def evaluation_peak(inst, Y):
     """The tracemalloc peak of one kernel evaluation, in bytes."""
     tracemalloc.start()
     try:
-        _kernels.evaluate(inst._stacks, inst._c, Y)
+        _kernels.evaluate(inst._stacks, Y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -258,7 +267,7 @@ def test_tall_pair_evaluation_forms_no_pair_sized_matrix():
     rng = np.random.default_rng(9)
     pair = (rng.random((mi, mi)), rng.random((mi, n)))
     inst = ProblemInstance(pairs=(pair,), n=n, k=k)
-    assert [A.shape for A, _ in inst._stacks] == [(1, n, n)]
+    assert [A.shape for A, _, _ in inst._stacks] == [(1, n, n)]
     assert evaluation_peak(inst, rng.standard_normal((n, k))) < mi * n * 8
 
 
@@ -276,10 +285,10 @@ def test_stack_budget_counts_the_gradient_term(monkeypatch, side, n, k, stack_si
     rng = np.random.default_rng(0)
     pairs = tuple((rng.random((side, side)), rng.random((side, n))) for _ in range(8))
     inst = ProblemInstance(pairs=pairs, n=n, k=k)
-    assert [len(A) for A, _ in inst._stacks] == stack_sizes
+    assert [len(A) for A, _, _ in inst._stacks] == stack_sizes
     # no temporary of a stack (g x m_i x m_i or g x n x k) exceeds the budget
     # unless one pair's own does
-    for A, _ in inst._stacks:
+    for A, _, _ in inst._stacks:
         assert len(A) == 1 or len(A) * max(side * side, n * k) <= _kernels.STACK_ENTRIES
 
 
@@ -342,9 +351,9 @@ def test_shipped_budget_layouts(sides, n, k, stack_sizes):
     rng = np.random.default_rng(1)
     data = [(rng.random((mi, mi)), rng.random((mi, n))) for mi in sides]
     inst = ProblemInstance(pairs=tuple(data), n=n, k=k)
-    assert [len(A) for A, _ in inst._stacks] == stack_sizes
+    assert [len(A) for A, _, _ in inst._stacks] == stack_sizes
     side = min(sides[0], n)  # the working side
-    assert [(A.shape, B.shape) for A, B in inst._stacks] == [
+    assert [(A.shape, B.shape) for A, B, _ in inst._stacks] == [
         ((g, side, side), (g, side, n)) for g in stack_sizes
     ]
     assert all(

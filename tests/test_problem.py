@@ -273,7 +273,7 @@ def test_factor_inputs_convert_as_before():
         assert results(Yk, Dk) == want, name
 
     for shape, said in [((5, 3), (5, 3)), ((2, 5), (2, 5)), ((10,), (10,)),
-                        ((), (1,)), ((1, 5, 2), (1, 5, 2))]:
+                        ((), ()), ((1, 5, 2), (1, 5, 2))]:
         for bad in (np.zeros(shape), np.zeros(shape, dtype=np.float32)):
             message = re.escape(f"has shape {said}, expected (5, 2)")
             with pytest.raises(ValueError, match="Y " + message):
@@ -282,6 +282,30 @@ def test_factor_inputs_convert_as_before():
                 linesearch.exact_step(inst, Y, bad, evaluate(inst, Y))
             with pytest.raises(ValueError, match="D " + message):
                 linesearch.quartic_coeffs(inst, Y, bad, evaluate(inst, Y))
+
+
+def test_factor_inputs_that_are_not_real_are_refused():
+    # a complex factor would lose its imaginary part with only a warning, and
+    # an array of numeric strings would be parsed: both are refused, as pairs are
+    from psdfit import solve
+
+    inst = generate_instance(4, 2, m=2, seed=4)
+    Y = np.random.default_rng(4).standard_normal((4, 2))
+    at = evaluate(inst, Y)
+    for bad in (Y + 1j, Y.astype(str), np.array([["1", "2"]] * 4)):
+        calls = [
+            ("Y0", lambda: solve(inst, bad)),
+            ("Y", lambda: evaluate(inst, bad)),
+            ("Y", lambda: objective(inst, bad)),
+            ("D", lambda: linesearch.exact_step(inst, Y, bad, at)),
+            ("D", lambda: linesearch.quartic_coeffs(inst, Y, bad, at)),
+            ("Y", lambda: assemble_X(bad)),
+        ]
+        for name, call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{name} has entries that are not real numbers$"):
+                    call()
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def tall_instances(draw, consistent=False):
 def test_tall_pairs_match_the_oracles(case):
     # the oracles read the caller's pairs, never the working pairs
     inst, Y, D, _ = case
-    assert np.all(inst._c >= 0.0)
+    assert all(np.all(c >= 0.0) for _, _, c in inst._stacks)
     at = evaluate(inst, Y)
     assert at.f == pytest.approx(reference_objective(inst, Y), rel=1e-12)
     assert at.residual == pytest.approx(reference_residual(inst, Y), rel=1e-12)
