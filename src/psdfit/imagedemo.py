@@ -10,6 +10,7 @@ canonical ones.
 Images are 8-bit binary PGM (magic "P5"); nothing fancier is supported.
 """
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -125,10 +126,13 @@ def observation_instance(X_true, m: int, k: int, seed: int):
 
     Each B_i picks ceil(3n/4) distinct rows and adds uniform noise in
     [-0.05, 0.05); Y0 is drawn from the same generator so one seed fixes
-    the whole demo.  A k outside [1, n] is a ValidationError.
+    the whole demo.  An m that is not an integer, or is below 1, is a
+    ValueError; a k outside [1, n] is a ValidationError.
     """
     X_true = np.asarray(X_true, dtype=np.float64)
     n = X_true.shape[0]
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"m={m!r} is not an integer")
     if m < 1:
         raise ValueError("need at least one observation")
     rng = np.random.default_rng(seed)

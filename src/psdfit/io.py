@@ -13,16 +13,19 @@ Numbers are written with 16 significant digits, which reproduces values to
 better than 1e-12 relative and makes write -> read -> write byte-stable.
 Traces are six-column CSV; solutions carry summary fields and the assembled
 X.  Every format is read through one block reader, which splits each line
-once and converts each block of numbers in one call, and every row of
-numbers is written through one % template per row and one line writer, so
-converting or formatting each number is the only per-number cost.
+once, converts each block of numbers in one call and screens it with one
+dot product, and every row of numbers is written through one % template
+per row and one line writer, so converting or formatting each number is
+the only per-number cost.
 
 Readers accept only what the writers produce.  A malformed or non-finite
 number, a non-integer count or trace index, a trace index out of sequence,
 m, m_i or n < 1, a count of rows the file does not hold, a negative
 iteration count, an unknown termination reason or a byte that is not ASCII
-is a ParseError naming its line (and, for a bad token, its column).  The
-same seed always regenerates the same instance.
+is a ParseError naming its line (and, for a bad token, its column).  Each
+reader raises a fault as it reaches it, and a block's rows are looked into
+only when the block fails, so the first fault in file order is the one
+raised.  The same seed always regenerates the same instance.
 """
 
 import math
@@ -33,7 +36,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .problem import ProblemInstance, ValidationError
+from .problem import ProblemInstance
 from .solver import IterationRecord, SolverResult, TerminationReason
 
 
@@ -127,62 +130,60 @@ def _numbers(lineno, toks, what, kind, skip=0):
 
 
 def _read_block(reader, rows, cols, what):
-    """The next rows lines (rows >= 1), cols numbers each, as a float array.
+    """The next rows lines (rows >= 0), cols numbers each, as a float array.
 
-    The block's lines are taken as one slice, and the array is allocated
-    only once the lines left and every row's count bear out rows and cols,
-    so a count in a header cannot ask for more memory than the file holds.
-    numpy then converts the whole block in one call, each string as
-    Python's float does.  Rows are looked into, and labelled, only on a
-    fault, and the first fault in file order is the one raised: a row r of
-    the wrong width is reported once rows 0..r-1 hold no bad token.
+    The block's lines are taken as one slice and numpy converts them in one
+    call, each string as Python's float does, so the array is built only
+    from tokens the file holds: no count in a header can ask for more
+    memory than the file.  One dot product screens the values, as a sum of
+    squares is finite only if every entry is.  Rows are looked into, and
+    labelled, only when the conversion, the shape or the screen fails, and
+    `_raise_fault` then raises the block's first fault in file order.  A
+    block the file ends inside is reported at the end of the file, unless
+    one of the rows it has holds a bad or non-finite number.
     """
     first = reader.at
     block = reader.tokens[first : first + rows]
     if len(block) < rows:
+        _raise_fault(reader, first, len(block), None, what)
         raise ParseError(
             f"unexpected end of file: {what} needs {rows} rows, found {len(block)}",
             line=reader.linenos[-1] if reader.linenos else None,
         )
-    widths = list(map(len, block))
-    if widths.count(cols) != rows:
-        r = next(r for r, width in enumerate(widths) if width != cols)
-        _raise_bad_token(reader, first, r, what)
-        raise reader.count_error(first + r, cols, f"{what} row {r}")
     reader.at = first + rows
     try:
-        return np.array(block, dtype=float)
-    except ValueError:
-        _raise_bad_token(reader, first, rows, what)
+        data = np.array(block, dtype=float)
+    except ValueError:  # a ragged block, or a token float refuses
+        _raise_fault(reader, first, rows, cols, what)
         raise
+    if data.shape != (rows, cols) or not math.isfinite(np.vdot(data, data)):
+        _raise_fault(reader, first, rows, cols, what)
+    return data
 
 
-def _raise_bad_token(reader, first, rows, what):
-    """Raise at the first token float refuses in rows 0..rows-1 of a block.
+def _raise_fault(reader, first, rows, cols, what):
+    """Raise at the first fault in rows 0..rows-1 of a block, in file order.
 
-    The block's row 0 is reader line first.  Returns if every token converts.
+    The block's row 0 is reader line first.  In each row its width is
+    checked (unless cols is None), then each token in turn: one that float
+    refuses, or reads as nan or an infinity, is raised at its column.
+    Returns if there is no fault, as when finite values such as 1e200
+    overflow a sum of squares.
     """
     for r in range(rows):
         j = first + r
-        _numbers(reader.linenos[j], reader.tokens[j], f"{what} row {r}", float)
-
-
-def _finite(data, reader, first, what):
-    """Return data if it is all finite, else raise at its first NaN or infinity.
-
-    data[r] was parsed from reader line first + r.  One check per block keeps
-    the common case cheap (count_nonzero costs half of .all() on small
-    blocks); the token is found only on failure.
-    """
-    if np.count_nonzero(np.isfinite(data)) != data.size:
-        r, c = np.argwhere(~np.isfinite(data))[0]
-        j = first + r
-        raise ParseError(
-            f"non-finite number {reader.tokens[j][c]!r} in {what}",
-            line=reader.linenos[j],
-            column=int(c) + 1,
-        )
-    return data
+        lineno, toks = reader.linenos[j], reader.tokens[j]
+        if cols is not None and len(toks) != cols:
+            raise reader.count_error(j, cols, f"{what} row {r}")
+        for c, tok in enumerate(toks, start=1):
+            try:
+                fault = None if math.isfinite(float(tok)) else "non-finite"
+            except ValueError:
+                fault = "bad"
+            if fault:
+                raise ParseError(
+                    f"{fault} number {tok!r} in {what} row {r}", line=lineno, column=c
+                )
 
 
 def _template(cols, sep):
@@ -206,11 +207,7 @@ def write_lines(path, lines):
 
 
 def read_problem(path) -> ProblemInstance:
-    """Parse a problem file into a (validated) ProblemInstance.
-
-    The instance's construction detects non-finite entries; only then are
-    the bad pair's two blocks searched for the token to report.
-    """
+    """Parse a problem file into a (validated) ProblemInstance."""
     reader = _TokenLines(path)
     lineno, toks = reader.next_line(3, "header (m n k)")
     m, n, k = _numbers(lineno, toks, "header", int)
@@ -218,27 +215,18 @@ def read_problem(path) -> ProblemInstance:
         raise ParseError("pair count m must be positive", line=lineno)
     if n < 1:
         raise ParseError("column dimension n must be positive", line=lineno)
-    pairs, starts = [], []
+    pairs = []
     for i in range(m):
         what = f"size of pair {i}"
         lineno, toks = reader.next_line(1, what)
         (mi,) = _numbers(lineno, toks, what, int)
         if mi < 1:
             raise ParseError(f"pair {i} size must be positive", line=lineno)
-        starts.append(reader.at)
         A = _read_block(reader, mi, mi, f"A_{i}")
         B = _read_block(reader, mi, n, f"B_{i}")
         pairs.append((A, B))
     reader.done()
-    try:
-        return ProblemInstance(pairs=tuple(pairs), n=n, k=k)
-    except ValidationError as err:
-        for v in err.violations:
-            if v.code == "non-finite":
-                (A, B), first = pairs[v.pair], starts[v.pair]
-                _finite(A, reader, first, f"A_{v.pair}")
-                _finite(B, reader, first + len(A), f"B_{v.pair}")
-        raise
+    return ProblemInstance(pairs=tuple(pairs), n=n, k=k)
 
 
 def write_problem(path, instance: ProblemInstance):
@@ -257,8 +245,7 @@ def read_matrix(path) -> np.ndarray:
     reader = _TokenLines(path)
     if not reader.tokens:
         raise ParseError("empty matrix file")
-    data = _read_block(reader, len(reader.tokens), len(reader.tokens[0]), "matrix")
-    return _finite(data, reader, 0, "matrix")
+    return _read_block(reader, len(reader.tokens), len(reader.tokens[0]), "matrix")
 
 
 def write_matrix(path, M):
@@ -284,6 +271,8 @@ def read_trace(path):
     """Read a trace CSV: iteration indices 0, 1, 2, ... in order, finite values.
 
     Row 0, the start point, is always written, so a header alone is refused.
+    The block is read only up to the first row whose index is not its
+    iteration number, so a fault in an earlier row is the one reported.
     """
     reader = _TokenLines(path, sep=",")
     if not reader.tokens or reader.tokens[0] != TRACE_HEADER.split(","):
@@ -291,21 +280,25 @@ def read_trace(path):
     if len(reader.tokens) == 1:
         raise ParseError("trace has no iteration rows", line=1)
     reader.at = 1
-    data = _read_block(reader, len(reader.tokens) - 1, 6, "trace")
-    _finite(data, reader, 1, "trace")
     for expected, lineno, (token, *_) in zip(
         count(), reader.linenos[1:], reader.tokens[1:]
     ):
         if token == str(expected):
             continue
         # another spelling of the expected index ("01", " 1") is accepted
+        try:
+            if int(token) == expected:
+                continue
+        except ValueError:
+            pass
+        _read_block(reader, expected, 6, "trace")
         (index,) = _numbers(lineno, [token], "trace iteration", int)
-        if index != expected:
-            raise ParseError(
-                f"trace iteration {index} out of sequence, expected {expected}",
-                line=lineno,
-                column=1,
-            )
+        raise ParseError(
+            f"trace iteration {index} out of sequence, expected {expected}",
+            line=lineno,
+            column=1,
+        )
+    data = _read_block(reader, len(reader.tokens) - 1, 6, "trace")
     return list(map(IterationRecord, count(), *data[:, 1:].T.tolist()))
 
 
@@ -361,8 +354,7 @@ def read_solution(path) -> SolutionSummary:
     lineno, toks = reader.next_line(1, "X marker")
     if toks[0] != "X":
         raise ParseError("expected X marker", line=lineno)
-    first = reader.at
-    X = _finite(_read_block(reader, n, n, "X"), reader, first, "X")
+    X = _read_block(reader, n, n, "X")
     reader.done()
     return SolutionSummary(X, termination, iterations, f, grad_norm, residual)
 

@@ -104,12 +104,15 @@ class ProblemInstance:
 def _as_real(M):
     """(M as float64 C-contiguous, True), or (zeros of its shape, False) if not real.
 
-    Complex numbers and strings are refused, not cast (a cast would drop the
-    imaginary part); the zeros only stand in for them in an instance that
-    its constructor then refuses.
+    Complex numbers and strings, also str or bytes entries of an object
+    array, are refused, not cast (a cast would drop the imaginary part, and
+    float would parse a string); the zeros only stand in for them in an
+    instance that its constructor then refuses.
     """
     M = np.asarray(M)
-    if M.dtype.kind in "biufO":  # bool, integer, float or Python objects
+    kind = M.dtype.kind
+    text = kind == "O" and any(isinstance(x, (str, bytes)) for x in M.flat)
+    if kind in "biufO" and not text:  # bool, integer, float or Python objects
         try:
             # not ascontiguousarray, which makes a 0-d matrix 1-d
             return np.asarray(M, dtype=_FLOAT64, order="C"), True

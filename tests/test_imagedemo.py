@@ -171,6 +171,19 @@ def test_observations_require_positive_m():
         observation_instance(X, m=0, k=2, seed=0)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, "2", None])
+def test_observations_refuse_a_non_integer_m(tmp_path, m):
+    # refused by name, as generate_instance does, not truncated or left to
+    # fail with a TypeError inside the draw
+    X = image_to_truth(make_test_image(4, seed=0))
+    with pytest.raises(ValueError, match=f"^m={m!r} is not an integer$"):
+        observation_instance(X, m, 2, 0)
+    img_path = tmp_path / "in.pgm"
+    write_pgm(img_path, make_test_image(4, seed=0))
+    with pytest.raises(ValueError, match=f"^m={m!r} is not an integer$"):
+        image_demo(img_path, m=m, k=2, seed=0, output_dir=tmp_path / "x")
+
+
 # ---------------------------------------------------------------------------
 # full-rank and rank-1 recovery
 

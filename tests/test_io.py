@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from psdfit import (
     ParseError,
+    ProblemInstance,
     SolverConfig,
     ValidationError,
     generate_instance,
@@ -342,8 +343,18 @@ def test_trace_wrong_column_count(tmp_path):
         ("1,1,2,3,4,nan", "non-finite", 6),
         ("5,1,2,3,4,5", "iteration 5 out of sequence, expected 1", 1),
         ("-3,1,2,3,4,5", "iteration -3 out of sequence, expected 1", 1),
+        # an index fault comes before any fault later in its row or the file
+        ("1.5,1,2,3,4,x", "bad integer '1.5'", 1),
+        ("5,1,2,3,4,5\n2,nan,2,3,4,5", "iteration 5 out of sequence, expected 1", 1),
     ],
-    ids=["fractional-index", "non-finite-value", "index-skips", "index-negative"],
+    ids=[
+        "fractional-index",
+        "non-finite-value",
+        "index-skips",
+        "index-negative",
+        "fractional-index-before-bad-value",
+        "index-skips-before-non-finite",
+    ],
 )
 def test_trace_reader_rules(tmp_path, row, match, column):
     path = tmp_path / "bad.csv"
@@ -362,6 +373,58 @@ def test_trace_reader_accepts_other_index_spellings(tmp_path, index):
         IterationRecord(0, 1, 2, 3, 0, 0),
         IterationRecord(1, 1, 2, 3, 4, 5),
     ]
+
+
+# ---------------------------------------------------------------------------
+# every block reader: the first fault in file order is the one reported
+
+
+NAN_IN = "non-finite number 'nan' in "
+
+
+@pytest.mark.parametrize(
+    "reader, text, match, line, column",
+    [
+        (read_problem, "1 2 1\n2\nnan 1\n1 1\n1 0\n0 x\n", NAN_IN + "A_0 row 0", 3, 1),
+        (read_problem, "1 2 1\n2\nnan 1\n1 1\n1 0\n0 1\n5\n", NAN_IN + "A_0 row 0", 3, 1),
+        # the file ends inside A_0, after its row holding the nan
+        (read_problem, "1 2 1\n3\nnan 1 2\n1 2 3\n", NAN_IN + "A_0 row 0", 3, 1),
+        # a row's width is checked before its values
+        (read_problem, "1 2 1\n2\n1 1\n1 1\n1 0\ninf\n", "2 values for B_0 row 1", 6, None),
+        (read_matrix, "nan 1\n1 x\n", NAN_IN + "matrix row 0", 1, 1),
+        (read_matrix, "nan 1\n1\n", NAN_IN + "matrix row 0", 1, 1),
+        (read_matrix, "1 x -inf\n", "bad number 'x' in matrix row 0", 1, 2),
+        (read_trace, f"{TRACE_HEADER}\n0,nan,2,3,0,0\n1,1,2,x,4,5\n", NAN_IN + "trace", 2, 2),
+    ],
+    ids=[
+        "problem-then-bad-token",
+        "problem-then-trailing-content",
+        "problem-then-end-of-file",
+        "problem-short-row-holding-inf",
+        "matrix-then-bad-token",
+        "matrix-then-short-row",
+        "matrix-bad-token-then-inf",
+        "trace-then-bad-value",
+    ],
+)
+def test_first_fault_in_file_order(tmp_path, reader, text, match, line, column):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match) as err:
+        reader(path)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_finite_values_that_overflow_the_screen_read_back(tmp_path):
+    # a sum of squares of 1e200 is inf, which only sends the block to the
+    # fault search; values near the float64 limits read back bit for bit
+    M = np.array([[1e200, -1.7e308], [5e-324, 1.0]])
+    write_matrix(tmp_path / "m.txt", M)
+    assert read_matrix(tmp_path / "m.txt").tobytes() == M.tobytes()
+    pairs = ((np.array([[1e200]]), np.array([[-1.7e308, 1.0]])),)
+    write_problem(tmp_path / "p.prob", ProblemInstance(pairs=pairs, n=2, k=1))
+    (A, B), = read_problem(tmp_path / "p.prob").pairs
+    assert (A.tobytes(), B.tobytes()) == (pairs[0][0].tobytes(), pairs[0][1].tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,12 @@ def test_validate_rejects_data_that_is_not_real():
         ("not-real", 1, "pair 1: B has entries that are not real numbers"),
         ("dimension-mismatch", 2, "pair 2: B has 2 rows, expected 3 to match A"),
     ]
+    # an object array is cast entry by entry, and float would parse a str or
+    # bytes entry, so an object array holding one is not real either
+    pairs = ((np.array([["1"]], dtype=object), np.array([[1.0, b"2"]], dtype=object)),)
+    with pytest.raises(ValidationError) as err:
+        ProblemInstance(pairs=pairs, n=2, k=1)
+    assert [(v.code, v.pair) for v in err.value.violations] == [("not-real", 0)] * 2
     # integer and boolean data are real numbers
     pairs = ((np.eye(2, dtype=int), np.eye(2, dtype=bool)),)
     inst = ProblemInstance(pairs=pairs, n=2, k=1)
@@ -292,7 +298,9 @@ def test_factor_inputs_that_are_not_real_are_refused():
     inst = generate_instance(4, 2, m=2, seed=4)
     Y = np.random.default_rng(4).standard_normal((4, 2))
     at = evaluate(inst, Y)
-    for bad in (Y + 1j, Y.astype(str), np.array([["1", "2"]] * 4)):
+    text, mixed = np.array([["1", "2"]] * 4), Y.astype(object)
+    mixed[3, 1] = b"2"
+    for bad in (Y + 1j, Y.astype(str), text, text.astype(object), mixed):
         calls = [
             ("Y0", lambda: solve(inst, bad)),
             ("Y", lambda: evaluate(inst, bad)),

@@ -237,6 +237,108 @@ def test_tall_pairs_fit_exactly_at_the_planted_factor(case):
 
 
 # ---------------------------------------------------------------------------
+# exact equivalences: congruence of a pair and a change of variables
+
+
+def shaped_case(n, k, sizes, seed):
+    """(pairs, n, k, Y, D, Us, L) for Gaussian pairs of the given sides.
+
+    Sides below, at and above n give wide, square and tall (reduced) pairs.
+    Us holds an orthogonal m_i x m_i matrix per pair, and L = G + 3I with G
+    Gaussian n x n.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = tuple(
+        (rng.standard_normal((mi, mi)), rng.standard_normal((mi, n))) for mi in sizes
+    )
+    Y, D = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    Us = [np.linalg.qr(rng.standard_normal((mi, mi)))[0] for mi in sizes]
+    return pairs, n, k, Y, D, Us, rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+
+
+@st.composite
+def shaped_cases(draw):
+    """A `shaped_case` with n <= 5, k <= n and one to four pairs of side <= n + 6."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    sizes = draw(st.lists(st.integers(1, n + 6), min_size=1, max_size=4))
+    return shaped_case(n, k, sizes, draw(st.integers(0, 2**32 - 1)))
+
+
+# n = 1, and k = n with a wide, a square and a tall pair
+SHAPED_EXAMPLES = (shaped_case(1, 1, [1, 3], 0), shaped_case(3, 3, [2, 3, 7], 1))
+
+EQUIVALENCE_TOL = 1e-12  # norm-wise; the largest error in 400 draws was 9e-16
+
+
+def norm_scales(inst, Y, D):
+    """Norm-wise sizes of f and of a0..a4, and of grad f, at Y along D.
+
+    For |t| <= 1 each residual A_i - B_i (Y + tD)(Y + tD)^T B_i^T has norm
+    at most s_i = ||A_i|| + ||B_i||^2 (||Y|| + ||D||)^2, so f and the step
+    polynomial's coefficients are of the size of Sum s_i^2 at most, and
+    grad f of Sum 4 ||B_i||^2 ||Y|| s_i.
+    """
+    y, d = np.linalg.norm(Y), np.linalg.norm(D)
+    f_scale = g_scale = 0.0
+    for A, B in inst.pairs:
+        b = np.linalg.norm(B)
+        s = np.linalg.norm(A) + b * b * (y + d) ** 2
+        f_scale += s * s
+        g_scale += 4.0 * b * b * y * s
+    return f_scale, g_scale
+
+
+def assert_same_values(inst, Y, D, other, Y2, D2, grad_map, f_scale, g_scale):
+    """f, grad f and a2..a4 of other at (Y2, D2) match inst's at (Y, D).
+
+    grad_map takes inst's gradient to the gradient other should have.
+    """
+    at, at2 = evaluate(inst, Y), evaluate(other, Y2)
+    p = linesearch.quartic_coeffs(inst, Y, D, at)
+    p2 = linesearch.quartic_coeffs(other, Y2, D2, at2)
+    assert abs(at2.f - at.f) <= EQUIVALENCE_TOL * f_scale
+    assert np.linalg.norm(at2.grad - grad_map(at.grad)) <= EQUIVALENCE_TOL * g_scale
+    for a, a2 in zip((p.a2, p.a3, p.a4), (p2.a2, p2.a3, p2.a4)):
+        assert abs(a2 - a) <= EQUIVALENCE_TOL * f_scale
+
+
+@PROPERTY
+@given(shaped_cases())
+@example(SHAPED_EXAMPLES[0])
+@example(SHAPED_EXAMPLES[1])
+def test_congruence_of_a_pair(case):
+    # (A_i, B_i) -> (U_i A_i U_i^T, U_i B_i) with U_i orthogonal keeps each
+    # residual's norm, so f, grad f and the step polynomial; a tall pair's
+    # reduction through its thin QR, and each perfbench seed's presentation
+    # of an instance, rest on this
+    pairs, n, k, Y, D, Us, _ = case
+    inst = ProblemInstance(pairs=pairs, n=n, k=k)
+    turned = ProblemInstance(
+        pairs=tuple((U @ A @ U.T, U @ B) for (A, B), U in zip(pairs, Us)), n=n, k=k
+    )
+    f_scale, g_scale = map(max, norm_scales(inst, Y, D), norm_scales(turned, Y, D))
+    assert_same_values(inst, Y, D, turned, Y, D, lambda g: g, f_scale, g_scale)
+
+
+@PROPERTY
+@given(shaped_cases())
+@example(SHAPED_EXAMPLES[0])
+@example(SHAPED_EXAMPLES[1])
+def test_change_of_variables(case):
+    # (B_i, Y, D) -> (B_i L, L^-1 Y, L^-1 D) keeps every B_i Y and B_i D, so f
+    # and the step polynomial; the gradient maps to L^T grad f
+    pairs, n, k, Y, D, _, L = case
+    inst = ProblemInstance(pairs=pairs, n=n, k=k)
+    moved = ProblemInstance(pairs=tuple((A, B @ L) for A, B in pairs), n=n, k=k)
+    Y2, D2 = np.linalg.solve(L, Y), np.linalg.solve(L, D)
+    f_scale, g_scale = norm_scales(inst, Y, D)
+    f_scale2, g_scale2 = norm_scales(moved, Y2, D2)
+    f_scale, g_scale = max(f_scale, f_scale2), max(np.linalg.norm(L) * g_scale, g_scale2)
+    assert_same_values(inst, Y, D, moved, Y2, D2, lambda g: L.T @ g, f_scale, g_scale)
+
+
+# ---------------------------------------------------------------------------
 # the accuracy of the step polynomial's a2..a4
 
 
@@ -390,8 +492,15 @@ def test_solved_X_invariances(seed):
     scaled = ProblemInstance(
         pairs=tuple((4.0 * A, B) for A, B in inst.pairs), n=inst.n, k=inst.k
     )
+    Us = [np.linalg.qr(rng.standard_normal((len(A), len(A))))[0] for A, _ in inst.pairs]
+    turned = ProblemInstance(
+        pairs=tuple((U @ A @ U.T, U @ B) for (A, B), U in zip(inst.pairs, Us)),
+        n=inst.n,
+        k=inst.k,
+    )
     assert same_X(solved_X(inst, Y0 @ Q), X), "Y0 -> Y0 Q"
     assert same_X(solved_X(permuted, Y0), X), "permuted pairs"
     assert same_X(solved_X(transposed, Y0), X), "A_i -> A_i^T"
+    assert same_X(solved_X(turned, Y0), X), "(A_i, B_i) -> (U_i A_i U_i^T, U_i B_i)"
     # f scales by 4^2 and its gradient by 2^3, so the tolerance scales by 8
     assert same_X(solved_X(scaled, 2.0 * Y0, 8.0 * SOLVED_EPSILON), 4.0 * X), "scaling"
