@@ -10,13 +10,12 @@ canonical ones.
 Images are 8-bit binary PGM (magic "P5"); nothing fancier is supported.
 """
 
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance
+from .problem import ProblemInstance, _is_integer
 from .solver import SolverConfig, SolverResult, solve
 from .io import format_float, write_lines, write_matrix, write_trace
 
@@ -126,12 +125,15 @@ def observation_instance(X_true, m: int, k: int, seed: int):
 
     Each B_i picks ceil(3n/4) distinct rows and adds uniform noise in
     [-0.05, 0.05); Y0 is drawn from the same generator so one seed fixes
-    the whole demo.  An m that is not an integer, or is below 1, is a
-    ValueError; a k outside [1, n] is a ValidationError.
+    the whole demo.  An X_true that is not a square matrix, or an m that is
+    not an integer or is below 1, is a ValueError; a k outside [1, n] is a
+    ValidationError.
     """
     X_true = np.asarray(X_true, dtype=np.float64)
+    if X_true.ndim != 2 or X_true.shape[0] != X_true.shape[1]:
+        raise ValueError(f"X_true must be a square matrix, got shape {X_true.shape}")
     n = X_true.shape[0]
-    if not isinstance(m, numbers.Integral):
+    if not _is_integer(m):
         raise ValueError(f"m={m!r} is not an integer")
     if m < 1:
         raise ValueError("need at least one observation")

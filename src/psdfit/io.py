@@ -29,14 +29,13 @@ raised.  The same seed always regenerates the same instance.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import attrgetter
 
 import numpy as np
 
-from .problem import ProblemInstance
+from .problem import ProblemInstance, _is_integer
 from .solver import IterationRecord, SolverResult, TerminationReason
 
 
@@ -376,14 +375,14 @@ def generate_instance(
     seed.  Identical seeds give identical instances.
     """
     for name, value in (("n", n), ("k", k), ("m", m)):
-        if value is not None and not isinstance(value, numbers.Integral):
+        if value is not None and not _is_integer(value):
             raise ValueError(f"{name}={value!r} is not an integer")
     if sizes is None:
         if m is None:
             raise ValueError("provide sizes or m")
         sizes = [n] * m
     sizes = list(sizes)
-    if not all(isinstance(s, numbers.Integral) for s in sizes):
+    if not all(_is_integer(s) for s in sizes):
         raise ValueError(f"sizes={sizes!r} are not all integers")
     sizes = list(map(int, sizes))
     if m is None:

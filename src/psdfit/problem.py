@@ -65,14 +65,14 @@ class ProblemInstance:
     """The pairs (A_i, B_i) plus the column dimension n and rank bound k.
 
     Construction casts each pair to float64 and raises `ValidationError`
-    unless there is a pair, n and k are integers with 1 <= k <= n, and each
-    A_i is m_i x m_i with m_i >= 1 and each B_i is m_i x n, both real and
-    finite.  Sum ||A_i||_F comes from the walk that checks finiteness.  A
-    valid instance then holds the stacks of its working pairs
-    (`_kernels.working_stacks`), and `pairs` as the stacks hand them back:
-    bitwise the caller's data, as views into the stacks or as the cast
-    arrays of a reduced pair, so the pair arrays are treated as read-only
-    once built.
+    unless there is a pair, n and k are integers (a bool is not) with
+    1 <= k <= n, and each A_i is m_i x m_i with m_i >= 1 and each B_i is
+    m_i x n, both real and finite.  Sum ||A_i||_F comes from the walk that
+    checks finiteness.  A valid instance then holds the stacks of its
+    working pairs (`_kernels.working_stacks`), and `pairs` as the stacks
+    hand them back: bitwise the caller's data, as views into the stacks or
+    as the cast arrays of a reduced pair, so the pair arrays are treated as
+    read-only once built.
     """
 
     pairs: tuple
@@ -121,6 +121,11 @@ def _as_real(M):
     return np.zeros(M.shape), False
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool: True is no dimension or count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _violations(pairs, n, k, not_real, non_finite) -> list[Violation]:
     """Every invariant violated, in pair order.
 
@@ -136,7 +141,7 @@ def _violations(pairs, n, k, not_real, non_finite) -> list[Violation]:
 
     if len(pairs) == 0:
         bad("empty-instance", None, "instance has no (A, B) pairs")
-    if not isinstance(n, numbers.Integral):
+    if not _is_integer(n):
         bad("dimension-mismatch", None, f"column dimension n={n!r} is not an integer")
     for i, (A, B) in enumerate(pairs):
         for name in not_real[i]:
@@ -156,7 +161,7 @@ def _violations(pairs, n, k, not_real, non_finite) -> list[Violation]:
             bad("dimension-mismatch", i, rows)
         if B.shape[1] != n:
             bad("dimension-mismatch", i, f"B has {B.shape[1]} columns, expected n={n}")
-    if not isinstance(k, numbers.Integral):
+    if not _is_integer(k):
         bad("rank-out-of-range", None, f"rank bound k={k!r} is not an integer")
     elif isinstance(n, numbers.Real) and not 1 <= k <= n:
         bad("rank-out-of-range", None, f"rank bound k={k} outside [1, n]={n}")
@@ -253,8 +258,10 @@ def assemble_X(Y: FactorMatrix) -> NDArray[np.float64]:
     """Assemble X = Y Y^T, symmetrized exactly by averaging with its transpose.
 
     The result is symmetric PSD with rank at most the column count of Y.
-    ValueError if Y is not real (`_as_float`).
+    ValueError if Y is not a real (`_as_float`) matrix.
     """
     Y = _as_float(Y, "Y")
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be a matrix, got shape {Y.shape}")
     X = Y @ Y.T
     return (X + X.T) / 2.0

@@ -4,11 +4,11 @@ Directions mix the negative gradient with the previous direction through
 the Fletcher-Reeves ratio ||g_next||_F^2 / ||g||_F^2, with each squared
 gradient norm computed once, by the evaluation that forms the gradient;
 steps come from the exact quartic line search.
-The direction resets to steepest descent on a fixed period and whenever
-the mixed direction fails the descent test, so every line search starts
-from a strict descent direction.  `multistart_solve` runs the iteration
-from several seeded starts and keeps the best.  The instance and the
-configuration are not checked here: each checks itself when built.
+The direction resets to steepest descent every RESTART_PERIOD iterations
+and whenever the mixed direction fails the descent test, so every line
+search starts from a strict descent direction.  `multistart_solve` runs
+the iteration from several seeded starts and keeps the best.  The instance
+and the configuration are not checked here: each checks itself when built.
 """
 
 import enum
@@ -28,9 +28,15 @@ from .problem import (
     NumericalError,
     ProblemInstance,
     _as_factor,
+    _is_integer,
     assemble_X,
     evaluate,
 )
+
+
+# Fletcher-Reeves directions can stall without an occasional reset to -grad
+# (Powell, Math. Prog. 12, 1977); `step` resets on every multiple of this.
+RESTART_PERIOD = 200
 
 
 class TerminationReason(enum.Enum):
@@ -41,30 +47,26 @@ class TerminationReason(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping and restart policy, checked when built (ValueError).
+    """Stopping policy, checked when built (ValueError).
 
-    epsilon is the gradient-norm stopping tolerance (finite, > 0).  restart_period
-    forces a steepest-descent reset every that many iterations —
-    Fletcher-Reeves directions are known to stall on some instances
-    without an occasional reset — while None disables periodic restarts,
-    leaving only those triggered by a failed descent test.
+    epsilon is the gradient-norm stopping tolerance (a finite number > 0,
+    not a bool); max_iterations is an integer of at least 1, not a bool.
     """
 
     epsilon: float = 1e-4
     max_iterations: int = 10000
-    restart_period: int | None = 200
 
     def __post_init__(self):
-        if not (isinstance(self.epsilon, numbers.Real) and 0 < self.epsilon < math.inf):
+        epsilon = self.epsilon
+        real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
+        if not (real and 0 < epsilon < math.inf):
             raise ValueError("epsilon must be a finite positive number")
         if not _is_count(self.max_iterations):
             raise ValueError("max_iterations must be an integer of at least 1")
-        if self.restart_period is not None and not _is_count(self.restart_period):
-            raise ValueError("restart_period must be None or an integer of at least 1")
 
 
 def _is_count(value):
-    return isinstance(value, numbers.Integral) and value >= 1
+    return _is_integer(value) and value >= 1
 
 
 @dataclass(slots=True)
@@ -145,7 +147,6 @@ def step(
     D,
     *,
     index: int = 1,
-    force_restart: bool = False,
 ):
     """One iteration: exact step along D, evaluation at Y_next, next direction.
 
@@ -155,9 +156,10 @@ def step(
     test, so when the line search finds no step along D the step is retried
     once along -at.grad; DegenerateDirectionError propagates only when D
     already was -at.grad.  The Fletcher-Reeves ratio is
-    beta = at_next.gg / at.gg.  The next direction resets to -at_next.grad,
-    with beta recorded as 0, when force_restart is set or the
-    Fletcher-Reeves direction fails the descent test <at_next.grad, D_next> < 0.
+    beta = at_next.gg / at.gg.  index is the iteration this step makes.  The
+    next direction resets to -at_next.grad, with beta recorded as 0, when
+    index is a multiple of RESTART_PERIOD or the Fletcher-Reeves direction
+    fails the descent test <at_next.grad, D_next> < 0.
     """
     try:
         found = linesearch.exact_step(instance, Y, D, at)
@@ -169,17 +171,13 @@ def step(
     t = found.t_star
     Y_next = Y + t * D
     at_next = evaluate(instance, Y_next)
-    if force_restart:
+    beta = at_next.gg / at.gg
+    # float64 whatever D's dtype, so the in-place subtraction loses no digits
+    D_next = np.multiply(beta, D, dtype=np.float64)
+    D_next -= at_next.grad
+    if index % RESTART_PERIOD == 0 or at_next.grad.ravel().dot(D_next.ravel()) >= 0.0:
         beta = 0.0
         D_next = -at_next.grad
-    else:
-        beta = at_next.gg / at.gg
-        # float64 whatever D's dtype, so the in-place subtraction loses no digits
-        D_next = np.multiply(beta, D, dtype=np.float64)
-        D_next -= at_next.grad
-        if at_next.grad.ravel().dot(D_next.ravel()) >= 0.0:
-            beta = 0.0
-            D_next = -at_next.grad
     return Y_next, at_next, D_next, _record(index, at_next, t, beta)
 
 
@@ -213,7 +211,6 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
-    restart_period = config.restart_period  # None: no periodic restarts
 
     if Y0 is None:
         Y0 = np.random.default_rng(seed).random((instance.n, instance.k))
@@ -241,9 +238,8 @@ def solve(
         if k >= config.max_iterations:
             reason = TerminationReason.MAX_ITERATIONS
             break
-        force = restart_period is not None and (k + 1) % restart_period == 0
         try:
-            Y, at, D, record = step(instance, Y, at, D, index=k + 1, force_restart=force)
+            Y, at, D, record = step(instance, Y, at, D, index=k + 1)
         except linesearch.DegenerateDirectionError:
             reason = TerminationReason.DEGENERATE_DIRECTION
             break

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,15 @@ def test_observations_require_positive_m():
         observation_instance(X, m=0, k=2, seed=0)
 
 
-@pytest.mark.parametrize("m", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("shape", [(4, 3), (4,), ()])
+def test_observations_refuse_a_non_square_X_true(shape):
+    # named with its shape, as image_to_truth names a non-square image
+    message = re.escape(f"X_true must be a square matrix, got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        observation_instance(np.ones(shape), 2, 1, 0)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, "2", None, True])
 def test_observations_refuse_a_non_integer_m(tmp_path, m):
     # refused by name, as generate_instance does, not truncated or left to
     # fail with a TypeError inside the draw

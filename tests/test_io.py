@@ -1,3 +1,4 @@
+import re
 import struct
 from dataclasses import astuple
 
@@ -666,3 +667,18 @@ def test_generate_argument_validation():
     with pytest.raises(ValueError, match="k=1.5"):
         generate_instance(4, 1.5, m=2)
     assert generate_instance(np.int64(4), 2, sizes=(np.int64(s) for s in [3, 5])).m == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(n=True, k=1, m=1), "n=True"),
+        (dict(n=3, k=True, m=1), "k=True"),
+        (dict(n=3, k=1, m=True), "m=True"),
+        (dict(n=3, k=1, sizes=[True, 2]), "sizes"),
+    ],
+)
+def test_generate_refuses_a_bool_dimension(kwargs, name):
+    # a bool is a numbers.Integral but no dimension or size
+    with pytest.raises(ValueError, match=re.escape(name)):
+        generate_instance(**kwargs)

@@ -83,6 +83,16 @@ def test_validate_rejects_non_integer_n_and_k():
         assert any(f"={value!r} is not an integer" in message for _, _, message in found)
 
 
+def test_validate_rejects_a_bool_n_or_k():
+    # a bool is a numbers.Integral but no dimension: k=True would be
+    # written as "True", which read_problem refuses
+    found = violations(((np.eye(2), np.eye(2)),), n=2, k=True)
+    assert found == [("rank-out-of-range", None, "rank bound k=True is not an integer")]
+    found = violations(((np.eye(1), np.eye(1)),), n=True, k=1)
+    message = "column dimension n=True is not an integer"
+    assert ("dimension-mismatch", None, message) in found
+
+
 def test_validate_rejects_empty_instance():
     found = violations((), n=3, k=1)
     assert any(code == "empty-instance" for code, _, _ in found)
@@ -416,6 +426,13 @@ def test_assemble_X_zero():
 def test_assemble_X_orthonormal_columns():
     Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(assemble_X(Y), np.diag([1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_assemble_X_refuses_a_non_matrix(shape):
+    message = re.escape(f"Y must be a matrix, got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assemble_X(np.ones(shape))
 
 
 def test_assemble_X_contract():

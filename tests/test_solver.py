@@ -23,7 +23,7 @@ from psdfit.linesearch import DegenerateDirectionError, exact_step
 from psdfit import linesearch, solver
 from psdfit.io import read_solution, write_solution
 from psdfit.problem import evaluate
-from psdfit.solver import multistart_solve, step
+from psdfit.solver import RESTART_PERIOD, multistart_solve, step
 
 import golden
 
@@ -107,13 +107,23 @@ def test_step_from_a_zero_gradient_raises_before_mixing():
         step(inst, golden.Y0_RANK2, at, -zero)
 
 
-def test_step_force_restart_resets_direction():
+@pytest.mark.parametrize(
+    "index",
+    [RESTART_PERIOD - 1, RESTART_PERIOD, RESTART_PERIOD + 1, 2 * RESTART_PERIOD],
+)
+def test_step_force_restart_resets_direction(index):
+    # the step that makes a multiple of the period resets; its neighbours mix
     inst = golden.instance(2)
     Y = golden.Y0_RANK2
     at = evaluate(inst, Y)
-    Y1, at1, D1, record = step(inst, Y, at, -at.grad, force_restart=True)
-    assert record.beta == 0.0
-    assert np.array_equal(D1, -at1.grad)
+    Y1, at1, D1, record = step(inst, Y, at, -at.grad, index=index)
+    assert record.index == index
+    if index % RESTART_PERIOD == 0:
+        assert record.beta == 0.0
+        assert np.array_equal(D1, -at1.grad)
+    else:
+        assert record.beta > 0.0
+        assert not np.array_equal(D1, -at1.grad)
 
 
 def test_step_raises_when_the_negative_gradient_is_no_descent(monkeypatch):
@@ -202,8 +212,7 @@ def test_solve_reaches_the_known_optimum(golden_run):
 
 
 def test_solve_periodic_restart_recorded(golden_run):
-    period = SolverConfig().restart_period
-    restarted = [r for r in golden_run.trace if r.index % period == 0 and r.index > 0]
+    restarted = [r for r in golden_run.trace[1:] if r.index % RESTART_PERIOD == 0]
     assert restarted  # the golden run is long enough to hit the period
     assert all(r.beta == 0.0 for r in restarted)
 
@@ -407,6 +416,18 @@ def test_solve_trace_costs_under_64_bytes_per_iteration():
     assert (long_peak - short_peak) / (long - short) < 64
 
 
+def test_solve_restarts_on_every_multiple_of_the_period():
+    # a run past two periods: each multiple of RESTART_PERIOD records beta = 0
+    inst = generate_instance(6, 2, m=3, seed=0)
+    config = SolverConfig(epsilon=1e-300, max_iterations=450)
+    result = solve(inst, config=config, seed=1)
+    assert result.iterations > 2 * RESTART_PERIOD
+    assert result.trace[RESTART_PERIOD].beta == 0.0
+    assert result.trace[2 * RESTART_PERIOD].beta == 0.0
+    # the reset is the periodic one: the FR direction before it was kept
+    assert result.trace[2 * RESTART_PERIOD - 1].beta > 0.0
+
+
 def test_solve_trace_metrics_equal_the_public_functions():
     inst = generate_instance(6, 2, m=10, seed=7)
     seen = []
@@ -464,41 +485,30 @@ def test_solve_zero_targets_converges_to_zero():
     assert result.trace[-1].f_value < 1e-10
 
 
-def test_solve_restart_period_none_disables_restarts():
-    inst = golden.instance(2)
-    cfg = SolverConfig(max_iterations=300, restart_period=None)
-    result = solve(inst, golden.Y0_RANK2, cfg)
-    # without the periodic reset every recorded beta after the first step is
-    # the Fletcher-Reeves ratio, which is never exactly zero here
-    assert all(r.beta > 0.0 for r in result.trace[2:])
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(restart_period=0)
-    SolverConfig(restart_period=None)
-    for epsilon in ("1e-4", None, math.inf, math.nan):
+    for epsilon in ("1e-4", None, math.inf, math.nan, True):
         with pytest.raises(ValueError, match="epsilon"):
             SolverConfig(epsilon=epsilon)
-    # counts are integers: 2.5 iterations would run 3, and restart_period=2.5
-    # would restart every 5
-    with pytest.raises(ValueError, match="max_iterations"):
-        SolverConfig(max_iterations=2.5)
-    with pytest.raises(ValueError, match="restart_period"):
-        SolverConfig(restart_period=2.5)
-    SolverConfig(max_iterations=np.int64(3), restart_period=np.int32(2))
+    # counts are integers, and a bool is none: 2.5 iterations would run 3
+    for max_iterations in (2.5, True):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=max_iterations)
+    SolverConfig(epsilon=np.float32(1e-3), max_iterations=np.int64(3))
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert fields == ["epsilon", "max_iterations"]
     # frozen, so a config stays as checked
     with pytest.raises(dataclasses.FrozenInstanceError):
         SolverConfig().max_iterations = 0
 
 
 def test_multistart_rejects_non_integer_start_count():
-    with pytest.raises(ValueError, match="num_starts"):
-        multistart_solve(golden.instance(2), num_starts=2.5)
+    for num_starts in (2.5, True):
+        with pytest.raises(ValueError, match="num_starts"):
+            multistart_solve(golden.instance(2), num_starts=num_starts)
 
 
 def test_multistart_skips_a_failing_start(monkeypatch):
