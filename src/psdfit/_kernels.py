@@ -1,11 +1,11 @@
 """Numeric kernels for the fitting objective, in plain numpy, over stacks of pairs.
 
 This is the only module that knows how the pairs are laid out: it groups
-them into stacks, walks the stacks and does every sum over the pairs, Sum
-||A_i||_F included, which `measure` adds up at construction.  A stack is g
-pairs of one shape, (A, B, c): A is g x mi x mi and B is g x mi x n, both
-float64 C-contiguous, and c holds the g constants c_i (below); Y and D are
-n x k.  Every per-pair product is the 2-D
+the working pairs of a valid instance into stacks, walks the stacks and
+does every sum over the pairs in an evaluation or a line search.  A stack
+is g pairs of one shape, (A, B, c): A is g x mi x mi and B is g x mi x n,
+both float64 C-contiguous, and c holds the g constants c_i (below); Y and
+D are n x k.  Every per-pair product is the 2-D
 expression applied to each of the g matrices, and every sum over pairs adds
 them left to right, so the results are bitwise those of a per-pair loop,
 however the pairs are stacked.
@@ -29,7 +29,6 @@ B_i [Y D], and through P.
 """
 
 import itertools
-import math
 from functools import cached_property
 
 import numpy as np
@@ -220,21 +219,3 @@ def quartic_sums(stacks, Y, D):
     ss = Q[1][1] + 2.0 * Q[1][2] + Q[2][2]
     return [ss + 2.0 * Q[0][3] - 2.0 * DPD, 2.0 * (Q[1][3] + Q[2][3]), Q[3][3]]
 
-
-def measure(pairs):
-    """(Sum ||A_i||_F, per pair the names of its non-finite matrices), in pair order.
-
-    One dot product per matrix screens it, and per A_i also gives its norm
-    (bitwise np.linalg.norm): a sum of squares is finite only if every
-    entry is.  It can also overflow, so only what fails a screen is checked
-    entry by entry.
-    """
-    total, found = 0.0, []
-    for A, B in pairs:
-        sq = np.vdot(A, A)
-        total += math.sqrt(sq)
-        screens = (("A", A, math.isfinite(sq)), ("B", B, math.isfinite(np.vdot(B, B))))
-        found.append(
-            [name for name, M, ok in screens if not (ok or np.isfinite(M).all())]
-        )
-    return total, found

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, _is_integer
+from .problem import ProblemInstance, _as_float, _is_integer
 from .solver import SolverConfig, SolverResult, solve
 from .io import format_float, write_lines, write_matrix, write_trace
 
@@ -103,8 +103,12 @@ def make_test_image(n: int, seed: int = 0, rank=None) -> np.ndarray:
 
 
 def image_to_truth(image) -> np.ndarray:
-    """Normalized PSD ground truth (G G^T scaled to unit Frobenius norm)."""
-    img = np.asarray(image, dtype=np.float64)
+    """Normalized PSD ground truth (G G^T scaled to unit Frobenius norm).
+
+    An image that is not real (`_as_float`: complex, or of strings) is a
+    ValueError.
+    """
+    img = _as_float(image, "image")
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
         raise ImageFormatError(f"square image required, got {img.shape}")
     n = img.shape[0]
@@ -125,11 +129,11 @@ def observation_instance(X_true, m: int, k: int, seed: int):
 
     Each B_i picks ceil(3n/4) distinct rows and adds uniform noise in
     [-0.05, 0.05); Y0 is drawn from the same generator so one seed fixes
-    the whole demo.  An X_true that is not a square matrix, or an m that is
-    not an integer or is below 1, is a ValueError; a k outside [1, n] is a
-    ValidationError.
+    the whole demo.  An X_true that is not a real (`_as_float`) square
+    matrix, or an m that is not an integer or is below 1, is a ValueError; a
+    k outside [1, n] is a ValidationError.
     """
-    X_true = np.asarray(X_true, dtype=np.float64)
+    X_true = _as_float(X_true, "X_true")
     if X_true.ndim != 2 or X_true.shape[0] != X_true.shape[1]:
         raise ValueError(f"X_true must be a square matrix, got shape {X_true.shape}")
     n = X_true.shape[0]

@@ -35,7 +35,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .problem import ProblemInstance, _is_integer
+from .problem import ProblemInstance, _as_float, _is_integer
 from .solver import IterationRecord, SolverResult, TerminationReason
 
 
@@ -248,7 +248,8 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, M):
-    write_lines(path, _rows(np.atleast_2d(np.asarray(M, dtype=np.float64))))
+    """Write M one row per line; an M that is not real (`_as_float`) is a ValueError."""
+    write_lines(path, _rows(np.atleast_2d(_as_float(M, "M"))))
 
 
 TRACE_HEADER = "iteration,f,grad_norm,residual,step,beta"

@@ -8,12 +8,15 @@ of shape n x k turns this into an unconstrained problem in Y; this module
 provides `evaluate` (the objective, its analytic gradient and the relative
 residual progress metric, as one `Evaluation`) and the PSD assembly X = Y Y^T.
 
-An instance is valid by construction: building one raises `ValidationError`,
-listing every `Violation`, if it breaks an invariant; nothing else checks it.
+An instance is valid by construction: building one walks the caller's
+pairs once (`_checked`), casting, screening and shape-checking each pair and
+adding up Sum ||A_i||_F, and raises `ValidationError`, listing every
+`Violation`, if it breaks an invariant; nothing else checks it.
 
-The pairs are held in stacks, which `_kernels` builds and walks: it owns
-their grouping and every sum over pairs, which adds the pairs in pair order,
-so results are reproducible and do not depend on how the pairs are stacked.
+The valid pairs are held in stacks, which `_kernels` builds and walks: it
+owns their grouping and every sum over pairs in an evaluation, which adds
+the pairs in pair order, so results are reproducible and do not depend on
+how the pairs are stacked.
 The stacks hold the working pairs, each pair with m_i > n reduced to an
 n x n pair, with the constants c_i and the matrix P that the kernels read
 (`_kernels.working_stacks`), so no iteration forms an array larger than
@@ -23,6 +26,7 @@ All functions are pure and safe to call from multiple threads, and an
 instance gains no attribute after construction.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -67,8 +71,9 @@ class ProblemInstance:
     Construction casts each pair to float64 and raises `ValidationError`
     unless there is a pair, n and k are integers (a bool is not) with
     1 <= k <= n, and each A_i is m_i x m_i with m_i >= 1 and each B_i is
-    m_i x n, both real and finite.  Sum ||A_i||_F comes from the walk that
-    checks finiteness.  A valid instance then holds the stacks of its
+    m_i x n, both real and finite, all in one walk over the pairs
+    (`_checked`), which also adds up Sum ||A_i||_F from the dot products
+    that screen finiteness.  A valid instance then holds the stacks of its
     working pairs (`_kernels.working_stacks`), and `pairs` as the stacks
     hand them back: bitwise the caller's data, as views into the stacks or
     as the cast arrays of a reduced pair, so the pair arrays are treated as
@@ -83,15 +88,10 @@ class ProblemInstance:
     _norm_sum: float = field(init=False, repr=False)  # Sum ||A_i||_F in pair order
 
     def __post_init__(self):
-        n, k = self.n, self.k
-        cast = [(_as_real(A), _as_real(B)) for A, B in self.pairs]
-        pairs = [(A, B) for (A, _), (B, _) in cast]
-        not_real = [[name for name, (_, ok) in zip("AB", pair) if not ok] for pair in cast]
-        norm_sum, non_finite = _kernels.measure(pairs)
-        violations = _violations(pairs, n, k, not_real, non_finite)
+        pairs, norm_sum, violations = _checked(self.pairs, self.n, self.k)
         if violations:
             raise ValidationError(violations)
-        stacks, pairs = _kernels.working_stacks(pairs, n, k)
+        stacks, pairs = _kernels.working_stacks(pairs, self.n, self.k)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "_norm_sum", norm_sum)
@@ -126,13 +126,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _violations(pairs, n, k, not_real, non_finite) -> list[Violation]:
-    """Every invariant violated, in pair order.
+def _checked(pairs, n, k):
+    """(pairs cast by `_as_real`, Sum ||A_i||_F in pair order, every violation).
 
-    not_real and non_finite name each pair's bad matrices, as `_as_real`
-    and `_kernels.measure` report them.
+    One walk over the pairs.  One dot product per matrix screens it, and per
+    A_i also gives its norm (bitwise np.linalg.norm): a sum of squares is
+    finite only if every entry is.  It can also overflow, so only what fails
+    a screen is checked entry by entry.  Violations come in pair order, and
+    within a pair not-real, then non-finite, then the shapes.
     """
-    violations = []
+    cast, norm_sum, violations = [], 0.0, []
 
     def bad(code, pair, message):
         if pair is not None:
@@ -144,10 +147,16 @@ def _violations(pairs, n, k, not_real, non_finite) -> list[Violation]:
     if not _is_integer(n):
         bad("dimension-mismatch", None, f"column dimension n={n!r} is not an integer")
     for i, (A, B) in enumerate(pairs):
-        for name in not_real[i]:
-            bad("not-real", i, f"{name} has entries that are not real numbers")
-        for name in non_finite[i]:
-            bad("non-finite", i, f"{name} has non-finite entries")
+        (A, A_real), (B, B_real) = _as_real(A), _as_real(B)
+        cast.append((A, B))
+        sq = np.vdot(A, A)
+        norm_sum += math.sqrt(sq)
+        for name, real in (("A", A_real), ("B", B_real)):
+            if not real:
+                bad("not-real", i, f"{name} has entries that are not real numbers")
+        for name, M, screen in (("A", A, sq), ("B", B, np.vdot(B, B))):
+            if not (math.isfinite(screen) or np.isfinite(M).all()):
+                bad("non-finite", i, f"{name} has non-finite entries")
         square = A.ndim == 2 and A.shape[0] == A.shape[1]
         if not square:
             bad("dimension-mismatch", i, f"A must be square, got shape {A.shape}")
@@ -165,7 +174,7 @@ def _violations(pairs, n, k, not_real, non_finite) -> list[Violation]:
         bad("rank-out-of-range", None, f"rank bound k={k!r} is not an integer")
     elif isinstance(n, numbers.Real) and not 1 <= k <= n:
         bad("rank-out-of-range", None, f"rank bound k={k} outside [1, n]={n}")
-    return violations
+    return cast, norm_sum, violations
 
 
 def _as_float(M, name):

@@ -156,7 +156,8 @@ def step(
     test, so when the line search finds no step along D the step is retried
     once along -at.grad; DegenerateDirectionError propagates only when D
     already was -at.grad.  The Fletcher-Reeves ratio is
-    beta = at_next.gg / at.gg.  index is the iteration this step makes.  The
+    beta = at_next.gg / at.gg, or 0 at a stationary Y (at.gg = 0), where the
+    ratio has no denominator.  index is the iteration this step makes.  The
     next direction resets to -at_next.grad, with beta recorded as 0, when
     index is a multiple of RESTART_PERIOD or the Fletcher-Reeves direction
     fails the descent test <at_next.grad, D_next> < 0.
@@ -171,7 +172,9 @@ def step(
     t = found.t_star
     Y_next = Y + t * D
     at_next = evaluate(instance, Y_next)
-    beta = at_next.gg / at.gg
+    # at.gg is 0 only at a stationary Y, which `solve` never steps from; beta
+    # = 0 there makes D_next = -at_next.grad
+    beta = at_next.gg / at.gg if at.gg else 0.0
     # float64 whatever D's dtype, so the in-place subtraction loses no digits
     D_next = np.multiply(beta, D, dtype=np.float64)
     D_next -= at_next.grad

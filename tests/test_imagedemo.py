@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from psdfit.imagedemo import (
     read_pgm,
     write_pgm,
 )
-from psdfit.io import read_matrix, read_trace
+from psdfit.io import read_matrix, read_trace, write_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,26 @@ def test_observations_refuse_a_non_integer_m(tmp_path, m):
     write_pgm(img_path, make_test_image(4, seed=0))
     with pytest.raises(ValueError, match=f"^m={m!r} is not an integer$"):
         image_demo(img_path, m=m, k=2, seed=0, output_dir=tmp_path / "x")
+
+
+@pytest.mark.parametrize("kind", ["complex", "str", "str-object"])
+def test_inputs_that_are_not_real_are_refused(tmp_path, kind):
+    # a cast would fit or write the real part, after a warning, or parse the
+    # strings: each is refused as a pair or a factor is
+    X = image_to_truth(make_test_image(4, seed=0))
+    text = X.astype(str)
+    bad = {"complex": X + 1j, "str": text, "str-object": text.astype(object)}[kind]
+    calls = [
+        ("image", lambda: image_to_truth(bad)),
+        ("X_true", lambda: observation_instance(bad, 2, 2, 0)),
+        ("M", lambda: write_matrix(tmp_path / "m.txt", bad)),
+    ]
+    for name, call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} has entries that are not real numbers$"):
+                call()
+    assert not (tmp_path / "m.txt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,24 @@ def test_problem_block_beyond_the_file(tmp_path, text, match, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (read_problem, "1 2\n", "expected 3 values for header (m n k), found 2 (line 1)"),
+        (read_problem, "1 2 1\n1 2\n", "expected 1 values for size of pair 0, found 2 (line 2)"),
+        (read_solution, "n 1 2\n", "expected 2 values for n, found 3 (line 1)"),
+    ],
+    ids=["header", "pair-size", "solution-field"],
+)
+def test_a_line_with_the_wrong_count_is_named(tmp_path, reader, text, message):
+    # a header, size or keyed line holds a fixed number of values
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert str(err.value) == message
+
+
 def test_problem_validation_failure_on_read(tmp_path):
     # shapes parse fine but k > n
     path = tmp_path / "invalid.prob"

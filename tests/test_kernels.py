@@ -9,7 +9,7 @@ import pytest
 
 from psdfit import ProblemInstance, _kernels, linesearch, solver
 from psdfit.io import generate_instance
-from psdfit.problem import evaluate
+from psdfit.problem import _checked, evaluate
 from psdfit.solver import SolverConfig, solve
 
 
@@ -413,16 +413,22 @@ def test_non_finite_screen_misses_no_entry():
     # the screens are sums of squares, one per A_i and one per B_i: a bad
     # entry at every position of a 2 x size matrix, over lengths around
     # vector widths, in the second pair, and finite data whose sum overflows
+    def non_finite(pairs):
+        _, norm_sum, violations = _checked(pairs, 3, 1)
+        return norm_sum, [v.message for v in violations if v.code == "non-finite"]
+
     ones = np.ones((2, 3))
     for size in (1, 3, 7, 8, 9, 64, 129):
         for pos in range(2 * size):
             for value in (np.nan, np.inf, -np.inf):
                 M = np.ones((2, size))
                 M.flat[pos] = value
-                assert _kernels.measure([(ones, ones), (M, ones)])[1] == [[], ["A"]]
-                assert _kernels.measure([(ones, ones), (ones, M)])[1] == [[], ["B"]]
+                found = non_finite([(ones, ones), (M, ones)])[1]
+                assert found == ["pair 1: A has non-finite entries"]
+                found = non_finite([(ones, ones), (ones, M)])[1]
+                assert found == ["pair 1: B has non-finite entries"]
     huge = np.full((1, 5), 1e200)
-    assert _kernels.measure([(huge, huge)]) == (math.inf, [[]])
+    assert non_finite([(huge, huge)]) == (math.inf, [])
 
 
 @pytest.mark.parametrize("g", [1, 2, 9, 20])

@@ -144,6 +144,17 @@ def test_validate_rejects_data_that_is_not_real():
     with pytest.raises(ValidationError) as err:
         ProblemInstance(pairs=pairs, n=2, k=1)
     assert [(v.code, v.pair) for v in err.value.violations] == [("not-real", 0)] * 2
+    # an object that float refuses, such as a dict or a list, is not real
+    pairs = []
+    for entry in ({"x": 1.0}, [1.0, 2.0]):
+        M = np.ones((1, 1), dtype=object)
+        M[0, 0] = entry
+        pairs.append((M, np.ones((1, 1))))
+    found = violations(pairs, n=1, k=1)
+    assert found == [
+        ("not-real", 0, "pair 0: A has entries that are not real numbers"),
+        ("not-real", 1, "pair 1: A has entries that are not real numbers"),
+    ]
     # integer and boolean data are real numbers
     pairs = ((np.eye(2, dtype=int), np.eye(2, dtype=bool)),)
     inst = ProblemInstance(pairs=pairs, n=2, k=1)

@@ -23,7 +23,7 @@ from psdfit.linesearch import DegenerateDirectionError, exact_step
 from psdfit import linesearch, solver
 from psdfit.io import read_solution, write_solution
 from psdfit.problem import evaluate
-from psdfit.solver import RESTART_PERIOD, multistart_solve, step
+from psdfit.solver import RESTART_PERIOD, Trace, multistart_solve, step
 
 import golden
 
@@ -105,6 +105,19 @@ def test_step_from_a_zero_gradient_raises_before_mixing():
     at = dataclasses.replace(evaluate(inst, golden.Y0_RANK2), grad=zero, gg=0.0)
     with pytest.raises(DegenerateDirectionError):
         step(inst, golden.Y0_RANK2, at, -zero)
+
+
+def test_step_from_a_stationary_Y_resets_the_direction():
+    # the gradient at Y = 0 is 0, so beta has no denominator, yet a caller's
+    # D still finds a step there; the next direction is steepest descent
+    inst = generate_instance(4, 2, m=2, seed=0, mode="consistent")
+    Y = np.zeros((4, 2))
+    at = evaluate(inst, Y)
+    assert at.gg == 0.0
+    Y1, at1, D1, record = step(inst, Y, at, np.ones((4, 2)))
+    assert record.beta == 0.0 and record.step > 0.0
+    assert at1.f < at.f
+    assert np.array_equal(D1, -at1.grad)
 
 
 @pytest.mark.parametrize(
@@ -385,6 +398,7 @@ def test_solve_trace_is_a_sequence_of_records():
     assert trace[2:5] == records[2:5] and trace[::-3] == records[::-3]
     assert trace[20:] == []
     assert trace == trace and trace == records and records == trace
+    assert (Trace() == 3) is False and trace != 3
     changed = records[:-1] + [dataclasses.replace(records[-1], beta=1.0)]
     assert trace != records[:-1] and trace != changed and changed != trace
     shorter = solve(golden.instance(2), golden.Y0_RANK2, SolverConfig(max_iterations=9))
