@@ -35,7 +35,8 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary 8-bit PGM file into a (height, width) uint8 array.
 
     Header comments (``#`` to end of line) and arbitrary whitespace are
-    accepted; maxval above 255 (16-bit rasters) is not.
+    accepted; maxval above 255 (16-bit rasters) is not, nor is a pixel above
+    maxval, which is reported at its 0-based row and column.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -71,13 +72,30 @@ def read_pgm(path) -> np.ndarray:
     raster = data[i : i + width * height]
     if len(raster) != width * height:
         raise ImageFormatError("truncated raster data")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    image = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    if image.max() > maxval:
+        row, col = np.argwhere(image > maxval)[0]
+        raise ImageFormatError(
+            f"pixel {image[row, col]} at row {row}, column {col} exceeds maxval {maxval}"
+        )
+    return image
 
 
 def write_pgm(path, image):
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise ImageFormatError("image must be 2-D")
+    """Write a 2-D image as binary 8-bit PGM, each pixel rounded and clipped
+    to [0, 255].
+
+    The image is cast as pairs are (`_as_float`): one that is not real
+    (complex, or of strings) is a ValueError, as is a non-finite pixel,
+    which is reported at its 0-based row and column; one that is not 2-D,
+    or is empty, is an ImageFormatError.
+    """
+    image = _as_float(image, "image")
+    if image.ndim != 2 or image.size == 0:  # read_pgm refuses a side of 0
+        raise ImageFormatError(f"image must be 2-D and not empty, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        row, col = np.argwhere(~np.isfinite(image))[0]
+        raise ValueError(f"non-finite pixel {image[row, col]} at row {row}, column {col}")
     img = np.clip(np.rint(image), 0, 255).astype(np.uint8)
     h, w = img.shape
     with open(path, "wb") as fh:

@@ -214,6 +214,8 @@ def read_problem(path) -> ProblemInstance:
         raise ParseError("pair count m must be positive", line=lineno)
     if n < 1:
         raise ParseError("column dimension n must be positive", line=lineno)
+    if not 1 <= k <= n:
+        raise ParseError(f"rank bound k={k} outside [1, n]={n}", line=lineno)
     pairs = []
     for i in range(m):
         what = f"size of pair {i}"

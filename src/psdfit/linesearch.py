@@ -4,8 +4,8 @@ The objective restricted to Y + t D is a quartic polynomial in t, so the
 exact minimizing step is found by solving the cubic derivative
 analytically.  Its a0 and a1 are f and <grad f, D> from the caller's
 `Evaluation` at Y, a1 as one dot product; a2..a4 come in closed form from a
-4 x 4 Gram matrix per working pair, of the four k x k blocks a, b, b^T and
-c of the Gram matrix of B_i [Y D] (`_kernels.quartic_terms`), and from the
+4 x 4 Gram sum over the working pairs, of the four k x k blocks a, b, b^T
+and c of the Gram matrix of B_i [Y D] (`_kernels.quartic_terms`), and from the
 n x n matrix P = Sum B_i^T A_i B_i, which gives Sum <A_i B_i D, B_i D> as
 <D, P D>, also one dot product.  The instance's stacks build P on the first
 line search and keep it (`_kernels.Stacks`), so no line search reads an A_i.
@@ -63,8 +63,8 @@ def quartic_coeffs(
 
     at is `problem.evaluate(instance, Y)`: a0 = at.f and a1 = <at.grad, D>,
     the BLAS dot product of vec at.grad and vec D.  a2..a4 are read from the
-    sum over pairs of `_kernels.quartic_terms`, the 4 x 4 Gram matrices of
-    the k x k Gram blocks a, b, b^T and c of B_i Y and B_i D, less
+    4 x 4 Gram sum over pairs of `_kernels.quartic_terms`, the k x k Gram
+    blocks a, b, b^T and c of B_i Y and B_i D, less
     2 <D, P D> from a2 (`_kernels.quartic_sums`).
     """
     Y = _as_factor(instance, Y)

@@ -14,9 +14,10 @@ adding up Sum ||A_i||_F, and raises `ValidationError`, listing every
 `Violation`, if it breaks an invariant; nothing else checks it.
 
 The valid pairs are held in stacks, which `_kernels` builds and walks: it
-owns their grouping and every sum over pairs in an evaluation, which adds
-the pairs in pair order, so results are reproducible and do not depend on
-how the pairs are stacked.
+owns their grouping and every sum over pairs in an evaluation or a line
+search, each a BLAS product over the pairs in pair order (the gradient over
+every working row of the one array of working B rows), so results are
+reproducible and do not depend on how the pairs are stacked.
 The stacks hold the working pairs, each pair with m_i > n reduced to an
 n x n pair, with the constants c_i and the matrix P that the kernels read
 (`_kernels.working_stacks`), so no iteration forms an array larger than
@@ -244,8 +245,9 @@ def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
     A_i need not be symmetric.  Computed from each working pair's residual
     R_i = A_i - B_i Y Y^T B_i^T, which the objective reads too, as
     -2 B_i^T (R_i W_i + R_i^T W_i) with W_i = B_i Y: R_i is the one
-    min(m_i, n) x min(m_i, n) array of the evaluation, and R_i^T W_i reads
-    it through a transposed view.  A pair taller than n enters as its n x n
+    min(m_i, n) x min(m_i, n) array of the evaluation, R_i^T W_i reads
+    it through a transposed view, and the sum over pairs is one product of
+    all the B_i^T with all the R_i W_i + R_i^T W_i.  A pair taller than n enters as its n x n
     working pair (Q_i^T A_i Q_i, R_i), whose gradient term is the same.  The
     cached P of the line search is not used here.  The tests pin it against
     the expanded form.

@@ -164,6 +164,13 @@ def test_solve_malformed_file_exits_2(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_solve_rank_outside_one_to_n_exits_2_at_line_1(tmp_path, capsys):
+    bad = tmp_path / "rank.prob"
+    bad.write_text("1 2 5\n1\n2\n3 4\n")
+    assert run("solve", bad) == 2
+    assert "rank bound k=5 outside [1, n]=2 (line 1)" in capsys.readouterr().err
+
+
 def test_solve_pair_size_beyond_the_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "huge.prob"
     bad.write_text("1 2 1\n1000000\n5\n")

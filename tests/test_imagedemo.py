@@ -90,9 +90,56 @@ def test_pgm_rejects_bad_header_fields(tmp_path, header, match):
         read_pgm(path)
 
 
+def test_pgm_rejects_a_pixel_above_maxval(tmp_path):
+    # with maxval 15 a pixel is at most 15; the first one above it, in raster
+    # order, is reported at its row and column
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5\n2 2\n15\n" + bytes([200, 2, 3, 16]))
+    with pytest.raises(ImageFormatError, match="pixel 200 at row 0, column 0 exceeds maxval"):
+        read_pgm(path)
+    path.write_bytes(b"P5\n2 2\n15\n" + bytes([15, 2, 3, 16]))
+    with pytest.raises(ImageFormatError, match="pixel 16 at row 1, column 1 exceeds maxval"):
+        read_pgm(path)
+    path.write_bytes(b"P5\n2 2\n15\n" + bytes([15, 0, 3, 4]))
+    assert np.array_equal(read_pgm(path), [[15, 0], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "image, match",
+    [
+        (np.full((2, 2), 100 + 50j), "image has entries that are not real numbers"),
+        (np.array([["1", "2"], ["3", "4"]]), "image has entries that are not real numbers"),
+        (np.array([[1.0, 2.0], [np.nan, 4.0]]), "non-finite pixel nan at row 1, column 0"),
+        (np.array([[1.0, np.inf], [3.0, 4.0]]), "non-finite pixel inf at row 0, column 1"),
+        (np.array([[1.0, 2.0], [3.0, -np.inf]]), "non-finite pixel -inf at row 1, column 1"),
+    ],
+    ids=["complex", "strings", "nan", "inf", "-inf"],
+)
+def test_pgm_write_casts_by_the_library_rule(tmp_path, image, match):
+    # a complex image was written from its real part (after a ComplexWarning),
+    # a NaN pixel as 0 and an infinite one as 255 or 0, and strings failed
+    # inside np.rint; each is a ValueError that names the fault, and no file
+    # is written
+    path = tmp_path / "bad.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(match)):
+            write_pgm(path, image)
+    assert not path.exists()
+
+
 def test_pgm_write_rejects_a_non_matrix(tmp_path):
     with pytest.raises(ImageFormatError, match="image must be 2-D"):
         write_pgm(tmp_path / "flat.pgm", np.arange(4.0))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_pgm_write_rejects_an_image_with_no_pixel(tmp_path, shape):
+    # its file would have a side of 0, which read_pgm refuses
+    path = tmp_path / "empty.pgm"
+    with pytest.raises(ImageFormatError, match=re.escape(f"got shape {shape}")):
+        write_pgm(path, np.zeros(shape))
+    assert not path.exists()
 
 
 def test_rescale_of_a_constant_matrix_is_black():

@@ -11,7 +11,6 @@ from psdfit import (
     ParseError,
     ProblemInstance,
     SolverConfig,
-    ValidationError,
     generate_instance,
     read_problem,
     solve,
@@ -186,6 +185,18 @@ def test_problem_header_n_below_one(tmp_path, header):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("header, k", [("1 2 5", 5), ("1 2 0", 0), ("1 2 -1", -1)])
+def test_problem_header_k_outside_one_to_n(tmp_path, header, k):
+    # refused with the header's line, as m < 1 and n < 1 are, not later by
+    # the instance's validation, which has no line to report
+    path = tmp_path / "hdr.prob"
+    path.write_text(header + "\n1\n2\n3 4\n")
+    message = f"rank bound k={k} outside [1, n]=2"
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        read_problem(path)
+    assert err.value.line == 1
+
+
 @pytest.mark.parametrize(
     "text, match, line",
     [
@@ -223,11 +234,14 @@ def test_a_line_with_the_wrong_count_is_named(tmp_path, reader, text, message):
 
 
 def test_problem_validation_failure_on_read(tmp_path):
-    # shapes parse fine but k > n
+    # shapes parse fine but k > n: the header is refused at its line, before
+    # the instance's validation, which would raise a ValidationError with no
+    # line (test_problem_header_k_outside_one_to_n)
     path = tmp_path / "invalid.prob"
     path.write_text("1 1 3\n1\n2\n3\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match=re.escape("k=3 outside [1, n]=1")) as err:
         read_problem(path)
+    assert err.value.line == 1
 
 
 def test_problem_blank_lines_are_ignored(tmp_path):

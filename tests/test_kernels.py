@@ -14,13 +14,21 @@ from psdfit.solver import SolverConfig, solve
 
 
 def reference_pair(A, B, Y):
-    """One pair's r^2 and gradient term, in the 2-D form of a per-pair loop.
+    """One pair's r^2 and gradient rows Z = R W + R^T W, in the 2-D form of a
+    per-pair loop; the pair's gradient term is -2 B^T Z.
 
     r^2 is the dot product of the flattened residual with itself.
     """
     W = B @ Y
     R = A - W @ W.T.copy()
-    return float(R.ravel().dot(R.ravel())), -2.0 * (B.T @ (R @ W + R.T @ W))
+    return float(R.ravel().dot(R.ravel())), R @ W + R.T @ W
+
+
+def reference_gradient(pairs, Y):
+    """-2 B_all^T Z_all: the pairs' B and Z rows stacked in pair order, one product."""
+    B = np.concatenate([B for _, B in pairs])
+    Z = np.concatenate([reference_pair(A, B, Y)[1] for A, B in pairs])
+    return -2.0 * (B.T @ Z)
 
 
 def reference_reduce(A, B):
@@ -44,19 +52,29 @@ def reference_reduce(A, B):
 
 
 def reference_quartic_terms(B, Y, D):
-    """One pair's 4 x 4 Gram matrix of [vec a; vec b; vec b^T; vec c], in the
-    2-D form of a pair loop, where a, b, b^T and c are the k x k blocks of the
-    Gram matrix of B [Y D], read in that order."""
+    """One pair's 4 x k^2 H = [vec a; vec b; vec b^T; vec c], in the 2-D form
+    of a pair loop, where a, b, b^T and c are the k x k blocks of the Gram
+    matrix of B [Y D], read in that order."""
     k = Y.shape[1]
     U = B @ np.hstack((Y, D))
     G = U.T.copy() @ U
     blocks = [G[:k, :k], G[:k, k:], G[k:, :k], G[k:, k:]]
-    H = np.stack([block.ravel() for block in blocks])
-    return H @ H.T.copy()
+    return np.stack([block.ravel() for block in blocks])
+
+
+def reference_gram_sum(Bs, Y, D):
+    """Sum H_c H_c^T over runs of floor(GRAM_ENTRIES / 4 k^2) whole pairs (at
+    least one), each run's H side by side in pair order, added run by run."""
+    per = max(1, _kernels.GRAM_ENTRIES // (4 * Y.shape[1] ** 2))
+    Q = np.zeros((4, 4))
+    for i in range(0, len(Bs), per):
+        H = np.hstack([reference_quartic_terms(B, Y, D) for B in Bs[i : i + per]])
+        Q = Q + H @ H.T
+    return Q
 
 
 def combine(Q, DPD):
-    """[a2, a3, a4] from a 4 x 4 sum of `reference_quartic_terms` and <D, P D>."""
+    """[a2, a3, a4] from a 4 x 4 Gram sum of `reference_quartic_terms` and <D, P D>."""
     ss = Q[1, 1] + 2.0 * Q[1, 2] + Q[2, 2]
     return [ss + 2.0 * Q[0, 3] - 2.0 * DPD, 2.0 * (Q[1, 3] + Q[2, 3]), Q[3, 3]]
 
@@ -75,15 +93,20 @@ def test_residual_gradient_returns_each_pairs_terms():
     A = rng.standard_normal((g, mi, mi))
     B = rng.standard_normal((g, mi, n))
     Y = rng.standard_normal((n, k))
-    r2, terms = _kernels.residual_gradient(A, B, Y)
+    r2, Z = _kernels.residual_gradient(A, B, Y)
     assert r2.shape == (g,)
-    assert terms.shape == (g, n, k)
+    assert Z.shape == (g, mi, k)
     for i in range(g):
-        r2_i, term = reference_pair(A[i], B[i], Y)
+        r2_i, Z_i = reference_pair(A[i], B[i], Y)
         assert r2[i] == r2_i
         R = A[i] - B[i] @ Y @ Y.T @ B[i].T
         assert math.isclose(r2_i, float(np.linalg.norm(R, "fro")) ** 2, rel_tol=1e-12)
-        assert np.array_equal(terms[i], term)
+        assert np.array_equal(Z[i], Z_i)
+        # -2 B^T Z is the pair's gradient in its expanded form
+        W = B[i] @ Y
+        expanded = 2.0 * B[i].T @ (2.0 * W @ W.T - A[i] - A[i].T) @ W
+        scale = np.abs(expanded).max()
+        assert np.allclose(-2.0 * B[i].T @ Z_i, expanded, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_quartic_terms_returns_each_pairs_terms():
@@ -92,11 +115,12 @@ def test_quartic_terms_returns_each_pairs_terms():
         B = rng.standard_normal((g, mi, n))
         Y = rng.standard_normal((n, k))
         D = rng.standard_normal((n, k))
-        terms = _kernels.quartic_terms(B, Y, D)
-        assert terms.shape == (g, 4, 4)
+        H = _kernels.quartic_terms(B, Y, D)
+        assert H.shape == (4, g * k * k)
         for i in range(g):
-            Q = reference_quartic_terms(B[i], Y, D)
-            assert np.array_equal(terms[i], Q)
+            H_i = reference_quartic_terms(B[i], Y, D)
+            assert np.array_equal(H[:, i * k * k : (i + 1) * k * k], H_i)
+            Q = H_i @ H_i.T
             # the Gram parts of a2, a3 and a4 in the expanded per-pair form
             W, V = B[i] @ Y, B[i] @ D
             S = W @ V.T + V @ W.T
@@ -112,8 +136,10 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     # at a budget of 512 entries: a run the budget splits (20 = 14 + 6), a
     # side change, a short run, and pairs taller than n = 12 (16 and 30),
     # whose 12 x 12 working pairs join the 12 x 12 pairs in one run of seven
-    # that the budget cuts into 3 + 3 + 1
+    # that the budget cuts into 3 + 3 + 1; and Gram sums over runs of five
+    # pairs (200 // 36), which cross the stacks
     monkeypatch.setattr(_kernels, "STACK_ENTRIES", 512)
+    monkeypatch.setattr(_kernels, "GRAM_ENTRIES", 200)
     sides = [6] * 20 + [7] + [6] * 3 + [16] * 2 + [12] * 3 + [30] * 2
     n, k = 12, 3
     rng = np.random.default_rng(5)
@@ -124,9 +150,11 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
         np.array_equal(A, A0) and np.array_equal(B, B0)
         for (A, B), (A0, B0) in zip(inst.pairs, data, strict=True)
     )
-    # a pair with m_i <= n alone in its stack is not copied
+    # a pair with m_i <= n alone in its stack keeps its A, and its B is a
+    # view of the one array of working B rows, into which it is copied
     assert np.shares_memory(inst._stacks[2][0], data[20][0])
-    assert np.shares_memory(inst._stacks[2][1], data[20][1])
+    assert not np.shares_memory(inst._stacks[2][1], data[20][1])
+    assert np.shares_memory(inst._stacks[2][1], inst._stacks.B)
     working = [reference_reduce(A, B) for A, B in data]
     stacked = [pair for stack in inst._stacks for pair in zip(*stack)]
     assert all(
@@ -137,15 +165,13 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     D = rng.standard_normal((n, k))
 
     f = num = denom = 0.0
-    grad = np.zeros((n, k))
-    Q = np.zeros((4, 4))
     for (A, B, c), (A0, _) in zip(working, data):
-        r2, term = reference_pair(A, B, Y)
+        r2 = reference_pair(A, B, Y)[0]
         f += r2 + c
         num += math.sqrt(r2 + c)
         denom += float(np.linalg.norm(A0, "fro"))
-        grad += term
-        Q = Q + reference_quartic_terms(B, Y, D)
+    grad = reference_gradient([(A, B) for A, B, _ in working], Y)
+    Q = reference_gram_sum([B for _, B, _ in working], Y, D)
     P = reference_P([(A, B) for A, B, _ in working], n)
     a = combine(Q, D.ravel().dot((P @ D).ravel()))
 
@@ -163,10 +189,84 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
 
     # and the working pairs give the caller's pairs' values, to rounding
     f0 = sum(reference_pair(A, B, Y)[0] for A, B in data)
-    grad0 = sum(reference_pair(A, B, Y)[1] for A, B in data)
+    grad0 = reference_gradient(data, Y)
     assert math.isclose(at.f, f0, rel_tol=1e-12)
     assert np.allclose(at.grad, grad0, rtol=1e-11, atol=1e-11 * np.abs(grad0).max())
     assert np.allclose(inst._stacks.P, reference_P(data, n), rtol=1e-11, atol=0.0)
+
+
+def test_gram_runs_move_only_the_step_polynomial_by_rounding(monkeypatch):
+    # the line search's Gram sum is one product per run of whole pairs; at
+    # one pair per product and at all 48 pairs in one, a2..a4 agree to
+    # rounding and the evaluation, which has no Gram sum, to the bit; at
+    # runs of five pairs (200 // 36), which cross the stacks of a budget of
+    # 512, the coefficients do not depend on the stacks
+    n, k = 12, 3
+    rng = np.random.default_rng(12)
+    sides = [6] * 40 + [7] * 5 + [16] * 3
+    pairs = tuple((rng.standard_normal((mi, mi)), rng.random((mi, n))) for mi in sides)
+    Y = rng.standard_normal((n, k))
+    D = rng.standard_normal((n, k))
+
+    gram = _kernels._gram
+    products = []
+
+    def counted(H):
+        products.append(H.shape[1] // (k * k))
+        return gram(H)
+
+    monkeypatch.setattr(_kernels, "_gram", counted)
+
+    def results(stack_entries, gram_entries):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "STACK_ENTRIES", stack_entries)
+            inst = ProblemInstance(pairs=pairs, n=n, k=k)
+        monkeypatch.setattr(_kernels, "GRAM_ENTRIES", gram_entries)
+        products.clear()
+        at = evaluate(inst, Y)
+        p = linesearch.quartic_coeffs(inst, Y, D, at)
+        return len(inst._stacks), at, [p.a2, p.a3, p.a4]
+
+    stacks, at_one, a_one = results(512, 4 * k * k)
+    assert stacks == 5  # 14 + 14 + 12, 5 and 3
+    assert products == [1] * 48
+    _, at_all, a_all = results(512, 10**9)
+    assert products == [48]
+    scale = max(map(abs, a_one + a_all))
+    assert all(abs(x - y) <= 1e-13 * scale for x, y in zip(a_one, a_all))
+    assert at_one.f == at_all.f and at_one.residual == at_all.residual
+    assert np.array_equal(at_one.grad, at_all.grad) and at_one.gg == at_all.gg
+    a_runs = []
+    for entries in (1, 512, 10**9):
+        a_runs.append(results(entries, 200)[2])
+        assert products == [5] * 9 + [3]
+    assert a_runs[0] == a_runs[1] == a_runs[2]
+
+
+@pytest.mark.parametrize(
+    "sides, n",
+    [([5], 8), ([20], 8), ([6] * 30 + [7] + [20] * 4, 12), ([3] * 5, 4)],
+    ids=["one", "one-tall", "mixed", "one-run"],
+)
+@pytest.mark.parametrize("entries", [1, 512, 10**9], ids=["alone", "512", "runs"])
+def test_every_stack_views_the_one_B_array(monkeypatch, sides, n, entries):
+    monkeypatch.setattr(_kernels, "STACK_ENTRIES", entries)
+    rng = np.random.default_rng(4)
+    data = [(rng.random((mi, mi)), rng.random((mi, n))) for mi in sides]
+    stacks = ProblemInstance(pairs=tuple(data), n=n, k=2)._stacks
+    B_all = stacks.B
+    assert B_all.shape == (sum(min(mi, n) for mi in sides), n)
+    row = 0
+    for _, B, _ in stacks:
+        rows = B.shape[0] * B.shape[1]
+        # a view of rows row..row + rows of the one array, in pair order
+        assert np.shares_memory(B, B_all)
+        assert B.ctypes.data == B_all[row:].ctypes.data
+        assert np.array_equal(B.reshape(rows, n), B_all[row : row + rows])
+        row += rows
+    assert row == len(B_all)
+    # a lone pair of m_i <= n is the one array, and is not copied
+    assert np.shares_memory(B_all, data[0][1]) == (sides == [5])
 
 
 def test_racing_line_searches_build_one_P():
@@ -274,22 +374,26 @@ def test_tall_pair_evaluation_forms_no_pair_sized_matrix():
 @pytest.mark.parametrize(
     "side, n, k, stack_sizes",
     [
-        (1, 100, 6, [1] * 8),  # each n x k gradient term alone exceeds the budget
-        (1, 64, 3, [2] * 4),
-        (4, 40, 2, [6, 2]),  # n k = 80 > m_i^2 = 16
-        (6, 12, 3, [8]),
+        (1, 100, 6, [3, 3, 2]),  # 4 k^2 = 144 Gram entries per pair, 3 pairs to 512
+        (1, 64, 12, [1] * 8),  # each pair's 4 k^2 = 576 Gram entries alone exceed it
+        (4, 40, 2, [8]),  # m_i^2 = 4 k^2 = 16; n k = 80 is no stack temporary
+        (12, 12, 2, [3, 3, 2]),  # the 144-entry residuals, not the Gram blocks
     ],
 )
-def test_stack_budget_counts_the_gradient_term(monkeypatch, side, n, k, stack_sizes):
+def test_stack_budget_counts_the_residual_and_gram_blocks(
+    monkeypatch, side, n, k, stack_sizes
+):
     monkeypatch.setattr(_kernels, "STACK_ENTRIES", 512)
     rng = np.random.default_rng(0)
     pairs = tuple((rng.random((side, side)), rng.random((side, n))) for _ in range(8))
     inst = ProblemInstance(pairs=pairs, n=n, k=k)
     assert [len(A) for A, _, _ in inst._stacks] == stack_sizes
-    # no temporary of a stack (g x m_i x m_i or g x n x k) exceeds the budget
-    # unless one pair's own does
+    # no temporary of a stack (g x m_i x m_i residuals, g x 2k x 2k Gram
+    # matrices and their 4 x g k^2 blocks H, g x m_i x 2k products, which are
+    # never larger than both) exceeds the budget unless one pair's own does
     for A, _, _ in inst._stacks:
-        assert len(A) == 1 or len(A) * max(side * side, n * k) <= _kernels.STACK_ENTRIES
+        largest = max(side * side, 2 * k * side, 4 * k * k)
+        assert len(A) == 1 or len(A) * largest <= _kernels.STACK_ENTRIES
 
 
 def test_one_kernel_call_per_stack(monkeypatch):
@@ -429,20 +533,3 @@ def test_non_finite_screen_misses_no_entry():
                 assert found == ["pair 1: B has non-finite entries"]
     huge = np.full((1, 5), 1e200)
     assert non_finite([(huge, huge)]) == (math.inf, [])
-
-
-@pytest.mark.parametrize("g", [1, 2, 9, 20])
-@pytest.mark.parametrize("shape", [(), (1, 1), (1, 2), (2, 1), (5,), (12, 3), (64, 16)])
-def test_in_order_sum_is_a_pair_loop(g, shape):
-    rng = np.random.default_rng(g)
-    terms = rng.standard_normal((g, *shape))
-    total = rng.standard_normal(shape)
-    expected = total.copy()
-    for term in terms:
-        expected = expected + term
-    got = _kernels._in_order_sum(total, terms.copy())
-    assert np.asarray(got).tobytes() == expected.tobytes()
-    # added left to right, 1 + 2^-53 + 2^-53 + ... rounds back to 1 each time
-    tiny = np.full((g, *shape), 2.0**-53)
-    tiny[0] = 1.0
-    assert np.all(_kernels._in_order_sum(np.zeros(shape), tiny) == 1.0)

@@ -156,8 +156,10 @@ ONE_ROW_PAIRS = (
 @given(stacked_instances())
 @example(ONE_ROW_PAIRS)
 def test_stack_budget_is_invisible(case):
-    # every per-pair result is summed in pair order, so how many pairs share
-    # a stack changes no bit of the evaluation, the step polynomial or a solve
+    # every sum over pairs is a product over all working rows in pair order
+    # (the Gram sum over runs that start at fixed pair indices), so how many
+    # pairs share a stack changes no bit of the evaluation, the step
+    # polynomial or a solve
     pairs, n, k, Y0, D = case
     config = SolverConfig(epsilon=1e-300, max_iterations=20)
     seen = []
