@@ -218,6 +218,19 @@ def evaluate(stacks, Y):
     return f, num, grad
 
 
+def _in_order_sum(total, terms):
+    """total + terms[0] + terms[1] + ..., added left to right; terms is overwritten.
+
+    `sum(axis=0)` would sum 1-entry terms pairwise, so those take a scan.
+    """
+    terms[0] += total
+    if len(terms) == 1:
+        return terms[0]
+    if terms[0].size > 1:
+        return terms.sum(axis=0)
+    return np.add.accumulate(terms, out=terms)[-1]
+
+
 def _gram(H):
     """H H^T, 4 x 4: numpy sends it to BLAS syrk, which with 4 output rows
     was no slower than GEMM with a copy of H^T."""
@@ -230,24 +243,24 @@ def quartic_sums(stacks, Y, D):
     The pairs' `quartic_terms` columns are taken in pair order, in runs of
     floor(GRAM_ENTRIES / 4 k^2) whole pairs (at least one) that start at
     fixed pair indices, a run that crosses stacks as one copy; each run's
-    Gram matrix is one product, the runs' are added in order, and the sum
-    is combined once, <s, s> first.  Sum <A_i V_i, V_i> = <D, P D>, one dot
-    product of vec D and vec (P D), with the stacks' P.
+    Gram matrix is one product, the runs' are added in order
+    (`_in_order_sum`), and the sum is combined once, <s, s> first.
+    Sum <A_i V_i, V_i> = <D, P D>, one dot product of vec D and vec (P D),
+    with the stacks' P.
     """
     k2 = Y.shape[1] ** 2
     width = max(1, GRAM_ENTRIES // (4 * k2)) * k2  # columns of H per product
-    Q, rest = 0.0, None
+    grams, rest = [], None
     for _, B, _ in stacks:
         H = quartic_terms(B, Y, D)
         if rest is not None:  # the head of a run that an earlier stack began
             H = np.concatenate((rest, H), axis=1)
         end = H.shape[1] - H.shape[1] % width
-        for i in range(0, end, width):
-            Q = Q + _gram(H[:, i : i + width])
+        grams += [_gram(H[:, i : i + width]) for i in range(0, end, width)]
         rest = H[:, end:] if end < H.shape[1] else None
     if rest is not None:
-        Q = Q + _gram(rest)
-    Q = Q.tolist()
+        grams.append(_gram(rest))
+    Q = _in_order_sum(0.0, np.array(grams)).tolist()
     DPD = float(D.ravel().dot((stacks.P @ D).ravel()))
     ss = Q[1][1] + 2.0 * Q[1][2] + Q[2][2]
     return [ss + 2.0 * Q[0][3] - 2.0 * DPD, 2.0 * (Q[1][3] + Q[2][3]), Q[3][3]]

@@ -533,3 +533,20 @@ def test_non_finite_screen_misses_no_entry():
                 assert found == ["pair 1: B has non-finite entries"]
     huge = np.full((1, 5), 1e200)
     assert non_finite([(huge, huge)]) == (math.inf, [])
+
+
+@pytest.mark.parametrize("g", [1, 2, 9, 20])
+@pytest.mark.parametrize("shape", [(), (1, 1), (1, 2), (2, 1), (5,), (12, 3), (64, 16)])
+def test_in_order_sum_is_a_pair_loop(g, shape):
+    rng = np.random.default_rng(g)
+    terms = rng.standard_normal((g, *shape))
+    total = rng.standard_normal(shape)
+    expected = total.copy()
+    for term in terms:
+        expected = expected + term
+    got = _kernels._in_order_sum(total, terms.copy())
+    assert np.asarray(got).tobytes() == expected.tobytes()
+    # added left to right, 1 + 2^-53 + 2^-53 + ... rounds back to 1 each time
+    tiny = np.full((g, *shape), 2.0**-53)
+    tiny[0] = 1.0
+    assert np.all(_kernels._in_order_sum(np.zeros(shape), tiny) == 1.0)
