@@ -12,10 +12,9 @@ gradients with an exact (quartic-polynomial) line search.
 The package namespace holds the library API documented in the README: the
 problem, the objective, the solver, the problem file and the image demo's
 entry points.  The rest stays in its module: the line search in
-:mod:`psdfit.linesearch`, multistart in :mod:`psdfit.solver`, independent
-numerical oracles for every analytic formula in :mod:`psdfit.oracle`,
-trace/solution/matrix files in :mod:`psdfit.io` and PGM images in
-:mod:`psdfit.imagedemo`.
+:mod:`psdfit.linesearch`, independent numerical oracles for every
+analytic formula in :mod:`psdfit.oracle`, trace/solution/matrix files in
+:mod:`psdfit.io` and PGM images in :mod:`psdfit.imagedemo`.
 """
 
 from .problem import (

@@ -13,6 +13,7 @@ checked before the fit, so a file that could not be written costs no solve.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -36,6 +37,19 @@ def _sizes(text):
         ) from None
 
 
+def _tolerance(text):
+    """A finite positive float, the rule SolverConfig applies to epsilon."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}"
+        )
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="psdfit",
@@ -47,7 +61,10 @@ def _build_parser():
     p.add_argument("problem", help="problem file path")
     p.add_argument("--rank", type=int, default=None, help="override rank k")
     p.add_argument(
-        "--tol", type=float, default=SolverConfig.epsilon, help="gradient-norm tolerance"
+        "--tol",
+        type=_tolerance,
+        default=SolverConfig.epsilon,
+        help="gradient-norm tolerance",
     )
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     start = p.add_mutually_exclusive_group()
@@ -59,12 +76,12 @@ def _build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("problem")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = sub.add_parser("linecheck", help="line-search coefficient check")
     p.add_argument("problem")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = sub.add_parser("gen", help="generate a seeded problem file")
     p.add_argument("--n", type=int, required=True)
@@ -82,7 +99,7 @@ def _build_parser():
     p.add_argument("--m", type=int, default=3, help="number of observations")
     p.add_argument("--rank", type=int, default=None, help="fit rank (default min(n, 16))")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEMO_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEMO_TOL)
     p.add_argument("--max-iter", type=int, default=DEMO_MAX_ITERATIONS)
     p.add_argument("--out-dir", required=True)
 

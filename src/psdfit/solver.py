@@ -6,9 +6,8 @@ gradient norm computed once, by the evaluation that forms the gradient;
 steps come from the exact quartic line search.
 The direction resets to steepest descent every RESTART_PERIOD iterations
 and whenever the mixed direction fails the descent test, so every line
-search starts from a strict descent direction.  `multistart_solve` runs
-the iteration from several seeded starts and keeps the best.  The instance
-and the configuration are not checked here: each checks itself when built.
+search starts from a strict descent direction.  The instance and the
+configuration are not checked here: each checks itself when built.
 """
 
 import enum
@@ -61,12 +60,9 @@ class SolverConfig:
         real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
         if not (real and 0 < epsilon < math.inf):
             raise ValueError("epsilon must be a finite positive number")
-        if not _is_count(self.max_iterations):
+        max_iterations = self.max_iterations
+        if not (_is_integer(max_iterations) and max_iterations >= 1):
             raise ValueError("max_iterations must be an integer of at least 1")
-
-
-def _is_count(value):
-    return _is_integer(value) and value >= 1
 
 
 @dataclass(slots=True)
@@ -256,54 +252,4 @@ def solve(
         converged=reason is TerminationReason.GRADIENT_TOLERANCE,
         trace=trace,
         termination_reason=reason,
-    )
-
-
-@dataclass
-class MultistartResult:
-    best: SolverResult
-    best_start: int
-    final_objectives: list  # per start; math.nan where a start failed
-    failures: list  # (start index, error message)
-
-
-def multistart_solve(
-    instance: ProblemInstance,
-    config: SolverConfig | None = None,
-    num_starts: int = 5,
-    seed: int = 0,
-) -> MultistartResult:
-    """Run the solver from several seeded starts and keep the best result.
-
-    Start points are drawn up front from one seeded generator, so the whole
-    sweep is deterministic.  Ties in final objective resolve to the lowest
-    start index.  A start failing with a numerical error is recorded and
-    skipped; at least one start must succeed.
-    """
-    if not _is_count(num_starts):
-        raise ValueError("num_starts must be an integer of at least 1")
-    rng = np.random.default_rng(seed)
-    starts = [rng.random((instance.n, instance.k)) for _ in range(num_starts)]
-    best = None
-    best_index = -1
-    best_f = math.inf
-    finals = []
-    failures = []
-    for i, Y0 in enumerate(starts):
-        try:
-            result = solve(instance, Y0, config)
-        except NumericalError as exc:
-            finals.append(math.nan)
-            failures.append((i, str(exc)))
-            continue
-        f_final = result.trace[-1].f_value
-        finals.append(f_final)
-        if f_final < best_f:
-            best = result
-            best_index = i
-            best_f = f_final
-    if best is None:
-        raise NumericalError("every start failed; see failures for details")
-    return MultistartResult(
-        best=best, best_start=best_index, final_objectives=finals, failures=failures
     )

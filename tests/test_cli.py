@@ -260,6 +260,24 @@ def test_gradcheck_impossible_tolerance_fails(problem_file, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("command", ["solve", "gradcheck", "linecheck", "demo-image"])
+def test_tolerance_must_be_finite_and_positive(monkeypatch, capsys, command, tol):
+    # an inf tolerance would pass any check; each is a usage error before any read
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read with a bad --tol")
+
+    monkeypatch.setattr(psdfit.cli.pio, "read_problem", no_read)
+    monkeypatch.setattr(psdfit.cli, "image_demo", no_read)
+    out_dir = ["--out-dir", "out"] if command == "demo-image" else []
+    with pytest.raises(SystemExit) as exc:
+        run(command, "input", "--tol", tol, *out_dir)
+    assert exc.value.code == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert "argument --tol" in err and repr(tol) in err
+
+
 def test_linecheck_passes(problem_file, capsys):
     assert run("linecheck", problem_file, "--seed", 3) == 0
     out = capsys.readouterr().out

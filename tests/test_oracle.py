@@ -3,12 +3,10 @@ import pytest
 
 from psdfit import (
     ProblemInstance,
-    SolverConfig,
     generate_instance,
     gradient,
     objective,
     residual_error,
-    solve,
 )
 from psdfit.oracle import (
     compare,
@@ -18,7 +16,6 @@ from psdfit.oracle import (
     reference_objective,
     reference_residual,
 )
-from psdfit.solver import MultistartResult, multistart_solve
 from psdfit.linesearch import quartic_coeffs
 from psdfit.problem import evaluate
 
@@ -174,52 +171,3 @@ def test_truncation_rank_bound_validation():
         psd_truncation(np.eye(3), 0)
     with pytest.raises(ValueError):
         psd_truncation(np.eye(3), 4)
-
-
-# ---------------------------------------------------------------------------
-# multistart_solve
-
-
-def test_multistart_single_start_matches_solve():
-    inst = generate_instance(4, 2, m=2, seed=7)
-    cfg = SolverConfig(max_iterations=200)
-    ms = multistart_solve(inst, cfg, num_starts=1, seed=13)
-    Y0 = np.random.default_rng(13).random((4, 2))
-    direct = solve(inst, Y0, cfg)
-    assert ms.best_start == 0
-    assert ms.final_objectives == [direct.trace[-1].f_value]
-    assert np.array_equal(ms.best.Y_final, direct.Y_final)
-
-
-def test_multistart_keeps_the_best_start():
-    inst = generate_instance(4, 2, m=2, seed=8, mode="consistent")
-    cfg = SolverConfig(epsilon=1e-7, max_iterations=20000)
-    ms = multistart_solve(inst, cfg, num_starts=4, seed=0)
-    assert isinstance(ms, MultistartResult)
-    assert len(ms.final_objectives) == 4
-    best = min(ms.final_objectives)
-    assert ms.final_objectives[ms.best_start] == best
-    # ties resolve to the earliest start
-    assert all(
-        v > best or i >= ms.best_start for i, v in enumerate(ms.final_objectives)
-    )
-    assert ms.best.trace[-1].f_value == best
-    assert not ms.failures
-
-
-def test_multistart_exact_fit_on_consistent_instance():
-    inst = generate_instance(5, 2, m=3, seed=9, mode="consistent")
-    ms = multistart_solve(
-        inst, SolverConfig(epsilon=1e-7, max_iterations=20000), num_starts=3, seed=1
-    )
-    assert ms.best.trace[-1].f_value < 1e-8
-
-
-def test_multistart_is_deterministic():
-    inst = generate_instance(3, 2, m=1, seed=10)
-    cfg = SolverConfig(max_iterations=60)
-    a = multistart_solve(inst, cfg, num_starts=3, seed=2)
-    b = multistart_solve(inst, cfg, num_starts=3, seed=2)
-    assert a.final_objectives == b.final_objectives
-    assert a.best_start == b.best_start
-    assert np.array_equal(a.best.Y_final, b.best.Y_final)

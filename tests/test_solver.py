@@ -20,10 +20,10 @@ from psdfit import (
     solve,
 )
 from psdfit.linesearch import DegenerateDirectionError, exact_step
-from psdfit import linesearch, solver
+from psdfit import linesearch
 from psdfit.io import read_solution, write_solution
 from psdfit.problem import evaluate
-from psdfit.solver import RESTART_PERIOD, Trace, multistart_solve, step
+from psdfit.solver import RESTART_PERIOD, Trace, step
 
 import golden
 
@@ -517,39 +517,6 @@ def test_solver_config_validation():
     # frozen, so a config stays as checked
     with pytest.raises(dataclasses.FrozenInstanceError):
         SolverConfig().max_iterations = 0
-
-
-def test_multistart_rejects_non_integer_start_count():
-    for num_starts in (2.5, True):
-        with pytest.raises(ValueError, match="num_starts"):
-            multistart_solve(golden.instance(2), num_starts=num_starts)
-
-
-def test_multistart_skips_a_failing_start(monkeypatch):
-    solve_ = solver.solve
-    starts = []
-
-    def second_start_fails(instance, Y0, config):
-        starts.append(Y0)
-        if len(starts) == 2:
-            raise NumericalError("non-finite objective or gradient at iteration 0")
-        return solve_(instance, Y0, config)
-
-    monkeypatch.setattr(solver, "solve", second_start_fails)
-    cfg = SolverConfig(max_iterations=30)
-    result = multistart_solve(golden.instance(2), cfg, num_starts=3, seed=4)
-    assert result.failures == [(1, "non-finite objective or gradient at iteration 0")]
-    assert math.isnan(result.final_objectives[1])
-    assert result.best_start in (0, 2)
-    assert result.best.trace[-1].f_value == min(result.final_objectives[::2])
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_multistart_raises_when_every_start_fails():
-    huge = np.full((2, 2), 1e200)
-    inst = ProblemInstance(pairs=((huge, np.eye(2)),), n=2, k=1)
-    with pytest.raises(NumericalError, match="every start failed"):
-        multistart_solve(inst, num_starts=3)
 
 
 def test_solver_result_termination_values():
