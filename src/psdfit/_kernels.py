@@ -18,7 +18,7 @@ one product over every working row, and the step polynomial's 4 x 4 Gram
 sum is Sum H_c H_c^T over runs of whole pairs whose H_i fill at most
 GRAM_ENTRIES entries, added run by run.  Both are rounded by the pairs,
 their order, k and GRAM_ENTRIES alone, and never by the stacks.
-f and Sum r_i are one running sum over the r_i^2 in pair order.
+f and Sum r_i are `_in_order_sum`s over the r_i^2 and the r_i, in pair order.
 
 The kernels run on the working pairs, which `working_stacks` makes once,
 after validation, pair by pair before it stacks them: a pair with m_i > n
@@ -193,7 +193,9 @@ def evaluate(stacks, Y):
     r_i^2 = c_i + ||R_i||_F^2, the squared residual of the caller's pair
     (`working_stacks`).  The gradient is -2 B^T Z over all working rows, one
     product, with the pairs' Z_i lined up in pair order: with one stack its
-    Z as it is, with several a copy.
+    Z as it is, with several a copy.  The r_i^2 are lined up the same way,
+    and f and Sum r_i are `_in_order_sum`s over the r_i^2 and the r_i, in
+    pair order.
     """
     r2, Z = [], []
     for A, B, c in stacks:
@@ -204,18 +206,9 @@ def evaluate(stacks, Y):
     Z = Z[0] if len(Z) == 1 else np.concatenate(Z)
     grad = stacks.B.T @ Z
     grad *= -2.0
-    # row 0 takes each r_i^2 and row 1 each r_i, in pair order, and one
-    # running sum along the rows adds both left to right; r is made after
-    # the last residual, which it would otherwise join at a solve's peak
-    r = np.empty((2, sum(map(len, r2))))
-    i = 0
-    for r2_stack in r2:  # by slices: np.concatenate raised a solve's peak
-        r[0, i : i + len(r2_stack)] = r2_stack
-        i += len(r2_stack)
-    np.sqrt(r[0], out=r[1])
-    np.add.accumulate(r, axis=1, out=r)
-    f, num = r[:, -1].tolist()
-    return f, num, grad
+    r2 = r2[0] if len(r2) == 1 else np.concatenate(r2)
+    num = _in_order_sum(0.0, np.sqrt(r2))  # first: f's sum overwrites r2
+    return float(_in_order_sum(0.0, r2)), float(num), grad
 
 
 def _in_order_sum(total, terms):

@@ -8,8 +8,9 @@ Subcommands:
   demo-image  image-restoration demo on a binary PGM
 
 Exit codes: 0 success / checks passed, 1 verification, convergence or
-numerical failure, 2 usage or I/O errors.  Arguments and output paths are
-checked before the fit, so a file that could not be written costs no solve.
+numerical failure, 2 usage or I/O errors.  Numbers are checked as they are
+parsed, before any file is read, and output paths before the fit, so a file
+that could not be written costs no solve.
 """
 
 import argparse
@@ -27,27 +28,20 @@ from .problem import ProblemInstance, evaluate, gradient
 from .solver import NumericalError, SolverConfig, solve
 
 
-def _sizes(text):
-    """The integers of a comma-separated list, each item present."""
-    try:
-        return [int(item) for item in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+def _checked(convert, ok, expected):
+    """An argparse type: convert(text), refused as "expected <expected>"
+    unless it converts (no ValueError) and ok holds for the value."""
 
+    def check(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
-def _tolerance(text):
-    """A finite positive float, the rule SolverConfig applies to epsilon."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite positive number, got {text!r}"
-        )
-    return value
+    return check
 
 
 def _build_parser():
@@ -56,51 +50,62 @@ def _build_parser():
         description="Low-rank PSD matrix fitting via factorized conjugate gradients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every number is checked here, before any file is read: the library
+    # checks again, and alone checks --rank <= n and --k <= --n
+    count = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+    seed = _checked(int, lambda v: v >= 0, "an integer of at least 0")
+    # the rule SolverConfig applies to epsilon
+    tol = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
+    sizes = _checked(
+        lambda text: [int(item) for item in text.split(",")],
+        lambda values: min(values) >= 1,
+        "comma-separated integers, each at least 1",
+    )
 
     p = sub.add_parser("solve", help="solve a problem file")
     p.add_argument("problem", help="problem file path")
-    p.add_argument("--rank", type=int, default=None, help="override rank k")
+    p.add_argument("--rank", type=count, default=None, help="override rank k")
     p.add_argument(
         "--tol",
-        type=_tolerance,
+        type=tol,
         default=SolverConfig.epsilon,
         help="gradient-norm tolerance",
     )
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
+    p.add_argument("--max-iter", type=count, default=SolverConfig.max_iterations)
     start = p.add_mutually_exclusive_group()
-    start.add_argument("--seed", type=int, default=0, help="seed for the random start")
+    start.add_argument("--seed", type=seed, default=0, help="seed for the random start")
     start.add_argument("--init", default=None, help="file with an explicit Y0")
     p.add_argument("--trace", default=None, help="write per-iteration CSV here")
     p.add_argument("--out", default=None, help="write the solution file here")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("problem")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--tol", type=tol, default=1e-6)
 
     p = sub.add_parser("linecheck", help="line-search coefficient check")
     p.add_argument("problem")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--tol", type=tol, default=1e-8)
 
     p = sub.add_parser("gen", help="generate a seeded problem file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, default=None, help="pair count (sizes default to n)")
+    p.add_argument("--n", type=count, required=True)
+    p.add_argument("--k", type=count, required=True)
+    p.add_argument("--m", type=count, default=None, help="pair count (sizes default to n)")
     p.add_argument(
-        "--sizes", type=_sizes, default=None, help="comma-separated per-pair sizes m_i"
+        "--sizes", type=sizes, default=None, help="comma-separated per-pair sizes m_i"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--mode", choices=("random", "consistent"), default="random")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("demo-image", help="image-restoration demo (binary PGM)")
     p.add_argument("image")
-    p.add_argument("--m", type=int, default=3, help="number of observations")
-    p.add_argument("--rank", type=int, default=None, help="fit rank (default min(n, 16))")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tolerance, default=DEMO_TOL)
-    p.add_argument("--max-iter", type=int, default=DEMO_MAX_ITERATIONS)
+    p.add_argument("--m", type=count, default=3, help="number of observations")
+    p.add_argument("--rank", type=count, default=None, help="fit rank (default min(n, 16))")
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--tol", type=tol, default=DEMO_TOL)
+    p.add_argument("--max-iter", type=count, default=DEMO_MAX_ITERATIONS)
     p.add_argument("--out-dir", required=True)
 
     return parser

@@ -11,6 +11,7 @@ Images are 8-bit binary PGM (magic "P5"); nothing fancier is supported.
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,10 @@ from .io import format_float, write_lines, write_matrix, write_trace
 MAX_SIDE = 512  # dense solves above this are rejected
 DEMO_TOL = 1e-8  # the demo's stopping defaults, tighter than SolverConfig's
 DEMO_MAX_ITERATIONS = 50_000
+
+# a header comment (# to the end of its line) or a token; bytes between
+# matches are whitespace, and # inside a token is part of it
+_HEADER_TOKENS = re.compile(rb"#[^\r\n]*|\S+").finditer
 
 _SUBSAMPLE_FRACTION = 0.75
 _PERTURBATION = 0.05
@@ -42,33 +47,24 @@ def read_pgm(path) -> np.ndarray:
         data = fh.read()
 
     tokens = []
-    i = 0
-    while len(tokens) < 4:
-        if i >= len(data):
-            raise ImageFormatError("truncated header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if tokens[0] != b"P5":
-        raise ImageFormatError(f"not a binary graymap (magic {tokens[0]!r})")
+    for match in _HEADER_TOKENS(data):
+        if match[0][:1] != b"#":  # not a comment
+            tokens.append(match)
+            if len(tokens) == 4:
+                break
+    else:
+        raise ImageFormatError("truncated header")
+    if tokens[0][0] != b"P5":
+        raise ImageFormatError(f"not a binary graymap (magic {tokens[0][0]!r})")
     try:
-        width, height, maxval = (int(t) for t in tokens[1:])
+        width, height, maxval = (int(t[0]) for t in tokens[1:])
     except ValueError:
         raise ImageFormatError("non-numeric header field") from None
     if width < 1 or height < 1:
         raise ImageFormatError("bad image dimensions")
     if not 0 < maxval <= 255:
         raise ImageFormatError(f"only 8-bit graymaps supported (maxval {maxval})")
-    i += 1  # single whitespace byte after maxval
+    i = tokens[3].end() + 1  # single whitespace byte after maxval
     raster = data[i : i + width * height]
     if len(raster) != width * height:
         raise ImageFormatError("truncated raster data")
@@ -221,16 +217,17 @@ def image_demo(
 
     Writes restored_X.txt (full precision), restored.pgm (rescaled view),
     trace.csv, and report.txt; returns the in-memory report.  output_dir is
-    created first, so a path that cannot be a directory fails (OSError)
+    created after the stopping rule is checked (ValueError) and before the
+    image is read, so a path that cannot be a directory fails (OSError)
     before the fit.
     """
+    config = SolverConfig(epsilon=tol, max_iterations=max_iterations)
     os.makedirs(output_dir, exist_ok=True)
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)
     if k is None:
         k = min(16, X_true.shape[0])
     instance, Y0 = observation_instance(X_true, m, k, seed)
-    config = SolverConfig(epsilon=tol, max_iterations=max_iterations)
     result = solve(instance, Y0=Y0, config=config)
     return summarize_restoration(X_true, instance, result, output_dir)
 

@@ -278,6 +278,49 @@ def test_tolerance_must_be_finite_and_positive(monkeypatch, capsys, command, tol
     assert "argument --tol" in err and repr(tol) in err
 
 
+def no_input(*args, **kwargs):
+    raise AssertionError("an input was read or generated with a bad number")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("solve", "--rank", "0"),
+        ("solve", "--max-iter", "0"),
+        ("solve", "--seed", "-1"),
+        ("gradcheck", "--seed", "-1"),
+        ("linecheck", "--seed", "-1"),
+        ("gen", "--n", "0"),
+        ("gen", "--k", "0"),
+        ("gen", "--m", "0"),
+        ("gen", "--sizes", "3,0"),
+        ("gen", "--seed", "-1"),
+        ("demo-image", "--m", "0"),
+        ("demo-image", "--rank", "0"),
+        ("demo-image", "--max-iter", "0"),
+        ("demo-image", "--seed", "-1"),
+    ],
+)
+def test_numbers_are_checked_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys, command, flag, value
+):
+    monkeypatch.setattr(psdfit.cli.pio, "read_problem", no_input)
+    monkeypatch.setattr(psdfit.cli.pio, "generate_instance", no_input)
+    monkeypatch.setattr(psdfit.cli, "image_demo", no_input)
+    out = tmp_path / "out"
+    given = {
+        "gen": ["--n", 8, "--k", 3, "--m", 2, "--out", out],
+        "demo-image": ["input.pgm", "--out-dir", out],
+    }.get(command, ["input"])
+    with pytest.raises(SystemExit) as exc:
+        run(command, *given, flag, value)
+    assert exc.value.code == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert f"argument {flag}" in err and repr(value) in err
+    assert not out.exists()
+
+
 def test_linecheck_passes(problem_file, capsys):
     assert run("linecheck", problem_file, "--seed", 3) == 0
     out = capsys.readouterr().out

@@ -47,6 +47,20 @@ def test_pgm_header_comments_and_whitespace(tmp_path):
     assert np.array_equal(img, np.arange(4, dtype=np.uint8).reshape(2, 2))
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P5\r# c\r2 2\r255\r",  # a comment ends at a carriage return too
+        b"P5\x0b2\x0c2\t255\n",  # vertical tab and form feed are whitespace
+    ],
+)
+def test_pgm_header_separators(tmp_path, header):
+    path = tmp_path / "sep.pgm"
+    path.write_bytes(header + bytes(range(4)))
+    img = read_pgm(path)
+    assert np.array_equal(img, np.arange(4, dtype=np.uint8).reshape(2, 2))
+
+
 def test_pgm_rejects_ascii_variant(tmp_path):
     path = tmp_path / "ascii.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
@@ -81,6 +95,10 @@ def test_pgm_rejects_truncated_header(tmp_path):
         (b"P5\n4 x\n255\n", "non-numeric header field"),
         (b"P5\n0 4\n255\n", "bad image dimensions"),
         (b"P5\n4 -1\n255\n", "bad image dimensions"),
+        # a comment runs to the end of its line, here the end of the file
+        (b"P5\n2 2 #255", "truncated header"),
+        # a # inside a token is part of the token
+        (b"P5\n2 2\n255#c\n", "non-numeric header field"),
     ],
 )
 def test_pgm_rejects_bad_header_fields(tmp_path, header, match):
@@ -330,3 +348,12 @@ def test_image_demo_rank_out_of_range(tmp_path):
     write_pgm(img_path, make_test_image(4, seed=11))
     with pytest.raises(ValidationError, match=r"rank bound k=9 outside \[1, n\]=4"):
         image_demo(img_path, m=1, k=9, seed=0, output_dir=tmp_path / "x")
+
+
+def test_image_demo_checks_its_stopping_rule_before_touching_the_disk(tmp_path):
+    img_path = tmp_path / "in.pgm"
+    write_pgm(img_path, make_test_image(4, seed=11))
+    out = tmp_path / "new"
+    with pytest.raises(ValueError, match="max_iterations"):
+        image_demo(img_path, m=2, k=None, seed=0, output_dir=out, max_iterations=0)
+    assert not out.exists()
