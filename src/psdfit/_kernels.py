@@ -16,9 +16,14 @@ is stored twice.  The two sums over pairs of an iteration are BLAS
 products over the pairs in pair order: the gradient is -2 B_all^T Z_all,
 one product over every working row, and the step polynomial's 4 x 4 Gram
 sum is Sum H_c H_c^T over runs of whole pairs whose H_i fill at most
-GRAM_ENTRIES entries, added run by run.  Both are rounded by the pairs,
-their order, k and GRAM_ENTRIES alone, and never by the stacks.
+GRAM_ENTRIES entries, each run's product added to the sum of the runs before
+it as soon as it is made.  Both are rounded by the pairs, their order, k and
+GRAM_ENTRIES alone, and never by the stacks.
 f and Sum r_i are `_in_order_sum`s over the r_i^2 and the r_i, in pair order.
+Nothing here checks its arguments: the stacks come from a valid instance,
+and Y and D are n x k float64 C-contiguous arrays, checked where they enter
+the library (`problem.evaluate`, `linesearch.quartic_coeffs` and
+`linesearch.exact_step`) or formed by the iteration itself (`solver.step`).
 
 The kernels run on the working pairs, which `working_stacks` makes once,
 after validation, pair by pair before it stacks them: a pair with m_i > n
@@ -236,24 +241,28 @@ def quartic_sums(stacks, Y, D):
     The pairs' `quartic_terms` columns are taken in pair order, in runs of
     floor(GRAM_ENTRIES / 4 k^2) whole pairs (at least one) that start at
     fixed pair indices, a run that crosses stacks as one copy; each run's
-    Gram matrix is one product, the runs' are added in order
-    (`_in_order_sum`), and the sum is combined once, <s, s> first.
+    Gram matrix is one product, added to 0.0 and the earlier runs' sum as
+    soon as it is made (bitwise `_in_order_sum(0.0, ...)` over the runs,
+    with no stack of them), and the sum is combined once, <s, s> first.
     Sum <A_i V_i, V_i> = <D, P D>, one dot product of vec D and vec (P D),
     with the stacks' P.
     """
     k2 = Y.shape[1] ** 2
     width = max(1, GRAM_ENTRIES // (4 * k2)) * k2  # columns of H per product
-    grams, rest = [], None
+    # 0.0, then the runs' Gram matrices added in order as they are made: the
+    # first sum makes Q an array, the rest add into it
+    Q, rest = 0.0, None
     for _, B, _ in stacks:
         H = quartic_terms(B, Y, D)
         if rest is not None:  # the head of a run that an earlier stack began
             H = np.concatenate((rest, H), axis=1)
         end = H.shape[1] - H.shape[1] % width
-        grams += [_gram(H[:, i : i + width]) for i in range(0, end, width)]
+        for i in range(0, end, width):
+            Q += _gram(H[:, i : i + width])
         rest = H[:, end:] if end < H.shape[1] else None
     if rest is not None:
-        grams.append(_gram(rest))
-    Q = _in_order_sum(0.0, np.array(grams)).tolist()
+        Q += _gram(rest)
+    Q = Q.tolist()
     DPD = float(D.ravel().dot((stacks.P @ D).ravel()))
     ss = Q[1][1] + 2.0 * Q[1][2] + Q[2][2]
     return [ss + 2.0 * Q[0][3] - 2.0 * DPD, 2.0 * (Q[1][3] + Q[2][3]), Q[3][3]]

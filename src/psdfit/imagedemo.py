@@ -138,23 +138,34 @@ def image_to_truth(image) -> np.ndarray:
     return S / nrm
 
 
+def _check_draw(m, seed):
+    """ValueError unless m is an integer of at least 1 and seed one of at least 0.
+
+    A bool is neither (`_is_integer`).
+    """
+    if not _is_integer(m):
+        raise ValueError(f"m={m!r} is not an integer")
+    if m < 1:
+        raise ValueError("need at least one observation")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed={seed!r} is not an integer of at least 0")
+
+
 def observation_instance(X_true, m: int, k: int, seed: int):
     """Build the m-pair instance (A_i = B_i X_true B_i^T) plus a start Y0.
 
     Each B_i picks ceil(3n/4) distinct rows and adds uniform noise in
     [-0.05, 0.05); Y0 is drawn from the same generator so one seed fixes
     the whole demo.  An X_true that is not a real (`_as_float`) square
-    matrix, or an m that is not an integer or is below 1, is a ValueError; a
-    k outside [1, n] is a ValidationError.
+    matrix, an m that is not an integer of at least 1 or a seed that is not
+    an integer of at least 0 (`_check_draw`) is a ValueError; a k outside
+    [1, n] is a ValidationError.
     """
     X_true = _as_float(X_true, "X_true")
     if X_true.ndim != 2 or X_true.shape[0] != X_true.shape[1]:
         raise ValueError(f"X_true must be a square matrix, got shape {X_true.shape}")
     n = X_true.shape[0]
-    if not _is_integer(m):
-        raise ValueError(f"m={m!r} is not an integer")
-    if m < 1:
-        raise ValueError("need at least one observation")
+    _check_draw(m, seed)
     rng = np.random.default_rng(seed)
     mi = max(1, int(np.ceil(_SUBSAMPLE_FRACTION * n)))
     pairs = []
@@ -217,11 +228,12 @@ def image_demo(
 
     Writes restored_X.txt (full precision), restored.pgm (rescaled view),
     trace.csv, and report.txt; returns the in-memory report.  output_dir is
-    created after the stopping rule is checked (ValueError) and before the
-    image is read, so a path that cannot be a directory fails (OSError)
-    before the fit.
+    created after the stopping rule, m and seed are checked (ValueError, as
+    `observation_instance` checks m and seed) and before the image is read,
+    so a path that cannot be a directory fails (OSError) before the fit.
     """
     config = SolverConfig(epsilon=tol, max_iterations=max_iterations)
+    _check_draw(m, seed)
     os.makedirs(output_dir, exist_ok=True)
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)

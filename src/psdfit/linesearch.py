@@ -11,13 +11,14 @@ n x n matrix P = Sum B_i^T A_i B_i, which gives Sum <A_i B_i D, B_i D> as
 line search and keep it (`_kernels.Stacks`), so no line search reads an A_i.
 A pair taller than n enters as its n x n working pair, so every product
 here has at most n rows.  The step found is never uphill: a minimizer above
-phi(0) is no step.
+phi(0) is no step.  `quartic_coeffs` and `exact_step` each check Y, D and
+the gradient once, where they enter, and build the polynomial alike
+(`_coefficients`); `exact_step` minimizes it as `minimize_quartic` does
+(`_minimizer`), with no `QuarticPolynomial` in between.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels
 from .problem import Evaluation, FactorMatrix, NumericalError, ProblemInstance, _as_factor
@@ -65,14 +66,27 @@ def quartic_coeffs(
     the BLAS dot product of vec at.grad and vec D.  a2..a4 are read from the
     4 x 4 Gram sum over pairs of `_kernels.quartic_terms`, the k x k Gram
     blocks a, b, b^T and c of B_i Y and B_i D, less
-    2 <D, P D> from a2 (`_kernels.quartic_sums`).
+    2 <D, P D> from a2 (`_kernels.quartic_sums`).  Y, D and at.grad are
+    each checked once (`_as_factor`, ValueError), and the coefficients are
+    those `exact_step` builds (`_coefficients`).
     """
-    Y = _as_factor(instance, Y)
-    D = _as_factor(instance, D, name="D")
-    grad = _as_factor(instance, at.grad, name="grad")
+    Y, D, grad = _factors(instance, Y, D, at)
+    return QuarticPolynomial(*_coefficients(instance, Y, D, at.f, grad))
+
+
+def _factors(instance, Y, D, at):
+    """Y, D and at.grad as n x k float64 C-contiguous arrays (`_as_factor`)."""
+    return (
+        _as_factor(instance, Y),
+        _as_factor(instance, D, name="D"),
+        _as_factor(instance, at.grad, name="grad"),
+    )
+
+
+def _coefficients(instance, Y, D, f, grad):
+    """(a0, a1, a2, a3, a4) of phi along D, from checked Y, D and grad."""
     a2, a3, a4 = _kernels.quartic_sums(instance._stacks, Y, D)
-    a1 = float(grad.ravel().dot(D.ravel()))
-    return QuarticPolynomial(float(at.f), a1, a2, a3, a4)
+    return float(f), float(grad.ravel().dot(D.ravel())), a2, a3, a4
 
 
 def _cbrt(x):
@@ -168,26 +182,36 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
     raises NumericalError.
     """
     coeffs = (p.a0, p.a1, p.a2, p.a3, p.a4)
-    if not all(math.isfinite(a) for a in coeffs):
-        raise NumericalError(f"non-finite step polynomial {coeffs}")
+    return StepResult(*_minimizer(*map(float, coeffs)))
+
+
+def _minimizer(a0, a1, a2, a3, a4):
+    """(t*, phi(t*)) of `minimize_quartic`, from its coefficients as floats.
+
+    The coefficients are finite if their sum is, so they are scanned one by
+    one only when it is not (the sum overflowing is not a fault).
+    """
+    if not math.isfinite(a0 + a1 + a2 + a3 + a4) and not all(
+        math.isfinite(a) for a in (a0, a1, a2, a3, a4)
+    ):
+        raise NumericalError(f"non-finite step polynomial {(a0, a1, a2, a3, a4)}")
     try:
-        crit = cubic_real_roots(*p.derivative_coeffs())
+        crit = cubic_real_roots(4.0 * a4, 3.0 * a3, 2.0 * a2, a1)
     except ValueError as exc:
         raise DegenerateDirectionError(f"no step along the direction: {exc}") from None
     best_t = None
     best_v = math.inf
     for t in crit:  # ascending, so strict improvement keeps the smallest tie
         if t > 0.0:
-            v = p(t)
+            v = (((a4 * t + a3) * t + a2) * t + a1) * t + a0  # phi(t)
             if v < best_v:
                 best_t = t
                 best_v = v
-    if best_t is None or best_v > p.a0 or (p.a1 >= 0.0 and best_v == p.a0):
+    if best_t is None or best_v > a0 or (a1 >= 0.0 and best_v == a0):
         raise DegenerateDirectionError(
-            "no positive critical point improves on the zero step"
-            f" (a1={p.a1:g})"
+            f"no positive critical point improves on the zero step (a1={a1:g})"
         )
-    return StepResult(t_star=best_t, phi_at_t=best_v)
+    return best_t, best_v
 
 
 def exact_step(
@@ -195,17 +219,20 @@ def exact_step(
 ) -> StepResult:
     """Exact line search along D: the positive t minimizing objective(Y + tD).
 
-    at is the `Evaluation` at Y, which gives phi(0) and phi'(0).  The
-    polynomial is set up for the unit-norm direction D/||D||_F and the
-    minimizing step is mapped back afterwards.  The coefficient of t^j
-    scales as ||D||^j, so the normalization makes "the monic form of phi'
-    is finite" a property of the direction, not of its length.  A zero or
-    non-finite D raises DegenerateDirectionError.
+    at is the `Evaluation` at Y, which gives phi(0) and phi'(0).  Y, D and
+    at.grad are each checked once, here (`_as_factor`, ValueError), and
+    nothing below checks them again.  The polynomial is set up for the
+    unit-norm direction D/||D||_F (`_coefficients`, as `quartic_coeffs`) and
+    minimized as `minimize_quartic` does, and the minimizing step is mapped
+    back afterwards.  The coefficient of t^j scales as ||D||^j, so the
+    normalization makes "the monic form of phi' is finite" a property of
+    the direction, not of its length.  A zero or non-finite D raises
+    DegenerateDirectionError.
     """
-    D = _as_factor(instance, D, name="D")
+    Y, D, grad = _factors(instance, Y, D, at)
     flat = D.ravel()
     nrm = math.sqrt(flat.dot(flat))  # bitwise np.linalg.norm(D)
     if nrm == 0.0 or not math.isfinite(nrm):
         raise DegenerateDirectionError("zero or non-finite direction")
-    found = minimize_quartic(quartic_coeffs(instance, Y, D / nrm, at))
-    return StepResult(t_star=found.t_star / nrm, phi_at_t=found.phi_at_t)
+    t, v = _minimizer(*_coefficients(instance, Y, D / nrm, at.f, grad))
+    return StepResult(t_star=t / nrm, phi_at_t=v)

@@ -18,6 +18,9 @@ owns their grouping and every sum over pairs in an evaluation or a line
 search, each a BLAS product over the pairs in pair order (the gradient over
 every working row of the one array of working B rows), so results are
 reproducible and do not depend on how the pairs are stacked.
+A factor Y is checked where it enters the library (`_as_factor`, by
+`evaluate` and the line search), and the iteration evaluates the iterates it
+forms itself without checking them again (`_evaluation`).
 The stacks hold the working pairs, each pair with m_i > n reduced to an
 n x n pair, with the constants c_i and the matrix P that the kernels read
 (`_kernels.working_stacks`), so no iteration forms an array larger than
@@ -220,12 +223,20 @@ class Evaluation:
 def evaluate(instance: ProblemInstance, Y: FactorMatrix) -> Evaluation:
     """The objective, relative residual, gradient and ||gradient||_F^2 at Y.
 
-    Y must be n x k (ValueError).  When every A_i is zero the residual has
-    no denominator and the absolute sum of residual norms is reported.  gg
-    is the dot product of vec grad with itself, so sqrt(gg) is bitwise
-    np.linalg.norm(grad).
+    Y is checked here, once (`_as_factor`: ValueError unless it is a real
+    n x k matrix), and the evaluation is `_evaluation` at the checked Y.
+    When every A_i is zero the residual has no denominator and the absolute
+    sum of residual norms is reported.  gg is the dot product of vec grad
+    with itself, so sqrt(gg) is bitwise np.linalg.norm(grad).
     """
-    Y = _as_factor(instance, Y)
+    return _evaluation(instance, _as_factor(instance, Y))
+
+
+def _evaluation(instance: ProblemInstance, Y: FactorMatrix) -> Evaluation:
+    """`evaluate` at a Y that is already an n x k float64 C-contiguous ndarray.
+
+    Y is not checked: the iteration calls this on the iterates it forms.
+    """
     f, num, grad = _kernels.evaluate(instance._stacks, Y)
     denom = instance._norm_sum
     flat = grad.ravel()

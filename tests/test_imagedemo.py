@@ -357,3 +357,25 @@ def test_image_demo_checks_its_stopping_rule_before_touching_the_disk(tmp_path):
     with pytest.raises(ValueError, match="max_iterations"):
         image_demo(img_path, m=2, k=None, seed=0, output_dir=out, max_iterations=0)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "m, seed, message",
+    [
+        (0, 0, "need at least one observation"),
+        (2.5, 0, "m=2.5 is not an integer"),
+        (2, -1, "seed=-1 is not an integer of at least 0"),
+    ],
+    ids=["m=0", "m=2.5", "seed=-1"],
+)
+def test_image_demo_checks_m_and_seed_before_touching_the_disk(tmp_path, m, seed, message):
+    # refused with observation_instance's own message, and before output_dir
+    # is made
+    img_path = tmp_path / "in.pgm"
+    write_pgm(img_path, make_test_image(4, seed=11))
+    out = tmp_path / "new"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        image_demo(img_path, m=m, k=None, seed=seed, output_dir=out)
+    assert not out.exists()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        observation_instance(image_to_truth(make_test_image(4, seed=11)), m, 2, seed)

@@ -309,6 +309,11 @@ def test_factor_inputs_convert_as_before():
                 linesearch.exact_step(inst, Y, bad, evaluate(inst, Y))
             with pytest.raises(ValueError, match="D " + message):
                 linesearch.quartic_coeffs(inst, Y, bad, evaluate(inst, Y))
+            # the line search checks its Y itself, where it enters
+            with pytest.raises(ValueError, match="Y " + message):
+                linesearch.exact_step(inst, bad, D, evaluate(inst, Y))
+            with pytest.raises(ValueError, match="Y " + message):
+                linesearch.quartic_coeffs(inst, bad, D, evaluate(inst, Y))
 
 
 def test_factor_inputs_that_are_not_real_are_refused():
@@ -328,6 +333,8 @@ def test_factor_inputs_that_are_not_real_are_refused():
             ("Y", lambda: objective(inst, bad)),
             ("D", lambda: linesearch.exact_step(inst, Y, bad, at)),
             ("D", lambda: linesearch.quartic_coeffs(inst, Y, bad, at)),
+            ("Y", lambda: linesearch.exact_step(inst, bad, -at.grad, at)),
+            ("Y", lambda: linesearch.quartic_coeffs(inst, bad, -at.grad, at)),
             ("Y", lambda: assemble_X(bad)),
         ]
         for name, call in calls:

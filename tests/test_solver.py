@@ -20,7 +20,7 @@ from psdfit import (
     solve,
 )
 from psdfit.linesearch import DegenerateDirectionError, exact_step
-from psdfit import linesearch
+from psdfit import _kernels, linesearch
 from psdfit.io import read_solution, write_solution
 from psdfit.problem import evaluate
 from psdfit.solver import RESTART_PERIOD, Trace, step
@@ -524,3 +524,69 @@ def test_solver_result_termination_values():
     assert TerminationReason.MAX_ITERATIONS.value == "max-iterations"
     assert TerminationReason.DEGENERATE_DIRECTION.value == "degenerate-direction"
     assert isinstance(solve(golden.instance(2), golden.Y0_RANK2), SolverResult)
+
+
+def reference_solve(inst, Y0, config):
+    """`solve`'s trace columns and Y_final, from the public functions alone.
+
+    Each iterate and direction goes through the public, checking
+    `evaluate` and `exact_step`; beta is the Fletcher-Reeves ratio, reset
+    to 0 on each multiple of RESTART_PERIOD and when the mixed direction
+    fails the descent test, and a failed search along a mixed direction is
+    retried once along -grad.
+    """
+    Y = Y0
+    at = evaluate(inst, Y)
+    rows = [(at.f, math.sqrt(at.gg), at.residual, 0.0, 0.0)]
+    D = -at.grad
+    for index in range(1, config.max_iterations + 1):
+        if rows[-1][1] < config.epsilon:
+            break
+        try:
+            found = exact_step(inst, Y, D, at)
+        except DegenerateDirectionError:
+            if np.array_equal(D, -at.grad):
+                break
+            D = -at.grad
+            try:
+                found = exact_step(inst, Y, D, at)
+            except DegenerateDirectionError:
+                break
+        Y = Y + found.t_star * D
+        at_next = evaluate(inst, Y)
+        beta = at_next.gg / at.gg if at.gg else 0.0
+        D = beta * D - at_next.grad
+        if index % RESTART_PERIOD == 0 or at_next.grad.ravel().dot(D.ravel()) >= 0.0:
+            beta = 0.0
+            D = -at_next.grad
+        at = at_next
+        rows.append((at.f, math.sqrt(at.gg), at.residual, found.t_star, beta))
+    return [np.array(column) for column in zip(*rows)], Y
+
+
+@pytest.mark.parametrize("case", ["one-stack", "runs-cross-stacks", "tall-pairs"])
+def test_solve_is_bitwise_the_public_functions(monkeypatch, case):
+    # solve evaluates the iterates it forms without checking them again; that
+    # path must give what the checking public functions give, bit for bit
+    if case == "one-stack":
+        inst = generate_instance(6, 2, m=3, seed=1)
+        assert len(inst._stacks) == 1
+    elif case == "runs-cross-stacks":
+        # stacks of 3, 3 and 2 pairs; Gram runs of 2 pairs, the second of
+        # which takes the last pair of stack 0 and the first of stack 1
+        inst = generate_instance(6, 2, sizes=[3, 3, 3, 4, 4, 4, 5, 5], seed=2)
+        assert [len(A) for A, _, _ in inst._stacks] == [3, 3, 2]
+        monkeypatch.setattr(_kernels, "GRAM_ENTRIES", 2 * 4 * inst.k**2)
+    else:
+        # pairs 0 and 2 are taller than n and reduced, with c_i != 0
+        inst = generate_instance(4, 2, sizes=[7, 3, 6], seed=3)
+        assert [c.tolist() for _, _, c in inst._stacks][1] == [0.0]
+        assert all(c[0] > 0.0 for _, _, c in inst._stacks[::2])
+    Y0 = np.random.default_rng(0).random((inst.n, inst.k))
+    config = SolverConfig(epsilon=1e-12, max_iterations=RESTART_PERIOD + 20)
+    result = solve(inst, Y0, config)
+    columns, Y_final = reference_solve(inst, Y0, config)
+    assert result.iterations == len(columns[0]) - 1
+    for got, want in zip(result.trace.columns, columns, strict=True):
+        assert np.array(got).tobytes() == want.tobytes()
+    assert result.Y_final.tobytes() == Y_final.tobytes()
