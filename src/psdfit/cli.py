@@ -165,8 +165,8 @@ def _cmd_linecheck(args):
     fitted = interpolate_quartic(instance, Y, D)
     report = compare(
         "quartic coefficients",
-        np.array([poly.a0, poly.a1, poly.a2, poly.a3, poly.a4]),
-        np.array([fitted.a0, fitted.a1, fitted.a2, fitted.a3, fitted.a4]),
+        np.array(poly),
+        np.array(fitted),
         tolerance=args.tol,
     )
     print(report)

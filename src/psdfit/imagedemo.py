@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, _as_float, _is_integer
+from .problem import ProblemInstance, _as_float, _check_seed, _is_integer
 from .solver import SolverConfig, SolverResult, solve
 from .io import format_float, write_lines, write_matrix, write_trace
 
@@ -139,7 +139,8 @@ def image_to_truth(image) -> np.ndarray:
 
 
 def _check_draw(m, seed):
-    """ValueError unless m is an integer of at least 1 and seed one of at least 0.
+    """ValueError unless m is an integer of at least 1 and seed one of at least 0
+    (`_check_seed`).
 
     A bool is neither (`_is_integer`).
     """
@@ -147,8 +148,7 @@ def _check_draw(m, seed):
         raise ValueError(f"m={m!r} is not an integer")
     if m < 1:
         raise ValueError("need at least one observation")
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed={seed!r} is not an integer of at least 0")
+    _check_seed(seed)
 
 
 def observation_instance(X_true, m: int, k: int, seed: int):
@@ -228,12 +228,16 @@ def image_demo(
 
     Writes restored_X.txt (full precision), restored.pgm (rescaled view),
     trace.csv, and report.txt; returns the in-memory report.  output_dir is
-    created after the stopping rule, m and seed are checked (ValueError, as
-    `observation_instance` checks m and seed) and before the image is read,
-    so a path that cannot be a directory fails (OSError) before the fit.
+    created after the stopping rule, m, seed and k are checked (ValueError,
+    as `observation_instance` checks m and seed; k must be None or an
+    integer of at least 1) and before the image is read, so a path that
+    cannot be a directory fails (OSError) before the fit.  A k above the
+    image's side is refused once the image is read (ValidationError).
     """
     config = SolverConfig(epsilon=tol, max_iterations=max_iterations)
     _check_draw(m, seed)
+    if k is not None and not (_is_integer(k) and k >= 1):
+        raise ValueError(f"k={k!r} is not an integer of at least 1")
     os.makedirs(output_dir, exist_ok=True)
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)

@@ -35,7 +35,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .problem import ProblemInstance, _as_float, _is_integer
+from .problem import ProblemInstance, _as_float, _check_seed, _is_integer
 from .solver import IterationRecord, SolverResult, TerminationReason
 
 
@@ -375,7 +375,8 @@ def generate_instance(
     "consistent" mode the B_i are drawn, then a hidden factor Z (n x k), and
     A_i = B_i Z Z^T B_i^T, so the optimal objective value is exactly zero.
     Z is not the first draw, which is `solve`'s default start for the same
-    seed.  Identical seeds give identical instances.
+    seed.  Identical seeds give identical instances; a seed that is not an
+    integer of at least 0 (None, True, -1, 2.5) is a ValueError (`_check_seed`).
     """
     for name, value in (("n", n), ("k", k), ("m", m)):
         if value is not None and not _is_integer(value):
@@ -396,6 +397,7 @@ def generate_instance(
         raise ValueError("dimensions must be positive")  # ProblemInstance checks k <= n
     if mode not in ("random", "consistent"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     pairs = []
     if mode == "consistent":

@@ -11,14 +11,13 @@ n x n matrix P = Sum B_i^T A_i B_i, which gives Sum <A_i B_i D, B_i D> as
 line search and keep it (`_kernels.Stacks`), so no line search reads an A_i.
 A pair taller than n enters as its n x n working pair, so every product
 here has at most n rows.  The step found is never uphill: a minimizer above
-phi(0) is no step.  `quartic_coeffs` and `exact_step` each check Y, D and
-the gradient once, where they enter, and build the polynomial alike
-(`_coefficients`); `exact_step` minimizes it as `minimize_quartic` does
-(`_minimizer`), with no `QuarticPolynomial` in between.
+phi(0) is no step.  There is one path: `exact_step` is
+`minimize_quartic(quartic_coeffs(...))` along D/||D||_F, and
+`quartic_coeffs` checks Y, D and the gradient once, where they enter.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .problem import Evaluation, FactorMatrix, NumericalError, ProblemInstance, _as_factor
@@ -28,8 +27,7 @@ class DegenerateDirectionError(ValueError):
     """The line search has no step along D (see `minimize_quartic`)."""
 
 
-@dataclass(frozen=True)
-class QuarticPolynomial:
+class QuarticPolynomial(NamedTuple):
     """phi(t) = a4 t^4 + a3 t^3 + a2 t^2 + a1 t + a0.
 
     a4 and a0 are sums of squared Frobenius norms, hence nonnegative;
@@ -46,13 +44,8 @@ class QuarticPolynomial:
     def __call__(self, t):
         return (((self.a4 * t + self.a3) * t + self.a2) * t + self.a1) * t + self.a0
 
-    def derivative_coeffs(self):
-        """Coefficients (c3, c2, c1, c0) of phi'(t)."""
-        return 4.0 * self.a4, 3.0 * self.a3, 2.0 * self.a2, self.a1
 
-
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     t_star: float
     phi_at_t: float
 
@@ -67,26 +60,14 @@ def quartic_coeffs(
     4 x 4 Gram sum over pairs of `_kernels.quartic_terms`, the k x k Gram
     blocks a, b, b^T and c of B_i Y and B_i D, less
     2 <D, P D> from a2 (`_kernels.quartic_sums`).  Y, D and at.grad are
-    each checked once (`_as_factor`, ValueError), and the coefficients are
-    those `exact_step` builds (`_coefficients`).
+    each checked once, here (`_as_factor`, ValueError), and nothing below
+    checks them again.
     """
-    Y, D, grad = _factors(instance, Y, D, at)
-    return QuarticPolynomial(*_coefficients(instance, Y, D, at.f, grad))
-
-
-def _factors(instance, Y, D, at):
-    """Y, D and at.grad as n x k float64 C-contiguous arrays (`_as_factor`)."""
-    return (
-        _as_factor(instance, Y),
-        _as_factor(instance, D, name="D"),
-        _as_factor(instance, at.grad, name="grad"),
-    )
-
-
-def _coefficients(instance, Y, D, f, grad):
-    """(a0, a1, a2, a3, a4) of phi along D, from checked Y, D and grad."""
+    Y = _as_factor(instance, Y)
+    D = _as_factor(instance, D, name="D")
+    grad = _as_factor(instance, at.grad, name="grad")
     a2, a3, a4 = _kernels.quartic_sums(instance._stacks, Y, D)
-    return float(f), float(grad.ravel().dot(D.ravel())), a2, a3, a4
+    return QuarticPolynomial(float(at.f), float(grad.ravel().dot(D.ravel())), a2, a3, a4)
 
 
 def _cbrt(x):
@@ -181,20 +162,12 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
     smallest step.  A non-finite coefficient (the kernels overflowed)
     raises NumericalError.
     """
-    coeffs = (p.a0, p.a1, p.a2, p.a3, p.a4)
-    return StepResult(*_minimizer(*map(float, coeffs)))
-
-
-def _minimizer(a0, a1, a2, a3, a4):
-    """(t*, phi(t*)) of `minimize_quartic`, from its coefficients as floats.
-
-    The coefficients are finite if their sum is, so they are scanned one by
-    one only when it is not (the sum overflowing is not a fault).
-    """
-    if not math.isfinite(a0 + a1 + a2 + a3 + a4) and not all(
-        math.isfinite(a) for a in (a0, a1, a2, a3, a4)
-    ):
-        raise NumericalError(f"non-finite step polynomial {(a0, a1, a2, a3, a4)}")
+    a0, a1, a2, a3, a4 = map(float, p)
+    coeffs = (a0, a1, a2, a3, a4)
+    # the coefficients are finite if their sum is, so they are scanned one
+    # by one only when it is not (the sum overflowing is not a fault)
+    if not (math.isfinite(sum(coeffs)) or all(map(math.isfinite, coeffs))):
+        raise NumericalError(f"non-finite step polynomial {coeffs}")
     try:
         crit = cubic_real_roots(4.0 * a4, 3.0 * a3, 2.0 * a2, a1)
     except ValueError as exc:
@@ -211,7 +184,7 @@ def _minimizer(a0, a1, a2, a3, a4):
         raise DegenerateDirectionError(
             f"no positive critical point improves on the zero step (a1={a1:g})"
         )
-    return best_t, best_v
+    return StepResult(best_t, best_v)
 
 
 def exact_step(
@@ -219,20 +192,19 @@ def exact_step(
 ) -> StepResult:
     """Exact line search along D: the positive t minimizing objective(Y + tD).
 
-    at is the `Evaluation` at Y, which gives phi(0) and phi'(0).  Y, D and
-    at.grad are each checked once, here (`_as_factor`, ValueError), and
-    nothing below checks them again.  The polynomial is set up for the
-    unit-norm direction D/||D||_F (`_coefficients`, as `quartic_coeffs`) and
-    minimized as `minimize_quartic` does, and the minimizing step is mapped
-    back afterwards.  The coefficient of t^j scales as ||D||^j, so the
-    normalization makes "the monic form of phi' is finite" a property of
-    the direction, not of its length.  A zero or non-finite D raises
-    DegenerateDirectionError.
+    at is the `Evaluation` at Y, which gives phi(0) and phi'(0).  D is
+    checked (`_as_factor`, ValueError) and a zero or non-finite D raises
+    DegenerateDirectionError; the step is then
+    `minimize_quartic(quartic_coeffs(instance, Y, D / ||D||_F, at))`, which
+    checks Y and at.grad, with t* divided by ||D||_F and phi(t*) as found.
+    The coefficient of t^j scales as ||D||^j, so the normalization makes
+    "the monic form of phi' is finite" a property of the direction, not of
+    its length.
     """
-    Y, D, grad = _factors(instance, Y, D, at)
+    D = _as_factor(instance, D, name="D")
     flat = D.ravel()
     nrm = math.sqrt(flat.dot(flat))  # bitwise np.linalg.norm(D)
     if nrm == 0.0 or not math.isfinite(nrm):
         raise DegenerateDirectionError("zero or non-finite direction")
-    t, v = _minimizer(*_coefficients(instance, Y, D / nrm, at.f, grad))
-    return StepResult(t_star=t / nrm, phi_at_t=v)
+    t, v = minimize_quartic(quartic_coeffs(instance, Y, D / nrm, at))
+    return StepResult(t / nrm, v)

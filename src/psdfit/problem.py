@@ -130,6 +130,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_seed(seed):
+    """ValueError unless seed is an integer of at least 0 (`_is_integer`).
+
+    None is refused too: a generator seeded with it draws fresh entropy, so
+    two identical calls would not give the same draw.
+    """
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed={seed!r} is not an integer of at least 0")
+
+
 def _checked(pairs, n, k):
     """(pairs cast by `_as_real`, Sum ||A_i||_F in pair order, every violation).
 

@@ -29,6 +29,7 @@ from .problem import (
     NumericalError,
     ProblemInstance,
     _as_factor,
+    _check_seed,
     _evaluation,
     _is_integer,
     assemble_X,
@@ -202,7 +203,9 @@ def solve(
     iteration limit is reached, or `step` finds no step even along -grad (a
     degenerate direction); a non-finite objective, gradient or step
     polynomial raises NumericalError naming the iteration.  When Y0 is None
-    the start point is drawn uniformly from [0, 1) using the given seed; a
+    the start point is drawn uniformly from [0, 1) using the given seed,
+    which is an integer of at least 0 whether or not Y0 is given
+    (`_check_seed`, ValueError: None would draw a different start each call); a
     Y0 of the wrong shape, with a NaN or infinity, or of column rank below k
     is a ValueError.  The gradient -2 sum_i B_i^T (R_i + R_i^T) B_i Y is a
     matrix times Y, so every iterate would keep a rank-deficient Y0's right
@@ -216,6 +219,7 @@ def solve(
     resolution, f can rise by a few ulps.  Identical inputs produce
     identical traces.
     """
+    _check_seed(seed)
     if config is None:
         config = SolverConfig()
 

@@ -5,6 +5,9 @@ import io
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import psdfit
 import psdfit.cli
 import psdfit.imagedemo
@@ -38,3 +41,27 @@ def test_readme_first_example_runs():
     reason = namespace["result"].termination_reason
     assert reason is psdfit.TerminationReason.GRADIENT_TOLERANCE
     assert out.getvalue().splitlines()[0] == "TerminationReason.GRADIENT_TOLERANCE"
+
+
+INSTANCE = psdfit.generate_instance(4, 1, m=2, seed=0)
+# each entry point's calls with a given seed; solve's with and without a Y0
+SEEDED = {
+    "solve": (
+        lambda seed: psdfit.solve(INSTANCE, seed=seed),
+        lambda seed: psdfit.solve(INSTANCE, np.ones((4, 1)), seed=seed),
+    ),
+    "generate_instance": (lambda seed: psdfit.generate_instance(4, 1, m=2, seed=seed),),
+    "observation_instance": (
+        lambda seed: psdfit.observation_instance(np.eye(4), 2, 1, seed),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 2.5])
+@pytest.mark.parametrize("entry", list(SEEDED))
+def test_every_seed_is_an_integer_of_at_least_0(entry, seed):
+    # None would draw OS entropy, so two identical calls would differ
+    message = f"^seed={re.escape(repr(seed))} is not an integer of at least 0$"
+    for call in SEEDED[entry]:
+        with pytest.raises(ValueError, match=message):
+            call(seed)

@@ -360,22 +360,27 @@ def test_image_demo_checks_its_stopping_rule_before_touching_the_disk(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "m, seed, message",
+    "m, k, seed, message",
     [
-        (0, 0, "need at least one observation"),
-        (2.5, 0, "m=2.5 is not an integer"),
-        (2, -1, "seed=-1 is not an integer of at least 0"),
+        (0, None, 0, "need at least one observation"),
+        (2.5, None, 0, "m=2.5 is not an integer"),
+        (2, None, -1, "seed=-1 is not an integer of at least 0"),
+        (2, 0, 0, "k=0 is not an integer of at least 1"),
+        (2, 2.5, 0, "k=2.5 is not an integer of at least 1"),
+        (2, True, 0, "k=True is not an integer of at least 1"),
+        (2, -3, 0, "k=-3 is not an integer of at least 1"),
     ],
-    ids=["m=0", "m=2.5", "seed=-1"],
+    ids=["m=0", "m=2.5", "seed=-1", "k=0", "k=2.5", "k=True", "k=-3"],
 )
-def test_image_demo_checks_m_and_seed_before_touching_the_disk(tmp_path, m, seed, message):
-    # refused with observation_instance's own message, and before output_dir
-    # is made
+def test_image_demo_checks_m_and_seed_before_touching_the_disk(tmp_path, m, k, seed, message):
+    # refused before output_dir is made; m and seed with observation_instance's
+    # own message (k <= n needs the image, so ProblemInstance checks that)
     img_path = tmp_path / "in.pgm"
     write_pgm(img_path, make_test_image(4, seed=11))
     out = tmp_path / "new"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        image_demo(img_path, m=m, k=None, seed=seed, output_dir=out)
+        image_demo(img_path, m=m, k=k, seed=seed, output_dir=out)
     assert not out.exists()
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        observation_instance(image_to_truth(make_test_image(4, seed=11)), m, 2, seed)
+    if k is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            observation_instance(image_to_truth(make_test_image(4, seed=11)), m, 2, seed)

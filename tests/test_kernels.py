@@ -428,10 +428,10 @@ def test_one_kernel_call_per_stack(monkeypatch):
     assert result.iterations == 4
     calls = "".join(log)
     # every evaluation and every line search makes one kernel call per stack,
-    # and each iteration makes one public line search, `exact_step`, and one
-    # evaluation of the iterate it formed, `_evaluation` (E), which is not
-    # checked again; `quartic_coeffs` (Q) is not called in the loop
-    one = f"Sq{{{stacks}}}Er{{{stacks}}}"
+    # and each iteration makes one public line search, `exact_step` (S), which
+    # builds its polynomial with one `quartic_coeffs` (Q), and one evaluation
+    # of the iterate it formed, `_evaluation` (E), which is not checked again
+    one = f"SQq{{{stacks}}}Er{{{stacks}}}"
     assert re.fullmatch(f"Er{{{stacks}}}({one}){{4}}", calls), calls
     # with the iterate and the direction that the previous iteration left
     # as its 2nd and 3rd positional arguments, which is how a probe reads them

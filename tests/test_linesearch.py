@@ -197,7 +197,7 @@ def test_minimize_even_quartic():
     # phi(t) = t^4 - 2 t^2 + 5: critical points -1, 0, 1
     p = QuarticPolynomial(a0=5.0, a1=0.0, a2=-2.0, a3=0.0, a4=1.0)
     step = minimize_quartic(p)
-    roots = cubic_real_roots(*p.derivative_coeffs())
+    roots = cubic_real_roots(4.0 * p.a4, 3.0 * p.a3, 2.0 * p.a2, p.a1)
     assert np.allclose(roots, [-1.0, 0.0, 1.0], atol=1e-12)
     assert step.t_star == pytest.approx(1.0)
     assert step.phi_at_t == pytest.approx(4.0)
@@ -234,7 +234,7 @@ def test_minimize_tie_breaks_to_smallest_step():
     # phi(t) = (t-1)^2 (t-3)^2: equal minima at t = 1 and t = 3
     p = QuarticPolynomial(a0=9.0, a1=-24.0, a2=22.0, a3=-8.0, a4=1.0)
     step = minimize_quartic(p)
-    roots = cubic_real_roots(*p.derivative_coeffs())
+    roots = cubic_real_roots(4.0 * p.a4, 3.0 * p.a3, 2.0 * p.a2, p.a1)
     assert np.allclose(roots, [1.0, 2.0, 3.0], atol=1e-9)
     assert step.t_star == pytest.approx(1.0)
     assert step.phi_at_t == pytest.approx(0.0, abs=1e-12)

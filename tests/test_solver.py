@@ -564,10 +564,11 @@ def reference_solve(inst, Y0, config):
     return [np.array(column) for column in zip(*rows)], Y
 
 
-@pytest.mark.parametrize("case", ["one-stack", "runs-cross-stacks", "tall-pairs"])
-def test_solve_is_bitwise_the_public_functions(monkeypatch, case):
-    # solve evaluates the iterates it forms without checking them again; that
-    # path must give what the checking public functions give, bit for bit
+BITWISE_CASES = ["one-stack", "runs-cross-stacks", "tall-pairs"]
+
+
+def bitwise_case(monkeypatch, case):
+    """The instance of one of BITWISE_CASES, with the Gram budget it needs."""
     if case == "one-stack":
         inst = generate_instance(6, 2, m=3, seed=1)
         assert len(inst._stacks) == 1
@@ -582,6 +583,14 @@ def test_solve_is_bitwise_the_public_functions(monkeypatch, case):
         inst = generate_instance(4, 2, sizes=[7, 3, 6], seed=3)
         assert [c.tolist() for _, _, c in inst._stacks][1] == [0.0]
         assert all(c[0] > 0.0 for _, _, c in inst._stacks[::2])
+    return inst
+
+
+@pytest.mark.parametrize("case", BITWISE_CASES)
+def test_solve_is_bitwise_the_public_functions(monkeypatch, case):
+    # solve evaluates the iterates it forms without checking them again; that
+    # path must give what the checking public functions give, bit for bit
+    inst = bitwise_case(monkeypatch, case)
     Y0 = np.random.default_rng(0).random((inst.n, inst.k))
     config = SolverConfig(epsilon=1e-12, max_iterations=RESTART_PERIOD + 20)
     result = solve(inst, Y0, config)
@@ -590,3 +599,19 @@ def test_solve_is_bitwise_the_public_functions(monkeypatch, case):
     for got, want in zip(result.trace.columns, columns, strict=True):
         assert np.array(got).tobytes() == want.tobytes()
     assert result.Y_final.tobytes() == Y_final.tobytes()
+
+
+@pytest.mark.parametrize("case", BITWISE_CASES)
+def test_exact_step_is_the_public_polynomial_minimized(monkeypatch, case):
+    # exact_step is minimize_quartic(quartic_coeffs(...)) along D/||D||_F,
+    # with t* mapped back to D's length and phi(t*) as found, bit for bit
+    inst = bitwise_case(monkeypatch, case)
+    rng = np.random.default_rng(5)
+    Y = rng.random((inst.n, inst.k))
+    at = evaluate(inst, Y)
+    for D in (-3.7 * at.grad, rng.random(Y.shape) - 0.5 - 2.0 * at.grad):
+        nrm = np.linalg.norm(D)
+        assert nrm != 1.0
+        unit = linesearch.minimize_quartic(linesearch.quartic_coeffs(inst, Y, D / nrm, at))
+        want = (unit.t_star / nrm, unit.phi_at_t)
+        assert [x.hex() for x in exact_step(inst, Y, D, at)] == [x.hex() for x in want]
