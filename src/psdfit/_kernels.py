@@ -219,13 +219,9 @@ def evaluate(stacks, Y):
 def _in_order_sum(total, terms):
     """total + terms[0] + terms[1] + ..., added left to right; terms is overwritten.
 
-    `sum(axis=0)` would sum 1-entry terms pairwise, so those take a scan.
+    A scan: `sum(axis=0)` would sum 1-entry terms pairwise.
     """
     terms[0] += total
-    if len(terms) == 1:
-        return terms[0]
-    if terms[0].size > 1:
-        return terms.sum(axis=0)
     return np.add.accumulate(terms, out=terms)[-1]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemInstance, _as_float, _check_seed, _is_integer
+from .problem import ProblemInstance, _as_float, _check_integer
 from .solver import SolverConfig, SolverResult, solve
 from .io import format_float, write_lines, write_matrix, write_trace
 
@@ -138,19 +138,6 @@ def image_to_truth(image) -> np.ndarray:
     return S / nrm
 
 
-def _check_draw(m, seed):
-    """ValueError unless m is an integer of at least 1 and seed one of at least 0
-    (`_check_seed`).
-
-    A bool is neither (`_is_integer`).
-    """
-    if not _is_integer(m):
-        raise ValueError(f"m={m!r} is not an integer")
-    if m < 1:
-        raise ValueError("need at least one observation")
-    _check_seed(seed)
-
-
 def observation_instance(X_true, m: int, k: int, seed: int):
     """Build the m-pair instance (A_i = B_i X_true B_i^T) plus a start Y0.
 
@@ -158,14 +145,15 @@ def observation_instance(X_true, m: int, k: int, seed: int):
     [-0.05, 0.05); Y0 is drawn from the same generator so one seed fixes
     the whole demo.  An X_true that is not a real (`_as_float`) square
     matrix, an m that is not an integer of at least 1 or a seed that is not
-    an integer of at least 0 (`_check_draw`) is a ValueError; a k outside
+    an integer of at least 0 (`_check_integer`) is a ValueError; a k outside
     [1, n] is a ValidationError.
     """
     X_true = _as_float(X_true, "X_true")
     if X_true.ndim != 2 or X_true.shape[0] != X_true.shape[1]:
         raise ValueError(f"X_true must be a square matrix, got shape {X_true.shape}")
     n = X_true.shape[0]
-    _check_draw(m, seed)
+    _check_integer("m", m, 1)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     mi = max(1, int(np.ceil(_SUBSAMPLE_FRACTION * n)))
     pairs = []
@@ -228,16 +216,17 @@ def image_demo(
 
     Writes restored_X.txt (full precision), restored.pgm (rescaled view),
     trace.csv, and report.txt; returns the in-memory report.  output_dir is
-    created after the stopping rule, m, seed and k are checked (ValueError,
-    as `observation_instance` checks m and seed; k must be None or an
-    integer of at least 1) and before the image is read, so a path that
-    cannot be a directory fails (OSError) before the fit.  A k above the
-    image's side is refused once the image is read (ValidationError).
+    created after the stopping rule, m (at least 1), seed (at least 0) and k
+    (None or at least 1) are checked (`_check_integer`, ValueError) and
+    before the image is read, so a path that cannot be a directory fails
+    (OSError) before the fit.  A k above the image's side is refused once
+    the image is read (ValidationError).
     """
     config = SolverConfig(epsilon=tol, max_iterations=max_iterations)
-    _check_draw(m, seed)
-    if k is not None and not (_is_integer(k) and k >= 1):
-        raise ValueError(f"k={k!r} is not an integer of at least 1")
+    _check_integer("m", m, 1)
+    _check_integer("seed", seed, 0)
+    if k is not None:
+        _check_integer("k", k, 1)
     os.makedirs(output_dir, exist_ok=True)
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)

@@ -35,7 +35,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .problem import ProblemInstance, _as_float, _check_seed, _is_integer
+from .problem import ProblemInstance, _as_float, _check_integer
 from .solver import IterationRecord, SolverResult, TerminationReason
 
 
@@ -375,29 +375,25 @@ def generate_instance(
     "consistent" mode the B_i are drawn, then a hidden factor Z (n x k), and
     A_i = B_i Z Z^T B_i^T, so the optimal objective value is exactly zero.
     Z is not the first draw, which is `solve`'s default start for the same
-    seed.  Identical seeds give identical instances; a seed that is not an
-    integer of at least 0 (None, True, -1, 2.5) is a ValueError (`_check_seed`).
+    seed.  Identical seeds give identical instances.  n, k, m (given, or
+    the number of sizes) and each size are integers of at least 1, and the
+    seed one of at least 0 (`_check_integer`: None, True, -1 or 2.5 is a
+    ValueError); ProblemInstance checks k <= n.
     """
+    if m is None and sizes is None:
+        raise ValueError("provide sizes or m")
+    sizes = None if sizes is None else list(sizes)
+    m = len(sizes) if m is None else m
     for name, value in (("n", n), ("k", k), ("m", m)):
-        if value is not None and not _is_integer(value):
-            raise ValueError(f"{name}={value!r} is not an integer")
-    if sizes is None:
-        if m is None:
-            raise ValueError("provide sizes or m")
-        sizes = [n] * m
-    sizes = list(sizes)
-    if not all(_is_integer(s) for s in sizes):
-        raise ValueError(f"sizes={sizes!r} are not all integers")
-    sizes = list(map(int, sizes))
-    if m is None:
-        m = len(sizes)
+        _check_integer(name, value, 1)
+    sizes = [n] * m if sizes is None else sizes
+    for i, size in enumerate(sizes):
+        _check_integer(f"sizes[{i}]", size, 1)
     if m != len(sizes):
         raise ValueError(f"m={m} disagrees with {len(sizes)} sizes")
-    if n < 1 or k < 1 or m < 1 or any(s < 1 for s in sizes):
-        raise ValueError("dimensions must be positive")  # ProblemInstance checks k <= n
     if mode not in ("random", "consistent"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_seed(seed)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pairs = []
     if mode == "consistent":

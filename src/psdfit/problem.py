@@ -130,14 +130,14 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_seed(seed):
-    """ValueError unless seed is an integer of at least 0 (`_is_integer`).
+def _check_integer(name, value, least):
+    """ValueError unless value is an integer (`_is_integer`) of at least least.
 
-    None is refused too: a generator seeded with it draws fresh entropy, so
-    two identical calls would not give the same draw.
+    A seed of None is refused too: a generator seeded with it draws fresh
+    entropy, so two identical calls would not give the same draw.
     """
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed={seed!r} is not an integer of at least 0")
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name}={value!r} is not an integer of at least {least}")
 
 
 def _checked(pairs, n, k):

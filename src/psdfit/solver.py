@@ -29,9 +29,8 @@ from .problem import (
     NumericalError,
     ProblemInstance,
     _as_factor,
-    _check_seed,
+    _check_integer,
     _evaluation,
-    _is_integer,
     assemble_X,
 )
 
@@ -52,7 +51,7 @@ class SolverConfig:
     """Stopping policy, checked when built (ValueError).
 
     epsilon is the gradient-norm stopping tolerance (a finite number > 0,
-    not a bool); max_iterations is an integer of at least 1, not a bool.
+    not a bool); max_iterations is an integer of at least 1 (`_check_integer`).
     """
 
     epsilon: float = 1e-4
@@ -63,9 +62,7 @@ class SolverConfig:
         real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
         if not (real and 0 < epsilon < math.inf):
             raise ValueError("epsilon must be a finite positive number")
-        max_iterations = self.max_iterations
-        if not (_is_integer(max_iterations) and max_iterations >= 1):
-            raise ValueError("max_iterations must be an integer of at least 1")
+        _check_integer("max_iterations", self.max_iterations, 1)
 
 
 @dataclass(slots=True)
@@ -205,7 +202,7 @@ def solve(
     polynomial raises NumericalError naming the iteration.  When Y0 is None
     the start point is drawn uniformly from [0, 1) using the given seed,
     which is an integer of at least 0 whether or not Y0 is given
-    (`_check_seed`, ValueError: None would draw a different start each call); a
+    (`_check_integer`, ValueError: None would draw a new start each call); a
     Y0 of the wrong shape, with a NaN or infinity, or of column rank below k
     is a ValueError.  The gradient -2 sum_i B_i^T (R_i + R_i^T) B_i Y is a
     matrix times Y, so every iterate would keep a rank-deficient Y0's right
@@ -219,7 +216,7 @@ def solve(
     resolution, f can rise by a few ulps.  Identical inputs produce
     identical traces.
     """
-    _check_seed(seed)
+    _check_integer("seed", seed, 0)
     if config is None:
         config = SolverConfig()
 

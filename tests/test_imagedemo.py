@@ -252,11 +252,12 @@ def test_observations_refuse_a_non_integer_m(tmp_path, m):
     # refused by name, as generate_instance does, not truncated or left to
     # fail with a TypeError inside the draw
     X = image_to_truth(make_test_image(4, seed=0))
-    with pytest.raises(ValueError, match=f"^m={m!r} is not an integer$"):
+    message = f"^m={re.escape(repr(m))} is not an integer of at least 1$"
+    with pytest.raises(ValueError, match=message):
         observation_instance(X, m, 2, 0)
     img_path = tmp_path / "in.pgm"
     write_pgm(img_path, make_test_image(4, seed=0))
-    with pytest.raises(ValueError, match=f"^m={m!r} is not an integer$"):
+    with pytest.raises(ValueError, match=message):
         image_demo(img_path, m=m, k=2, seed=0, output_dir=tmp_path / "x")
 
 
@@ -362,8 +363,8 @@ def test_image_demo_checks_its_stopping_rule_before_touching_the_disk(tmp_path):
 @pytest.mark.parametrize(
     "m, k, seed, message",
     [
-        (0, None, 0, "need at least one observation"),
-        (2.5, None, 0, "m=2.5 is not an integer"),
+        (0, None, 0, "m=0 is not an integer of at least 1"),
+        (2.5, None, 0, "m=2.5 is not an integer of at least 1"),
         (2, None, -1, "seed=-1 is not an integer of at least 0"),
         (2, 0, 0, "k=0 is not an integer of at least 1"),
         (2, 2.5, 0, "k=2.5 is not an integer of at least 1"),

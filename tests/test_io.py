@@ -689,8 +689,13 @@ def test_generate_argument_validation():
         generate_instance(3, 4, m=1)  # k > n
     with pytest.raises(ValueError):
         generate_instance(3, 1, sizes=[0])
+    # no sizes make m = 0, refused before any draw, as k = 0 is
+    with pytest.raises(ValueError, match="^m=0 is not an integer of at least 1$"):
+        generate_instance(3, 1, sizes=[])
+    with pytest.raises(ValueError, match="^k=0 is not an integer of at least 1$"):
+        generate_instance(3, 0, m=1)
     # non-integers are refused, not truncated or left to fail elsewhere
-    with pytest.raises(ValueError, match="sizes"):
+    with pytest.raises(ValueError, match=r"^sizes\[0\]=2\.7 is not an integer of at least 1$"):
         generate_instance(n=4, k=2, sizes=[2.7, 3.2])
     with pytest.raises(ValueError, match="m=2.0"):
         generate_instance(4, 2, m=2.0)

@@ -1,10 +1,13 @@
 import dataclasses
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import psdfit
 from psdfit import (
     IterationRecord,
     NumericalError,
@@ -406,26 +409,29 @@ def test_solve_trace_is_a_sequence_of_records():
 
 
 def test_solve_trace_costs_under_64_bytes_per_iteration():
-    # each iteration adds five float64 fields to the trace, not a record
-    inst = generate_instance(6, 2, m=3, seed=0)
+    # each iteration adds five float64 fields to the trace, not a record; the
+    # solves run in a fresh interpreter, as CPython's free lists, once filled
+    # by earlier tests, would hide a block added per iteration
+    script = """
+import tracemalloc
+from psdfit import SolverConfig, generate_instance, solve
 
-    def run(cap):
-        # an outer tracemalloc session (python -X tracemalloc) is left running
-        config = SolverConfig(epsilon=1e-300, max_iterations=cap)
-        outer = tracemalloc.is_tracing()
-        if not outer:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            result = solve(inst, config=config, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not outer:
-                tracemalloc.stop()
-        return result.iterations, peak - before
-
-    (short, short_peak), (long, long_peak) = run(200), run(2000)
+inst = generate_instance(6, 2, m=3, seed=0)
+tracemalloc.start()
+for cap in (200, 2000):
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    result = solve(inst, config=SolverConfig(epsilon=1e-300, max_iterations=cap), seed=1)
+    print(result.iterations, tracemalloc.get_traced_memory()[1] - before)
+"""
+    src = os.path.dirname(os.path.dirname(psdfit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    (short, short_peak), (long, long_peak) = (
+        map(int, line.split()) for line in run.stdout.splitlines()
+    )
     assert short == 200 and long > 400
     assert (long_peak - short_peak) / (long - short) < 64
 
