@@ -10,7 +10,7 @@ resulting unconstrained problem is minimized by nonlinear conjugate
 gradients with an exact (quartic-polynomial) line search.
 
 The package namespace holds the library API documented in the README: the
-problem, the objective, the solver, the problem file and the image demo's
+problem, its evaluation, the solver, the problem file and the image demo's
 entry points.  The rest stays in its module: the line search in
 :mod:`psdfit.linesearch`, independent numerical oracles for every
 analytic formula in :mod:`psdfit.oracle`, trace/solution/matrix files in
@@ -18,13 +18,12 @@ analytic formula in :mod:`psdfit.oracle`, trace/solution/matrix files in
 """
 
 from .problem import (
+    Evaluation,
     ProblemInstance,
     ValidationError,
     Violation,
     assemble_X,
-    gradient,
-    objective,
-    residual_error,
+    evaluate,
 )
 from .solver import (
     IterationRecord,
@@ -40,6 +39,7 @@ from .imagedemo import image_demo, image_to_truth, observation_instance, read_pg
 __version__ = "0.1.0"
 
 __all__ = [
+    "Evaluation",
     "IterationRecord",
     "NumericalError",
     "ParseError",
@@ -50,15 +50,13 @@ __all__ = [
     "ValidationError",
     "Violation",
     "assemble_X",
+    "evaluate",
     "generate_instance",
-    "gradient",
     "image_demo",
     "image_to_truth",
-    "objective",
     "observation_instance",
     "read_pgm",
     "read_problem",
-    "residual_error",
     "solve",
     "write_problem",
 ]

@@ -21,9 +21,8 @@ it as soon as it is made.  Both are rounded by the pairs, their order, k and
 GRAM_ENTRIES alone, and never by the stacks.
 f and Sum r_i are `_in_order_sum`s over the r_i^2 and the r_i, in pair order.
 Nothing here checks its arguments: the stacks come from a valid instance,
-and Y and D are n x k float64 C-contiguous arrays, checked where they enter
-the library (`problem.evaluate`, `linesearch.quartic_coeffs` and
-`linesearch.exact_step`) or formed by the iteration itself (`solver.step`).
+and Y and D are n x k float64 C-contiguous arrays, checked by the callers
+(`problem.evaluate`, `linesearch.quartic_coeffs` and `linesearch.exact_step`).
 
 The kernels run on the working pairs, which `working_stacks` makes once,
 after validation, pair by pair before it stacks them: a pair with m_i > n

@@ -24,7 +24,7 @@ from . import io as pio
 from .imagedemo import DEMO_MAX_ITERATIONS, DEMO_TOL, image_demo
 from .linesearch import quartic_coeffs
 from .oracle import compare, fd_gradient, interpolate_quartic
-from .problem import ProblemInstance, evaluate, gradient
+from .problem import ProblemInstance, evaluate
 from .solver import NumericalError, SolverConfig, solve
 
 
@@ -148,7 +148,7 @@ def _cmd_gradcheck(args):
     Y = np.random.default_rng(args.seed).random((instance.n, instance.k))
     report = compare(
         "gradient",
-        gradient(instance, Y),
+        evaluate(instance, Y).grad,
         fd_gradient(instance, Y),
         tolerance=args.tol,
     )

@@ -41,7 +41,9 @@ def read_pgm(path) -> np.ndarray:
 
     Header comments (``#`` to end of line) and arbitrary whitespace are
     accepted; maxval above 255 (16-bit rasters) is not, nor is a pixel above
-    maxval, which is reported at its 0-based row and column.
+    maxval, which is reported at its 0-based row and column.  A header field
+    that int refuses, or one in Python's digit groups such as 1_0 (which int
+    reads as 10), is reported at its line and token column.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -56,10 +58,16 @@ def read_pgm(path) -> np.ndarray:
         raise ImageFormatError("truncated header")
     if tokens[0][0] != b"P5":
         raise ImageFormatError(f"not a binary graymap (magic {tokens[0][0]!r})")
-    try:
-        width, height, maxval = (int(t[0]) for t in tokens[1:])
-    except ValueError:
-        raise ImageFormatError("non-numeric header field") from None
+    fields = []
+    for token in tokens[1:]:
+        try:
+            if b"_" in token[0]:  # int reads b"1_0" as 10
+                raise ValueError
+            fields.append(int(token[0]))
+        except ValueError:
+            where = _header_location(data, token.start())
+            raise ImageFormatError(f"non-numeric header field {token[0]!r}{where}") from None
+    width, height, maxval = fields
     if width < 1 or height < 1:
         raise ImageFormatError("bad image dimensions")
     if not 0 < maxval <= 255:
@@ -75,6 +83,15 @@ def read_pgm(path) -> np.ndarray:
             f"pixel {image[row, col]} at row {row}, column {col} exceeds maxval {maxval}"
         )
     return image
+
+
+def _header_location(data, start):
+    """" (line L, column C)" of the header token at byte start: lines end at
+    \n, \r or \r\n, and C counts the tokens on its line."""
+    head = data[:start]
+    line_start = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+    line = len(head[:line_start].splitlines()) + 1
+    return f" (line {line}, column {len(head[line_start:].split()) + 1})"
 
 
 def write_pgm(path, image):

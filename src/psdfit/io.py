@@ -19,15 +19,17 @@ per row and one line writer, so converting or formatting each number is
 the only per-number cost.
 
 Readers accept only what the writers produce.  A malformed or non-finite
-number, a non-integer count or trace index, a trace index out of sequence,
-m, m_i or n < 1, a count of rows the file does not hold, a negative
-iteration count, an unknown termination reason or a byte that is not ASCII
-is a ParseError naming its line (and, for a bad token, its column).  Each
+number (one in Python's digit groups, such as 1_0, too), a non-integer
+count or trace index, a trace index out of sequence, m, m_i or n < 1, a
+count of rows the file does not hold, a negative iteration count, an
+unknown termination reason or a byte that is not ASCII is a ParseError
+naming its file and line (and, for a bad token, its column).  Each
 reader raises a fault as it reaches it, and a block's rows are looked into
 only when the block fails, so the first fault in file order is the one
 raised.  The same seed always regenerates the same instance.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import compress, count
@@ -40,18 +42,48 @@ from .solver import IterationRecord, SolverResult, TerminationReason
 
 
 class ParseError(ValueError):
-    """Malformed input file; carries the 1-based line (and token column)."""
+    """Malformed input file; carries its path, the 1-based line and token column.
+
+    The path is put on by the public reader the error leaves
+    (`_naming_the_file`), and the message names each that is known:
+    "... (demo.prob, line 3, column 1)".
+    """
 
     def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column else "") + ")"
-        super().__init__(message + loc)
+        super().__init__(message)
+        self.path = None
         self.line = line
         self.column = column
 
+    def __str__(self):
+        where = [] if self.path is None else [f"{self.path}"]
+        if self.line is not None:
+            where.append(f"line {self.line}")
+            if self.column:
+                where.append(f"column {self.column}")
+        message = super().__str__()
+        return f"{message} ({', '.join(where)})" if where else message
+
+
+def _naming_the_file(read):
+    """read(path), with path put on any ParseError it raises."""
+
+    @functools.wraps(read)
+    def reader(path):
+        try:
+            return read(path)
+        except ParseError as exc:
+            exc.path = path
+            raise
+
+    return reader
+
 
 _SPEC = ".16g"  # 16 significant digits: how every file format writes a float
+# the one word with an underscore that a writer writes (trace and solution
+# files); any other underscore is in a number spelt with Python's digit
+# groups, which int, float and numpy read ("1_0" is 10) and no writer writes
+_FIELD_WITH_UNDERSCORE = "grad_norm"
 
 
 def format_float(x: float) -> str:
@@ -66,7 +98,9 @@ class _TokenLines:
     one is given (CSV, where a line of only whitespace is blank); each line
     is split once.  linenos[j] is that line's 1-based number, read only to
     report a fault.  A byte that is not ASCII is a ParseError at its line
-    and token.
+    and token.  grouped says whether an underscore stands outside the field
+    name grad_norm: one scan of the text, and only a file where one does
+    has its numbers checked token by token for it (`numbers`, `_read_block`).
     """
 
     def __init__(self, path, sep=None):
@@ -89,6 +123,7 @@ class _TokenLines:
             )
             bad = tok.encode("ascii", "surrogateescape")
             raise ParseError(f"non-ASCII byte in {bad!r}", line=lineno, column=j)
+        self.grouped = "_" in text and "_" in text.replace(_FIELD_WITH_UNDERSCORE, "")
         self.unit = "values" if sep is None else "columns"
         self.at = 0
 
@@ -113,19 +148,22 @@ class _TokenLines:
         if self.at < len(self.tokens):
             raise ParseError("unexpected trailing content", line=self.linenos[self.at])
 
-
-def _numbers(lineno, toks, what, kind, skip=0):
-    """toks[skip:] converted by kind; a token kind refuses raises at its column."""
-    out = []
-    for j, tok in enumerate(toks[skip:], start=skip):
-        try:
-            out.append(kind(tok))
-        except ValueError:
-            noun = "integer" if kind is int else "number"
-            raise ParseError(
-                f"bad {noun} {tok!r} in {what}", line=lineno, column=j + 1
-            ) from None
-    return out
+    def numbers(self, lineno, toks, what, kind, skip=0):
+        """toks[skip:] converted by kind (int, float or str); a token kind
+        refuses, or a number with an underscore, raises at its column."""
+        out = []
+        grouped = self.grouped and kind is not str
+        for j, tok in enumerate(toks[skip:], start=skip):
+            try:
+                if grouped and "_" in tok:
+                    raise ValueError
+                out.append(kind(tok))
+            except ValueError:
+                noun = "integer" if kind is int else "number"
+                raise ParseError(
+                    f"bad {noun} {tok!r} in {what}", line=lineno, column=j + 1
+                ) from None
+        return out
 
 
 def _read_block(reader, rows, cols, what):
@@ -136,7 +174,8 @@ def _read_block(reader, rows, cols, what):
     from tokens the file holds: no count in a header can ask for more
     memory than the file.  One dot product screens the values, as a sum of
     squares is finite only if every entry is.  Rows are looked into, and
-    labelled, only when the conversion, the shape or the screen fails, and
+    labelled, only when the conversion, the shape or the screen fails, or
+    the file holds a number with an underscore (`_TokenLines.grouped`), and
     `_raise_fault` then raises the block's first fault in file order.  A
     block the file ends inside is reported at the end of the file, unless
     one of the rows it has holds a bad or non-finite number.
@@ -155,7 +194,11 @@ def _read_block(reader, rows, cols, what):
     except ValueError:  # a ragged block, or a token float refuses
         _raise_fault(reader, first, rows, cols, what)
         raise
-    if data.shape != (rows, cols) or not math.isfinite(np.vdot(data, data)):
+    if (
+        data.shape != (rows, cols)
+        or not math.isfinite(np.vdot(data, data))
+        or reader.grouped
+    ):
         _raise_fault(reader, first, rows, cols, what)
     return data
 
@@ -164,8 +207,9 @@ def _raise_fault(reader, first, rows, cols, what):
     """Raise at the first fault in rows 0..rows-1 of a block, in file order.
 
     The block's row 0 is reader line first.  In each row its width is
-    checked (unless cols is None), then each token in turn: one that float
-    refuses, or reads as nan or an infinity, is raised at its column.
+    checked (unless cols is None), then each token in turn: one that holds
+    an underscore or that float refuses, or one that reads as nan or an
+    infinity, is raised at its column.
     Returns if there is no fault, as when finite values such as 1e200
     overflow a sum of squares.
     """
@@ -178,6 +222,8 @@ def _raise_fault(reader, first, rows, cols, what):
             try:
                 fault = None if math.isfinite(float(tok)) else "non-finite"
             except ValueError:
+                fault = "bad"
+            if "_" in tok:
                 fault = "bad"
             if fault:
                 raise ParseError(
@@ -205,11 +251,12 @@ def write_lines(path, lines):
         fh.write("\n".join([*lines, ""]))
 
 
+@_naming_the_file
 def read_problem(path) -> ProblemInstance:
     """Parse a problem file into a (validated) ProblemInstance."""
     reader = _TokenLines(path)
     lineno, toks = reader.next_line(3, "header (m n k)")
-    m, n, k = _numbers(lineno, toks, "header", int)
+    m, n, k = reader.numbers(lineno, toks, "header", int)
     if m < 1:
         raise ParseError("pair count m must be positive", line=lineno)
     if n < 1:
@@ -220,7 +267,7 @@ def read_problem(path) -> ProblemInstance:
     for i in range(m):
         what = f"size of pair {i}"
         lineno, toks = reader.next_line(1, what)
-        (mi,) = _numbers(lineno, toks, what, int)
+        (mi,) = reader.numbers(lineno, toks, what, int)
         if mi < 1:
             raise ParseError(f"pair {i} size must be positive", line=lineno)
         A = _read_block(reader, mi, mi, f"A_{i}")
@@ -238,6 +285,7 @@ def write_problem(path, instance: ProblemInstance):
     write_lines(path, lines)
 
 
+@_naming_the_file
 def read_matrix(path) -> np.ndarray:
     """Read a rectangular whitespace-separated matrix (one row per line).
 
@@ -269,6 +317,7 @@ def write_trace(path, trace):
     write_lines(path, [TRACE_HEADER, *rows])
 
 
+@_naming_the_file
 def read_trace(path):
     """Read a trace CSV: iteration indices 0, 1, 2, ... in order, finite values.
 
@@ -287,14 +336,15 @@ def read_trace(path):
     ):
         if token == str(expected):
             continue
-        # another spelling of the expected index ("01", " 1") is accepted
+        # another spelling of the expected index ("01", " 1") is accepted,
+        # but not one with digit groups ("1_0")
         try:
-            if int(token) == expected:
+            if int(token) == expected and "_" not in token:
                 continue
         except ValueError:
             pass
         _read_block(reader, expected, 6, "trace")
-        (index,) = _numbers(lineno, [token], "trace iteration", int)
+        (index,) = reader.numbers(lineno, [token], "trace iteration", int)
         raise ParseError(
             f"trace iteration {index} out of sequence, expected {expected}",
             line=lineno,
@@ -332,6 +382,7 @@ def write_solution(path, result: SolverResult):
     write_lines(path, [f"n {n}", *summary_lines(result), "X", *_rows(result.X_final)])
 
 
+@_naming_the_file
 def read_solution(path) -> SolutionSummary:
     reader = _TokenLines(path)
     reasons = {reason.value for reason in TerminationReason}
@@ -341,7 +392,7 @@ def read_solution(path) -> SolutionSummary:
         lineno, toks = reader.next_line(2, key)
         if toks[0] != key:
             raise ParseError(f"expected field {key!r}, found {toks[0]!r}", line=lineno)
-        (value,) = _numbers(lineno, toks, key, kind, skip=1)
+        (value,) = reader.numbers(lineno, toks, key, kind, skip=1)
         if not ok(value):
             raise ParseError(f"{fault} {key} {toks[1]!r}", line=lineno, column=2)
         return value

@@ -53,7 +53,7 @@ class StepResult(NamedTuple):
 def quartic_coeffs(
     instance: ProblemInstance, Y: FactorMatrix, D, at: Evaluation
 ) -> QuarticPolynomial:
-    """Coefficients of phi(t) = objective(Y + t D), exact for all t.
+    """Coefficients of phi(t) = f(Y + t D), exact for all t.
 
     at is `problem.evaluate(instance, Y)`: a0 = at.f and a1 = <at.grad, D>,
     the BLAS dot product of vec at.grad and vec D.  a2..a4 are read from the
@@ -190,7 +190,7 @@ def minimize_quartic(p: QuarticPolynomial) -> StepResult:
 def exact_step(
     instance: ProblemInstance, Y: FactorMatrix, D, at: Evaluation
 ) -> StepResult:
-    """Exact line search along D: the positive t minimizing objective(Y + tD).
+    """Exact line search along D: the positive t minimizing f(Y + t D).
 
     at is the `Evaluation` at Y, which gives phi(0) and phi'(0).  D is
     checked (`_as_factor`, ValueError) and a zero or non-finite D raises

@@ -18,9 +18,10 @@ owns their grouping and every sum over pairs in an evaluation or a line
 search, each a BLAS product over the pairs in pair order (the gradient over
 every working row of the one array of working B rows), so results are
 reproducible and do not depend on how the pairs are stacked.
-A factor Y is checked where it enters the library (`_as_factor`, by
-`evaluate` and the line search), and the iteration evaluates the iterates it
-forms itself without checking them again (`_evaluation`).
+A factor Y is checked by every function that takes one (`_as_factor`, in
+`evaluate` and the line search), the iteration's own iterates too: each is
+formed as a float64 C-contiguous n x k array, which passes the check
+without a copy.
 The stacks hold the working pairs, each pair with m_i > n reduced to an
 n x n pair, with the constants c_i and the matrix P that the kernels read
 (`_kernels.working_stacks`), so no iteration forms an array larger than
@@ -147,7 +148,9 @@ def _checked(pairs, n, k):
     A_i also gives its norm (bitwise np.linalg.norm): a sum of squares is
     finite only if every entry is.  It can also overflow, so only what fails
     a screen is checked entry by entry.  Violations come in pair order, and
-    within a pair not-real, then non-finite, then the shapes.
+    within a pair not-real, then non-finite, then the shapes; a pair that is
+    not two matrices is one dimension-mismatch, and the walk goes on to the
+    next pair.
     """
     cast, norm_sum, violations = [], 0.0, []
 
@@ -160,7 +163,12 @@ def _checked(pairs, n, k):
         bad("empty-instance", None, "instance has no (A, B) pairs")
     if not _is_integer(n):
         bad("dimension-mismatch", None, f"column dimension n={n!r} is not an integer")
-    for i, (A, B) in enumerate(pairs):
+    for i, pair in enumerate(pairs):
+        try:
+            A, B = pair
+        except (TypeError, ValueError):  # not iterable, or not of length 2
+            bad("dimension-mismatch", i, "a pair must be two matrices (A, B)")
+            continue
         (A, A_real), (B, B_real) = _as_real(A), _as_real(B)
         cast.append((A, B))
         sq = np.vdot(A, A)
@@ -233,57 +241,33 @@ class Evaluation:
 def evaluate(instance: ProblemInstance, Y: FactorMatrix) -> Evaluation:
     """The objective, relative residual, gradient and ||gradient||_F^2 at Y.
 
-    Y is checked here, once (`_as_factor`: ValueError unless it is a real
-    n x k matrix), and the evaluation is `_evaluation` at the checked Y.
-    When every A_i is zero the residual has no denominator and the absolute
-    sum of residual norms is reported.  gg is the dot product of vec grad
+    Y is checked here (`_as_factor`: ValueError unless it is a real n x k
+    matrix); a Y that already is a float64 C-contiguous n x k ndarray, as
+    every iterate `solver.step` forms is, passes without a copy.
+
+    f is Sum_i ||A_i - B_i Y Y^T B_i^T||_F^2 (nonnegative).  The residual is
+    Sum_i ||A_i - B_i Y Y^T B_i^T||_F over Sum_i ||A_i||_F: the numerator
+    uses plain (not squared) norms, summed across pairs before dividing, and
+    when every A_i is zero it has no denominator and is reported undivided.
+    The gradient with respect to Y is
+    Sum_i (4 B_i^T B_i Y Y^T B_i^T B_i Y - 2 B_i^T A_i B_i Y - 2 B_i^T A_i^T B_i Y),
+    where the A_i and A_i^T terms stay distinct because A_i need not be
+    symmetric.  It is computed from each working pair's residual
+    R_i = A_i - B_i Y Y^T B_i^T, which f reads too, as
+    -2 B_i^T (R_i W_i + R_i^T W_i) with W_i = B_i Y: R_i is the one
+    min(m_i, n) x min(m_i, n) array of the evaluation, R_i^T W_i reads it
+    through a transposed view, and the sum over pairs is one product of all
+    the B_i^T with all the R_i W_i + R_i^T W_i.  A pair taller than n enters
+    as its n x n working pair (Q_i^T A_i Q_i, R_i), whose gradient term is
+    the same.  The line search's P is not used here.  The tests pin the
+    gradient against the expanded form.  gg is the dot product of vec grad
     with itself, so sqrt(gg) is bitwise np.linalg.norm(grad).
     """
-    return _evaluation(instance, _as_factor(instance, Y))
-
-
-def _evaluation(instance: ProblemInstance, Y: FactorMatrix) -> Evaluation:
-    """`evaluate` at a Y that is already an n x k float64 C-contiguous ndarray.
-
-    Y is not checked: the iteration calls this on the iterates it forms.
-    """
+    Y = _as_factor(instance, Y)
     f, num, grad = _kernels.evaluate(instance._stacks, Y)
     denom = instance._norm_sum
     flat = grad.ravel()
     return Evaluation(f, num / denom if denom else num, grad, float(flat.dot(flat)))
-
-
-def objective(instance: ProblemInstance, Y: FactorMatrix) -> float:
-    """Sum over pairs of ||A_i - B_i Y Y^T B_i^T||_F^2 (nonnegative)."""
-    return evaluate(instance, Y).f
-
-
-def gradient(instance: ProblemInstance, Y: FactorMatrix) -> GradientMatrix:
-    """Analytic gradient of `objective` with respect to Y.
-
-    Equals sum_i (4 B_i^T B_i Y Y^T B_i^T B_i Y - 2 B_i^T A_i B_i Y
-    - 2 B_i^T A_i^T B_i Y); the A_i and A_i^T terms stay distinct because
-    A_i need not be symmetric.  Computed from each working pair's residual
-    R_i = A_i - B_i Y Y^T B_i^T, which the objective reads too, as
-    -2 B_i^T (R_i W_i + R_i^T W_i) with W_i = B_i Y: R_i is the one
-    min(m_i, n) x min(m_i, n) array of the evaluation, R_i^T W_i reads
-    it through a transposed view, and the sum over pairs is one product of
-    all the B_i^T with all the R_i W_i + R_i^T W_i.  A pair taller than n enters as its n x n
-    working pair (Q_i^T A_i Q_i, R_i), whose gradient term is the same.  The
-    cached P of the line search is not used here.  The tests pin it against
-    the expanded form.
-    """
-    return evaluate(instance, Y).grad
-
-
-def residual_error(instance: ProblemInstance, Y: FactorMatrix) -> float:
-    """Sum of residual Frobenius norms over the sum of ||A_i||_F.
-
-    Note the numerator uses plain (not squared) norms, summed across pairs
-    before dividing.  When every A_i is zero the sum of residual norms is
-    returned undivided.
-    """
-    return evaluate(instance, Y).residual
 
 
 def assemble_X(Y: FactorMatrix) -> NDArray[np.float64]:

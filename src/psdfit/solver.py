@@ -9,7 +9,8 @@ and whenever the mixed direction fails the descent test, so every line
 search starts from a strict descent direction.  The instance and the
 configuration are not checked here: each checks itself when built.  The
 start point is checked once, by `solve`, and each iterate is formed by
-`step` and evaluated without a check (`problem._evaluation`).
+`step` as a float64 C-contiguous array, which `problem.evaluate` checks
+without a copy.
 """
 
 import enum
@@ -30,8 +31,8 @@ from .problem import (
     ProblemInstance,
     _as_factor,
     _check_integer,
-    _evaluation,
     assemble_X,
+    evaluate,
 )
 
 
@@ -150,11 +151,11 @@ def step(
     (Y_next, at_next, D_next, record), each at Y_next, to pass to the next
     step.  Y, D and at.grad are checked once, by the line search
     (`linesearch.exact_step`, ValueError); Y_next = Y + t D is formed here as
-    a float64 C-contiguous array and evaluated without a second check
-    (`problem._evaluation`).  Rounding can spoil a mixed direction after it
-    passed the descent test, so when the line search finds no step along D
-    the step is retried once along -at.grad; DegenerateDirectionError
-    propagates only when D already was -at.grad.  The Fletcher-Reeves ratio
+    a float64 C-contiguous array, which `evaluate` takes without a copy.
+    Rounding can spoil a mixed direction after it passed the descent test,
+    so when the line search finds no step along D the step is retried once
+    along -at.grad; DegenerateDirectionError propagates only when D already
+    was -at.grad.  The Fletcher-Reeves ratio
     is beta = at_next.gg / at.gg, or 0 at a stationary Y (at.gg = 0), where
     the ratio has no denominator.  index is the iteration this step makes.  The
     next direction resets to -at_next.grad, with beta recorded as 0, when
@@ -170,10 +171,10 @@ def step(
         found = linesearch.exact_step(instance, Y, D, at)
     t = found.t_star
     # Y + t D with one temporary, float64 and C-contiguous whatever D's dtype
-    # and layout, so `_evaluation` takes it unchecked
+    # and layout, so `evaluate` takes it without a copy
     Y_next = np.multiply(t, D, dtype=np.float64, order="C")
     Y_next += Y
-    at_next = _evaluation(instance, Y_next)
+    at_next = evaluate(instance, Y_next)
     # at.gg is 0 only at a stationary Y, which `solve` never steps from; beta
     # = 0 there makes D_next = -at_next.grad
     beta = at_next.gg / at.gg if at.gg else 0.0
@@ -229,7 +230,7 @@ def solve(
     if rank < instance.k:
         raise ValueError(f"Y0 has column rank {rank}, below k={instance.k}")
 
-    at = _evaluation(instance, Y)
+    at = evaluate(instance, Y)
     record = _record(0, at, 0.0, 0.0)
     D = -at.grad
     trace = Trace()

@@ -20,8 +20,8 @@ from psdfit import (
     ProblemInstance,
     SolverConfig,
     SolverResult,
+    evaluate,
     generate_instance,
-    gradient,
     read_problem,
     solve,
     write_problem,
@@ -29,7 +29,6 @@ from psdfit import (
 from psdfit.io import read_solution, write_solution, write_trace
 from psdfit.linesearch import exact_step, quartic_coeffs
 from psdfit.oracle import fd_gradient, interpolate_quartic, psd_truncation
-from psdfit.problem import evaluate
 
 import golden
 
@@ -144,7 +143,7 @@ def test_criterion_3_gradient_vs_finite_differences(capsys):
         m = int(dims.integers(1, 4))
         inst = generate_instance(n, k, m=m, seed=s)
         Y = np.random.default_rng(500 + s).standard_normal((n, k))
-        g = gradient(inst, Y)
+        g = evaluate(inst, Y).grad
         g_fd = fd_gradient(inst, Y)
         rel = np.abs(g - g_fd) / np.maximum(1.0, np.maximum(np.abs(g), np.abs(g_fd)))
         worst = max(worst, float(rel.max()))
@@ -168,7 +167,7 @@ def test_criterion_4_line_search_coefficients(capsys):
         q = interpolate_quartic(inst, Y, D)
         for a, b in zip((p.a0, p.a1, p.a2, p.a3, p.a4), (q.a0, q.a1, q.a2, q.a3, q.a4)):
             worst_coeff = max(worst_coeff, abs(a - b) / max(1.0, abs(a), abs(b)))
-        slope = float(np.trace(gradient(inst, Y).T @ D))
+        slope = float(np.trace(evaluate(inst, Y).grad.T @ D))
         worst_slope = max(worst_slope, abs(p.a1 - slope) / max(1.0, abs(slope)))
     ok = worst_coeff < 1e-8 and worst_slope < 1e-10
     announce(
@@ -191,7 +190,7 @@ def test_criterion_5_exact_step_grid_optimality(capsys):
         pts = np.random.default_rng(700 + s)
         Y = pts.standard_normal((n, k))
         D = pts.standard_normal((n, k))
-        if float(np.sum(gradient(inst, Y) * D)) > 0.0:
+        if float(np.sum(evaluate(inst, Y).grad * D)) > 0.0:
             D = -D  # keep the sampled line, pointed downhill
         at = evaluate(inst, Y)
         found = exact_step(inst, Y, D, at)

@@ -168,7 +168,7 @@ def test_solve_rank_outside_one_to_n_exits_2_at_line_1(tmp_path, capsys):
     bad = tmp_path / "rank.prob"
     bad.write_text("1 2 5\n1\n2\n3 4\n")
     assert run("solve", bad) == 2
-    assert "rank bound k=5 outside [1, n]=2 (line 1)" in capsys.readouterr().err
+    assert f"rank bound k=5 outside [1, n]=2 ({bad}, line 1)" in capsys.readouterr().err
 
 
 def test_solve_pair_size_beyond_the_file_exits_2(tmp_path, capsys):
@@ -176,6 +176,20 @@ def test_solve_pair_size_beyond_the_file_exits_2(tmp_path, capsys):
     bad.write_text("1 2 1\n1000000\n5\n")
     assert run("solve", bad) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_solve_names_the_file_that_does_not_parse(tmp_path, problem_file, capsys):
+    # the problem file and the --init file are both read; the error says which
+    init = tmp_path / "y0.txt"
+    init.write_text("1 2\n3 x\n")
+    assert run("solve", problem_file, "--init", init) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad number 'x' in matrix row 1 ({init}, line 2, column 2)\n"
+    bad = tmp_path / "bad.prob"
+    bad.write_text("1 2 1\n1\n1\n1 x\n")
+    assert run("solve", bad, "--init", init) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad number 'x' in B_0 row 0 ({bad}, line 4, column 2)\n"
 
 
 def test_solve_rank_deficient_init_exits_2(tmp_path, problem_file, capsys):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from psdfit import SolverConfig, ValidationError, objective, solve
+from psdfit import SolverConfig, ValidationError, solve
 from psdfit.imagedemo import (
     MAX_SIDE,
     ImageFormatError,
@@ -52,6 +52,7 @@ def test_pgm_header_comments_and_whitespace(tmp_path):
     [
         b"P5\r# c\r2 2\r255\r",  # a comment ends at a carriage return too
         b"P5\x0b2\x0c2\t255\n",  # vertical tab and form feed are whitespace
+        b"P5 # an_underscore in a comment\n2 2 255\n",
     ],
 )
 def test_pgm_header_separators(tmp_path, header):
@@ -99,6 +100,10 @@ def test_pgm_rejects_truncated_header(tmp_path):
         (b"P5\n2 2 #255", "truncated header"),
         # a # inside a token is part of the token
         (b"P5\n2 2\n255#c\n", "non-numeric header field"),
+        # int reads Python's digit groups, b"1_0" as 10; the field is named
+        # at its line and token column
+        (b"P5 # by_hand\n4 1_0\n255\n", r"non-numeric header field b'1_0' \(line 2, column 2\)"),
+        (b"P5\r\n2\r\n2 2_55\r", r"field b'2_55' \(line 3, column 2\)"),
     ],
 )
 def test_pgm_rejects_bad_header_fields(tmp_path, header, match):

@@ -11,6 +11,7 @@ from psdfit import (
     ParseError,
     ProblemInstance,
     SolverConfig,
+    evaluate,
     generate_instance,
     read_problem,
     solve,
@@ -218,9 +219,9 @@ def test_problem_block_beyond_the_file(tmp_path, text, match, line):
 @pytest.mark.parametrize(
     "reader, text, message",
     [
-        (read_problem, "1 2\n", "expected 3 values for header (m n k), found 2 (line 1)"),
-        (read_problem, "1 2 1\n1 2\n", "expected 1 values for size of pair 0, found 2 (line 2)"),
-        (read_solution, "n 1 2\n", "expected 2 values for n, found 3 (line 1)"),
+        (read_problem, "1 2\n", "expected 3 values for header (m n k), found 2 ({}, line 1)"),
+        (read_problem, "1 2 1\n1 2\n", "expected 1 values for size of pair 0, found 2 ({}, line 2)"),
+        (read_solution, "n 1 2\n", "expected 2 values for n, found 3 ({}, line 1)"),
     ],
     ids=["header", "pair-size", "solution-field"],
 )
@@ -230,7 +231,7 @@ def test_a_line_with_the_wrong_count_is_named(tmp_path, reader, text, message):
     path.write_text(text)
     with pytest.raises(ParseError) as err:
         reader(path)
-    assert str(err.value) == message
+    assert str(err.value) == message.format(path)
 
 
 def test_problem_validation_failure_on_read(tmp_path):
@@ -379,6 +380,8 @@ def test_trace_wrong_column_count(tmp_path):
         # an index fault comes before any fault later in its row or the file
         ("1.5,1,2,3,4,x", "bad integer '1.5'", 1),
         ("5,1,2,3,4,5\n2,nan,2,3,4,5", "iteration 5 out of sequence, expected 1", 1),
+        # int reads Python's digit groups, "0_1" as 1
+        ("0_1,1,2,3,4,5", "bad integer '0_1' in trace iteration", 1),
     ],
     ids=[
         "fractional-index",
@@ -387,6 +390,7 @@ def test_trace_wrong_column_count(tmp_path):
         "index-negative",
         "fractional-index-before-bad-value",
         "index-skips-before-non-finite",
+        "index-in-digit-groups",
     ],
 )
 def test_trace_reader_rules(tmp_path, row, match, column):
@@ -640,6 +644,74 @@ def test_non_ascii_byte_is_a_parse_error(tmp_path, reader, data, line, column):
 
 
 # ---------------------------------------------------------------------------
+# numbers in Python's digit groups, which int, float and numpy read as 10
+
+TRACE_ROWS = "\n0,1,2,3,0,0\n1,1,2,3,4,5\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text, match, line, column",
+    [
+        (read_problem, "1_0 2 1\n", "bad integer '1_0' in header", 1, 1),
+        (read_problem, "1 2 1\n1_0\n", "bad integer '1_0' in size of pair 0", 2, 1),
+        (read_problem, "1 2 1\n2\n1 0\n0 1\n1 0\n1 2_0\n", "'2_0' in B_0 row 1", 6, 2),
+        # the first fault in file order is still the one reported
+        (read_problem, "1 2 1\n2\n1 x\n0 1\n1 0\n1 2_0\n", "'x' in A_0 row 0", 3, 2),
+        (read_problem, "1 2 1\n2\n1 0\n0 1_0\n1 0\n1 x\n", "'1_0' in A_0 row 1", 4, 2),
+        (read_matrix, "1 2\n3 4_0\n", "bad number '4_0' in matrix row 1", 2, 2),
+        (read_trace, TRACE_HEADER + TRACE_ROWS.replace("4,5", "4_0,5"), "'4_0' in trace", 3, 5),
+        (read_solution, solution_text(iterations="1_0"), "bad integer '1_0' in iterations", 3, 2),
+        (read_solution, solution_text(grad_norm="0_5"), "bad number '0_5' in grad_norm", 5, 2),
+        (read_solution, solution_text()[:-2] + "1_0\n", "'1_0' in X row 0", 8, 1),
+    ],
+    ids=[
+        "problem-header",
+        "problem-pair-size",
+        "problem-entry",
+        "problem-earlier-bad-token",
+        "problem-then-bad-token",
+        "matrix",
+        "trace-value",
+        "solution-iterations",
+        "solution-grad_norm",
+        "solution-X",
+    ],
+)
+def test_digit_groups_are_a_parse_error(tmp_path, reader, text, match, line, column):
+    path = tmp_path / "grouped.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match) as err:
+        reader(path)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+# ---------------------------------------------------------------------------
+# a ParseError names its file
+
+
+@pytest.mark.parametrize(
+    "reader, text, where",
+    [
+        (read_problem, "1 2 1\n1\n1\n1 x\n", "line 4, column 2"),
+        (read_problem, "", None),
+        (read_matrix, "1 2\n3 x\n", "line 2, column 2"),
+        (read_trace, "iteration\n", "line 1"),
+        (read_solution, "n 1\n", None),
+    ],
+    ids=["problem", "problem-empty", "matrix", "trace", "solution-end-of-file"],
+)
+def test_a_parse_error_names_its_file(tmp_path, reader, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    assert err.value.path == path
+    where = str(path) if where is None else f"{path}, {where}"
+    assert str(err.value).endswith(f" ({where})")
+    assert str(err.value).count(str(path)) == 1
+
+
+# ---------------------------------------------------------------------------
 # generate_instance
 
 
@@ -660,9 +732,7 @@ def test_generate_consistent_mode_has_zero_optimum():
     for _ in range(3):
         rng.random((5, 5))
     Z = rng.random((5, 2))
-    from psdfit import objective
-
-    assert objective(inst, Z) < 1e-20
+    assert evaluate(inst, Z).f < 1e-20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

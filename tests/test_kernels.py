@@ -415,7 +415,7 @@ def test_one_kernel_call_per_stack(monkeypatch):
 
         monkeypatch.setattr(module, attr, recorded)
 
-    record(solver, "_evaluation", "E")
+    record(solver, "evaluate", "E")
     record(linesearch, "exact_step", "S", searches)
     record(linesearch, "quartic_coeffs", "Q")
     record(_kernels, "residual_gradient", "r")
@@ -430,7 +430,7 @@ def test_one_kernel_call_per_stack(monkeypatch):
     # every evaluation and every line search makes one kernel call per stack,
     # and each iteration makes one public line search, `exact_step` (S), which
     # builds its polynomial with one `quartic_coeffs` (Q), and one evaluation
-    # of the iterate it formed, `_evaluation` (E), which is not checked again
+    # of the iterate it formed, `evaluate` (E)
     one = f"SQq{{{stacks}}}Er{{{stacks}}}"
     assert re.fullmatch(f"Er{{{stacks}}}({one}){{4}}", calls), calls
     # with the iterate and the direction that the previous iteration left

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from psdfit import ProblemInstance, gradient, objective
+from psdfit import ProblemInstance, evaluate
 from psdfit.linesearch import (
     DegenerateDirectionError,
     QuarticPolynomial,
@@ -13,7 +13,6 @@ from psdfit.linesearch import (
     quartic_coeffs,
 )
 from psdfit.oracle import interpolate_quartic, reference_objective
-from psdfit.problem import evaluate
 
 import golden
 
@@ -42,7 +41,7 @@ def test_coeffs_zero_direction():
     Y = golden.Y0_RANK2
     p = quartic_coeffs(inst, Y, np.zeros((4, 2)), evaluate(inst, Y))
     assert p.a1 == p.a2 == p.a3 == p.a4 == 0.0
-    assert p.a0 == pytest.approx(objective(inst, golden.Y0_RANK2))
+    assert p.a0 == pytest.approx(evaluate(inst, golden.Y0_RANK2).f)
 
 
 def test_coeffs_scalar_pure_quartic():
@@ -58,7 +57,7 @@ def test_coeffs_evaluate_to_the_objective_along_the_line():
         inst, Y, D = rand_instance_and_direction(seed)
         p = quartic_coeffs(inst, Y, D, evaluate(inst, Y))
         for t in (-1.3, -0.2, 0.0, 0.7, 2.9):
-            f = objective(inst, Y + t * D)
+            f = evaluate(inst, Y + t * D).f
             assert p(t) == pytest.approx(f, rel=1e-10, abs=1e-10)
 
 
@@ -77,8 +76,8 @@ def test_coeffs_a0_and_a1_identities():
     for seed in range(20):
         inst, Y, D = rand_instance_and_direction(seed)
         p = quartic_coeffs(inst, Y, D, evaluate(inst, Y))
-        assert p.a0 == pytest.approx(objective(inst, Y), rel=1e-12)
-        slope = float(np.trace(gradient(inst, Y).T @ D))
+        assert p.a0 == pytest.approx(evaluate(inst, Y).f, rel=1e-12)
+        slope = float(np.trace(evaluate(inst, Y).grad.T @ D))
         assert p.a1 == pytest.approx(slope, rel=1e-10, abs=1e-10)
 
 

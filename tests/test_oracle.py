@@ -3,10 +3,8 @@ import pytest
 
 from psdfit import (
     ProblemInstance,
+    evaluate,
     generate_instance,
-    gradient,
-    objective,
-    residual_error,
 )
 from psdfit.oracle import (
     compare,
@@ -17,7 +15,6 @@ from psdfit.oracle import (
     reference_residual,
 )
 from psdfit.linesearch import quartic_coeffs
-from psdfit.problem import evaluate
 
 import golden
 
@@ -31,10 +28,10 @@ def test_reference_objective_matches_primary():
     rng = np.random.default_rng(0)
     for _ in range(5):
         Y = rng.standard_normal((4, 2))
-        assert objective(inst, Y) == pytest.approx(
+        assert evaluate(inst, Y).f == pytest.approx(
             reference_objective(inst, Y), rel=1e-12
         )
-        assert residual_error(inst, Y) == pytest.approx(
+        assert evaluate(inst, Y).residual == pytest.approx(
             reference_residual(inst, Y), rel=1e-12
         )
 
@@ -68,7 +65,7 @@ def test_fd_gradient_matches_analytic():
     for seed in range(5):
         inst = generate_instance(4, 2, m=2, seed=seed)
         Y = rng.standard_normal((4, 2))
-        g = gradient(inst, Y)
+        g = evaluate(inst, Y).grad
         g_fd = fd_gradient(inst, Y)
         rel = np.abs(g - g_fd) / np.maximum(1.0, np.abs(g))
         assert rel.max() < 1e-6
@@ -84,7 +81,7 @@ def test_fd_gradient_truncation_error_is_second_order():
     # halving h must cut the finite-difference error by about 4x
     inst = generate_instance(3, 2, m=1, seed=2)
     Y = np.random.default_rng(3).standard_normal((3, 2))
-    g = gradient(inst, Y)
+    g = evaluate(inst, Y).grad
     err = lambda h: np.abs(fd_gradient(inst, Y, h=h) - g).max()
     ratio = err(1e-3) / err(5e-4)
     assert ratio == pytest.approx(4.0, abs=0.3)
@@ -97,7 +94,7 @@ def test_fd_gradient_truncation_error_is_second_order():
 def test_interpolation_zero_direction():
     inst = golden.instance(2)
     q = interpolate_quartic(inst, golden.Y0_RANK2, np.zeros((4, 2)))
-    assert q.a0 == pytest.approx(objective(inst, golden.Y0_RANK2), rel=1e-12)
+    assert q.a0 == pytest.approx(evaluate(inst, golden.Y0_RANK2).f, rel=1e-12)
     assert max(abs(q.a1), abs(q.a2), abs(q.a3), abs(q.a4)) < 1e-9
 
 

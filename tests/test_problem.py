@@ -9,14 +9,12 @@ from psdfit import (
     ProblemInstance,
     ValidationError,
     assemble_X,
+    evaluate,
     generate_instance,
-    gradient,
-    objective,
-    residual_error,
 )
 from psdfit import linesearch
 from psdfit.oracle import reference_objective, reference_residual
-from psdfit.problem import _as_factor, evaluate
+from psdfit.problem import _as_factor
 
 import golden
 
@@ -113,6 +111,21 @@ def test_validate_rejects_a_pair_of_size_zero():
     ]
 
 
+def test_validate_rejects_a_pair_that_is_not_two_matrices():
+    # unpacking one would raise a bare ValueError or TypeError naming no pair;
+    # each is reported at its index, with the instance's other violations
+    A, B = np.eye(2), np.ones((2, 2))
+    message = "a pair must be two matrices (A, B)"
+    assert violations(((A,),), n=2, k=1) == [("dimension-mismatch", 0, f"pair 0: {message}")]
+    pairs = ((A, B), (A, B, B), (A, np.ones((2, 3))), 5)
+    assert violations(pairs, n=2, k=3) == [
+        ("dimension-mismatch", 1, f"pair 1: {message}"),
+        ("dimension-mismatch", 2, "pair 2: B has 3 columns, expected n=2"),
+        ("dimension-mismatch", 3, f"pair 3: {message}"),
+        ("rank-out-of-range", None, "rank bound k=3 outside [1, n]=2"),
+    ]
+
+
 def test_validate_rejects_non_finite_entries():
     B = np.eye(3)
     B[1, 2] = np.inf
@@ -188,7 +201,7 @@ def test_invalid_instances_never_reach_evaluation():
 
 def test_scalar_instance_is_valid():
     inst = ProblemInstance(pairs=((np.array([[4.0]]), np.array([[1.0]])),), n=1, k=1)
-    assert objective(inst, np.array([[2.0]])) == pytest.approx(0.0)
+    assert evaluate(inst, np.array([[2.0]])).f == pytest.approx(0.0)
 
 
 def test_instances_compare_and_hash_by_identity():
@@ -208,21 +221,21 @@ def test_objective_identity_hand_case():
     # A = I2, B = I2, Y = (1,0)^T: residual is I - diag(1,0), norm^2 = 1
     inst = ProblemInstance(pairs=((np.eye(2), np.eye(2)),), n=2, k=1)
     Y = np.array([[1.0], [0.0]])
-    assert objective(inst, Y) == pytest.approx(1.0, abs=1e-15)
+    assert evaluate(inst, Y).f == pytest.approx(1.0, abs=1e-15)
 
 
 def test_objective_zero_Y_gives_sum_of_squared_norms():
     inst, _ = rand_instance(3)
     expected = sum(np.linalg.norm(A, "fro") ** 2 for A, _ in inst.pairs)
     Y = np.zeros((inst.n, inst.k))
-    assert objective(inst, Y) == pytest.approx(expected, rel=1e-14)
+    assert evaluate(inst, Y).f == pytest.approx(expected, rel=1e-14)
 
 
 def test_objective_nonnegative_and_matches_reference():
     for seed in range(20):
         inst, rng = rand_instance(seed)
         Y = rng.standard_normal((inst.n, inst.k))
-        f = objective(inst, Y)
+        f = evaluate(inst, Y).f
         assert f >= 0.0
         ref = reference_objective(inst, Y)
         assert f == pytest.approx(ref, rel=1e-12, abs=1e-12)
@@ -230,7 +243,7 @@ def test_objective_nonnegative_and_matches_reference():
 
 def test_objective_golden_start_matches_reference():
     inst = golden.instance(2)
-    f = objective(inst, golden.Y0_RANK2)
+    f = evaluate(inst, golden.Y0_RANK2).f
     assert f == pytest.approx(reference_objective(inst, golden.Y0_RANK2), rel=1e-13)
 
 
@@ -245,14 +258,14 @@ def test_objective_and_residual_are_bitwise_a_per_pair_residual(k, Y):
         f += r2
         num += math.sqrt(r2)
         denom += float(np.linalg.norm(A, "fro"))
-    assert objective(inst, Y) == f
-    assert residual_error(inst, Y) == num / denom
+    assert evaluate(inst, Y).f == f
+    assert evaluate(inst, Y).residual == num / denom
 
 
 def test_objective_rejects_bad_shape():
     inst = golden.instance(2)
     with pytest.raises(ValueError, match="shape"):
-        objective(inst, np.zeros((4, 3)))
+        evaluate(inst, np.zeros((4, 3))).f
 
 
 class FactorSubclass(np.ndarray):
@@ -330,7 +343,6 @@ def test_factor_inputs_that_are_not_real_are_refused():
         calls = [
             ("Y0", lambda: solve(inst, bad)),
             ("Y", lambda: evaluate(inst, bad)),
-            ("Y", lambda: objective(inst, bad)),
             ("D", lambda: linesearch.exact_step(inst, Y, bad, at)),
             ("D", lambda: linesearch.quartic_coeffs(inst, Y, bad, at)),
             ("Y", lambda: linesearch.exact_step(inst, bad, -at.grad, at)),
@@ -351,12 +363,12 @@ def test_factor_inputs_that_are_not_real_are_refused():
 def test_gradient_stationary_hand_case():
     inst = ProblemInstance(pairs=((np.eye(2), np.eye(2)),), n=2, k=1)
     Y = np.array([[1.0], [0.0]])
-    assert np.allclose(gradient(inst, Y), 0.0, atol=1e-15)
+    assert np.allclose(evaluate(inst, Y).grad, 0.0, atol=1e-15)
 
 
 def test_gradient_zero_at_zero_Y():
     inst, _ = rand_instance(7)
-    assert np.all(gradient(inst, np.zeros((inst.n, inst.k))) == 0.0)
+    assert np.all(evaluate(inst, np.zeros((inst.n, inst.k))).grad == 0.0)
 
 
 def test_gradient_matches_expanded_formula():
@@ -365,7 +377,7 @@ def test_gradient_matches_expanded_formula():
     for seed in range(20):
         inst, rng = rand_instance(seed)
         Y = rng.standard_normal((inst.n, inst.k))
-        G = gradient(inst, Y)
+        G = evaluate(inst, Y).grad
         expanded = np.zeros_like(Y)
         for A, B in inst.pairs:
             BY = B @ Y
@@ -385,9 +397,9 @@ def test_objective_and_gradient_orthogonal_invariance():
         inst = ProblemInstance(pairs=inst.pairs, n=inst.n, k=min(2, inst.n))
     Y = rng.standard_normal((inst.n, inst.k))
     Q, _ = np.linalg.qr(rng.standard_normal((inst.k, inst.k)))
-    f, fq = objective(inst, Y), objective(inst, Y @ Q)
+    f, fq = evaluate(inst, Y).f, evaluate(inst, Y @ Q).f
     assert abs(f - fq) / max(1.0, abs(f)) < 1e-10
-    G, Gq = gradient(inst, Y), gradient(inst, Y @ Q)
+    G, Gq = evaluate(inst, Y).grad, evaluate(inst, Y @ Q).grad
     assert np.max(np.abs(Gq - G @ Q)) < 1e-10 * (1.0 + np.max(np.abs(G)))
 
 
@@ -401,12 +413,12 @@ def test_residual_error_zero_at_exact_fit():
     B = rng.random((4, 4))
     W = B @ Z
     inst = ProblemInstance(pairs=((W @ W.T, B),), n=4, k=2)
-    assert residual_error(inst, Z) < 1e-12
+    assert evaluate(inst, Z).residual < 1e-12
 
 
 def test_residual_error_one_at_zero_Y():
     inst, _ = rand_instance(5)
-    assert residual_error(inst, np.zeros((inst.n, inst.k))) == pytest.approx(1.0)
+    assert evaluate(inst, np.zeros((inst.n, inst.k))).residual == pytest.approx(1.0)
 
 
 def test_residual_error_single_pair_consistency_with_objective():
@@ -416,8 +428,8 @@ def test_residual_error_single_pair_consistency_with_objective():
     B = rng.random((5, 5))
     inst = ProblemInstance(pairs=((A, B),), n=5, k=2)
     Y = rng.random((5, 2))
-    eps = residual_error(inst, Y)
-    f = objective(inst, Y)
+    eps = evaluate(inst, Y).residual
+    f = evaluate(inst, Y).f
     assert eps**2 * np.linalg.norm(A, "fro") ** 2 == pytest.approx(f, rel=1e-12)
 
 
@@ -429,8 +441,8 @@ def test_residual_error_zero_targets_is_the_absolute_residual():
     inst = ProblemInstance(pairs=pairs, n=4, k=2)
     Y = rng.standard_normal((4, 2))
     absolute = sum(float(np.linalg.norm(B @ Y @ Y.T @ B.T, "fro")) for _, B in pairs)
-    assert residual_error(inst, Y) == pytest.approx(reference_residual(inst, Y), rel=1e-12)
-    assert residual_error(inst, Y) == pytest.approx(absolute, rel=1e-12)
+    assert evaluate(inst, Y).residual == pytest.approx(reference_residual(inst, Y), rel=1e-12)
+    assert evaluate(inst, Y).residual == pytest.approx(absolute, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -474,4 +486,4 @@ def test_generate_instance_consistent_mode_has_zero_optimum():
     for _ in range(3):
         rng.random((5, 5))
     Z = rng.random((5, 2))
-    assert objective(inst, Z) < 1e-20
+    assert evaluate(inst, Z).f < 1e-20

@@ -19,8 +19,7 @@ from psdfit import (
     ProblemInstance,
     SolverConfig,
     TerminationReason,
-    gradient,
-    objective,
+    evaluate,
     solve,
 )
 from psdfit import _kernels, linesearch
@@ -30,7 +29,6 @@ from psdfit.oracle import (
     reference_objective,
     reference_residual,
 )
-from psdfit.problem import evaluate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -55,8 +53,8 @@ def close(a, b, scale):
 
 def scales(inst, Y):
     """Magnitudes of f and the gradient at Y, for absolute tolerances."""
-    f = objective(inst, Y)
-    return max(1.0, f), max(1.0, float(np.abs(gradient(inst, Y)).max()))
+    f = evaluate(inst, Y).f
+    return max(1.0, f), max(1.0, float(np.abs(evaluate(inst, Y).grad).max()))
 
 
 @PROPERTY
@@ -66,8 +64,8 @@ def test_orthogonal_change_of_factor(case):
     inst, Y, rng = case
     Q, _ = np.linalg.qr(rng.standard_normal((inst.k, inst.k)))
     f_scale, g_scale = scales(inst, Y)
-    assert close(objective(inst, Y @ Q), objective(inst, Y), f_scale)
-    assert close(gradient(inst, Y @ Q), gradient(inst, Y) @ Q, g_scale)
+    assert close(evaluate(inst, Y @ Q).f, evaluate(inst, Y).f, f_scale)
+    assert close(evaluate(inst, Y @ Q).grad, evaluate(inst, Y).grad @ Q, g_scale)
 
 
 @PROPERTY
@@ -79,8 +77,8 @@ def test_pair_order(case):
         pairs=tuple(inst.pairs[i] for i in order), n=inst.n, k=inst.k
     )
     f_scale, g_scale = scales(inst, Y)
-    assert close(objective(permuted, Y), objective(inst, Y), f_scale)
-    assert close(gradient(permuted, Y), gradient(inst, Y), g_scale)
+    assert close(evaluate(permuted, Y).f, evaluate(inst, Y).f, f_scale)
+    assert close(evaluate(permuted, Y).grad, evaluate(inst, Y).grad, g_scale)
 
 
 @PROPERTY
@@ -92,8 +90,8 @@ def test_transposed_targets(case):
         pairs=tuple((A.T, B) for A, B in inst.pairs), n=inst.n, k=inst.k
     )
     f_scale, g_scale = scales(inst, Y)
-    assert close(objective(transposed, Y), objective(inst, Y), f_scale)
-    assert close(gradient(transposed, Y), gradient(inst, Y), g_scale)
+    assert close(evaluate(transposed, Y).f, evaluate(inst, Y).f, f_scale)
+    assert close(evaluate(transposed, Y).grad, evaluate(inst, Y).grad, g_scale)
 
 
 @PROPERTY
@@ -106,8 +104,8 @@ def test_joint_scaling(case, c):
         pairs=tuple((c * c * A, B) for A, B in inst.pairs), n=inst.n, k=inst.k
     )
     f_scale, g_scale = scales(inst, Y)
-    assert close(objective(scaled, c * Y), c**4 * objective(inst, Y), c**4 * f_scale)
-    assert close(gradient(scaled, c * Y), c**3 * gradient(inst, Y), c**3 * g_scale)
+    assert close(evaluate(scaled, c * Y).f, c**4 * evaluate(inst, Y).f, c**4 * f_scale)
+    assert close(evaluate(scaled, c * Y).grad, c**3 * evaluate(inst, Y).grad, c**3 * g_scale)
 
 
 @st.composite

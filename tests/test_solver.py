@@ -16,16 +16,13 @@ from psdfit import (
     SolverResult,
     TerminationReason,
     ValidationError,
+    evaluate,
     generate_instance,
-    gradient,
-    objective,
-    residual_error,
     solve,
 )
 from psdfit.linesearch import DegenerateDirectionError, exact_step
 from psdfit import _kernels, linesearch
 from psdfit.io import read_solution, write_solution
-from psdfit.problem import evaluate
 from psdfit.solver import RESTART_PERIOD, Trace, step
 
 import golden
@@ -45,7 +42,7 @@ def test_step_decreases_objective_from_steepest_descent():
     assert record.index == 1
     assert record.step > 0.0
     assert record.f_value < f0
-    assert record.f_value == pytest.approx(objective(inst, Y1), rel=1e-12)
+    assert record.f_value == pytest.approx(evaluate(inst, Y1).f, rel=1e-12)
     assert record.grad_norm == np.linalg.norm(g1)
     # the produced direction must satisfy the descent test
     assert float(np.sum(g1 * D1)) < 0.0
@@ -201,7 +198,7 @@ def test_solve_initial_record(golden_run):
     assert first.step == 0.0
     assert first.beta == 0.0
     inst = golden.instance(2)
-    assert first.f_value == pytest.approx(objective(inst, golden.Y0_RANK2), rel=1e-12)
+    assert first.f_value == pytest.approx(evaluate(inst, golden.Y0_RANK2).f, rel=1e-12)
 
 
 def test_solve_trace_indices_are_contiguous(golden_run):
@@ -305,7 +302,7 @@ def test_solve_stops_at_a_degenerate_direction(tmp_path, monkeypatch):
     # the three steps taken are kept, and the result is at the last of them
     assert result.iterations == 3
     assert [r.index for r in result.trace] == [0, 1, 2, 3]
-    assert result.trace[-1].f_value == objective(golden.instance(2), result.Y_final)
+    assert result.trace[-1].f_value == evaluate(golden.instance(2), result.Y_final).f
     path = tmp_path / "sol.txt"
     write_solution(path, result)
     assert read_solution(path).termination == "degenerate-direction"
@@ -453,9 +450,10 @@ def test_solve_trace_metrics_equal_the_public_functions():
     seen = []
 
     def cb(record, Y, grad, direction):
-        assert record.f_value == objective(inst, Y)
-        assert record.residual == residual_error(inst, Y)
-        assert np.array_equal(grad, gradient(inst, Y))
+        at = evaluate(inst, Y)
+        assert record.f_value == at.f
+        assert record.residual == at.residual
+        assert np.array_equal(grad, at.grad)
         seen.append(record.index)
 
     solve(inst, config=SolverConfig(max_iterations=30), seed=1, callback=cb)
@@ -594,8 +592,8 @@ def bitwise_case(monkeypatch, case):
 
 @pytest.mark.parametrize("case", BITWISE_CASES)
 def test_solve_is_bitwise_the_public_functions(monkeypatch, case):
-    # solve evaluates the iterates it forms without checking them again; that
-    # path must give what the checking public functions give, bit for bit
+    # solve runs the public functions on the iterates it forms, so its trace
+    # and end point are what calling them gives, bit for bit
     inst = bitwise_case(monkeypatch, case)
     Y0 = np.random.default_rng(0).random((inst.n, inst.k))
     config = SolverConfig(epsilon=1e-12, max_iterations=RESTART_PERIOD + 20)
