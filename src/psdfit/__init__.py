@@ -13,8 +13,9 @@ The package namespace holds the library API documented in the README: the
 problem, its evaluation, the solver, the problem file and the image demo's
 entry points.  The rest stays in its module: the line search in
 :mod:`psdfit.linesearch`, independent numerical oracles for every
-analytic formula in :mod:`psdfit.oracle`, trace/solution/matrix files in
-:mod:`psdfit.io` and PGM images in :mod:`psdfit.imagedemo`.
+analytic formula in :mod:`psdfit.oracle`, every file format (trace,
+solution, matrix and PGM image files too) in :mod:`psdfit.io` and the image
+demo's test images in :mod:`psdfit.imagedemo`.
 """
 
 from .problem import (
@@ -33,8 +34,8 @@ from .solver import (
     TerminationReason,
     solve,
 )
-from .io import ParseError, generate_instance, read_problem, write_problem
-from .imagedemo import image_demo, image_to_truth, observation_instance, read_pgm
+from .io import ParseError, generate_instance, read_pgm, read_problem, write_problem
+from .imagedemo import image_demo, image_to_truth, observation_instance
 
 __version__ = "0.1.0"
 

@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:  # ParseError, ValidationError, ImageFormatError too
+    except (OSError, ValueError) as exc:  # ParseError (any file) and ValidationError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

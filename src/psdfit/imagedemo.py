@@ -7,113 +7,26 @@ records A_i = B_i X_true B_i^T.  The solver then fits a rank-k PSD matrix
 to the observations alone.  The transforms are illustrative choices, not
 canonical ones.
 
-Images are 8-bit binary PGM (magic "P5"); nothing fancier is supported.
+The image is read, and the restored view written, as 8-bit binary PGM by
+`psdfit.io` (`read_pgm`, `write_pgm`); this module holds the demo and its
+synthetic test images.
 """
 
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .problem import ProblemInstance, _as_float, _check_integer
 from .solver import SolverConfig, SolverResult, solve
-from .io import format_float, write_lines, write_matrix, write_trace
+from .io import format_float, read_pgm, write_lines, write_matrix, write_pgm, write_trace
 
 MAX_SIDE = 512  # dense solves above this are rejected
 DEMO_TOL = 1e-8  # the demo's stopping defaults, tighter than SolverConfig's
 DEMO_MAX_ITERATIONS = 50_000
 
-# a header comment (# to the end of its line) or a token; bytes between
-# matches are whitespace, and # inside a token is part of it
-_HEADER_TOKENS = re.compile(rb"#[^\r\n]*|\S+").finditer
-
 _SUBSAMPLE_FRACTION = 0.75
 _PERTURBATION = 0.05
-
-
-class ImageFormatError(ValueError):
-    pass
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM file into a (height, width) uint8 array.
-
-    Header comments (``#`` to end of line) and arbitrary whitespace are
-    accepted; maxval above 255 (16-bit rasters) is not, nor is a pixel above
-    maxval, which is reported at its 0-based row and column.  A header field
-    that int refuses, or one in Python's digit groups such as 1_0 (which int
-    reads as 10), is reported at its line and token column.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-
-    tokens = []
-    for match in _HEADER_TOKENS(data):
-        if match[0][:1] != b"#":  # not a comment
-            tokens.append(match)
-            if len(tokens) == 4:
-                break
-    else:
-        raise ImageFormatError("truncated header")
-    if tokens[0][0] != b"P5":
-        raise ImageFormatError(f"not a binary graymap (magic {tokens[0][0]!r})")
-    fields = []
-    for token in tokens[1:]:
-        try:
-            if b"_" in token[0]:  # int reads b"1_0" as 10
-                raise ValueError
-            fields.append(int(token[0]))
-        except ValueError:
-            where = _header_location(data, token.start())
-            raise ImageFormatError(f"non-numeric header field {token[0]!r}{where}") from None
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise ImageFormatError("bad image dimensions")
-    if not 0 < maxval <= 255:
-        raise ImageFormatError(f"only 8-bit graymaps supported (maxval {maxval})")
-    i = tokens[3].end() + 1  # single whitespace byte after maxval
-    raster = data[i : i + width * height]
-    if len(raster) != width * height:
-        raise ImageFormatError("truncated raster data")
-    image = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
-    if image.max() > maxval:
-        row, col = np.argwhere(image > maxval)[0]
-        raise ImageFormatError(
-            f"pixel {image[row, col]} at row {row}, column {col} exceeds maxval {maxval}"
-        )
-    return image
-
-
-def _header_location(data, start):
-    """" (line L, column C)" of the header token at byte start: lines end at
-    \n, \r or \r\n, and C counts the tokens on its line."""
-    head = data[:start]
-    line_start = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
-    line = len(head[:line_start].splitlines()) + 1
-    return f" (line {line}, column {len(head[line_start:].split()) + 1})"
-
-
-def write_pgm(path, image):
-    """Write a 2-D image as binary 8-bit PGM, each pixel rounded and clipped
-    to [0, 255].
-
-    The image is cast as pairs are (`_as_float`): one that is not real
-    (complex, or of strings) is a ValueError, as is a non-finite pixel,
-    which is reported at its 0-based row and column; one that is not 2-D,
-    or is empty, is an ImageFormatError.
-    """
-    image = _as_float(image, "image")
-    if image.ndim != 2 or image.size == 0:  # read_pgm refuses a side of 0
-        raise ImageFormatError(f"image must be 2-D and not empty, got shape {image.shape}")
-    if not np.isfinite(image).all():
-        row, col = np.argwhere(~np.isfinite(image))[0]
-        raise ValueError(f"non-finite pixel {image[row, col]} at row {row}, column {col}")
-    img = np.clip(np.rint(image), 0, 255).astype(np.uint8)
-    h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
 
 
 def make_test_image(n: int, seed: int = 0, rank=None) -> np.ndarray:
@@ -136,22 +49,22 @@ def make_test_image(n: int, seed: int = 0, rank=None) -> np.ndarray:
 def image_to_truth(image) -> np.ndarray:
     """Normalized PSD ground truth (G G^T scaled to unit Frobenius norm).
 
-    An image that is not real (`_as_float`: complex, or of strings) is a
-    ValueError.
+    An image that is not real (`_as_float`: complex, or of strings), not
+    square, with a side above MAX_SIDE or blank is a ValueError.
     """
     img = _as_float(image, "image")
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ImageFormatError(f"square image required, got {img.shape}")
+        raise ValueError(f"square image required, got {img.shape}")
     n = img.shape[0]
     if n > MAX_SIDE:
-        raise ImageFormatError(
+        raise ValueError(
             f"image side {n} exceeds {MAX_SIDE}; dense solve would be intractable"
         )
     G = img / 255.0
     S = G @ G.T
     nrm = np.linalg.norm(S)
     if nrm == 0.0:
-        raise ImageFormatError("blank image: ground truth would be zero")
+        raise ValueError("blank image: ground truth would be zero")
     return S / nrm
 
 

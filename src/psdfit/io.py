@@ -1,4 +1,5 @@
-"""Plain-text problem/solution/trace serialization and instance generation.
+"""Every file format (problem, matrix, trace, solution and PGM image) and
+instance generation.
 
 Problem files are whitespace-separated text with explicit dimension headers:
 
@@ -12,25 +13,34 @@ Problem files are whitespace-separated text with explicit dimension headers:
 Numbers are written with 16 significant digits, which reproduces values to
 better than 1e-12 relative and makes write -> read -> write byte-stable.
 Traces are six-column CSV; solutions carry summary fields and the assembled
-X.  Every format is read through one block reader, which splits each line
-once, converts each block of numbers in one call and screens it with one
-dot product, and every row of numbers is written through one % template
-per row and one line writer, so converting or formatting each number is
-the only per-number cost.
+X.  Every text format is read through one block reader, which splits each
+line once, converts each block of numbers in one call and screens it with
+one dot product, and every row of numbers is written through one %
+template per row and one line writer, so converting or formatting each
+number is the only per-number cost.
 
-Readers accept only what the writers produce.  A malformed or non-finite
-number (one in Python's digit groups, such as 1_0, too), a non-integer
-count or trace index, a trace index out of sequence, m, m_i or n < 1, a
-count of rows the file does not hold, a negative iteration count, an
-unknown termination reason or a byte that is not ASCII is a ParseError
-naming its file and line (and, for a bad token, its column).  Each
-reader raises a fault as it reaches it, and a block's rows are looked into
-only when the block fails, so the first fault in file order is the one
-raised.  The same seed always regenerates the same instance.
+The text readers accept only what the writers produce.  A malformed or
+non-finite number (one in Python's digit groups, such as 1_0, too), a
+non-integer count or trace index, a trace index out of sequence, m, m_i or
+n < 1, a count of rows the file does not hold, a negative iteration count,
+an unknown termination reason or a byte that is not ASCII is a ParseError
+naming its file and line (and, for a bad token, its column).  A byte that
+is not ASCII is looked for when the file is opened, so it is the fault
+reported wherever it stands.  Otherwise each reader raises a fault as it
+reaches it, and a block's rows are looked into only when the block fails,
+so the first fault in file order is the one raised.
+
+Images are 8-bit binary PGM (magic "P5"); nothing fancier is supported.
+A fault in a PGM file is a ParseError naming the file too, a bad header
+field at its line and token column; an image given to write_pgm that
+cannot be written is a ValueError.
+
+The same seed always regenerates the same instance.
 """
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import attrgetter
@@ -410,6 +420,92 @@ def read_solution(path) -> SolutionSummary:
     X = _read_block(reader, n, n, "X")
     reader.done()
     return SolutionSummary(X, termination, iterations, f, grad_norm, residual)
+
+
+# a PGM header comment (# to the end of its line) or a token; bytes between
+# matches are whitespace, and # inside a token is part of it
+_HEADER_TOKENS = re.compile(rb"#[^\r\n]*|\S+").finditer
+
+
+@_naming_the_file
+def read_pgm(path) -> np.ndarray:
+    """Read a binary 8-bit PGM file into a (height, width) uint8 array.
+
+    Header comments (``#`` to end of line) and arbitrary whitespace are
+    accepted; maxval above 255 (16-bit rasters) is not, nor is a pixel above
+    maxval, which is reported at its 0-based row and column.  A header field
+    that int refuses, or one in Python's digit groups such as 1_0 (which int
+    reads as 10), is reported at its line and token column.  Every fault
+    is a ParseError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    tokens = []
+    for match in _HEADER_TOKENS(data):
+        if match[0][:1] != b"#":  # not a comment
+            tokens.append(match)
+            if len(tokens) == 4:
+                break
+    else:
+        raise ParseError("truncated header")
+    if tokens[0][0] != b"P5":
+        raise ParseError(f"not a binary graymap (magic {tokens[0][0]!r})")
+    fields = []
+    for token in tokens[1:]:
+        try:
+            if b"_" in token[0]:  # int reads b"1_0" as 10
+                raise ValueError
+            fields.append(int(token[0]))
+        except ValueError:
+            line, column = _header_location(data, token.start())
+            raise ParseError(f"non-numeric header field {token[0]!r}", line, column) from None
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ParseError("bad image dimensions")
+    if not 0 < maxval <= 255:
+        raise ParseError(f"only 8-bit graymaps supported (maxval {maxval})")
+    i = tokens[3].end() + 1  # single whitespace byte after maxval
+    raster = data[i : i + width * height]
+    if len(raster) != width * height:
+        raise ParseError("truncated raster data")
+    image = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    if image.max() > maxval:
+        row, col = np.argwhere(image > maxval)[0]
+        raise ParseError(
+            f"pixel {image[row, col]} at row {row}, column {col} exceeds maxval {maxval}"
+        )
+    return image
+
+
+def _header_location(data, start):
+    """(line, column) of the header token at byte start: lines end at \n,
+    \r or \r\n, and the column counts the tokens on its line."""
+    head = data[:start]
+    line_start = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+    return len(head[:line_start].splitlines()) + 1, len(head[line_start:].split()) + 1
+
+
+def write_pgm(path, image):
+    """Write a 2-D image as binary 8-bit PGM, each pixel rounded and clipped
+    to [0, 255].
+
+    The image is cast as pairs are (`_as_float`): one that is not real
+    (complex, or of strings) is a ValueError, as is one that is not 2-D or
+    is empty, and a non-finite pixel, which is reported at its 0-based row
+    and column.
+    """
+    image = _as_float(image, "image")
+    if image.ndim != 2 or image.size == 0:  # read_pgm refuses a side of 0
+        raise ValueError(f"image must be 2-D and not empty, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        row, col = np.argwhere(~np.isfinite(image))[0]
+        raise ValueError(f"non-finite pixel {image[row, col]} at row {row}, column {col}")
+    img = np.clip(np.rint(image), 0, 255).astype(np.uint8)
+    h, w = img.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(img.tobytes())
 
 
 def generate_instance(

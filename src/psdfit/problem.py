@@ -106,24 +106,34 @@ class ProblemInstance:
         return len(self.pairs)
 
 
+# what `_as_real` finds wrong with a matrix: its Violation code and message
+_NOT_REAL = ("not-real", "has entries that are not real numbers")
+_RAGGED = ("dimension-mismatch", "is not a rectangular array")
+
+
 def _as_real(M):
-    """(M as float64 C-contiguous, True), or (zeros of its shape, False) if not real.
+    """(M as float64 C-contiguous, None), or (a stand-in, the fault) if it
+    is not real (`_NOT_REAL`) or is a ragged sequence (`_RAGGED`).
 
     Complex numbers and strings, also str or bytes entries of an object
     array, are refused, not cast (a cast would drop the imaginary part, and
-    float would parse a string); the zeros only stand in for them in an
-    instance that its constructor then refuses.
+    float would parse a string).  The stand-in, zeros of M's shape or no
+    entry at all for a ragged M, only stands in for M in an instance that
+    its constructor then refuses.
     """
-    M = np.asarray(M)
+    try:
+        M = np.asarray(M)
+    except ValueError:  # numpy refuses rows of different lengths
+        return np.zeros(0), _RAGGED
     kind = M.dtype.kind
     text = kind == "O" and any(isinstance(x, (str, bytes)) for x in M.flat)
     if kind in "biufO" and not text:  # bool, integer, float or Python objects
         try:
             # not ascontiguousarray, which makes a 0-d matrix 1-d
-            return np.asarray(M, dtype=_FLOAT64, order="C"), True
+            return np.asarray(M, dtype=_FLOAT64, order="C"), None
         except (TypeError, ValueError):  # an object that is not a real number
             pass
-    return np.zeros(M.shape), False
+    return np.zeros(M.shape), _NOT_REAL
 
 
 def _is_integer(value) -> bool:
@@ -148,9 +158,10 @@ def _checked(pairs, n, k):
     A_i also gives its norm (bitwise np.linalg.norm): a sum of squares is
     finite only if every entry is.  It can also overflow, so only what fails
     a screen is checked entry by entry.  Violations come in pair order, and
-    within a pair not-real, then non-finite, then the shapes; a pair that is
-    not two matrices is one dimension-mismatch, and the walk goes on to the
-    next pair.
+    within a pair not-real or ragged, then non-finite, then the shapes.  A
+    pair that is not two matrices is one dimension-mismatch, a pair with a
+    ragged matrix has no shapes checked, and the walk goes on to the next
+    pair.
     """
     cast, norm_sum, violations = [], 0.0, []
 
@@ -169,16 +180,18 @@ def _checked(pairs, n, k):
         except (TypeError, ValueError):  # not iterable, or not of length 2
             bad("dimension-mismatch", i, "a pair must be two matrices (A, B)")
             continue
-        (A, A_real), (B, B_real) = _as_real(A), _as_real(B)
+        (A, A_fault), (B, B_fault) = _as_real(A), _as_real(B)
         cast.append((A, B))
         sq = np.vdot(A, A)
         norm_sum += math.sqrt(sq)
-        for name, real in (("A", A_real), ("B", B_real)):
-            if not real:
-                bad("not-real", i, f"{name} has entries that are not real numbers")
+        for name, fault in (("A", A_fault), ("B", B_fault)):
+            if fault:
+                bad(fault[0], i, f"{name} {fault[1]}")
         for name, M, screen in (("A", A, sq), ("B", B, np.vdot(B, B))):
             if not (math.isfinite(screen) or np.isfinite(M).all()):
                 bad("non-finite", i, f"{name} has non-finite entries")
+        if _RAGGED in (A_fault, B_fault):
+            continue
         square = A.ndim == 2 and A.shape[0] == A.shape[1]
         if not square:
             bad("dimension-mismatch", i, f"A must be square, got shape {A.shape}")
@@ -202,11 +215,12 @@ def _checked(pairs, n, k):
 def _as_float(M, name):
     """M as a float64 C-contiguous ndarray, cast as pairs are (`_as_real`).
 
-    ValueError if it is not real: a complex M or one of strings is refused.
+    ValueError if it is not real (a complex M or one of strings is refused)
+    or is a ragged sequence, such as [[1.0], [2.0, 3.0]].
     """
-    M, real = _as_real(M)
-    if not real:
-        raise ValueError(f"{name} has entries that are not real numbers")
+    M, fault = _as_real(M)
+    if fault:
+        raise ValueError(f"{name} {fault[1]}")
     return M
 
 

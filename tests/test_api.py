@@ -11,6 +11,7 @@ import pytest
 import psdfit
 import psdfit.cli
 import psdfit.imagedemo
+import psdfit.io
 import psdfit.solver
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -25,11 +26,14 @@ def test_every_exported_name_resolves_and_is_documented():
 
 def test_names_perfbench_calls_stay_in_place():
     # perfbench's set-up calls these through the package, and it wraps the
-    # solve that the CLI and the image demo look up in their own modules
+    # solve that the CLI and the image demo look up in their own modules, and
+    # the PGM reader and writer that the image demo looks up in its own
     for name in ("read_problem", "read_pgm", "image_to_truth", "observation_instance"):
         assert name in psdfit.__all__
     assert psdfit.cli.solve is psdfit.solver.solve
     assert psdfit.imagedemo.solve is psdfit.solver.solve
+    assert psdfit.read_pgm is psdfit.io.read_pgm is psdfit.imagedemo.read_pgm
+    assert psdfit.imagedemo.write_pgm is psdfit.io.write_pgm
 
 
 def test_readme_first_example_runs():

@@ -389,3 +389,11 @@ def test_demo_image_rejects_non_pgm(tmp_path, capsys):
     img.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
     assert run("demo-image", img, "--out-dir", tmp_path / "d") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_demo_image_names_the_file_of_a_bad_header(tmp_path, capsys):
+    img = tmp_path / "b.pgm"
+    img.write_bytes(b"P5\n2 x\n255\n")
+    assert run("demo-image", img, "--out-dir", tmp_path / "d") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: non-numeric header field b'x' ({img}, line 2, column 2)\n"

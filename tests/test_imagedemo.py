@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from psdfit import SolverConfig, ValidationError, solve
+from psdfit import ParseError, SolverConfig, ValidationError, solve
 from psdfit.imagedemo import (
     MAX_SIDE,
-    ImageFormatError,
     _rescale_to_gray,
     image_demo,
     image_to_truth,
@@ -65,28 +64,28 @@ def test_pgm_header_separators(tmp_path, header):
 def test_pgm_rejects_ascii_variant(tmp_path):
     path = tmp_path / "ascii.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
-    with pytest.raises(ImageFormatError, match="P2"):
+    with pytest.raises(ParseError, match="P2"):
         read_pgm(path)
 
 
 def test_pgm_rejects_16_bit(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
-    with pytest.raises(ImageFormatError, match="maxval"):
+    with pytest.raises(ParseError, match="maxval"):
         read_pgm(path)
 
 
 def test_pgm_rejects_truncated_raster(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-    with pytest.raises(ImageFormatError, match="truncated raster"):
+    with pytest.raises(ParseError, match="truncated raster"):
         read_pgm(path)
 
 
 def test_pgm_rejects_truncated_header(tmp_path):
     path = tmp_path / "hdr.pgm"
     path.write_bytes(b"P5\n4")
-    with pytest.raises(ImageFormatError, match="truncated header"):
+    with pytest.raises(ParseError, match="truncated header"):
         read_pgm(path)
 
 
@@ -101,16 +100,21 @@ def test_pgm_rejects_truncated_header(tmp_path):
         # a # inside a token is part of the token
         (b"P5\n2 2\n255#c\n", "non-numeric header field"),
         # int reads Python's digit groups, b"1_0" as 10; the field is named
-        # at its line and token column
-        (b"P5 # by_hand\n4 1_0\n255\n", r"non-numeric header field b'1_0' \(line 2, column 2\)"),
-        (b"P5\r\n2\r\n2 2_55\r", r"field b'2_55' \(line 3, column 2\)"),
+        # at its file, line and token column
+        (b"P5 # by_hand\n4 1_0\n255\n", r"non-numeric header field b'1_0' \(.*hdr\.pgm, line 2, column 2\)$"),
+        (b"P5\r\n2\r\n2 2_55\r", r"field b'2_55' \(.*hdr\.pgm, line 3, column 2\)$"),
     ],
 )
 def test_pgm_rejects_bad_header_fields(tmp_path, header, match):
     path = tmp_path / "hdr.pgm"
     path.write_bytes(header + bytes(16))
-    with pytest.raises(ImageFormatError, match=match):
+    with pytest.raises(ParseError, match=match) as err:
         read_pgm(path)
+    assert err.value.path == path
+    # a location in the expected message is held by the error's attributes too
+    where = re.search(r"line (\d+), column (\d+)", match)
+    if where:
+        assert (err.value.line, err.value.column) == (int(where[1]), int(where[2]))
 
 
 def test_pgm_rejects_a_pixel_above_maxval(tmp_path):
@@ -118,10 +122,10 @@ def test_pgm_rejects_a_pixel_above_maxval(tmp_path):
     # order, is reported at its row and column
     path = tmp_path / "over.pgm"
     path.write_bytes(b"P5\n2 2\n15\n" + bytes([200, 2, 3, 16]))
-    with pytest.raises(ImageFormatError, match="pixel 200 at row 0, column 0 exceeds maxval"):
+    with pytest.raises(ParseError, match="pixel 200 at row 0, column 0 exceeds maxval"):
         read_pgm(path)
     path.write_bytes(b"P5\n2 2\n15\n" + bytes([15, 2, 3, 16]))
-    with pytest.raises(ImageFormatError, match="pixel 16 at row 1, column 1 exceeds maxval"):
+    with pytest.raises(ParseError, match="pixel 16 at row 1, column 1 exceeds maxval"):
         read_pgm(path)
     path.write_bytes(b"P5\n2 2\n15\n" + bytes([15, 0, 3, 4]))
     assert np.array_equal(read_pgm(path), [[15, 0], [3, 4]])
@@ -152,16 +156,18 @@ def test_pgm_write_casts_by_the_library_rule(tmp_path, image, match):
 
 
 def test_pgm_write_rejects_a_non_matrix(tmp_path):
-    with pytest.raises(ImageFormatError, match="image must be 2-D"):
+    with pytest.raises(ValueError, match="image must be 2-D") as err:
         write_pgm(tmp_path / "flat.pgm", np.arange(4.0))
+    assert type(err.value) is ValueError
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_pgm_write_rejects_an_image_with_no_pixel(tmp_path, shape):
     # its file would have a side of 0, which read_pgm refuses
     path = tmp_path / "empty.pgm"
-    with pytest.raises(ImageFormatError, match=re.escape(f"got shape {shape}")):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")) as err:
         write_pgm(path, np.zeros(shape))
+    assert type(err.value) is ValueError
     assert not path.exists()
 
 
@@ -195,19 +201,22 @@ def test_truth_rank_one_image():
 
 
 def test_truth_rejects_non_square():
-    with pytest.raises(ImageFormatError, match="square"):
+    with pytest.raises(ValueError, match="square") as err:
         image_to_truth(np.zeros((3, 4)))
+    assert type(err.value) is ValueError
 
 
 def test_truth_rejects_blank_image():
-    with pytest.raises(ImageFormatError, match="blank"):
+    with pytest.raises(ValueError, match="blank") as err:
         image_to_truth(np.zeros((4, 4)))
+    assert type(err.value) is ValueError
 
 
 def test_truth_rejects_oversized_image():
     big = np.ones((MAX_SIDE + 1, MAX_SIDE + 1))
-    with pytest.raises(ImageFormatError, match=str(MAX_SIDE)):
+    with pytest.raises(ValueError, match=str(MAX_SIDE)) as err:
         image_to_truth(big)
+    assert type(err.value) is ValueError
 
 
 # ---------------------------------------------------------------------------

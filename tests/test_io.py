@@ -20,6 +20,7 @@ from psdfit import (
 from psdfit.io import (
     TRACE_HEADER,
     read_matrix,
+    read_pgm,
     read_solution,
     read_trace,
     write_matrix,
@@ -632,8 +633,11 @@ def test_writers_format_every_float64(tmp_path_factory, rows, reason):
         (read_matrix, b"1\xff 0\n", 1, 1),
         (read_trace, TRACE_HEADER.encode() + b"\n0,1,2,3,0,0\n1,1,2,3,4\xb5,5\n", 3, 5),
         (read_solution, solution_text().encode()[:-2] + b"\xe91\n", 8, 1),
+        # looked for when the file is opened, so it is reported before the
+        # nan on line 3, though that comes first in file order
+        (read_problem, b"1 2 1\n2\nnan 1\n1 1\n1 0\n0 \xe9\n", 6, 2),
     ],
-    ids=["problem", "matrix", "trace", "solution"],
+    ids=["problem", "matrix", "trace", "solution", "problem-after-a-nan"],
 )
 def test_non_ascii_byte_is_a_parse_error(tmp_path, reader, data, line, column):
     path = tmp_path / "bad.txt"
@@ -697,8 +701,9 @@ def test_digit_groups_are_a_parse_error(tmp_path, reader, text, match, line, col
         (read_matrix, "1 2\n3 x\n", "line 2, column 2"),
         (read_trace, "iteration\n", "line 1"),
         (read_solution, "n 1\n", None),
+        (read_pgm, "P5\n2 x\n255\n", "line 2, column 2"),
     ],
-    ids=["problem", "problem-empty", "matrix", "trace", "solution-end-of-file"],
+    ids=["problem", "problem-empty", "matrix", "trace", "solution-end-of-file", "pgm"],
 )
 def test_a_parse_error_names_its_file(tmp_path, reader, text, where):
     path = tmp_path / "bad.txt"

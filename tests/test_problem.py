@@ -174,6 +174,45 @@ def test_validate_rejects_data_that_is_not_real():
     assert inst.pairs[0][1].dtype == np.float64
 
 
+def test_a_ragged_array_is_refused_by_name(tmp_path):
+    # numpy refuses rows of different lengths with a message naming nothing;
+    # each entry point names the array, and an instance reports the pair
+    from psdfit import image_to_truth, observation_instance, solve
+    from psdfit.io import write_matrix
+
+    ragged = [[1.0], [2.0, 3.0]]
+    inst = generate_instance(2, 1, m=1, seed=0)
+    calls = [
+        ("Y", lambda: evaluate(inst, ragged)),
+        ("Y0", lambda: solve(inst, ragged)),
+        ("Y", lambda: assemble_X(ragged)),
+        ("M", lambda: write_matrix(tmp_path / "m.txt", ragged)),
+        ("X_true", lambda: observation_instance(ragged, 1, 1, 0)),
+        ("image", lambda: image_to_truth(ragged)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} is not a rectangular array$") as err:
+            call()
+        assert type(err.value) is ValueError
+    assert not (tmp_path / "m.txt").exists()
+    # one violation per ragged matrix, none from its shape, and the walk
+    # goes on to the other pairs and the rank bound
+    pairs = (
+        (ragged, np.eye(2)),
+        (np.eye(2), ragged),
+        (np.eye(2), np.ones((2, 3))),
+        (ragged, np.full((2, 2), np.nan)),
+    )
+    assert violations(pairs, n=2, k=3) == [
+        ("dimension-mismatch", 0, "pair 0: A is not a rectangular array"),
+        ("dimension-mismatch", 1, "pair 1: B is not a rectangular array"),
+        ("dimension-mismatch", 2, "pair 2: B has 3 columns, expected n=2"),
+        ("dimension-mismatch", 3, "pair 3: A is not a rectangular array"),
+        ("non-finite", 3, "pair 3: B has non-finite entries"),
+        ("rank-out-of-range", None, "rank bound k=3 outside [1, n]=2"),
+    ]
+
+
 def test_invalid_instances_never_reach_evaluation():
     # built, these would give objective nan, a matmul error naming no pair,
     # a 2 x 3 gradient for n = 2, and f = 0 for no pairs
