@@ -1,4 +1,4 @@
-"""Every file format (problem, matrix, trace, solution and PGM image) and
+r"""Every file format (problem, matrix, trace, solution and PGM image) and
 instance generation.
 
 Problem files are whitespace-separated text with explicit dimension headers:
@@ -13,11 +13,14 @@ Problem files are whitespace-separated text with explicit dimension headers:
 Numbers are written with 16 significant digits, which reproduces values to
 better than 1e-12 relative and makes write -> read -> write byte-stable.
 Traces are six-column CSV; solutions carry summary fields and the assembled
-X.  Every text format is read through one block reader, which splits each
-line once, converts each block of numbers in one call and screens it with
-one dot product, and every row of numbers is written through one %
-template per row and one line writer, so converting or formatting each
-number is the only per-number cost.
+X.  Every text format is read through one block reader, which keeps each
+line as written and splits it only to read it as fields or to locate a
+fault, converts each block of numbers in one call of numpy's C text reader
+(each number as Python's float reads it) and screens it with one dot
+product, and every row of numbers is written through one % template per
+row and one line writer, so converting or formatting each number is the
+only per-number cost.  Lines end at \n, \r\n or \r; tab, \v and \f
+separate values within a line.
 
 The text readers accept only what the writers produce.  A malformed or
 non-finite number (one in Python's digit groups, such as 1_0, too), a
@@ -92,7 +95,7 @@ def _naming_the_file(read):
 _SPEC = ".16g"  # 16 significant digits: how every file format writes a float
 # the one word with an underscore that a writer writes (trace and solution
 # files); any other underscore is in a number spelt with Python's digit
-# groups, which int, float and numpy read ("1_0" is 10) and no writer writes
+# groups, which int and float read ("1_0" is 10) and no writer writes
 _FIELD_WITH_UNDERSCORE = "grad_norm"
 
 
@@ -102,60 +105,74 @@ def format_float(x: float) -> str:
 
 
 class _TokenLines:
-    """A file's non-blank lines, consumed in order.
+    r"""A file's non-blank lines, consumed in order.
 
-    tokens[j] is the j-th non-blank line split on whitespace, or on sep when
-    one is given (CSV, where a line of only whitespace is blank); each line
-    is split once.  linenos[j] is that line's 1-based number, read only to
-    report a fault.  A byte that is not ASCII is a ParseError at its line
-    and token.  grouped says whether an underscore stands outside the field
-    name grad_norm: one scan of the text, and only a file where one does
-    has its numbers checked token by token for it (`numbers`, `_read_block`).
+    lines[j] is the j-th non-blank line as written, and linenos[j] its
+    1-based number, read only to report a fault.  A line ends at \n, \r\n
+    or \r and nowhere else; any other whitespace (tab, \v, \f) separates
+    values within it.  fields(j) is line j split on whitespace, or on sep
+    when one is given (CSV, where a line of only whitespace is blank too).
+    A line is split only when it is read as fields (a header, a size, a
+    keyed line, a trace row's index) or a fault in it is looked for: a
+    block of numbers goes to numpy's reader as lines (`_read_block`).  A
+    byte that is not ASCII is a ParseError at its line and token.  grouped
+    says whether an underscore stands outside the field name grad_norm:
+    one scan of the text, and only a file where one does has the fields
+    `numbers` converts checked token by token for it.  recheck says
+    whether a CSV file holds one of the separators \x1c-\x1f, which
+    numpy's reader strips from the ends of a field and float refuses:
+    only such a file has each block numpy converts checked again token
+    by token (`_read_block`).
     """
 
     def __init__(self, path, sep=None):
-        # a non-ASCII byte reads as a lone surrogate, inside some token
+        # universal newlines: \r\n and \r arrive as \n; a non-ASCII byte
+        # reads as a lone surrogate, inside some token
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
-        lines = text.splitlines()
-        if sep is None:
-            split = list(map(str.split, lines))  # a blank line splits to []
-        else:
-            split = [raw.split(sep) if raw.strip() else [] for raw in lines]
-        self.linenos = list(compress(count(1), split))
-        self.tokens = list(filter(None, split))
+        lines = text.split("\n")
+        stripped = list(map(str.strip, lines))  # "" for a blank line
+        self.linenos = list(compress(count(1), stripped))
+        self.lines = list(compress(lines, stripped))
+        self.sep = sep
         if not text.isascii():
-            lineno, j, tok = next(
-                (lineno, j, tok)
-                for lineno, toks in zip(self.linenos, self.tokens)
-                for j, tok in enumerate(toks, start=1)
+            j = next(j for j, raw in enumerate(self.lines) if not raw.isascii())
+            c, tok = next(
+                (c, tok)
+                for c, tok in enumerate(self.fields(j), start=1)
                 if not tok.isascii()
             )
             bad = tok.encode("ascii", "surrogateescape")
-            raise ParseError(f"non-ASCII byte in {bad!r}", line=lineno, column=j)
+            raise ParseError(f"non-ASCII byte in {bad!r}", line=self.linenos[j], column=c)
         self.grouped = "_" in text and "_" in text.replace(_FIELD_WITH_UNDERSCORE, "")
+        self.recheck = sep is not None and re.search("[\x1c-\x1f]", text) is not None
         self.unit = "values" if sep is None else "columns"
         self.at = 0
+
+    def fields(self, j):
+        """Non-blank line j split into its tokens."""
+        return self.lines[j].split(self.sep)
 
     def count_error(self, j, expect, what):
         """The ParseError for non-blank line j when it does not hold expect tokens."""
         return ParseError(
-            f"expected {expect} {self.unit} for {what}, found {len(self.tokens[j])}",
+            f"expected {expect} {self.unit} for {what}, found {len(self.fields(j))}",
             line=self.linenos[j],
         )
 
     def next_line(self, expect: int, what: str):
         """The next line as (line number, tokens); it must hold expect tokens."""
         j = self.at
-        if j >= len(self.tokens):
+        if j >= len(self.lines):
             raise ParseError(f"unexpected end of file while reading {what}")
         self.at += 1
-        if len(self.tokens[j]) != expect:
+        toks = self.fields(j)
+        if len(toks) != expect:
             raise self.count_error(j, expect, what)
-        return self.linenos[j], self.tokens[j]
+        return self.linenos[j], toks
 
     def done(self):
-        if self.at < len(self.tokens):
+        if self.at < len(self.lines):
             raise ParseError("unexpected trailing content", line=self.linenos[self.at])
 
     def numbers(self, lineno, toks, what, kind, skip=0):
@@ -177,21 +194,25 @@ class _TokenLines:
 
 
 def _read_block(reader, rows, cols, what):
-    """The next rows lines (rows >= 0), cols numbers each, as a float array.
+    """The next rows lines (rows >= 1), cols numbers each, as a float array.
 
-    The block's lines are taken as one slice and numpy converts them in one
-    call, each string as Python's float does, so the array is built only
-    from tokens the file holds: no count in a header can ask for more
-    memory than the file.  One dot product screens the values, as a sum of
-    squares is finite only if every entry is.  Rows are looked into, and
-    labelled, only when the conversion, the shape or the screen fails, or
-    the file holds a number with an underscore (`_TokenLines.grouped`), and
-    `_raise_fault` then raises the block's first fault in file order.  A
-    block the file ends inside is reported at the end of the file, unless
-    one of the rows it has holds a bad or non-finite number.
+    The block's lines are taken as one slice and converted by one call of
+    numpy's C text reader (np.loadtxt), which splits each line as
+    `_TokenLines.fields` does, checks that every row is as wide as the
+    first, and reads each token bit for bit as Python's float does, but
+    refuses one in digit groups (1_0).  So the array is built only from
+    tokens the file holds: no count in a header can ask for more memory
+    than the file.  One dot product screens the values, as a sum of
+    squares is finite only if every entry is.  Rows are split, looked
+    into and labelled only when the conversion, the shape or the screen
+    fails, or the file is one numpy may read more leniently than float
+    (`_TokenLines.recheck`), and `_raise_fault` then raises the block's
+    first fault in file order.  A block the file ends inside is reported
+    at the end of the file, unless one of the rows it has holds a bad or
+    non-finite number.
     """
     first = reader.at
-    block = reader.tokens[first : first + rows]
+    block = reader.lines[first : first + rows]
     if len(block) < rows:
         _raise_fault(reader, first, len(block), None, what)
         raise ParseError(
@@ -200,14 +221,16 @@ def _read_block(reader, rows, cols, what):
         )
     reader.at = first + rows
     try:
-        data = np.array(block, dtype=float)
+        data = np.loadtxt(
+            block, dtype=float, delimiter=reader.sep, comments=None, ndmin=2
+        )
     except ValueError:  # a ragged block, or a token float refuses
         _raise_fault(reader, first, rows, cols, what)
         raise
     if (
         data.shape != (rows, cols)
         or not math.isfinite(np.vdot(data, data))
-        or reader.grouped
+        or reader.recheck
     ):
         _raise_fault(reader, first, rows, cols, what)
     return data
@@ -225,7 +248,7 @@ def _raise_fault(reader, first, rows, cols, what):
     """
     for r in range(rows):
         j = first + r
-        lineno, toks = reader.linenos[j], reader.tokens[j]
+        lineno, toks = reader.linenos[j], reader.fields(j)
         if cols is not None and len(toks) != cols:
             raise reader.count_error(j, cols, f"{what} row {r}")
         for c, tok in enumerate(toks, start=1):
@@ -302,9 +325,9 @@ def read_matrix(path) -> np.ndarray:
     Every row must hold as many values as the first (`_read_block`).
     """
     reader = _TokenLines(path)
-    if not reader.tokens:
+    if not reader.lines:
         raise ParseError("empty matrix file")
-    return _read_block(reader, len(reader.tokens), len(reader.tokens[0]), "matrix")
+    return _read_block(reader, len(reader.lines), len(reader.fields(0)), "matrix")
 
 
 def write_matrix(path, M):
@@ -332,18 +355,17 @@ def read_trace(path):
     """Read a trace CSV: iteration indices 0, 1, 2, ... in order, finite values.
 
     Row 0, the start point, is always written, so a header alone is refused.
-    The block is read only up to the first row whose index is not its
-    iteration number, so a fault in an earlier row is the one reported.
+    A fault in a row before the first one whose index is not its
+    iteration number is the one reported (`_raise_fault`).
     """
     reader = _TokenLines(path, sep=",")
-    if not reader.tokens or reader.tokens[0] != TRACE_HEADER.split(","):
+    if not reader.lines or reader.lines[0] != TRACE_HEADER:
         raise ParseError("missing trace header", line=1)
-    if len(reader.tokens) == 1:
+    if len(reader.lines) == 1:
         raise ParseError("trace has no iteration rows", line=1)
     reader.at = 1
-    for expected, lineno, (token, *_) in zip(
-        count(), reader.linenos[1:], reader.tokens[1:]
-    ):
+    for expected, lineno, row in zip(count(), reader.linenos[1:], reader.lines[1:]):
+        token = row.partition(",")[0]
         if token == str(expected):
             continue
         # another spelling of the expected index ("01", " 1") is accepted,
@@ -353,14 +375,14 @@ def read_trace(path):
                 continue
         except ValueError:
             pass
-        _read_block(reader, expected, 6, "trace")
+        _raise_fault(reader, 1, expected, 6, "trace")
         (index,) = reader.numbers(lineno, [token], "trace iteration", int)
         raise ParseError(
             f"trace iteration {index} out of sequence, expected {expected}",
             line=lineno,
             column=1,
         )
-    data = _read_block(reader, len(reader.tokens) - 1, 6, "trace")
+    data = _read_block(reader, len(reader.lines) - 1, 6, "trace")
     return list(map(IterationRecord, count(), *data[:, 1:].T.tolist()))
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 from dataclasses import astuple
@@ -23,6 +24,7 @@ from psdfit.io import (
     read_pgm,
     read_solution,
     read_trace,
+    write_lines,
     write_matrix,
     write_solution,
     write_trace,
@@ -118,12 +120,21 @@ B_3x2 = "1 0\n0 1\n1 1\n"
             4,
             2,
         ),
+        # tokens float refuses, and numpy's reader with them
+        (A_3x3.replace("4 5 6", "4 1#2 6") + B_3x2, "bad number '1#2' in A_0 row 1", 4, 2),
+        (A_3x3 + B_3x2.replace("1 1", "0x10 1"), "bad number '0x10' in B_0 row 2", 8, 1),
+        (A_3x3.replace("1 2 3", "1 2 1d5") + B_3x2, "bad number '1d5' in A_0 row 0", 3, 3),
+        (A_3x3 + B_3x2.replace("0 1", '0 "1"'), "bad number '\"1\"' in B_0 row 1", 7, 2),
     ],
     ids=[
         "last-row-of-A",
         "middle-row-of-B",
         "short-middle-row",
         "bad-token-before-short-row",
+        "comment-sign",
+        "hexadecimal",
+        "fortran-exponent",
+        "quoted",
     ],
 )
 def test_problem_block_fault_positions(tmp_path, text, match, line, column):
@@ -251,6 +262,37 @@ def test_problem_blank_lines_are_ignored(tmp_path):
     path.write_text("\n1 1 1\n\n1\n\n2\n\n3\n\n")
     inst = read_problem(path)
     assert inst.pairs[0][0][0, 0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"1 2 1\n1\n2\f\nx 4\n",
+        b"1 2 1\n1\n2\v\nx 4\n",
+        b"1 2 1\n1\n2\x1c\x1d\x1e\nx 4\n",
+        b"1 2 1\r\n1\r\n2\r\nx 4\r\n",
+        b"1 2 1\r1\r2\rx 4\r",
+    ],
+    ids=["form-feed", "vertical-tab", "information-separators", "crlf", "cr"],
+)
+def test_lines_end_only_at_newline_and_carriage_return(tmp_path, data):
+    # the file has four lines whatever whitespace ends the third
+    path = tmp_path / "bad.prob"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="bad number 'x' in B_0 row 0") as err:
+        read_problem(path)
+    assert (err.value.line, err.value.column) == (4, 1)
+
+
+@pytest.mark.parametrize(
+    "sep", ["\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"],
+    ids=["tab", "vertical-tab", "form-feed", "x1c", "x1d", "x1e", "x1f"],
+)
+def test_whitespace_within_a_line_separates_values(tmp_path, sep):
+    path = tmp_path / "sep.prob"
+    path.write_text(f"1 2 1\n1\n2\n3{sep}4\n")
+    ((A, B),) = read_problem(path).pairs
+    assert (A.tolist(), B.tolist()) == ([[2.0]], [[3.0, 4.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +425,17 @@ def test_trace_wrong_column_count(tmp_path):
         ("5,1,2,3,4,5\n2,nan,2,3,4,5", "iteration 5 out of sequence, expected 1", 1),
         # int reads Python's digit groups, "0_1" as 1
         ("0_1,1,2,3,4,5", "bad integer '0_1' in trace iteration", 1),
+        # tokens float refuses, and numpy's reader with them
+        ("1,1#2,2,3,4,5", "bad number '1#2' in trace row 1", 2),
+        ("1,1,0x10,3,4,5", "bad number '0x10' in trace row 1", 3),
+        ("1,1,2,1d5,4,5", "bad number '1d5' in trace row 1", 4),
+        ('1,1,2,3,"1",5', "bad number '\"1\"' in trace row 1", 5),
+        ("1,1,,3,4,5", "bad number '' in trace row 1", 3),
+        # a field padded with whitespace is read, so the x is the fault
+        ("1, 1.5 ,2,3,4,x", "bad number 'x' in trace row 1", 6),
+        # numpy's reader strips \x1c-\x1f from the ends of a field, float does not
+        ("1,1\x1f,2,3,4,5", r"bad number '1\\x1f' in trace row 1", 2),
+        ("1,1,2,3,4,\x1c5", r"bad number '\\x1c5' in trace row 1", 6),
     ],
     ids=[
         "fractional-index",
@@ -392,6 +445,14 @@ def test_trace_wrong_column_count(tmp_path):
         "fractional-index-before-bad-value",
         "index-skips-before-non-finite",
         "index-in-digit-groups",
+        "comment-sign",
+        "hexadecimal",
+        "fortran-exponent",
+        "quoted",
+        "empty-field",
+        "padded-field-then-bad-token",
+        "unit-separator-after-value",
+        "file-separator-before-value",
     ],
 )
 def test_trace_reader_rules(tmp_path, row, match, column):
@@ -620,6 +681,78 @@ def test_writers_format_every_float64(tmp_path_factory, rows, reason):
             *map(formatted, X.tolist()),
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# every block reader: each number bit for bit as float reads it
+
+# the smallest subnormal (and the halfway cases beside it), the largest
+# subnormal, the smallest and largest normals, zeros and underflow
+EDGE_TOKENS = [
+    "5e-324", "-4.9406564584124654e-324", "2.4703282292062328e-324",
+    "2.4703282292062327e-324", "2.225073858507201e-308",
+    "2.2250738585072014e-308", "1.7976931348623157e308",
+    "-1.7976931348623158e308", "0", "-0.0", "1e-400", "-1e-400",
+]
+finite_doubles = doubles.filter(math.isfinite)
+number_tokens = st.one_of(
+    finite_doubles.map(repr),
+    finite_doubles.map(lambda x: format(x, ".17g")),
+    st.sampled_from(EDGE_TOKENS),
+)
+token_squares = st.integers(1, 4).flatmap(
+    lambda side: st.lists(
+        st.lists(number_tokens, min_size=side, max_size=side),
+        min_size=side,
+        max_size=side,
+    )
+)
+
+
+def float_bits(rows):
+    """The bits of float(token) for each token of rows."""
+    return np.array([[float(tok) for tok in row] for row in rows]).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(square=token_squares)
+@example(square=[EDGE_TOKENS[0:4], EDGE_TOKENS[4:8], EDGE_TOKENS[8:12], EDGE_TOKENS[0:4]])
+def test_block_readers_read_each_number_as_float_does(tmp_path_factory, square):
+    out = tmp_path_factory.mktemp("readers")
+    side = len(square)
+    lines = [" ".join(row) for row in square]
+    want = float_bits(square)
+
+    write_lines(out / "p.prob", [f"1 {side} 1", str(side), *lines, *lines])
+    ((A, B),) = read_problem(out / "p.prob").pairs
+    assert (A.tobytes(), B.tobytes()) == (want, want)
+
+    write_lines(out / "m.txt", lines)
+    assert read_matrix(out / "m.txt").tobytes() == want
+
+    flat = [tok for row in square for tok in row]
+    values = [[flat[(i + j) % len(flat)] for j in range(5)] for i in range(len(flat))]
+    rows = [f"{i}," + ",".join(row) for i, row in enumerate(values)]
+    write_lines(out / "t.csv", [TRACE_HEADER, *rows])
+    records = read_trace(out / "t.csv")
+    assert np.array([astuple(r)[1:] for r in records]).tobytes() == float_bits(values)
+
+    keyed = dict(f=flat[0], grad_norm=flat[-1], residual=flat[len(flat) // 2])
+    write_lines(
+        out / "s.txt",
+        [
+            f"n {side}",
+            "termination gradient-tolerance",
+            "iterations 0",
+            *(f"{key} {tok}" for key, tok in keyed.items()),
+            "X",
+            *lines,
+        ],
+    )
+    summary = read_solution(out / "s.txt")
+    assert summary.X.tobytes() == want
+    scalars = [summary.f_value, summary.grad_norm, summary.residual]
+    assert np.array(scalars).tobytes() == float_bits([keyed.values()])
 
 
 # ---------------------------------------------------------------------------
