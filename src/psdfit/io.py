@@ -15,11 +15,14 @@ better than 1e-12 relative and makes write -> read -> write byte-stable.
 Traces are six-column CSV; solutions carry summary fields and the assembled
 X.  Every text format is read through one block reader, which keeps each
 line as written and splits it only to read it as fields or to locate a
-fault, converts each block of numbers in one call of numpy's C text reader
-(each number as Python's float reads it) and screens it with one dot
-product, and every row of numbers is written through one % template per
-row and one line writer, so converting or formatting each number is the
-only per-number cost.  Lines end at \n, \r\n or \r; tab, \v and \f
+fault, converts blocks of numbers of one row width in one call of numpy's
+C text reader (each number as Python's float reads it) and screens them
+with one dot product, and every row of numbers is written through one %
+template per row and one line writer, so converting or formatting each
+number is the only per-number cost.  A problem file's size lines are read
+first, and then all its rows of one width in one call: every B_i row, and
+the A_i rows of each size m_i, so the number of calls does not grow with
+the number of pairs.  Lines end at \n, \r\n or \r; tab, \v and \f
 separate values within a line.
 
 The text readers accept only what the writers produce.  A malformed or
@@ -30,8 +33,9 @@ an unknown termination reason or a byte that is not ASCII is a ParseError
 naming its file and line (and, for a bad token, its column).  A byte that
 is not ASCII is looked for when the file is opened, so it is the fault
 reported wherever it stands.  Otherwise each reader raises a fault as it
-reaches it, and a block's rows are looked into only when the block fails,
-so the first fault in file order is the one raised.
+reaches it, and a block's rows are looked into only when a conversion
+fails, and then every block of the file in file order, so the first fault
+in file order is the one raised.
 
 Images are 8-bit binary PGM (magic "P5"); nothing fancier is supported.
 A fault in a PGM file is a ParseError naming the file too, a bad header
@@ -45,7 +49,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import accumulate, chain, compress, count
 from operator import attrgetter
 
 import numpy as np
@@ -93,10 +97,6 @@ def _naming_the_file(read):
 
 
 _SPEC = ".16g"  # 16 significant digits: how every file format writes a float
-# the one word with an underscore that a writer writes (trace and solution
-# files); any other underscore is in a number spelt with Python's digit
-# groups, which int and float read ("1_0" is 10) and no writer writes
-_FIELD_WITH_UNDERSCORE = "grad_norm"
 
 
 def format_float(x: float) -> str:
@@ -114,15 +114,12 @@ class _TokenLines:
     when one is given (CSV, where a line of only whitespace is blank too).
     A line is split only when it is read as fields (a header, a size, a
     keyed line, a trace row's index) or a fault in it is looked for: a
-    block of numbers goes to numpy's reader as lines (`_read_block`).  A
-    byte that is not ASCII is a ParseError at its line and token.  grouped
-    says whether an underscore stands outside the field name grad_norm:
-    one scan of the text, and only a file where one does has the fields
-    `numbers` converts checked token by token for it.  recheck says
-    whether a CSV file holds one of the separators \x1c-\x1f, which
-    numpy's reader strips from the ends of a field and float refuses:
-    only such a file has each block numpy converts checked again token
-    by token (`_read_block`).
+    block of numbers is taken (`take`) and goes to numpy's reader as
+    lines (`_read_block`).  A byte that is not ASCII is a ParseError at
+    its line and token.  recheck says whether a CSV file holds one of the
+    separators \x1c-\x1f, which numpy's reader strips from the ends of a
+    field and float refuses: only such a file has each block numpy
+    converts checked again token by token (`_read_block`).
     """
 
     def __init__(self, path, sep=None):
@@ -144,10 +141,10 @@ class _TokenLines:
             )
             bad = tok.encode("ascii", "surrogateescape")
             raise ParseError(f"non-ASCII byte in {bad!r}", line=self.linenos[j], column=c)
-        self.grouped = "_" in text and "_" in text.replace(_FIELD_WITH_UNDERSCORE, "")
         self.recheck = sep is not None and re.search("[\x1c-\x1f]", text) is not None
         self.unit = "values" if sep is None else "columns"
         self.at = 0
+        self.blocks = []
 
     def fields(self, j):
         """Non-blank line j split into its tokens."""
@@ -171,18 +168,30 @@ class _TokenLines:
             raise self.count_error(j, expect, what)
         return self.linenos[j], toks
 
+    def take(self, rows, cols, what):
+        """The next rows lines as the block (first line, rows, cols, what).
+
+        The block is added to blocks, every block taken, in file order.
+        The file need not hold all its rows: `_read_block` and
+        `_raise_fault` report one it ends inside.
+        """
+        block = (self.at, rows, cols, what)
+        self.blocks.append(block)
+        self.at += rows
+        return block
+
     def done(self):
         if self.at < len(self.lines):
             raise ParseError("unexpected trailing content", line=self.linenos[self.at])
 
     def numbers(self, lineno, toks, what, kind, skip=0):
         """toks[skip:] converted by kind (int, float or str); a token kind
-        refuses, or a number with an underscore, raises at its column."""
+        refuses, or a number in Python's digit groups (1_0, which int and
+        float read as 10), raises at its column."""
         out = []
-        grouped = self.grouped and kind is not str
         for j, tok in enumerate(toks[skip:], start=skip):
             try:
-                if grouped and "_" in tok:
+                if kind is not str and "_" in tok:
                     raise ValueError
                 out.append(kind(tok))
             except ValueError:
@@ -193,75 +202,78 @@ class _TokenLines:
         return out
 
 
-def _read_block(reader, rows, cols, what):
-    """The next rows lines (rows >= 1), cols numbers each, as a float array.
+def _read_block(reader, blocks):
+    """Blocks (first line, rows, cols, what) of one width, each as a float array.
 
-    The block's lines are taken as one slice and converted by one call of
-    numpy's C text reader (np.loadtxt), which splits each line as
+    The blocks' lines are joined in the order given and converted by one
+    call of numpy's C text reader (np.loadtxt), which splits each line as
     `_TokenLines.fields` does, checks that every row is as wide as the
     first, and reads each token bit for bit as Python's float does, but
-    refuses one in digit groups (1_0).  So the array is built only from
+    refuses one in digit groups (1_0).  So the arrays are built only from
     tokens the file holds: no count in a header can ask for more memory
     than the file.  One dot product screens the values, as a sum of
-    squares is finite only if every entry is.  Rows are split, looked
-    into and labelled only when the conversion, the shape or the screen
-    fails, or the file is one numpy may read more leniently than float
-    (`_TokenLines.recheck`), and `_raise_fault` then raises the block's
-    first fault in file order.  A block the file ends inside is reported
-    at the end of the file, unless one of the rows it has holds a bad or
-    non-finite number.
+    squares is finite only if every entry is.  Each block's array is a
+    view, in the order given, into the call's result.  Rows are split,
+    looked into and labelled only when the lines run short, or the
+    conversion, the shape or the screen fails, or the file is one numpy
+    may read more leniently than float (`_TokenLines.recheck`), and
+    `_raise_fault` then raises the first fault in file order in every
+    block the reader has taken, whichever call found one.
     """
-    first = reader.at
-    block = reader.lines[first : first + rows]
-    if len(block) < rows:
-        _raise_fault(reader, first, len(block), None, what)
-        raise ParseError(
-            f"unexpected end of file: {what} needs {rows} rows, found {len(block)}",
-            line=reader.linenos[-1] if reader.linenos else None,
-        )
-    reader.at = first + rows
+    cols = blocks[0][2]
+    lines = list(chain.from_iterable(reader.lines[b : b + r] for b, r, _, _ in blocks))
+    ends = list(accumulate(r for _, r, _, _ in blocks))
+    if len(lines) < ends[-1]:  # the file ends inside a block
+        _raise_fault(reader, reader.blocks)
     try:
         data = np.loadtxt(
-            block, dtype=float, delimiter=reader.sep, comments=None, ndmin=2
+            lines, dtype=float, delimiter=reader.sep, comments=None, ndmin=2
         )
-    except ValueError:  # a ragged block, or a token float refuses
-        _raise_fault(reader, first, rows, cols, what)
+    except ValueError:  # a ragged row, or a token float refuses
+        _raise_fault(reader, reader.blocks)
         raise
     if (
-        data.shape != (rows, cols)
+        data.shape != (ends[-1], cols)
         or not math.isfinite(np.vdot(data, data))
         or reader.recheck
     ):
-        _raise_fault(reader, first, rows, cols, what)
-    return data
+        _raise_fault(reader, reader.blocks)
+    return [data[end - r : end] for (_, r, _, _), end in zip(blocks, ends)]
 
 
-def _raise_fault(reader, first, rows, cols, what):
-    """Raise at the first fault in rows 0..rows-1 of a block, in file order.
+def _raise_fault(reader, blocks):
+    """Raise at the first fault in blocks (first line, rows, cols, what), in file order.
 
-    The block's row 0 is reader line first.  In each row its width is
-    checked (unless cols is None), then each token in turn: one that holds
-    an underscore or that float refuses, or one that reads as nan or an
-    infinity, is raised at its column.
+    In each row its width is checked, then each token in turn: one that
+    holds an underscore or that float refuses, or one that reads as nan or
+    an infinity, is raised at its column.  A block the file ends inside has
+    the rows it holds looked into without the width check, and is then
+    reported at the end of the file.
     Returns if there is no fault, as when finite values such as 1e200
     overflow a sum of squares.
     """
-    for r in range(rows):
-        j = first + r
-        lineno, toks = reader.linenos[j], reader.fields(j)
-        if cols is not None and len(toks) != cols:
-            raise reader.count_error(j, cols, f"{what} row {r}")
-        for c, tok in enumerate(toks, start=1):
-            try:
-                fault = None if math.isfinite(float(tok)) else "non-finite"
-            except ValueError:
-                fault = "bad"
-            if "_" in tok:
-                fault = "bad"
-            if fault:
-                raise ParseError(
-                    f"{fault} number {tok!r} in {what} row {r}", line=lineno, column=c
-                )
+    for first, rows, cols, what in blocks:
+        held = len(reader.lines[first : first + rows])
+        for r in range(held):
+            j = first + r
+            lineno, toks = reader.linenos[j], reader.fields(j)
+            if held == rows and len(toks) != cols:
+                raise reader.count_error(j, cols, f"{what} row {r}")
+            for c, tok in enumerate(toks, start=1):
+                try:
+                    fault = None if math.isfinite(float(tok)) else "non-finite"
+                except ValueError:
+                    fault = "bad"
+                if "_" in tok:
+                    fault = "bad"
+                if fault:
+                    message = f"{fault} number {tok!r} in {what} row {r}"
+                    raise ParseError(message, line=lineno, column=c)
+        if held < rows:
+            raise ParseError(
+                f"unexpected end of file: {what} needs {rows} rows, found {held}",
+                line=reader.linenos[-1],
+            )
 
 
 def _template(cols, sep):
@@ -286,7 +298,13 @@ def write_lines(path, lines):
 
 @_naming_the_file
 def read_problem(path) -> ProblemInstance:
-    """Parse a problem file into a (validated) ProblemInstance."""
+    """Parse a problem file into a (validated) ProblemInstance.
+
+    The size lines are read first, each pair's blocks taken after its own;
+    then all rows of one width are converted by one call (`_read_block`),
+    and each A_i and B_i is a view into its width's array.  A fault in a
+    size line is raised after the blocks before it have been looked into.
+    """
     reader = _TokenLines(path)
     lineno, toks = reader.next_line(3, "header (m n k)")
     m, n, k = reader.numbers(lineno, toks, "header", int)
@@ -296,18 +314,27 @@ def read_problem(path) -> ProblemInstance:
         raise ParseError("column dimension n must be positive", line=lineno)
     if not 1 <= k <= n:
         raise ParseError(f"rank bound k={k} outside [1, n]={n}", line=lineno)
-    pairs = []
-    for i in range(m):
-        what = f"size of pair {i}"
-        lineno, toks = reader.next_line(1, what)
-        (mi,) = reader.numbers(lineno, toks, what, int)
-        if mi < 1:
-            raise ParseError(f"pair {i} size must be positive", line=lineno)
-        A = _read_block(reader, mi, mi, f"A_{i}")
-        B = _read_block(reader, mi, n, f"B_{i}")
-        pairs.append((A, B))
+    try:
+        for i in range(m):
+            what = f"size of pair {i}"
+            lineno, toks = reader.next_line(1, what)
+            (mi,) = reader.numbers(lineno, toks, what, int)
+            if mi < 1:
+                raise ParseError(f"pair {i} size must be positive", line=lineno)
+            reader.take(mi, mi, f"A_{i}")
+            reader.take(mi, n, f"B_{i}")
+    except ParseError:  # a fault in a block before it comes first
+        _raise_fault(reader, reader.blocks)
+        raise
+    by_width = {}  # the blocks of each row width, in file order
+    for block in reader.blocks:
+        by_width.setdefault(block[2], []).append(block)
+    arrays = {
+        cols: iter(_read_block(reader, blocks)) for cols, blocks in by_width.items()
+    }
+    A_B = [next(arrays[cols]) for _, _, cols, _ in reader.blocks]  # A_0, B_0, A_1, ...
     reader.done()
-    return ProblemInstance(pairs=tuple(pairs), n=n, k=k)
+    return ProblemInstance(pairs=tuple(zip(A_B[::2], A_B[1::2])), n=n, k=k)
 
 
 def write_problem(path, instance: ProblemInstance):
@@ -327,7 +354,9 @@ def read_matrix(path) -> np.ndarray:
     reader = _TokenLines(path)
     if not reader.lines:
         raise ParseError("empty matrix file")
-    return _read_block(reader, len(reader.lines), len(reader.fields(0)), "matrix")
+    block = reader.take(len(reader.lines), len(reader.fields(0)), "matrix")
+    (M,) = _read_block(reader, [block])
+    return M
 
 
 def write_matrix(path, M):
@@ -375,14 +404,14 @@ def read_trace(path):
                 continue
         except ValueError:
             pass
-        _raise_fault(reader, 1, expected, 6, "trace")
+        _raise_fault(reader, [(1, expected, 6, "trace")])
         (index,) = reader.numbers(lineno, [token], "trace iteration", int)
         raise ParseError(
             f"trace iteration {index} out of sequence, expected {expected}",
             line=lineno,
             column=1,
         )
-    data = _read_block(reader, len(reader.lines) - 1, 6, "trace")
+    (data,) = _read_block(reader, [reader.take(len(reader.lines) - 1, 6, "trace")])
     return list(map(IterationRecord, count(), *data[:, 1:].T.tolist()))
 
 
@@ -439,7 +468,7 @@ def read_solution(path) -> SolutionSummary:
     lineno, toks = reader.next_line(1, "X marker")
     if toks[0] != "X":
         raise ParseError("expected X marker", line=lineno)
-    X = _read_block(reader, n, n, "X")
+    (X,) = _read_block(reader, [reader.take(n, n, "X")])
     reader.done()
     return SolutionSummary(X, termination, iterations, f, grad_norm, residual)
 

@@ -66,6 +66,31 @@ def test_problem_mixed_pair_sizes(tmp_path):
     assert [A.shape[0] for A, _ in again.pairs] == [1, 4]
 
 
+def test_problem_rows_of_one_width_are_converted_by_one_call(tmp_path, monkeypatch):
+    # the A_i of each size take one call, and every B_i one more, however
+    # many pairs the file holds
+    sizes = [1 + i % 3 for i in range(500)]
+    path = tmp_path / "many.prob"
+    write_problem(path, generate_instance(4, 2, sizes=sizes, seed=3))
+    loadtxt, calls = np.loadtxt, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr("psdfit.io.np.loadtxt", counted)
+    inst = read_problem(path)
+    assert len(calls) == 4
+    rows = [line.split() for line in path.read_text().splitlines()[1:]]
+    for (A, B), mi in zip(inst.pairs, sizes):
+        assert rows[0] == [str(mi)]
+        assert (A.shape, B.shape) == ((mi, mi), (mi, 4))
+        assert A.tobytes() == float_bits(rows[1 : 1 + mi])
+        assert B.tobytes() == float_bits(rows[1 + mi : 1 + 2 * mi])
+        rows = rows[1 + 2 * mi :]
+    assert rows == []
+
+
 def test_problem_scalar_instance(tmp_path):
     path = tmp_path / "scalar.prob"
     path.write_text("1 1 1\n1\n2.5\n0.5\n")
@@ -494,6 +519,38 @@ NAN_IN = "non-finite number 'nan' in "
         (read_matrix, "nan 1\n1\n", NAN_IN + "matrix row 0", 1, 1),
         (read_matrix, "1 x -inf\n", "bad number 'x' in matrix row 0", 1, 2),
         (read_trace, f"{TRACE_HEADER}\n0,nan,2,3,0,0\n1,1,2,x,4,5\n", NAN_IN + "trace", 2, 2),
+        # a problem file's rows of each width are converted together, but
+        # the fault reported is still the first in file order
+        (
+            read_problem,
+            "2 2 1\n2\n1 0\n0 1\n1 x\n0 1\n1\nnan\n1 0\n",
+            "bad number 'x' in B_0 row 0",
+            5,
+            2,
+        ),
+        (
+            read_problem,
+            "2 2 1\n1\nnan\n1 0\n2\n1 x\n0 1\n1 0\n0 1\n",
+            NAN_IN + "A_0 row 0",
+            3,
+            1,
+        ),
+        # a bad size line comes after the blocks before it
+        (read_problem, "2 2 1\n1\nx\n1 0\nq\n", "bad number 'x' in A_0 row 0", 3, 1),
+        (
+            read_problem,
+            "2 2 1\n1\n1\n1 0\n2\n1 0\n0 1 5\n1 0\n0 1\n",
+            "expected 2 values for A_1 row 1, found 3",
+            7,
+            None,
+        ),
+        (
+            read_problem,
+            "3 2 1\n1\n1\n1 x\n2\n1 0\n0 1\n1 0\n0 1\nz\n",
+            "bad number 'x' in B_0 row 0",
+            4,
+            2,
+        ),
     ],
     ids=[
         "problem-then-bad-token",
@@ -504,6 +561,11 @@ NAN_IN = "non-finite number 'nan' in "
         "matrix-then-short-row",
         "matrix-bad-token-then-inf",
         "trace-then-bad-value",
+        "problem-B-before-a-later-A",
+        "problem-A-before-a-later-A",
+        "problem-A-before-a-bad-size",
+        "problem-wide-row-in-a-later-A",
+        "problem-B-before-a-later-bad-size",
     ],
 )
 def test_first_fault_in_file_order(tmp_path, reader, text, match, line, column):
@@ -753,6 +815,38 @@ def test_block_readers_read_each_number_as_float_does(tmp_path_factory, square):
     assert summary.X.tobytes() == want
     scalars = [summary.f_value, summary.grad_norm, summary.residual]
     assert np.array(scalars).tobytes() == float_bits([keyed.values()])
+
+
+moderate_tokens = st.floats(-1e50, 1e50).map(lambda x: format(x, ".17g"))
+
+
+def token_block(rows, cols):
+    row = st.lists(moderate_tokens, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 6),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_problem_of_interleaved_sizes_round_trips(tmp_path_factory, n, sizes, data):
+    # pairs of sizes in any order, each value as float reads its token, and
+    # a canonically written file is reproduced byte for byte
+    out = tmp_path_factory.mktemp("interleaved")
+    pairs = [(data.draw(token_block(mi, mi)), data.draw(token_block(mi, n))) for mi in sizes]
+    lines = [f"{len(sizes)} {n} 1"]
+    for A, B in pairs:
+        lines += [str(len(A)), *map(" ".join, A), *map(" ".join, B)]
+    write_lines(out / "p.prob", lines)
+    inst = read_problem(out / "p.prob")
+    assert [(A.shape, B.shape) for A, B in inst.pairs] == [((mi, mi), (mi, n)) for mi in sizes]
+    got = [(A.tobytes(), B.tobytes()) for A, B in inst.pairs]
+    assert got == [(float_bits(A), float_bits(B)) for A, B in pairs]
+    write_problem(out / "canonical.prob", inst)
+    write_problem(out / "again.prob", read_problem(out / "canonical.prob"))
+    assert (out / "again.prob").read_bytes() == (out / "canonical.prob").read_bytes()
 
 
 # ---------------------------------------------------------------------------
