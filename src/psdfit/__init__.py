@@ -13,9 +13,10 @@ The package namespace holds the library API documented in the README: the
 problem, its evaluation, the solver, the problem file and the image demo's
 entry points.  The rest stays in its module: the line search in
 :mod:`psdfit.linesearch`, independent numerical oracles for every
-analytic formula in :mod:`psdfit.oracle`, every file format (trace,
-solution, matrix and PGM image files too) in :mod:`psdfit.io` and the image
-demo's test images in :mod:`psdfit.imagedemo`.
+analytic formula in :mod:`psdfit.oracle`, every file format (solution,
+matrix and PGM image files too, and the trace file, which is written and
+not read back) in :mod:`psdfit.io` and the image demo's test images in
+:mod:`psdfit.imagedemo`.
 """
 
 from .problem import (

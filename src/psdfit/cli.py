@@ -61,6 +61,8 @@ def _build_parser():
         lambda values: min(values) >= 1,
         "comma-separated integers, each at least 1",
     )
+    # an empty output path would otherwise be taken for no path at all
+    path = _checked(str, bool, "a non-empty path")
 
     p = sub.add_parser("solve", help="solve a problem file")
     p.add_argument("problem", help="problem file path")
@@ -75,8 +77,8 @@ def _build_parser():
     start = p.add_mutually_exclusive_group()
     start.add_argument("--seed", type=seed, default=0, help="seed for the random start")
     start.add_argument("--init", default=None, help="file with an explicit Y0")
-    p.add_argument("--trace", default=None, help="write per-iteration CSV here")
-    p.add_argument("--out", default=None, help="write the solution file here")
+    p.add_argument("--trace", type=path, default=None, help="write per-iteration CSV here")
+    p.add_argument("--out", type=path, default=None, help="write the solution file here")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("problem")
@@ -120,7 +122,7 @@ def _with_rank(instance: ProblemInstance, rank):
 def _check_output_dirs(*paths):
     """Refuse, before the fit, an output path that is a directory or whose
     directory does not exist."""
-    for path in filter(None, paths):
+    for path in [path for path in paths if path is not None]:
         if os.path.isdir(path):
             raise IsADirectoryError(f"{path}: Is a directory")
         directory = os.path.dirname(path) or "."
@@ -136,9 +138,9 @@ def _cmd_solve(args):
     result = solve(instance, Y0=Y0, config=config, seed=args.seed)
     for line in pio.summary_lines(result):
         print(line)
-    if args.trace:
+    if args.trace is not None:
         pio.write_trace(args.trace, result.trace)
-    if args.out:
+    if args.out is not None:
         pio.write_solution(args.out, result)
     return 0 if result.converged else 1
 

@@ -12,30 +12,30 @@ Problem files are whitespace-separated text with explicit dimension headers:
 
 Numbers are written with 16 significant digits, which reproduces values to
 better than 1e-12 relative and makes write -> read -> write byte-stable.
-Traces are six-column CSV; solutions carry summary fields and the assembled
-X.  Every text format is read through one block reader, which keeps each
-line as written and splits it only to read it as fields or to locate a
-fault, converts blocks of numbers of one row width in one call of numpy's
-C text reader (each number as Python's float reads it) and screens them
-with one dot product, and every row of numbers is written through one %
-template per row and one line writer, so converting or formatting each
-number is the only per-number cost.  A problem file's size lines are read
-first, and then all its rows of one width in one call: every B_i row, and
-the A_i rows of each size m_i, so the number of calls does not grow with
-the number of pairs.  Lines end at \n, \r\n or \r; tab, \v and \f
-separate values within a line.
+Traces are six-column CSV, written and not read back; solutions carry
+summary fields and the assembled X.  Every file that is read as text
+(problem, matrix and solution) goes through one block reader, which keeps
+each line as written and splits it only to read it as fields or to locate
+a fault, converts blocks of numbers of one row width in one call of
+numpy's C text reader (each number as Python's float reads it) and
+screens them with one dot product, and every row of numbers is written
+through one % template per row and one line writer, so converting or
+formatting each number is the only per-number cost.  A problem file's
+size lines are read first, and then all its rows of one width in one
+call: every B_i row, and the A_i rows of each size m_i, so the number of
+calls does not grow with the number of pairs.  Lines end at \n, \r\n or
+\r; tab, \v and \f separate values within a line.
 
 The text readers accept only what the writers produce.  A malformed or
 non-finite number (one in Python's digit groups, such as 1_0, too), a
-non-integer count or trace index, a trace index out of sequence, m, m_i or
-n < 1, a count of rows the file does not hold, a negative iteration count,
-an unknown termination reason or a byte that is not ASCII is a ParseError
-naming its file and line (and, for a bad token, its column).  A byte that
-is not ASCII is looked for when the file is opened, so it is the fault
-reported wherever it stands.  Otherwise each reader raises a fault as it
-reaches it, and a block's rows are looked into only when a conversion
-fails, and then every block of the file in file order, so the first fault
-in file order is the one raised.
+non-integer count, m, m_i or n < 1, a count of rows the file does not
+hold, a negative iteration count, an unknown termination reason or a byte
+that is not ASCII is a ParseError naming its file and line (and, for a
+bad token, its column).  A byte that is not ASCII is looked for when the
+file is opened, so it is the fault reported wherever it stands.
+Otherwise each reader raises a fault as it reaches it, and a block's rows
+are looked into only when a conversion fails, and then every block of the
+file in file order, so the first fault in file order is the one raised.
 
 Images are 8-bit binary PGM (magic "P5"); nothing fancier is supported.
 A fault in a PGM file is a ParseError naming the file too, a bad header
@@ -55,7 +55,7 @@ from operator import attrgetter
 import numpy as np
 
 from .problem import ProblemInstance, _as_float, _check_integer
-from .solver import IterationRecord, SolverResult, TerminationReason
+from .solver import SolverResult, TerminationReason
 
 
 class ParseError(ValueError):
@@ -110,19 +110,14 @@ class _TokenLines:
     lines[j] is the j-th non-blank line as written, and linenos[j] its
     1-based number, read only to report a fault.  A line ends at \n, \r\n
     or \r and nowhere else; any other whitespace (tab, \v, \f) separates
-    values within it.  fields(j) is line j split on whitespace, or on sep
-    when one is given (CSV, where a line of only whitespace is blank too).
-    A line is split only when it is read as fields (a header, a size, a
-    keyed line, a trace row's index) or a fault in it is looked for: a
-    block of numbers is taken (`take`) and goes to numpy's reader as
-    lines (`_read_block`).  A byte that is not ASCII is a ParseError at
-    its line and token.  recheck says whether a CSV file holds one of the
-    separators \x1c-\x1f, which numpy's reader strips from the ends of a
-    field and float refuses: only such a file has each block numpy
-    converts checked again token by token (`_read_block`).
+    values within it.  fields(j) is line j split on whitespace.  A line is
+    split only when it is read as fields (a header, a size, a keyed line)
+    or a fault in it is looked for: a block of numbers is taken (`take`)
+    and goes to numpy's reader as lines (`_read_block`).  A byte that is
+    not ASCII is a ParseError at its line and token.
     """
 
-    def __init__(self, path, sep=None):
+    def __init__(self, path):
         # universal newlines: \r\n and \r arrive as \n; a non-ASCII byte
         # reads as a lone surrogate, inside some token
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -131,7 +126,6 @@ class _TokenLines:
         stripped = list(map(str.strip, lines))  # "" for a blank line
         self.linenos = list(compress(count(1), stripped))
         self.lines = list(compress(lines, stripped))
-        self.sep = sep
         if not text.isascii():
             j = next(j for j, raw in enumerate(self.lines) if not raw.isascii())
             c, tok = next(
@@ -141,19 +135,17 @@ class _TokenLines:
             )
             bad = tok.encode("ascii", "surrogateescape")
             raise ParseError(f"non-ASCII byte in {bad!r}", line=self.linenos[j], column=c)
-        self.recheck = sep is not None and re.search("[\x1c-\x1f]", text) is not None
-        self.unit = "values" if sep is None else "columns"
         self.at = 0
         self.blocks = []
 
     def fields(self, j):
         """Non-blank line j split into its tokens."""
-        return self.lines[j].split(self.sep)
+        return self.lines[j].split()
 
     def count_error(self, j, expect, what):
         """The ParseError for non-blank line j when it does not hold expect tokens."""
         return ParseError(
-            f"expected {expect} {self.unit} for {what}, found {len(self.fields(j))}",
+            f"expected {expect} values for {what}, found {len(self.fields(j))}",
             line=self.linenos[j],
         )
 
@@ -215,34 +207,28 @@ def _read_block(reader, blocks):
     squares is finite only if every entry is.  Each block's array is a
     view, in the order given, into the call's result.  Rows are split,
     looked into and labelled only when the lines run short, or the
-    conversion, the shape or the screen fails, or the file is one numpy
-    may read more leniently than float (`_TokenLines.recheck`), and
-    `_raise_fault` then raises the first fault in file order in every
-    block the reader has taken, whichever call found one.
+    conversion, the shape or the screen fails, and `_raise_fault` then
+    raises the first fault in file order in every block the reader has
+    taken, whichever call found one.
     """
     cols = blocks[0][2]
     lines = list(chain.from_iterable(reader.lines[b : b + r] for b, r, _, _ in blocks))
     ends = list(accumulate(r for _, r, _, _ in blocks))
     if len(lines) < ends[-1]:  # the file ends inside a block
-        _raise_fault(reader, reader.blocks)
+        _raise_fault(reader)
     try:
-        data = np.loadtxt(
-            lines, dtype=float, delimiter=reader.sep, comments=None, ndmin=2
-        )
+        data = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
     except ValueError:  # a ragged row, or a token float refuses
-        _raise_fault(reader, reader.blocks)
+        _raise_fault(reader)
         raise
-    if (
-        data.shape != (ends[-1], cols)
-        or not math.isfinite(np.vdot(data, data))
-        or reader.recheck
-    ):
-        _raise_fault(reader, reader.blocks)
+    if data.shape != (ends[-1], cols) or not math.isfinite(np.vdot(data, data)):
+        _raise_fault(reader)
     return [data[end - r : end] for (_, r, _, _), end in zip(blocks, ends)]
 
 
-def _raise_fault(reader, blocks):
-    """Raise at the first fault in blocks (first line, rows, cols, what), in file order.
+def _raise_fault(reader):
+    """Raise at the first fault in the blocks (first line, rows, cols, what)
+    the reader has taken, in file order.
 
     In each row its width is checked, then each token in turn: one that
     holds an underscore or that float refuses, or one that reads as nan or
@@ -252,7 +238,7 @@ def _raise_fault(reader, blocks):
     Returns if there is no fault, as when finite values such as 1e200
     overflow a sum of squares.
     """
-    for first, rows, cols, what in blocks:
+    for first, rows, cols, what in reader.blocks:
         held = len(reader.lines[first : first + rows])
         for r in range(held):
             j = first + r
@@ -324,7 +310,7 @@ def read_problem(path) -> ProblemInstance:
             reader.take(mi, mi, f"A_{i}")
             reader.take(mi, n, f"B_{i}")
     except ParseError:  # a fault in a block before it comes first
-        _raise_fault(reader, reader.blocks)
+        _raise_fault(reader)
         raise
     by_width = {}  # the blocks of each row width, in file order
     for block in reader.blocks:
@@ -372,47 +358,13 @@ _TRACE_FIELDS = attrgetter("index", "f_value", "grad_norm", "residual", "step", 
 def write_trace(path, trace):
     """Write a trace as CSV, one row per iteration, in one pass over trace.
 
-    trace is any iterable of IterationRecord: a solver's `Trace`,
-    read_trace's list or an iterator.  Each row is one % template.
+    trace is any iterable of IterationRecord: a solver's `Trace`, a list
+    or an iterator.  Each row is one % template.  Nothing in the package
+    reads a trace back; np.loadtxt(path, delimiter=",", skiprows=1,
+    ndmin=2) loads one as a float array.
     """
     rows = map(_TRACE_ROW.__mod__, map(_TRACE_FIELDS, trace))
     write_lines(path, [TRACE_HEADER, *rows])
-
-
-@_naming_the_file
-def read_trace(path):
-    """Read a trace CSV: iteration indices 0, 1, 2, ... in order, finite values.
-
-    Row 0, the start point, is always written, so a header alone is refused.
-    A fault in a row before the first one whose index is not its
-    iteration number is the one reported (`_raise_fault`).
-    """
-    reader = _TokenLines(path, sep=",")
-    if not reader.lines or reader.lines[0] != TRACE_HEADER:
-        raise ParseError("missing trace header", line=1)
-    if len(reader.lines) == 1:
-        raise ParseError("trace has no iteration rows", line=1)
-    reader.at = 1
-    for expected, lineno, row in zip(count(), reader.linenos[1:], reader.lines[1:]):
-        token = row.partition(",")[0]
-        if token == str(expected):
-            continue
-        # another spelling of the expected index ("01", " 1") is accepted,
-        # but not one with digit groups ("1_0")
-        try:
-            if int(token) == expected and "_" not in token:
-                continue
-        except ValueError:
-            pass
-        _raise_fault(reader, [(1, expected, 6, "trace")])
-        (index,) = reader.numbers(lineno, [token], "trace iteration", int)
-        raise ParseError(
-            f"trace iteration {index} out of sequence, expected {expected}",
-            line=lineno,
-            column=1,
-        )
-    (data,) = _read_block(reader, [reader.take(len(reader.lines) - 1, 6, "trace")])
-    return list(map(IterationRecord, count(), *data[:, 1:].T.tolist()))
 
 
 def summary_lines(result: SolverResult):

@@ -10,7 +10,8 @@ import psdfit.solver
 from psdfit import ProblemInstance, SolverConfig, TerminationReason
 from psdfit.cli import _build_parser, main
 from psdfit.imagedemo import image_demo, make_test_image, write_pgm
-from psdfit.io import read_solution, read_trace, write_matrix, write_problem
+from psdfit.io import read_solution, write_matrix, write_problem
+from psdfit.solver import RESTART_PERIOD
 
 import golden
 
@@ -27,20 +28,55 @@ def problem_file(tmp_path):
     return path
 
 
-def test_gen_then_solve_end_to_end(tmp_path, problem_file, capsys):
+# the planted n = 8 instance of the README's example, and 64 random pairs
+# of 6 x 6 at n = 12, the shape of the benchmark's many-pairs workload;
+# both solve in more than RESTART_PERIOD iterations
+DEMO = ["--n", 8, "--k", 3, "--m", 3, "--mode", "consistent", "--seed", 0]
+MANY = ["--n", 12, "--k", 3, "--sizes", ",".join(["6"] * 64), "--mode", "random",
+        "--seed", 0]
+
+
+@pytest.mark.parametrize("gen", [DEMO, MANY], ids=["demo", "many"])
+def test_gen_then_solve_end_to_end(tmp_path, capsys, gen):
+    prob = tmp_path / "p.prob"
     trace = tmp_path / "trace.csv"
     out = tmp_path / "solution.txt"
-    code = run("solve", problem_file, "--tol", "1e-6", "--max-iter", "20000",
-               "--seed", 0, "--trace", trace, "--out", out)
+    assert run("gen", *gen, "--out", prob) == 0
+    code = run("solve", prob, "--tol", "1e-6", "--trace", trace, "--out", out)
     assert code == 0
     printed = capsys.readouterr().out
     assert "termination gradient-tolerance" in printed
-    records = read_trace(trace)
-    assert records[-1].grad_norm < 1e-6
     summary = read_solution(out)
     assert summary.termination == "gradient-tolerance"
     assert summary.grad_norm < 1e-6
-    assert summary.X.shape == (4, 4)
+    n = gen[gen.index("--n") + 1]
+    assert summary.X.shape == (n, n)
+    rows = np.loadtxt(trace, delimiter=",", skiprows=1)
+    assert len(rows) == summary.iterations + 1
+    assert rows[:, 0].tolist() == list(range(len(rows)))
+    assert rows[-1, 2] < 1e-6  # grad_norm
+    # beta (the last column) is 0 on each positive multiple of RESTART_PERIOD
+    restarts = rows[RESTART_PERIOD::RESTART_PERIOD, 5]
+    assert len(restarts) >= 1
+    assert restarts.tolist() == [0.0] * len(restarts)
+
+
+def test_crlf_problem_file_solves_to_the_same_bytes(tmp_path, capsys):
+    # lines end at \n, \r\n or \r: a CRLF copy of a problem file solves to
+    # a byte-identical trace and solution
+    prob = tmp_path / "demo.prob"
+    crlf = tmp_path / "crlf.prob"
+    assert run("gen", *DEMO, "--out", prob) == 0
+    crlf.write_bytes(prob.read_bytes().replace(b"\n", b"\r\n"))
+    outputs = []
+    for name in ("demo", "crlf"):
+        trace, out = tmp_path / f"{name}_trace.csv", tmp_path / f"{name}_solution.txt"
+        assert run("solve", tmp_path / f"{name}.prob", "--tol", "1e-6",
+                   "--trace", trace, "--out", out) == 0
+        outputs.append((trace.read_bytes(), out.read_bytes()))
+    capsys.readouterr()
+    assert b"\r" in crlf.read_bytes()
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_with_explicit_start(tmp_path, capsys):
@@ -228,6 +264,47 @@ def test_solve_refuses_a_directory_as_output_file_before_the_fit(
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{tmp_path}: Is a directory" in err
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--out"])
+def test_solve_refuses_an_empty_output_path_before_the_fit(
+    tmp_path, monkeypatch, capsys, flag
+):
+    # an empty path is a usage error naming its option, not a file left unwritten
+    monkeypatch.setattr(psdfit.cli, "solve", no_fit)
+    prob = tmp_path / "golden.prob"
+    write_problem(prob, golden.instance(2))
+    with pytest.raises(SystemExit) as exc:
+        run("solve", prob, flag, "")
+    assert exc.value.code == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert f"argument {flag}: expected a non-empty path, got ''" in err
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        # the first fault in file order: the nan on line 3, not the x on line 6
+        ("bad.prob", "1 2 1\n2\nnan 1\n1 1\n1 0\n0 x\n", "line 3, column 1"),
+        # so too when pairs of different sizes are converted by separate
+        # calls: the nan in A_0, not the x in A_1
+        ("mixed_bad.prob", "2 2 1\n1\nnan\n1 0\n2\n1 x\n0 1\n1 0\n0 1\n",
+         "line 3, column 1"),
+        # a form feed separates values and ends no line: the x is on line 4
+        ("ff.prob", "1 2 1\n1\n2\f\nx 4\n", "line 4, column 1"),
+        # a header of two numbers, not m n k
+        ("short.prob", "1 2\n", "line 1"),
+    ],
+    ids=["bad", "mixed_bad", "ff", "short"],
+)
+def test_solve_reports_a_file_fault_at_its_place(tmp_path, capsys, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run("solve", path) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("error: ") and err.endswith(f" ({path}, {where})\n")
 
 
 @pytest.mark.parametrize("sizes", ["3,,4", "3,x", "3,4,", ",3", "", "3.5"])
