@@ -10,7 +10,9 @@ Subcommands:
 Exit codes: 0 success / checks passed, 1 verification, convergence or
 numerical failure, 2 usage or I/O errors.  Numbers are checked as they are
 parsed, before any file is read, and output paths before the fit, so a file
-that could not be written costs no solve.
+that could not be written costs no solve; an output path that resolves to
+the same file as another output or an input is refused there too, so no
+output overwrites another output or an input.
 """
 
 import argparse
@@ -61,7 +63,8 @@ def _build_parser():
         lambda values: min(values) >= 1,
         "comma-separated integers, each at least 1",
     )
-    # an empty output path would otherwise be taken for no path at all
+    # an empty output path would otherwise be taken for no path at all, or
+    # fail only at the write, after the work
     path = _checked(str, bool, "a non-empty path")
 
     p = sub.add_parser("solve", help="solve a problem file")
@@ -99,7 +102,7 @@ def _build_parser():
     )
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--mode", choices=("random", "consistent"), default="random")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=path, required=True)
 
     p = sub.add_parser("demo-image", help="image-restoration demo (binary PGM)")
     p.add_argument("image")
@@ -119,19 +122,25 @@ def _with_rank(instance: ProblemInstance, rank):
     return ProblemInstance(pairs=instance.pairs, n=instance.n, k=rank)
 
 
-def _check_output_dirs(*paths):
-    """Refuse, before the fit, an output path that is a directory or whose
-    directory does not exist."""
-    for path in [path for path in paths if path is not None]:
+def _check_output_paths(outputs, inputs=()):
+    """Refuse, before the fit, an output path that is a directory, whose
+    directory does not exist, or that resolves to the same file as another
+    output or an input."""
+    taken = {os.path.realpath(path): path for path in inputs if path is not None}
+    for path in [path for path in outputs if path is not None]:
         if os.path.isdir(path):
             raise IsADirectoryError(f"{path}: Is a directory")
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise FileNotFoundError(f"{path}: directory {directory} does not exist")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValueError(f"{path} and {taken[real]} are the same file")
+        taken[real] = path
 
 
 def _cmd_solve(args):
-    _check_output_dirs(args.trace, args.out)
+    _check_output_paths([args.trace, args.out], inputs=[args.problem, args.init])
     instance = _with_rank(pio.read_problem(args.problem), args.rank)
     Y0 = pio.read_matrix(args.init) if args.init is not None else None
     config = SolverConfig(epsilon=args.tol, max_iterations=args.max_iter)
@@ -176,6 +185,7 @@ def _cmd_linecheck(args):
 
 
 def _cmd_gen(args):
+    _check_output_paths([args.out])
     instance = pio.generate_instance(
         n=args.n, k=args.k, m=args.m, sizes=args.sizes, seed=args.seed, mode=args.mode
     )

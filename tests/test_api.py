@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import re
 from pathlib import Path
 
@@ -42,9 +43,15 @@ def test_readme_first_example_runs():
     namespace = {}
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), namespace)
-    reason = namespace["result"].termination_reason
-    assert reason is psdfit.TerminationReason.GRADIENT_TOLERANCE
+    result = namespace["result"]
+    assert result.termination_reason is psdfit.TerminationReason.GRADIENT_TOLERANCE
     assert out.getvalue().splitlines()[0] == "TerminationReason.GRADIENT_TOLERANCE"
+    # the trace holds the start and one record per iteration, and its last
+    # record is exactly the public evaluation at Y_final
+    assert len(result.trace) == result.iterations + 1
+    assert result.trace[-1].index == result.iterations
+    at, last = psdfit.evaluate(namespace["instance"], result.Y_final), result.trace[-1]
+    assert (at.f, math.sqrt(at.gg), at.residual) == (last.f_value, last.grad_norm, last.residual)
 
 
 INSTANCE = psdfit.generate_instance(4, 1, m=2, seed=0)

@@ -10,7 +10,7 @@ import psdfit.solver
 from psdfit import ProblemInstance, SolverConfig, TerminationReason
 from psdfit.cli import _build_parser, main
 from psdfit.imagedemo import image_demo, make_test_image, write_pgm
-from psdfit.io import read_solution, write_matrix, write_problem
+from psdfit.io import read_problem, read_solution, write_matrix, write_problem
 from psdfit.solver import RESTART_PERIOD
 
 import golden
@@ -29,19 +29,42 @@ def problem_file(tmp_path):
 
 
 # the planted n = 8 instance of the README's example, and 64 random pairs
-# of 6 x 6 at n = 12, the shape of the benchmark's many-pairs workload;
-# both solve in more than RESTART_PERIOD iterations
+# of 6 x 6 at n = 12, the shape of the benchmark's many-pairs workload
 DEMO = ["--n", 8, "--k", 3, "--m", 3, "--mode", "consistent", "--seed", 0]
 MANY = ["--n", 12, "--k", 3, "--sizes", ",".join(["6"] * 64), "--mode", "random",
         "--seed", 0]
+# gen's arguments for the instances the commands are checked on: besides
+# DEMO and MANY, pairs larger than n (m_i = 24 > n = 8), which are reduced
+# at construction to 8 x 8 working pairs through the thin QR of B_i; pairs
+# below, at and above n in one instance, of which only the last is reduced;
+# and 40 pairs of 8 x 8 at n = 32, k = 16, which cross both sums over pairs:
+# five stacks of 8 pairs share the one gradient product, and the Gram sum
+# takes three products of 16, 16 and 8 pairs
+INSTANCES = {
+    "demo": DEMO,
+    "tall": ["--n", 8, "--k", 3, "--sizes", "24,24,24", "--mode", "consistent",
+             "--seed", 0],
+    "mixed": ["--n", 8, "--k", 3, "--sizes", "4,8,24", "--mode", "consistent",
+              "--seed", 0],
+    "many": MANY,
+    "stacked": ["--n", 32, "--k", 16, "--sizes", ",".join(["8"] * 40), "--mode",
+                "random", "--seed", 0],
+}
 
 
-@pytest.mark.parametrize("gen", [DEMO, MANY], ids=["demo", "many"])
-def test_gen_then_solve_end_to_end(tmp_path, capsys, gen):
-    prob = tmp_path / "p.prob"
+def gen_file(tmp_path, name):
+    path = tmp_path / f"{name}.prob"
+    assert run("gen", *INSTANCES[name], "--out", path) == 0
+    return path
+
+
+# each of these solves in more than RESTART_PERIOD iterations
+@pytest.mark.parametrize("name", ["demo", "tall", "mixed", "many"])
+def test_gen_then_solve_end_to_end(tmp_path, capsys, name):
+    gen = INSTANCES[name]
+    prob = gen_file(tmp_path, name)
     trace = tmp_path / "trace.csv"
     out = tmp_path / "solution.txt"
-    assert run("gen", *gen, "--out", prob) == 0
     code = run("solve", prob, "--tol", "1e-6", "--trace", trace, "--out", out)
     assert code == 0
     printed = capsys.readouterr().out
@@ -59,6 +82,30 @@ def test_gen_then_solve_end_to_end(tmp_path, capsys, gen):
     restarts = rows[RESTART_PERIOD::RESTART_PERIOD, 5]
     assert len(restarts) >= 1
     assert restarts.tolist() == [0.0] * len(restarts)
+
+
+# gradcheck compares the gradient with central differences at 1e-8 relative
+# (the worst case, stacked, agrees to about 2.6e-9), and linecheck the step
+# polynomial with interpolated values at 1e-12 relative (they agree to about
+# 2e-14), so a gradient or a step polynomial that loses digits fails here;
+# both compare with values computed from the pairs as written, not the
+# working pairs
+@pytest.mark.parametrize("command, tol", [("gradcheck", "1e-8"), ("linecheck", "1e-12")])
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_checks_pass_at_their_tightest_tolerances(tmp_path, capsys, name, command, tol):
+    assert run(command, gen_file(tmp_path, name), "--tol", tol) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["tall", "mixed", "many"])
+def test_generated_problem_file_survives_write_of_read(tmp_path, capsys, name):
+    # an instance keeps the pairs as given, not its reduced working pairs,
+    # so write(read(file)) reproduces the file byte for byte
+    prob = gen_file(tmp_path, name)
+    again = tmp_path / "again.prob"
+    write_problem(again, read_problem(prob))
+    capsys.readouterr()
+    assert again.read_bytes() == prob.read_bytes()
 
 
 def test_crlf_problem_file_solves_to_the_same_bytes(tmp_path, capsys):
@@ -236,50 +283,87 @@ def test_solve_rank_deficient_init_exits_2(tmp_path, problem_file, capsys):
 
 
 def no_fit(*args, **kwargs):
-    raise AssertionError("the fit ran before its output paths were checked")
+    raise AssertionError("the fit or the generator ran before the output paths were checked")
 
 
-@pytest.mark.parametrize("flag", ["--trace", "--out"])
-def test_solve_refuses_a_missing_output_directory_before_the_fit(
-    tmp_path, monkeypatch, capsys, flag
-):
+# solve's two output files, and gen's --out ("gen")
+OUTPUTS = ["--trace", "--out", "gen"]
+
+
+def write_to(tmp_path, monkeypatch, output, path):
+    """Run solve with path as its --trace or --out, or gen with path as its
+    --out, where the fit and the generator fail if they are reached."""
     monkeypatch.setattr(psdfit.cli, "solve", no_fit)
-    monkeypatch.setattr(psdfit.imagedemo, "solve", no_fit)
+    monkeypatch.setattr(psdfit.cli.pio, "generate_instance", no_fit)
+    if output == "gen":
+        return run("gen", *DEMO, "--out", path)
     prob = tmp_path / "golden.prob"
     write_problem(prob, golden.instance(2))
+    return run("solve", prob, output, path)
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_solve_refuses_a_missing_output_directory_before_the_fit(
+    tmp_path, monkeypatch, capsys, output
+):
     path = tmp_path / "nodir" / "file.txt"
-    assert run("solve", prob, flag, path) == 2
+    assert write_to(tmp_path, monkeypatch, output, path) == 2
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "nodir").exists()
 
 
-@pytest.mark.parametrize("flag", ["--trace", "--out"])
+@pytest.mark.parametrize("output", OUTPUTS)
 def test_solve_refuses_a_directory_as_output_file_before_the_fit(
-    tmp_path, monkeypatch, capsys, flag
+    tmp_path, monkeypatch, capsys, output
 ):
-    monkeypatch.setattr(psdfit.cli, "solve", no_fit)
-    prob = tmp_path / "golden.prob"
-    write_problem(prob, golden.instance(2))
-    assert run("solve", prob, flag, tmp_path) == 2
+    assert write_to(tmp_path, monkeypatch, output, tmp_path) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{tmp_path}: Is a directory" in err
 
 
-@pytest.mark.parametrize("flag", ["--trace", "--out"])
+@pytest.mark.parametrize("output", OUTPUTS)
 def test_solve_refuses_an_empty_output_path_before_the_fit(
-    tmp_path, monkeypatch, capsys, flag
+    tmp_path, monkeypatch, capsys, output
 ):
     # an empty path is a usage error naming its option, not a file left unwritten
-    monkeypatch.setattr(psdfit.cli, "solve", no_fit)
-    prob = tmp_path / "golden.prob"
-    write_problem(prob, golden.instance(2))
     with pytest.raises(SystemExit) as exc:
-        run("solve", prob, flag, "")
+        write_to(tmp_path, monkeypatch, output, "")
     assert exc.value.code == 2
     printed, err = capsys.readouterr()
     assert printed == ""
-    assert f"argument {flag}: expected a non-empty path, got ''" in err
+    option = "--out" if output == "gen" else output
+    assert f"argument {option}: expected a non-empty path, got ''" in err
+
+
+@pytest.mark.parametrize(
+    "trace, out, other",
+    [
+        ("same.txt", "same.txt", "same.txt"),
+        ("same.txt", "sub/../same.txt", "same.txt"),
+        (None, "golden.prob", "golden.prob"),
+        (None, "./y0.txt", "y0.txt"),
+    ],
+    ids=["same", "aliased", "problem", "init"],
+)
+def test_solve_refuses_an_output_that_is_another_file_before_the_fit(
+    tmp_path, monkeypatch, capsys, trace, out, other
+):
+    # an output that resolves to the other output or to an input would
+    # overwrite it: exit 2 naming both paths, and no file is written
+    monkeypatch.setattr(psdfit.cli, "solve", no_fit)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    write_problem("golden.prob", golden.instance(2))
+    write_matrix("y0.txt", golden.Y0_RANK2)
+    inputs = {name: (tmp_path / name).read_bytes() for name in ("golden.prob", "y0.txt")}
+    traced = [] if trace is None else ["--trace", trace]
+    assert run("solve", "golden.prob", "--init", "y0.txt", *traced, "--out", out) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == f"error: {out} and {other} are the same file\n"
+    assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
+    assert not (tmp_path / "same.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -449,6 +533,15 @@ def test_demo_image_end_to_end(tmp_path, capsys):
     assert "relative_error" in printed
     for name in ("restored_X.txt", "restored.pgm", "trace.csv", "report.txt"):
         assert (out_dir / name).exists()
+
+
+def test_demo_image_converges_on_a_32x32_test_image(tmp_path, capsys):
+    # about 1100 iterations at the demo's default --tol, over several restarts
+    img = tmp_path / "photo.pgm"
+    write_pgm(img, make_test_image(32))
+    out_dir = tmp_path / "demo_out"
+    assert run("demo-image", img, "--m", 3, "--rank", 16, "--out-dir", out_dir) == 0
+    assert "termination gradient-tolerance" in capsys.readouterr().out.splitlines()
 
 
 def test_demo_image_non_convergence_exits_1(tmp_path, capsys):
