@@ -20,6 +20,15 @@ GRAM_ENTRIES entries, each run's product added to the sum of the runs before
 it as soon as it is made.  Both are rounded by the pairs, their order, k and
 GRAM_ENTRIES alone, and never by the stacks.
 f and Sum r_i are `_in_order_sum`s over the r_i^2 and the r_i, in pair order.
+A 2-D product is `ndarray.dot` and a stacked (3-D) one `@`: on 2-D operands
+both make the same BLAS call (gemm, or syrk for H H^T) with the same bits,
+but `@` first goes through matmul's gufunc dispatch.  On the benchmark's
+three workloads' shapes (one OpenBLAS thread, a 2-core Xeon), `.dot` took
+B_all^T Z_all from 1.21 to 0.70 us (tall-pairs), 2.93 to 2.42 us
+(many-pairs) and 4.52 to 3.66 us (image-demo), P D from 1.07 to 0.61, 0.85
+to 0.40 and 2.59 to 2.04 us, and H H^T from 1.16 to 0.70, 1.15 to 0.67 and
+4.66 to 4.08 us.  The set-up QR of `working_stacks` runs once per instance
+and keeps `@`.
 Nothing here checks its arguments: the stacks come from a valid instance,
 and Y and D are n x k float64 C-contiguous arrays, checked by the callers
 (`problem.evaluate`, `linesearch.quartic_coeffs` and `linesearch.exact_step`).
@@ -86,7 +95,7 @@ class Stacks(tuple):
         P = np.zeros((n, n))
         for As, Bs, _ in self:
             for A, B in zip(As, Bs):
-                P += B.T @ (A @ B)
+                P += B.T.dot(A.dot(B))
         P.flags.writeable = False
         return P
 
@@ -201,33 +210,38 @@ def evaluate(stacks, Y):
     and f and Sum r_i are `_in_order_sum`s over the r_i^2 and the r_i, in
     pair order.
     """
-    r2, Z = [], []
-    for A, B, c in stacks:
-        r2_stack, Z_stack = residual_gradient(A, B, Y)
-        r2_stack += c
-        r2.append(r2_stack)
-        Z.append(Z_stack.reshape(-1, Y.shape[1]))
-    Z = Z[0] if len(Z) == 1 else np.concatenate(Z)
-    grad = stacks.B.T @ Z
+    k = Y.shape[1]
+    if len(stacks) == 1:
+        A, B, c = stacks[0]
+        r2, Z = residual_gradient(A, B, Y)
+        r2 += c
+        Z = Z.reshape(-1, k)
+    else:
+        r2, Z = [], []
+        for A, B, c in stacks:
+            r2_stack, Z_stack = residual_gradient(A, B, Y)
+            r2_stack += c
+            r2.append(r2_stack)
+            Z.append(Z_stack.reshape(-1, k))
+        r2, Z = np.concatenate(r2), np.concatenate(Z)
+    grad = stacks.B.T.dot(Z)
     grad *= -2.0
-    r2 = r2[0] if len(r2) == 1 else np.concatenate(r2)
-    num = _in_order_sum(0.0, np.sqrt(r2))  # first: f's sum overwrites r2
-    return float(_in_order_sum(0.0, r2)), float(num), grad
+    num = _in_order_sum(np.sqrt(r2))  # first: f's sum overwrites r2
+    return float(_in_order_sum(r2)), float(num), grad
 
 
-def _in_order_sum(total, terms):
-    """total + terms[0] + terms[1] + ..., added left to right; terms is overwritten.
+def _in_order_sum(terms):
+    """terms[0] + terms[1] + ..., added left to right; terms is overwritten.
 
     A scan: `sum(axis=0)` would sum 1-entry terms pairwise.
     """
-    terms[0] += total
     return np.add.accumulate(terms, out=terms)[-1]
 
 
 def _gram(H):
     """H H^T, 4 x 4: numpy sends it to BLAS syrk, which with 4 output rows
     was no slower than GEMM with a copy of H^T."""
-    return H @ H.T
+    return H.dot(H.T)
 
 
 def quartic_sums(stacks, Y, D):
@@ -237,8 +251,8 @@ def quartic_sums(stacks, Y, D):
     floor(GRAM_ENTRIES / 4 k^2) whole pairs (at least one) that start at
     fixed pair indices, a run that crosses stacks as one copy; each run's
     Gram matrix is one product, added to 0.0 and the earlier runs' sum as
-    soon as it is made (bitwise `_in_order_sum(0.0, ...)` over the runs,
-    with no stack of them), and the sum is combined once, <s, s> first.
+    soon as it is made (a left-to-right sum over the runs, with no stack
+    of them), and the sum is combined once, <s, s> first.
     Sum <A_i V_i, V_i> = <D, P D>, one dot product of vec D and vec (P D),
     with the stacks' P.
     """
@@ -258,6 +272,6 @@ def quartic_sums(stacks, Y, D):
     if rest is not None:
         Q += _gram(rest)
     Q = Q.tolist()
-    DPD = float(D.ravel().dot((stacks.P @ D).ravel()))
+    DPD = float(D.ravel().dot(stacks.P.dot(D).ravel()))
     ss = Q[1][1] + 2.0 * Q[1][2] + Q[2][2]
     return [ss + 2.0 * Q[0][3] - 2.0 * DPD, 2.0 * (Q[1][3] + Q[2][3]), Q[3][3]]

@@ -28,6 +28,14 @@ DEMO_MAX_ITERATIONS = 50_000
 _SUBSAMPLE_FRACTION = 0.75
 _PERTURBATION = 0.05
 
+# the demo's output files in output_dir, by their key in DemoReport.files
+_OUTPUT_NAMES = {
+    "restored_X": "restored_X.txt",
+    "restored_image": "restored.pgm",
+    "trace": "trace.csv",
+    "report": "report.txt",
+}
+
 
 def make_test_image(n: int, seed: int = 0, rank=None) -> np.ndarray:
     """Deterministic synthetic n x n test image.
@@ -149,14 +157,21 @@ def image_demo(
     created after the stopping rule, m (at least 1), seed (at least 0) and k
     (None or at least 1) are checked (`_check_integer`, ValueError) and
     before the image is read, so a path that cannot be a directory fails
-    (OSError) before the fit.  A k above the image's side is refused once
-    the image is read (ValidationError).
+    (OSError) before the fit.  An output file that resolves
+    (`os.path.realpath`) to the input image is refused with them
+    (ValueError), so the demo never overwrites its input.  A k above the
+    image's side is refused once the image is read (ValidationError).
     """
     config = SolverConfig(epsilon=tol, max_iterations=max_iterations)
     _check_integer("m", m, 1)
     _check_integer("seed", seed, 0)
     if k is not None:
         _check_integer("k", k, 1)
+    source = os.path.realpath(input_image_path)
+    for name in _OUTPUT_NAMES.values():
+        path = os.path.join(output_dir, name)
+        if os.path.realpath(path) == source:
+            raise ValueError(f"{path} and {input_image_path} are the same file")
     os.makedirs(output_dir, exist_ok=True)
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)
@@ -179,12 +194,7 @@ def summarize_restoration(
         scale = np.linalg.norm(A)
         residuals.append(gap / scale if scale > 0 else gap)
 
-    files = {
-        "restored_X": os.path.join(output_dir, "restored_X.txt"),
-        "restored_image": os.path.join(output_dir, "restored.pgm"),
-        "trace": os.path.join(output_dir, "trace.csv"),
-        "report": os.path.join(output_dir, "report.txt"),
-    }
+    files = {key: os.path.join(output_dir, name) for key, name in _OUTPUT_NAMES.items()}
     write_matrix(files["restored_X"], X_hat)
     write_pgm(files["restored_image"], _rescale_to_gray(X_hat))
     write_trace(files["trace"], result.trace)

@@ -75,10 +75,9 @@ def _cbrt(x):
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _polish_root(c3, c2, c1, c0, x):
+def _polish_root(c3, c2, c1, c0, scale, x):
     # Newton refinement on the original coefficients; stops once the residual
     # is far below the |p(x)| <= 1e-12 * scale * (1+|x|)^3 contract.
-    scale = max(1.0, abs(c0), abs(c1), abs(c2), abs(c3))
     for _ in range(8):
         p = ((c3 * x + c2) * x + c1) * x + c0
         if abs(p) <= 1e-14 * scale * (1.0 + abs(x)) ** 3:
@@ -103,11 +102,15 @@ def cubic_real_roots(c3, c2, c1, c0):
     the depressed cubic built from them is not finite.  `minimize_quartic`
     reads that ValueError as a direction with no step.  Roots are computed
     by Cardano's method (trigonometric branch when all three roots are
-    real) and polished by Newton steps.
+    real) and polished by Newton steps.  A depressed cubic y^3 + p y + q
+    whose discriminant is not positive while p >= 0 (p = q = 0, or p and q
+    so small that it underflowed) or p 2 sqrt(-p/3) underflows to 0 is taken
+    to have the one root y = 0.
     """
-    for c in (c3, c2, c1, c0):
-        if not math.isfinite(c):
-            raise ValueError("cubic coefficients must be finite")
+    if not (
+        math.isfinite(c3) and math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)
+    ):
+        raise ValueError("cubic coefficients must be finite")
     if c3 == 0.0:
         raise ValueError("leading coefficient c3 is zero; not a cubic")
     b2 = c2 / c3
@@ -124,9 +127,8 @@ def cubic_real_roots(c3, c2, c1, c0):
     # a non-finite b2, b1, b0, p or q makes disc non-finite too
     if not math.isfinite(disc):
         raise ValueError("the cubic's monic or depressed form overflows")
-    if p == 0.0 and q == 0.0:
-        roots = [shift]
-    elif disc > 0.0:
+    scale = max(1.0, abs(c0), abs(c1), abs(c2), abs(c3))
+    if disc > 0.0:
         # one real root; pick the larger-magnitude cube root to avoid cancellation
         s = math.sqrt(disc)
         if -q / 2.0 >= 0.0:
@@ -134,17 +136,19 @@ def cubic_real_roots(c3, c2, c1, c0):
         else:
             u = _cbrt(-q / 2.0 - s)
         y = u + (-p / 3.0) / u
-        roots = [y + shift]
-    else:
-        # three real roots (with multiplicity): trigonometric branch, p < 0
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        roots = [
-            m * math.cos(theta - 2.0 * math.pi * j / 3.0) + shift for j in (0, 1, 2)
-        ]
-    return sorted(_polish_root(c3, c2, c1, c0, x) for x in roots)
+        return [_polish_root(c3, c2, c1, c0, scale, y + shift)]
+    # three real roots (with multiplicity): trigonometric branch, p < 0
+    m = 2.0 * math.sqrt(-p / 3.0) if p < 0.0 else 0.0
+    pm = p * m
+    if pm == 0.0:
+        # p = q = 0 (a triple root), or p and q so small that disc's terms
+        # underflowed: the shift is a root to within the residual contract
+        return [_polish_root(c3, c2, c1, c0, scale, shift)]
+    arg = 3.0 * q / pm
+    arg = min(1.0, max(-1.0, arg))
+    theta = math.acos(arg) / 3.0
+    roots = [m * math.cos(theta - 2.0 * math.pi * j / 3.0) + shift for j in (0, 1, 2)]
+    return sorted([_polish_root(c3, c2, c1, c0, scale, x) for x in roots])
 
 
 def minimize_quartic(p: QuarticPolynomial) -> StepResult:

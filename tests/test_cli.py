@@ -420,6 +420,39 @@ def test_demo_image_refuses_a_file_as_output_directory_before_the_fit(
     assert str(afile) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, out_dir",
+    [
+        ("restored.pgm", "out"),
+        ("restored_X.txt", "out"),
+        ("trace.csv", "out"),
+        ("report.txt", "out"),
+        ("restored.pgm", "sub/../out"),
+    ],
+    ids=["restored.pgm", "restored_X.txt", "trace.csv", "report.txt", "aliased"],
+)
+def test_demo_image_refuses_an_output_that_is_its_input_before_the_fit(
+    tmp_path, monkeypatch, capsys, name, out_dir
+):
+    # the demo's outputs are fixed names in --out-dir: an input image of one
+    # of those names there would be overwritten, so exit 2 naming both paths,
+    # before the image is read, and no file is written
+    monkeypatch.setattr(psdfit.imagedemo, "read_pgm", no_fit)
+    monkeypatch.setattr(psdfit.imagedemo, "solve", no_fit)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "out").mkdir()
+    img = f"out/{name}"
+    write_pgm(img, make_test_image(16))
+    before = (tmp_path / img).read_bytes()
+    assert run("demo-image", img, "--m", 2, "--out-dir", out_dir) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == f"error: {out_dir}/{name} and {img} are the same file\n"
+    assert (tmp_path / img).read_bytes() == before
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
+
 def test_solve_bad_rank_exits_2(problem_file, capsys):
     assert run("solve", problem_file, "--rank", 99) == 2
     capsys.readouterr()

@@ -195,6 +195,24 @@ def test_stacked_evaluation_matches_per_pair_reference(monkeypatch):
     assert np.allclose(inst._stacks.P, reference_P(data, n), rtol=1e-11, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "sides, stacks",
+    [([4, 4, 4], 1), ([9, 3], 2)],
+    ids=["one-stack", "tall-and-short"],
+)
+def test_P_is_the_pair_loop(sides, stacks):
+    # P is added pair by pair in pair order over the working pairs, bitwise
+    # the 2-D loop P += B^T (A B), whatever the stacks; the 9 x 9 pair is
+    # taller than n = 5 and enters as its 5 x 5 working pair
+    n, k = 5, 2
+    rng = np.random.default_rng(len(sides))
+    data = [(rng.standard_normal((mi, mi)), rng.standard_normal((mi, n))) for mi in sides]
+    inst = ProblemInstance(pairs=tuple(data), n=n, k=k)
+    assert len(inst._stacks) == stacks
+    P = reference_P([reference_reduce(A, B)[:2] for A, B in data], n)
+    assert np.all(inst._stacks.P == P)
+
+
 def test_gram_runs_move_only_the_step_polynomial_by_rounding(monkeypatch):
     # the line search's Gram sum is one product per run of whole pairs; at
     # one pair per product and at all 48 pairs in one, a2..a4 agree to
@@ -542,13 +560,12 @@ def test_non_finite_screen_misses_no_entry():
 def test_in_order_sum_is_a_pair_loop(g, shape):
     rng = np.random.default_rng(g)
     terms = rng.standard_normal((g, *shape))
-    total = rng.standard_normal(shape)
-    expected = total.copy()
-    for term in terms:
+    expected = terms[0].copy()
+    for term in terms[1:]:
         expected = expected + term
-    got = _kernels._in_order_sum(total, terms.copy())
+    got = _kernels._in_order_sum(terms.copy())
     assert np.asarray(got).tobytes() == expected.tobytes()
     # added left to right, 1 + 2^-53 + 2^-53 + ... rounds back to 1 each time
     tiny = np.full((g, *shape), 2.0**-53)
     tiny[0] = 1.0
-    assert np.all(_kernels._in_order_sum(np.zeros(shape), tiny) == 1.0)
+    assert np.all(_kernels._in_order_sum(tiny) == 1.0)

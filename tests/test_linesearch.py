@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -179,6 +180,146 @@ def test_cubic_residual_contract():
         for x in cubic_real_roots(c3, c2, c1, c0):
             p = ((c3 * x + c2) * x + c1) * x + c0
             assert abs(p) <= 1e-12 * scale * (1.0 + abs(x)) ** 3
+
+
+def reference_cubic_real_roots(c3, c2, c1, c0):
+    """The sorted real roots of c3 x^3 + c2 x^2 + c1 x + c0, as the one-pass
+    `cubic_real_roots` must give them bit for bit: Cardano's method, every
+    root polished by Newton steps with its own scale, sorted at the end.
+    Where its discriminant underflows it divides by zero or takes the root
+    of a negative number, and `cubic_real_roots` returns one root."""
+
+    def cbrt(x):
+        return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+    def polish(x):
+        scale = max(1.0, abs(c0), abs(c1), abs(c2), abs(c3))
+        for _ in range(8):
+            p = ((c3 * x + c2) * x + c1) * x + c0
+            if abs(p) <= 1e-14 * scale * (1.0 + abs(x)) ** 3:
+                break
+            dp = (3.0 * c3 * x + 2.0 * c2) * x + c1
+            if dp == 0.0:
+                break
+            step = p / dp
+            x_new = x - step
+            if x_new == x:
+                break
+            x = x_new
+        return x
+
+    for c in (c3, c2, c1, c0):
+        if not math.isfinite(c):
+            raise ValueError("cubic coefficients must be finite")
+    if c3 == 0.0:
+        raise ValueError("leading coefficient c3 is zero; not a cubic")
+    b2 = c2 / c3
+    b1 = c1 / c3
+    b0 = c0 / c3
+    shift = -b2 / 3.0
+    p = b1 - b2 * b2 / 3.0
+    q = (2.0 * b2 * b2 * b2 - 9.0 * b2 * b1) / 27.0 + b0
+    try:
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise ValueError("the cubic's monic or depressed form overflows")
+    if p == 0.0 and q == 0.0:
+        roots = [shift]
+    elif disc > 0.0:
+        s = math.sqrt(disc)
+        if -q / 2.0 >= 0.0:
+            u = cbrt(-q / 2.0 + s)
+        else:
+            u = cbrt(-q / 2.0 - s)
+        y = u + (-p / 3.0) / u
+        roots = [y + shift]
+    else:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        arg = 3.0 * q / (p * m)
+        arg = min(1.0, max(-1.0, arg))
+        theta = math.acos(arg) / 3.0
+        roots = [
+            m * math.cos(theta - 2.0 * math.pi * j / 3.0) + shift for j in (0, 1, 2)
+        ]
+    return sorted(polish(x) for x in roots)
+
+
+def roots_or_error(solve, coeffs):
+    """The roots as hex strings (so -0.0 and 0.0 differ), or the ValueError's text."""
+    try:
+        return [x.hex() for x in solve(*coeffs)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cubic_is_bitwise_the_reference():
+    rng = np.random.default_rng(38)
+    # 10^4 cubics of coefficients +-10^[-10, 10], drawn per coefficient
+    signs = rng.choice([-1.0, 1.0], (10_000, 4))
+    cases = [tuple(c) for c in (signs * 10.0 ** rng.uniform(-10, 10, (10_000, 4))).tolist()]
+    # p = q = 0 (a triple root), three real roots with a double one, exact zeros
+    cases += [
+        (c3, -3.0 * c3 * r, 3.0 * c3 * r * r, -c3 * r**3)
+        for c3 in (1.0, -2.0, 1e-5)
+        for r in (-3.0, 0.0, 1.0, 7.0)
+    ]
+    cases += [
+        (1.0, -9.0, 24.0, -20.0),
+        (1.0, 0.0, 0.0, 0.0),
+        (-1.0, 0.0, 0.0, -0.0),
+        (1.0, 0.0, -1.0, 0.0),
+        (1.0, 2.0, 1.0, 0.0),
+    ]
+    # c3 = 0, every non-finite coefficient in every place, monic forms that overflow
+    cases += [(0.0, 1.0, -3.0, 2.0), (-0.0, 0.0, 0.0, 0.0)]
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            coeffs = [1.0, -6.0, 11.0, -6.0]
+            coeffs[i] = bad
+            cases.append(tuple(coeffs))
+    cases += [
+        (1e-300, 1.0, -3.0, 2.0),
+        (1e-300, 0.0, 0.0, 1.0),
+        (1e-300, 1e10, 0.0, 0.0),
+        (1e-200, 1e150, 1e150, 1e150),
+        (1.0, 1e200, 0.0, 0.0),
+        (1.0, 0.0, 1e300, 0.0),
+    ]
+    kinds = set()
+    for coeffs in cases:
+        want = roots_or_error(reference_cubic_real_roots, coeffs)
+        assert roots_or_error(cubic_real_roots, coeffs) == want, coeffs
+        kinds.add(len(want) if isinstance(want, list) else want)
+    # every branch and every refusal was reached
+    assert kinds == {
+        1,
+        3,
+        "cubic coefficients must be finite",
+        "leading coefficient c3 is zero; not a cubic",
+        "the cubic's monic or depressed form overflows",
+    }
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (4.0, 0.0, 0.0, -1e-300),  # p = 0 and (q / 2) ** 2 underflows
+        (1.0, 0.0, -1e-220, 0.0),  # p < 0 and p m underflows
+        (1.0, 0.0, 1e-120, 0.0),  # p > 0 and (p / 3) ** 3 underflows
+    ],
+)
+def test_cubic_whose_discriminant_underflows_has_one_root(coeffs):
+    # disc underflows to 0 while p is not 0 or q is not 0; the reference then
+    # divided by p m = 0 or took the root of a negative number, and now the
+    # shift is the one root, within the residual contract
+    with pytest.raises((ZeroDivisionError, ValueError)):
+        reference_cubic_real_roots(*coeffs)
+    c3, c2, c1, c0 = coeffs
+    (x,) = cubic_real_roots(*coeffs)
+    scale = max(1.0, abs(c0), abs(c1), abs(c2), abs(c3))
+    assert abs(((c3 * x + c2) * x + c1) * x + c0) <= 1e-12 * scale * (1.0 + abs(x)) ** 3
 
 
 # ---------------------------------------------------------------------------
