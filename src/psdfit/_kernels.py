@@ -20,15 +20,16 @@ GRAM_ENTRIES entries, each run's product added to the sum of the runs before
 it as soon as it is made.  Both are rounded by the pairs, their order, k and
 GRAM_ENTRIES alone, and never by the stacks.
 f and Sum r_i are `_in_order_sum`s over the r_i^2 and the r_i, in pair order.
-A 2-D product is `ndarray.dot` and a stacked (3-D) one `@`: on 2-D operands
-both make the same BLAS call (gemm, or syrk for H H^T) with the same bits,
-but `@` first goes through matmul's gufunc dispatch.  On the benchmark's
-three workloads' shapes (one OpenBLAS thread, a 2-core Xeon), `.dot` took
-B_all^T Z_all from 1.21 to 0.70 us (tall-pairs), 2.93 to 2.42 us
-(many-pairs) and 4.52 to 3.66 us (image-demo), P D from 1.07 to 0.61, 0.85
-to 0.40 and 2.59 to 2.04 us, and H H^T from 1.16 to 0.70, 1.15 to 0.67 and
-4.66 to 4.08 us.  The set-up QR of `working_stacks` runs once per instance
-and keeps `@`.
+A 2-D product of an evaluation or a line search is `ndarray.dot` and a
+stacked (3-D) one `@`: on 2-D operands both make the same BLAS call (gemm,
+or syrk for H H^T) with the same bits, but `@` first goes through matmul's
+gufunc dispatch.  On the benchmark's three workloads' shapes (one OpenBLAS
+thread, a 2-core Xeon), `.dot` took B_all^T Z_all from 1.21 to 0.70 us
+(tall-pairs), 2.93 to 2.42 us (many-pairs) and 4.52 to 3.66 us
+(image-demo), P D from 1.07 to 0.61, 0.85 to 0.40 and 2.59 to 2.04 us, and
+H H^T from 1.16 to 0.70, 1.15 to 0.67 and 4.66 to 4.08 us.  Set-up
+products (the QR reduction of `working_stacks` and P) keep `@`: they are
+made once per instance, so their dispatch is not paid per iteration.
 Nothing here checks its arguments: the stacks come from a valid instance,
 and Y and D are n x k float64 C-contiguous arrays, checked by the callers
 (`problem.evaluate`, `linesearch.quartic_coeffs` and `linesearch.exact_step`).
@@ -95,7 +96,7 @@ class Stacks(tuple):
         P = np.zeros((n, n))
         for As, Bs, _ in self:
             for A, B in zip(As, Bs):
-                P += B.T.dot(A.dot(B))
+                P += B.T @ (A @ B)
         P.flags.writeable = False
         return P
 
@@ -210,22 +211,16 @@ def evaluate(stacks, Y):
     and f and Sum r_i are `_in_order_sum`s over the r_i^2 and the r_i, in
     pair order.
     """
-    k = Y.shape[1]
-    if len(stacks) == 1:
-        A, B, c = stacks[0]
-        r2, Z = residual_gradient(A, B, Y)
-        r2 += c
-        Z = Z.reshape(-1, k)
-    else:
-        r2, Z = [], []
-        for A, B, c in stacks:
-            r2_stack, Z_stack = residual_gradient(A, B, Y)
-            r2_stack += c
-            r2.append(r2_stack)
-            Z.append(Z_stack.reshape(-1, k))
-        r2, Z = np.concatenate(r2), np.concatenate(Z)
+    r2, Z = [], []
+    for A, B, c in stacks:
+        r2_stack, Z_stack = residual_gradient(A, B, Y)
+        r2_stack += c
+        r2.append(r2_stack)
+        Z.append(Z_stack.reshape(-1, Y.shape[1]))
+    Z = Z[0] if len(Z) == 1 else np.concatenate(Z)
     grad = stacks.B.T.dot(Z)
     grad *= -2.0
+    r2 = r2[0] if len(r2) == 1 else np.concatenate(r2)
     num = _in_order_sum(np.sqrt(r2))  # first: f's sum overwrites r2
     return float(_in_order_sum(r2)), float(num), grad
 

@@ -137,7 +137,9 @@ def cubic_real_roots(c3, c2, c1, c0):
             u = _cbrt(-q / 2.0 - s)
         y = u + (-p / 3.0) / u
         return [_polish_root(c3, c2, c1, c0, scale, y + shift)]
-    # three real roots (with multiplicity): trigonometric branch, p < 0
+    # disc <= 0: three real roots (with multiplicity), trigonometric branch.
+    # disc can underflow to 0 with p >= 0; the pm == 0 return takes those
+    # cases and p = q = 0, so p < 0 past it
     m = 2.0 * math.sqrt(-p / 3.0) if p < 0.0 else 0.0
     pm = p * m
     if pm == 0.0:
