@@ -8,11 +8,15 @@ Subcommands:
   demo-image  image-restoration demo on a binary PGM
 
 Exit codes: 0 success / checks passed, 1 verification, convergence or
-numerical failure, 2 usage or I/O errors.  Numbers are checked as they are
-parsed, before any file is read, and output paths before the fit, so a file
-that could not be written costs no solve; an output path that resolves to
-the same file as another output or an input is refused there too, so no
-output overwrites another output or an input.
+numerical failure, 2 usage or I/O errors.  Numbers and non-empty paths are
+checked as they are parsed, before any file is read.  Output paths are
+checked before any input is read, by one rule for solve, gen and
+demo-image (`psdfit.io._check_outputs`): an output that is an existing
+directory, or that resolves to the same file as another output or an
+input, is refused, so a file that could not be written costs no solve and
+no output overwrites another output or an input.  solve and gen make no
+directory, so each output's directory must exist; demo-image makes its
+--out-dir after the image is read and the instance built, before the fit.
 """
 
 import argparse
@@ -111,7 +115,7 @@ def _build_parser():
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--tol", type=tol, default=DEMO_TOL)
     p.add_argument("--max-iter", type=count, default=DEMO_MAX_ITERATIONS)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=path, required=True)
 
     return parser
 
@@ -123,20 +127,14 @@ def _with_rank(instance: ProblemInstance, rank):
 
 
 def _check_output_paths(outputs, inputs=()):
-    """Refuse, before the fit, an output path that is a directory, whose
-    directory does not exist, or that resolves to the same file as another
-    output or an input."""
-    taken = {os.path.realpath(path): path for path in inputs if path is not None}
+    """Refuse, before any input is read, an output path whose directory is
+    not an existing directory (solve and gen make none), then what
+    `pio._check_outputs` refuses."""
     for path in [path for path in outputs if path is not None]:
-        if os.path.isdir(path):
-            raise IsADirectoryError(f"{path}: Is a directory")
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
-            raise FileNotFoundError(f"{path}: directory {directory} does not exist")
-        real = os.path.realpath(path)
-        if real in taken:
-            raise ValueError(f"{path} and {taken[real]} are the same file")
-        taken[real] = path
+            raise NotADirectoryError(f"{path}: {directory} is not an existing directory")
+    pio._check_outputs(outputs, inputs)
 
 
 def _cmd_solve(args):

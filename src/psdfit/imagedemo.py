@@ -19,6 +19,7 @@ import numpy as np
 
 from .problem import ProblemInstance, _as_float, _check_integer
 from .solver import SolverConfig, SolverResult, solve
+from . import io as pio
 from .io import format_float, read_pgm, write_lines, write_matrix, write_pgm, write_trace
 
 MAX_SIDE = 512  # dense solves above this are rejected
@@ -153,31 +154,30 @@ def image_demo(
     """Run the full restoration pipeline and write results to output_dir.
 
     Writes restored_X.txt (full precision), restored.pgm (rescaled view),
-    trace.csv, and report.txt; returns the in-memory report.  output_dir is
-    created after the stopping rule, m (at least 1), seed (at least 0) and k
-    (None or at least 1) are checked (`_check_integer`, ValueError) and
-    before the image is read, so a path that cannot be a directory fails
-    (OSError) before the fit.  An output file that resolves
-    (`os.path.realpath`) to the input image is refused with them
-    (ValueError), so the demo never overwrites its input.  A k above the
-    image's side is refused once the image is read (ValidationError).
+    trace.csv, and report.txt; returns the in-memory report.  Nothing on
+    disk changes until the inputs pass, checked in this order: the stopping
+    rule, m (at least 1), seed (at least 0) and k (None or at least 1)
+    (`_check_integer`, ValueError); the four output paths, with the image
+    as input (`psdfit.io._check_outputs`: one that is an existing directory
+    is an IsADirectoryError, one that resolves to the input image a
+    ValueError, so the demo never overwrites its input); the image itself
+    (`read_pgm`, `image_to_truth`) and k at most its side (ValidationError).
+    Only then is output_dir created, before the fit, so a path that cannot
+    be a directory (OSError) costs no fit.
     """
     config = SolverConfig(epsilon=tol, max_iterations=max_iterations)
     _check_integer("m", m, 1)
     _check_integer("seed", seed, 0)
     if k is not None:
         _check_integer("k", k, 1)
-    source = os.path.realpath(input_image_path)
-    for name in _OUTPUT_NAMES.values():
-        path = os.path.join(output_dir, name)
-        if os.path.realpath(path) == source:
-            raise ValueError(f"{path} and {input_image_path} are the same file")
-    os.makedirs(output_dir, exist_ok=True)
+    outputs = [os.path.join(output_dir, name) for name in _OUTPUT_NAMES.values()]
+    pio._check_outputs(outputs, inputs=[input_image_path])
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)
     if k is None:
         k = min(16, X_true.shape[0])
     instance, Y0 = observation_instance(X_true, m, k, seed)
+    os.makedirs(output_dir, exist_ok=True)
     result = solve(instance, Y0=Y0, config=config)
     return summarize_restoration(X_true, instance, result, output_dir)
 

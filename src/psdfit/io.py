@@ -1,5 +1,5 @@
-r"""Every file format (problem, matrix, trace, solution and PGM image) and
-instance generation.
+r"""Every file format (problem, matrix, trace, solution and PGM image), the
+rule every command's output paths keep, and instance generation.
 
 Problem files are whitespace-separated text with explicit dimension headers:
 
@@ -42,11 +42,17 @@ A fault in a PGM file is a ParseError naming the file too, a bad header
 field at its line and token column; an image given to write_pgm that
 cannot be written is a ValueError.
 
+An output path is checked before any work (`_check_outputs`): one that
+is an existing directory, or that resolves to the same file as another
+output or an input, is refused, so no output overwrites another output or
+an input.
+
 The same seed always regenerates the same instance.
 """
 
 import functools
 import math
+import os
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count
@@ -280,6 +286,24 @@ def write_lines(path, lines):
     """Write ASCII lines, each ended by a newline."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join([*lines, ""]))
+
+
+def _check_outputs(outputs, inputs=()):
+    """Refuse an output path that is an existing directory (IsADirectoryError)
+    or that resolves (`os.path.realpath`) to the same file as another output
+    or an input (ValueError); a path of None is no path.
+
+    Every command that writes files calls this before it reads an input or
+    starts the fit, so no output overwrites another output or an input.
+    """
+    taken = {os.path.realpath(path): path for path in inputs if path is not None}
+    for path in [path for path in outputs if path is not None]:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: Is a directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValueError(f"{path} and {taken[real]} are the same file")
+        taken[real] = path
 
 
 @_naming_the_file

@@ -45,8 +45,6 @@ def reference_residual(instance: ProblemInstance, Y) -> float:
 @dataclass
 class OracleReport:
     quantity: str
-    primary: object
-    oracle: object
     max_abs: float
     max_rel: float
     tolerance: float
@@ -75,8 +73,6 @@ def compare(quantity, primary, oracle, tolerance) -> OracleReport:
     max_rel = float((diff / scale).max())
     return OracleReport(
         quantity=quantity,
-        primary=primary,
-        oracle=oracle,
         max_abs=max_abs,
         max_rel=max_rel,
         tolerance=tolerance,

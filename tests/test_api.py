@@ -35,6 +35,13 @@ def test_names_perfbench_calls_stay_in_place():
     assert psdfit.imagedemo.solve is psdfit.solver.solve
     assert psdfit.read_pgm is psdfit.io.read_pgm is psdfit.imagedemo.read_pgm
     assert psdfit.imagedemo.write_pgm is psdfit.io.write_pgm
+    # and the demo's writers, the demo itself as the CLI looks it up, and the
+    # steps of the demo that it times one by one
+    assert psdfit.imagedemo.write_trace is psdfit.io.write_trace
+    assert psdfit.imagedemo.write_matrix is psdfit.io.write_matrix
+    assert psdfit.cli.image_demo is psdfit.imagedemo.image_demo
+    for name in ("image_to_truth", "observation_instance", "summarize_restoration"):
+        assert callable(vars(psdfit.imagedemo)[name])
 
 
 def test_readme_first_example_runs():

@@ -5,6 +5,7 @@ import pytest
 
 import psdfit.cli
 import psdfit.imagedemo
+import psdfit.io
 import psdfit.linesearch
 import psdfit.solver
 from psdfit import ProblemInstance, SolverConfig, TerminationReason
@@ -336,6 +337,63 @@ def test_solve_refuses_an_empty_output_path_before_the_fit(
     assert f"argument {option}: expected a non-empty path, got ''" in err
 
 
+def test_demo_image_refuses_an_empty_out_dir_before_any_read(monkeypatch, capsys):
+    # --out-dir takes the same non-empty path type as --trace and --out
+    monkeypatch.setattr(psdfit.cli, "image_demo", no_input)
+    with pytest.raises(SystemExit) as exc:
+        run("demo-image", "input.pgm", "--out-dir", "")
+    assert exc.value.code == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert "argument --out-dir: expected a non-empty path, got ''" in err
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_solve_names_an_output_directory_that_is_not_a_directory(
+    tmp_path, monkeypatch, capsys, output, parent
+):
+    # a regular file in the directory's place does exist, so the one message
+    # says what is true of both: it is not an existing directory
+    directory = tmp_path / "afile"
+    if parent == "file":
+        directory.write_text("kept")
+    path = directory / "x.txt"
+    assert write_to(tmp_path, monkeypatch, output, path) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == f"error: {path}: {directory} is not an existing directory\n"
+    assert parent == "missing" or directory.read_text() == "kept"
+
+
+def test_every_command_that_writes_checks_its_outputs_in_io(tmp_path, monkeypatch, capsys):
+    # solve, gen and demo-image share one output rule, psdfit.io._check_outputs,
+    # and call it with their outputs and inputs before any input is read
+    calls = []
+
+    def record(outputs, inputs=()):
+        calls.append((list(outputs), list(inputs)))
+        raise ValueError("refused")
+
+    monkeypatch.setattr(psdfit.io, "_check_outputs", record)
+    monkeypatch.setattr(psdfit.cli.pio, "read_problem", no_input)
+    monkeypatch.setattr(psdfit.cli.pio, "generate_instance", no_input)
+    monkeypatch.setattr(psdfit.imagedemo, "read_pgm", no_input)
+    monkeypatch.chdir(tmp_path)
+    solve_args = ["p.prob", "--init", "y0.txt", "--trace", "t.csv", "--out", "s.txt"]
+    assert run("solve", *solve_args) == 2
+    assert run("gen", *DEMO, "--out", "g.prob") == 2
+    assert run("demo-image", "in.pgm", "--out-dir", "d") == 2
+    demo = ["restored_X.txt", "restored.pgm", "trace.csv", "report.txt"]
+    assert calls == [
+        (["t.csv", "s.txt"], ["p.prob", "y0.txt"]),
+        (["g.prob"], []),
+        ([f"d/{name}" for name in demo], ["in.pgm"]),
+    ]
+    assert capsys.readouterr() == ("", "error: refused\n" * 3)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "trace, out, other",
     [
@@ -451,6 +509,51 @@ def test_demo_image_refuses_an_output_that_is_its_input_before_the_fit(
     assert err == f"error: {out_dir}/{name} and {img} are the same file\n"
     assert (tmp_path / img).read_bytes() == before
     assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
+
+@pytest.mark.parametrize("name", ["restored_X.txt", "restored.pgm", "trace.csv", "report.txt"])
+def test_demo_image_refuses_a_directory_as_output_file_before_the_fit(
+    tmp_path, monkeypatch, capsys, name
+):
+    # refused with solve's message before the image is read, so no output
+    # is written next to the directory
+    monkeypatch.setattr(psdfit.imagedemo, "read_pgm", no_fit)
+    monkeypatch.setattr(psdfit.imagedemo, "solve", no_fit)
+    img = tmp_path / "tiny.pgm"
+    write_pgm(img, make_test_image(8, seed=1))
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run("demo-image", img, "--m", 2, "--rank", 8, "--out-dir", out) == 2
+    assert capsys.readouterr() == ("", f"error: {out / name}: Is a directory\n")
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+@pytest.mark.parametrize(
+    "image, rank, message",
+    [
+        (None, [], "No such file or directory"),
+        (b"P2\n2 2\n255\n0 1 2 3\n", [], "not a binary graymap"),
+        (make_test_image(4), ["--rank", 9], "rank bound k=9 outside [1, n]=4"),
+        (make_test_image(psdfit.imagedemo.MAX_SIDE + 1), [], "image side 513 exceeds 512"),
+    ],
+    ids=["missing", "not-pgm", "rank-above-side", "side-above-max"],
+)
+def test_demo_image_makes_no_out_dir_for_an_input_it_refuses(
+    tmp_path, monkeypatch, capsys, image, rank, message
+):
+    # --out-dir is made only after the image is read and the instance built
+    monkeypatch.setattr(psdfit.imagedemo, "solve", no_fit)
+    img = tmp_path / "in.pgm"
+    if isinstance(image, bytes):
+        img.write_bytes(image)
+    elif image is not None:
+        write_pgm(img, image)
+    out = tmp_path / "new"
+    assert run("demo-image", img, *rank, "--out-dir", out) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_solve_bad_rank_exits_2(problem_file, capsys):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import psdfit.imagedemo
 from psdfit import ParseError, SolverConfig, ValidationError, solve
 from psdfit.imagedemo import (
     MAX_SIDE,
@@ -357,6 +358,21 @@ def test_image_demo_writes_everything(tmp_path):
     assert trace[:, 0].tolist() == list(range(len(trace)))
     assert trace[-1, 2] < 1e-9  # grad_norm
     assert (out / "report.txt").read_text().startswith("n 8\n")
+
+
+def test_image_demo_refuses_a_directory_as_output_file_before_the_fit(tmp_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran before the output paths were checked")
+
+    monkeypatch.setattr(psdfit.imagedemo, "solve", no_fit)
+    img_path = tmp_path / "in.pgm"
+    write_pgm(img_path, make_test_image(8, seed=10))
+    out = tmp_path / "out"
+    (out / "trace.csv").mkdir(parents=True)
+    message = f"^{re.escape(str(out / 'trace.csv'))}: Is a directory$"
+    with pytest.raises(IsADirectoryError, match=message):
+        image_demo(img_path, m=2, k=8, seed=0, output_dir=out)
+    assert [p.name for p in out.iterdir()] == ["trace.csv"]
 
 
 def test_image_demo_rank_out_of_range(tmp_path):
