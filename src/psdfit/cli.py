@@ -55,6 +55,8 @@ def _build_parser():
         prog="psdfit",
         description="Low-rank PSD matrix fitting via factorized conjugate gradients.",
     )
+    # each command's parser names its handler (set_defaults(run=...));
+    # dest names the command in argparse's message when none is given
     sub = parser.add_subparsers(dest="command", required=True)
     # every number is checked here, before any file is read: the library
     # checks again, and alone checks --rank <= n and --k <= --n
@@ -68,11 +70,13 @@ def _build_parser():
         "comma-separated integers, each at least 1",
     )
     # an empty output path would otherwise be taken for no path at all, or
-    # fail only at the write, after the work
+    # fail only at the write, after the work; an empty input path would
+    # fail at the read with a message that names no argument
     path = _checked(str, bool, "a non-empty path")
 
     p = sub.add_parser("solve", help="solve a problem file")
-    p.add_argument("problem", help="problem file path")
+    p.set_defaults(run=_cmd_solve)
+    p.add_argument("problem", type=path, help="problem file path")
     p.add_argument("--rank", type=count, default=None, help="override rank k")
     p.add_argument(
         "--tol",
@@ -83,21 +87,24 @@ def _build_parser():
     p.add_argument("--max-iter", type=count, default=SolverConfig.max_iterations)
     start = p.add_mutually_exclusive_group()
     start.add_argument("--seed", type=seed, default=0, help="seed for the random start")
-    start.add_argument("--init", default=None, help="file with an explicit Y0")
+    start.add_argument("--init", type=path, default=None, help="file with an explicit Y0")
     p.add_argument("--trace", type=path, default=None, help="write per-iteration CSV here")
     p.add_argument("--out", type=path, default=None, help="write the solution file here")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("problem")
+    p.set_defaults(run=_cmd_gradcheck)
+    p.add_argument("problem", type=path)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--tol", type=tol, default=1e-6)
 
     p = sub.add_parser("linecheck", help="line-search coefficient check")
-    p.add_argument("problem")
+    p.set_defaults(run=_cmd_linecheck)
+    p.add_argument("problem", type=path)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--tol", type=tol, default=1e-8)
 
     p = sub.add_parser("gen", help="generate a seeded problem file")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--n", type=count, required=True)
     p.add_argument("--k", type=count, required=True)
     p.add_argument("--m", type=count, default=None, help="pair count (sizes default to n)")
@@ -109,7 +116,8 @@ def _build_parser():
     p.add_argument("--out", type=path, required=True)
 
     p = sub.add_parser("demo-image", help="image-restoration demo (binary PGM)")
-    p.add_argument("image")
+    p.set_defaults(run=_cmd_demo_image)
+    p.add_argument("image", type=path)
     p.add_argument("--m", type=count, default=3, help="number of observations")
     p.add_argument("--rank", type=count, default=None, help="fit rank (default min(n, 16))")
     p.add_argument("--seed", type=seed, default=0)
@@ -211,15 +219,8 @@ def _cmd_demo_image(args):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "gradcheck": _cmd_gradcheck,
-        "linecheck": _cmd_linecheck,
-        "gen": _cmd_gen,
-        "demo-image": _cmd_demo_image,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (OSError, ValueError) as exc:  # ParseError (any file) and ValidationError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -157,7 +157,9 @@ def image_demo(
     trace.csv, and report.txt; returns the in-memory report.  Nothing on
     disk changes until the inputs pass, checked in this order: the stopping
     rule, m (at least 1), seed (at least 0) and k (None or at least 1)
-    (`_check_integer`, ValueError); the four output paths, with the image
+    (`_check_integer`, ValueError); output_dir, which must not be an empty
+    path (ValueError; Path("") is "." and is allowed); the four output
+    paths, joined once and written by `summarize_restoration`, with the image
     as input (`psdfit.io._check_outputs`: one that is an existing directory
     is an IsADirectoryError, one that resolves to the input image a
     ValueError, so the demo never overwrites its input); the image itself
@@ -170,8 +172,10 @@ def image_demo(
     _check_integer("seed", seed, 0)
     if k is not None:
         _check_integer("k", k, 1)
-    outputs = [os.path.join(output_dir, name) for name in _OUTPUT_NAMES.values()]
-    pio._check_outputs(outputs, inputs=[input_image_path])
+    if not os.fspath(output_dir):
+        raise ValueError(f"output_dir={output_dir!r} is not a non-empty path")
+    files = {key: os.path.join(output_dir, name) for key, name in _OUTPUT_NAMES.items()}
+    pio._check_outputs(files.values(), inputs=[input_image_path])
     image = read_pgm(input_image_path)
     X_true = image_to_truth(image)
     if k is None:
@@ -179,13 +183,15 @@ def image_demo(
     instance, Y0 = observation_instance(X_true, m, k, seed)
     os.makedirs(output_dir, exist_ok=True)
     result = solve(instance, Y0=Y0, config=config)
-    return summarize_restoration(X_true, instance, result, output_dir)
+    return summarize_restoration(X_true, instance, result, files)
 
 
 def summarize_restoration(
-    X_true, instance: ProblemInstance, result: SolverResult, output_dir
+    X_true, instance: ProblemInstance, result: SolverResult, files
 ) -> DemoReport:
-    """Compare the fit with X_true and write the demo's files into output_dir."""
+    """Compare the fit with X_true and write the demo's files to the paths
+    it is given: files maps each key of `_OUTPUT_NAMES` to its path, and is
+    the report's `files`."""
     X_hat = result.X_final
     rel_err = np.linalg.norm(X_hat - X_true) / np.linalg.norm(X_true)
     residuals = []
@@ -194,7 +200,6 @@ def summarize_restoration(
         scale = np.linalg.norm(A)
         residuals.append(gap / scale if scale > 0 else gap)
 
-    files = {key: os.path.join(output_dir, name) for key, name in _OUTPUT_NAMES.items()}
     write_matrix(files["restored_X"], X_hat)
     write_pgm(files["restored_image"], _rescale_to_gray(X_hat))
     write_trace(files["trace"], result.trace)

@@ -32,9 +32,12 @@ non-integer count, m, m_i or n < 1, a count of rows the file does not
 hold, a negative iteration count, an unknown termination reason or a byte
 that is not ASCII is a ParseError naming its file and line (and, for a
 bad token, its column).  A byte that is not ASCII is looked for when the
-file is opened, so it is the fault reported wherever it stands.
-Otherwise each reader raises a fault as it reaches it, and a block's rows
-are looked into only when a conversion fails, and then every block of the
+file is opened, so it is the fault reported wherever it stands.  Every
+token read by hand (a header, a size, a keyed field, a PGM header field,
+or a number looked into for a fault) goes through one rule, `_number`;
+numpy's reader keeps the same rule for blocks of numbers.  Otherwise
+each reader raises a fault as it reaches it, and a block's rows are
+looked into only when a conversion fails, and then every block of the
 file in file order, so the first fault in file order is the one raised.
 
 Images are 8-bit binary PGM (magic "P5"); nothing fancier is supported.
@@ -110,6 +113,14 @@ def format_float(x: float) -> str:
     return format(float(x), _SPEC)
 
 
+def _number(tok, kind=float):
+    """kind(tok), refusing (ValueError) a token in Python's digit groups,
+    such as 1_0, which int and float read as 10."""
+    if "_" in tok:
+        raise ValueError(f"digit group in {tok!r}")
+    return kind(tok)
+
+
 class _TokenLines:
     r"""A file's non-blank lines, consumed in order.
 
@@ -183,15 +194,12 @@ class _TokenLines:
             raise ParseError("unexpected trailing content", line=self.linenos[self.at])
 
     def numbers(self, lineno, toks, what, kind, skip=0):
-        """toks[skip:] converted by kind (int, float or str); a token kind
-        refuses, or a number in Python's digit groups (1_0, which int and
-        float read as 10), raises at its column."""
+        """toks[skip:] converted by kind (int, float or str); a token that
+        `_number` refuses raises at its column."""
         out = []
         for j, tok in enumerate(toks[skip:], start=skip):
             try:
-                if kind is not str and "_" in tok:
-                    raise ValueError
-                out.append(kind(tok))
+                out.append(tok if kind is str else _number(tok, kind))
             except ValueError:
                 noun = "integer" if kind is int else "number"
                 raise ParseError(
@@ -237,10 +245,10 @@ def _raise_fault(reader):
     the reader has taken, in file order.
 
     In each row its width is checked, then each token in turn: one that
-    holds an underscore or that float refuses, or one that reads as nan or
-    an infinity, is raised at its column.  A block the file ends inside has
-    the rows it holds looked into without the width check, and is then
-    reported at the end of the file.
+    `_number` refuses, or one that reads as nan or an infinity, is raised
+    at its column.  A block the file ends inside has the rows it holds
+    looked into without the width check, and is then reported at the end
+    of the file.
     Returns if there is no fault, as when finite values such as 1e200
     overflow a sum of squares.
     """
@@ -253,10 +261,8 @@ def _raise_fault(reader):
                 raise reader.count_error(j, cols, f"{what} row {r}")
             for c, tok in enumerate(toks, start=1):
                 try:
-                    fault = None if math.isfinite(float(tok)) else "non-finite"
+                    fault = None if math.isfinite(_number(tok)) else "non-finite"
                 except ValueError:
-                    fault = "bad"
-                if "_" in tok:
                     fault = "bad"
                 if fault:
                     message = f"{fault} number {tok!r} in {what} row {r}"
@@ -461,9 +467,8 @@ def read_pgm(path) -> np.ndarray:
     Header comments (``#`` to end of line) and arbitrary whitespace are
     accepted; maxval above 255 (16-bit rasters) is not, nor is a pixel above
     maxval, which is reported at its 0-based row and column.  A header field
-    that int refuses, or one in Python's digit groups such as 1_0 (which int
-    reads as 10), is reported at its line and token column.  Every fault
-    is a ParseError.
+    that is not ASCII or that `_number` refuses as an int is reported at
+    its line and token column.  Every fault is a ParseError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -480,11 +485,9 @@ def read_pgm(path) -> np.ndarray:
         raise ParseError(f"not a binary graymap (magic {tokens[0][0]!r})")
     fields = []
     for token in tokens[1:]:
-        try:
-            if b"_" in token[0]:  # int reads b"1_0" as 10
-                raise ValueError
-            fields.append(int(token[0]))
-        except ValueError:
+        try:  # int strips U+00A0, so a latin-1 b"5\xa0" would read as 5
+            fields.append(_number(token[0].decode("ascii"), int))
+        except ValueError:  # UnicodeDecodeError too
             line, column = _header_location(data, token.start())
             raise ParseError(f"non-numeric header field {token[0]!r}", line, column) from None
     width, height, maxval = fields

@@ -348,6 +348,50 @@ def test_demo_image_refuses_an_empty_out_dir_before_any_read(monkeypatch, capsys
     assert "argument --out-dir: expected a non-empty path, got ''" in err
 
 
+@pytest.mark.parametrize(
+    "argv, argument",
+    [
+        (["solve", ""], "problem"),
+        (["solve", "p.prob", "--init", ""], "--init"),
+        (["gradcheck", ""], "problem"),
+        (["linecheck", ""], "problem"),
+        (["demo-image", "", "--out-dir", "o"], "image"),
+    ],
+    ids=["solve", "solve--init", "gradcheck", "linecheck", "demo-image"],
+)
+def test_an_empty_input_path_is_a_usage_error_before_any_read(
+    monkeypatch, capsys, argv, argument
+):
+    # an input path takes the same non-empty path type as every output path
+    monkeypatch.setattr(psdfit.cli.pio, "read_problem", no_input)
+    monkeypatch.setattr(psdfit.cli.pio, "read_matrix", no_input)
+    monkeypatch.setattr(psdfit.cli, "image_demo", no_input)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert f"argument {argument}: expected a non-empty path, got ''" in err
+
+
+def test_each_command_parses_to_its_handler():
+    # the parser binds each command to its handler, so no command it declares
+    # can reach main without one
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    minimal = {
+        "solve": ["p.prob"],
+        "gradcheck": ["p.prob"],
+        "linecheck": ["p.prob"],
+        "gen": ["--n", "4", "--k", "2", "--m", "2", "--out", "o.prob"],
+        "demo-image": ["in.pgm", "--out-dir", "o"],
+    }
+    assert sorted(sub.choices) == sorted(minimal)
+    for command, rest in minimal.items():
+        handler = getattr(psdfit.cli, "_cmd_" + command.replace("-", "_"))
+        assert parser.parse_args([command, *rest]).run is handler, command
+
+
 @pytest.mark.parametrize("parent", ["missing", "file"])
 @pytest.mark.parametrize("output", OUTPUTS)
 def test_solve_names_an_output_directory_that_is_not_a_directory(

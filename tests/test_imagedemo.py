@@ -1,5 +1,6 @@
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +105,9 @@ def test_pgm_rejects_truncated_header(tmp_path):
         # at its file, line and token column
         (b"P5 # by_hand\n4 1_0\n255\n", r"non-numeric header field b'1_0' \(.*hdr\.pgm, line 2, column 2\)$"),
         (b"P5\r\n2\r\n2 2_55\r", r"field b'2_55' \(.*hdr\.pgm, line 3, column 2\)$"),
+        # int strips U+00A0, so a field decoded as latin-1 would read 5; as
+        # ASCII it is refused
+        (b"P5\n5\xa0 1\n255\n", r"non-numeric header field b'5\\xa0' \(.*hdr\.pgm, line 2, column 1\)$"),
     ],
 )
 def test_pgm_rejects_bad_header_fields(tmp_path, header, match):
@@ -373,6 +377,33 @@ def test_image_demo_refuses_a_directory_as_output_file_before_the_fit(tmp_path, 
     with pytest.raises(IsADirectoryError, match=message):
         image_demo(img_path, m=2, k=8, seed=0, output_dir=out)
     assert [p.name for p in out.iterdir()] == ["trace.csv"]
+
+
+def test_image_demo_writes_the_paths_it_checked(tmp_path, monkeypatch):
+    # the output paths the guard is given are, by construction, the ones written
+    checked = []
+
+    def record(outputs, inputs=()):
+        checked.append((list(outputs), list(inputs)))
+
+    monkeypatch.setattr(psdfit.imagedemo.pio, "_check_outputs", record)
+    img_path = tmp_path / "in.pgm"
+    write_pgm(img_path, make_test_image(4, seed=11))
+    out = tmp_path / "out"
+    report = image_demo(img_path, m=2, k=2, seed=0, output_dir=out, max_iterations=5)
+    assert checked == [(list(report.files.values()), [img_path])]
+    assert sorted(out.iterdir()) == sorted(map(Path, report.files.values()))
+
+
+def test_image_demo_refuses_an_empty_output_dir_before_any_read(tmp_path, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the image was read before output_dir was checked")
+
+    monkeypatch.setattr(psdfit.imagedemo, "read_pgm", no_read)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="^output_dir='' is not a non-empty path$"):
+        image_demo("in.pgm", m=2, k=8, seed=0, output_dir="")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_image_demo_rank_out_of_range(tmp_path):

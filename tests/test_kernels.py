@@ -436,6 +436,8 @@ def test_one_kernel_call_per_stack(monkeypatch):
     record(solver, "evaluate", "E")
     record(linesearch, "exact_step", "S", searches)
     record(linesearch, "quartic_coeffs", "Q")
+    record(linesearch, "minimize_quartic", "M")
+    record(linesearch, "cubic_real_roots", "c")
     record(_kernels, "residual_gradient", "r")
     record(_kernels, "quartic_terms", "q")
 
@@ -447,9 +449,11 @@ def test_one_kernel_call_per_stack(monkeypatch):
     calls = "".join(log)
     # every evaluation and every line search makes one kernel call per stack,
     # and each iteration makes one public line search, `exact_step` (S), which
-    # builds its polynomial with one `quartic_coeffs` (Q), and one evaluation
-    # of the iterate it formed, `evaluate` (E)
-    one = f"SQq{{{stacks}}}Er{{{stacks}}}"
+    # builds its polynomial with one `quartic_coeffs` (Q), minimizes it with
+    # one `minimize_quartic` (M) and its one `cubic_real_roots` (c), each
+    # reached through its module attribute as a probe reaches it, and one
+    # evaluation of the iterate it formed, `evaluate` (E)
+    one = f"SQq{{{stacks}}}McEr{{{stacks}}}"
     assert re.fullmatch(f"Er{{{stacks}}}({one}){{4}}", calls), calls
     # with the iterate and the direction that the previous iteration left
     # as its 2nd and 3rd positional arguments, which is how a probe reads them
